@@ -37,7 +37,14 @@ from .harness import (
 from .linalg import FactorizationError
 from .objectives import DomainError, EvaluationError
 from .observations import ContractError, ObservationSet
-from .problems import DEFAULTS, generate_instance, p1_quadratic, p2_quartic, p3_rational, p6_entropy
+from .problems import (
+    dimension_scaled_n,
+    generate_instance,
+    p1_quadratic,
+    p2_quartic,
+    p3_rational,
+    p6_entropy,
+)
 from .resampling import RandomStream
 from .theory import moments_gaussian, sigma_set
 from .transport import TransportError, TransportProblem, brute_force_transport, solve_transport
@@ -252,9 +259,7 @@ def _resolve_bench_n(family: str, n, params: dict):
     preset_n = PRESETS[family]["n"]
     if preset_n is not None:
         return preset_n
-    d = params.get("d", DEFAULTS[family]["d"])
-    ratio = params.get("n_ratio", DEFAULTS[family].get("n_ratio", 5))
-    return int(ratio * d)
+    return dimension_scaled_n(family, params)
 
 
 def cmd_bench(args, cfg) -> int:
@@ -377,6 +382,7 @@ def cmd_transport(args, cfg) -> int:
               "uniform": supply is None}
     _print_header(config, args.no_header)
     print(f"value = {plan.value!r}")
+    print(f"pivots = {plan.iterations}")
     if args.brute_force:
         print(f"brute_force_value = {brute_force_transport(problem)!r}")
     print("coupling:")

@@ -24,8 +24,8 @@ import numpy as np
 
 from .core import BootstrapPlan, covariance_debias, scale_debias, shift_debias
 from .objectives import Objective
-from .observations import ContractError, mean_observation
-from .problems import ProblemInstance, generate_instance
+from .observations import ContractError, mean_observation, stable_digest
+from .problems import ProblemInstance, dimension_scaled_n, generate_instance
 from .resampling import RandomStream
 
 METHODS = ("shift", "scale", "cov")
@@ -120,7 +120,7 @@ def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
     obs = instance.sample_observations(n, stream.split(0))
     if isinstance(obs, tuple):
         mean = tuple(mean_observation(s) for s in obs)
-        fingerprint = hash(tuple(s.fingerprint() for s in obs))
+        fingerprint = stable_digest(s.fingerprint().to_bytes(8, "big") for s in obs)
     else:
         mean = mean_observation(obs)
         fingerprint = obs.fingerprint()
@@ -263,10 +263,8 @@ def run_sweep(family: str, axis: str, values, fixed: dict, R: int, seed: int,
             K_i = int(value)
         else:
             params[axis] = value
-        if n_i is None:  # P6 style: observations scale with dimension
-            probe = dict(params)
-            d = probe.get("d", 30)
-            n_i = int(probe.get("n_ratio", 5) * d)
+        if n_i is None:
+            n_i = dimension_scaled_n(family, params)
         summary = run_experiment_spec(family, params, n_i, K_i, methods, R, seed,
                                       exp_index=i, workers=workers)
         summary.axis = axis

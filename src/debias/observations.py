@@ -8,6 +8,8 @@ supported measures) average as mixtures, merging duplicate support points.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 
@@ -149,14 +151,20 @@ class ObservationSet:
         return [self.observation(i) for i in range(len(self))]
 
     def fingerprint(self) -> int:
-        """Hash of the raw data, used to assert paired trial designs."""
+        """Digest of the raw data, used to assert paired trial designs; the
+        same in every process."""
         if self.variant == "euclidean":
-            return hash(self.points.tobytes())
-        parts = []
-        for o in self._obs:
-            parts.append(o.support.tobytes())
-            parts.append(o.weights.tobytes())
-        return hash(b"".join(parts))
+            return stable_digest([self.points.tobytes()])
+        return stable_digest(part for o in self._obs
+                             for part in (o.support.tobytes(), o.weights.tobytes()))
+
+
+def stable_digest(chunks) -> int:
+    """64-bit BLAKE2b digest of a sequence of byte strings, as an int.
+
+    Unlike ``hash()``, it does not depend on the process's hash seed.
+    """
+    return int.from_bytes(hashlib.blake2b(b"".join(chunks), digest_size=8).digest(), "big")
 
 
 def _merge_support(support: np.ndarray, weights: np.ndarray) -> WeightedEmpirical:

@@ -296,6 +296,13 @@ DEFAULTS = {
 }
 
 
+def dimension_scaled_n(family: str, params: dict) -> int:
+    """Observation count of a family whose n grows with dimension (P6):
+    ``n = n_ratio * d``, each factor from ``params`` or else ``DEFAULTS``."""
+    p = {**DEFAULTS[family], **params}
+    return int(p["n_ratio"] * p["d"])
+
+
 def _unit_vector(d: int, stream: RandomStream, positive: bool = False) -> np.ndarray:
     g = stream.normal(d)
     if positive:

@@ -1,8 +1,8 @@
 """Exact discrete optimal transport at desk scale.
 
-``solve_transport`` runs a transportation simplex (see ``_kernels``) on a
-balanced problem with arbitrary nonnegative marginal weights; resampled
-empirical distributions carry rational weights k_i/n, so the solver is not
+``solve_transport`` runs a transportation simplex on a balanced problem
+with arbitrary nonnegative marginal weights; resampled empirical
+distributions carry rational weights k_i/n, so the solver is not
 restricted to uniform marginals.  ``brute_force_transport`` enumerates
 permutation couplings as an independent oracle for small uniform problems.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .observations import ContractError
 
 
@@ -50,12 +49,14 @@ class TransportProblem:
 
 @dataclass
 class TransportPlan:
-    """Optimal coupling, its objective value, and the dual potentials."""
+    """Optimal coupling, its objective value, the dual potentials, and the
+    number of simplex pivots it took."""
 
     coupling: np.ndarray
     value: float
     dual_row: np.ndarray
     dual_col: np.ndarray
+    iterations: int
 
     def dual_value(self, problem: TransportProblem) -> float:
         return float(self.dual_row @ problem.supply + self.dual_col @ problem.demand)
@@ -84,11 +85,10 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
         raise TransportError("a balanced problem cannot have empty marginals")
 
     sub_cost = np.ascontiguousarray(cost[np.ix_(rows, cols)])
-    flow, u, v, status, _ = _kernels.transport_simplex(
-        sub_cost, supply[rows].copy(), demand[cols].copy(), 1e-11
-    )
+    flow, u, v, status, iterations = _simplex(sub_cost, supply[rows], demand[cols], 1e-11)
     if status != 0:
-        raise TransportError("transportation simplex hit its iteration cap")
+        raise TransportError(
+            f"transportation simplex hit its iteration cap after {iterations} pivots")
 
     coupling = np.zeros((m, n))
     coupling[np.ix_(rows, cols)] = flow
@@ -104,7 +104,146 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
         if not np.isfinite(dual_col[j]):
             dual_col[j] = np.min(cost[rows, j] - dual_row[rows])
     value = float(np.sum(coupling * cost))
-    return TransportPlan(coupling, value, dual_row, dual_col)
+    return TransportPlan(coupling, value, dual_row, dual_col, iterations)
+
+
+def _simplex(cost, supply, demand, tol):
+    """Transportation simplex on a balanced problem with positive weights.
+
+    North-west-corner start, tree duals, Bland's rule for both the entering
+    cell (first reduced cost below ``-tol`` in row-major order) and the
+    leaving cell (lowest ``row * n + col`` among the minimum-ratio
+    candidates), which prevents cycling under degenerate (zero-flow) pivots.
+
+    The basis tree, flows and costs live in Python lists: a float op on them
+    is the same IEEE double op as on numpy scalars.  Nodes are rows
+    ``0..m-1`` and columns ``m..m+n-1``; each dual is computed along its
+    unique tree path from row 0 (``u[0] = 0``), so it does not depend on the
+    order the tree is walked in, and a pivot only changes the duals of the
+    subtree the leaving cell cuts off, which is all that is walked again.
+
+    Returns (flow, u, v, status, iterations); status 0 means optimal,
+    1 means the iteration cap was hit.
+    """
+    m, n = cost.shape
+    nb = m + n - 1
+    nodes = m + n
+    C = cost.tolist()
+    a = supply.tolist()
+    b = demand.tolist()
+    flow = [[0.0] * n for _ in range(m)]
+    brow = [0] * nb
+    bcol = [0] * nb
+    adj = [set() for _ in range(nodes)]  # node -> basic cells touching it
+
+    i = 0
+    j = 0
+    for k in range(nb):
+        brow[k] = i
+        bcol[k] = j
+        adj[i].add(k)
+        adj[m + j].add(k)
+        q = a[i] if a[i] < b[j] else b[j]
+        flow[i][j] = q
+        a[i] -= q
+        b[j] -= q
+        if i == m - 1:
+            j += 1
+        elif j == n - 1:
+            i += 1
+        elif a[i] <= 0.0:
+            i += 1
+        else:
+            j += 1
+
+    dual = [0.0] * nodes  # u then v
+    up_node = [-1] * nodes
+    up_cell = [0] * nodes
+    depth = [0] * nodes
+    order = [0]
+    max_iter = 1000 + 20 * nodes * nb
+    for it in range(max_iter):
+        # duals, parents and depths of the basis tree rooted at row 0: all of
+        # it at the start, afterwards the subtree the last pivot re-hung
+        if it:
+            dual[child] = C[ei][ej] - dual[parent]
+        for node in order:
+            for t in adj[node]:
+                r = brow[t]
+                other = m + bcol[t] if node == r else r
+                if other != up_node[node]:
+                    dual[other] = C[r][bcol[t]] - dual[node]
+                    up_node[other] = node
+                    up_cell[other] = t
+                    depth[other] = depth[node] + 1
+                    order.append(other)
+
+        # entering cell: the first reduced cost (C - u) - v below -tol in
+        # row-major order
+        ei = -1
+        v = dual[m:]
+        for r in range(m):
+            ur = dual[r]
+            Cr = C[r]
+            for c in range(n):
+                if Cr[c] - ur - v[c] < -tol:
+                    ei, ej = r, c
+                    break
+            if ei >= 0:
+                break
+        if ei < 0:
+            return np.array(flow), np.array(dual[:m]), np.array(dual[m:]), 0, it
+
+        # tree path from row ei to column ej, edges running outward from ei;
+        # minus cells sit at even offsets
+        x, y = ei, m + ej
+        head, tail = [], []
+        while depth[x] > depth[y]:
+            head.append(up_cell[x])
+            x = up_node[x]
+        while depth[y] > depth[x]:
+            tail.append(up_cell[y])
+            y = up_node[y]
+        while x != y:
+            head.append(up_cell[x])
+            x = up_node[x]
+            tail.append(up_cell[y])
+            y = up_node[y]
+        path = head + tail[::-1]
+
+        theta = -1.0
+        leave_pos = -1
+        leave_key = -1
+        for p in range(0, len(path), 2):
+            t = path[p]
+            f = flow[brow[t]][bcol[t]]
+            key = brow[t] * n + bcol[t]
+            if theta < 0.0 or f < theta or (f == theta and key < leave_key):
+                theta = f
+                leave_pos = p
+                leave_key = key
+        for p, t in enumerate(path):
+            if p % 2 == 0:
+                flow[brow[t]][bcol[t]] -= theta
+            else:
+                flow[brow[t]][bcol[t]] += theta
+        flow[ei][ej] += theta
+        leaving = path[leave_pos]
+        flow[brow[leaving]][bcol[leaving]] = 0.0
+        adj[brow[leaving]].discard(leaving)
+        adj[m + bcol[leaving]].discard(leaving)
+        brow[leaving] = ei
+        bcol[leaving] = ej
+        adj[ei].add(leaving)
+        adj[m + ej].add(leaving)
+        # the subtree cut off by the leaving cell now hangs from the entering one
+        child, parent = (ei, m + ej) if leave_pos < len(head) else (m + ej, ei)
+        up_node[child] = parent
+        up_cell[child] = leaving
+        depth[child] = depth[parent] + 1
+        order = [child]
+
+    return np.array(flow), np.array(dual[:m]), np.array(dual[m:]), 1, max_iter
 
 
 def transport_value(x, y, wx=None, wy=None) -> float:

@@ -1,30 +1,10 @@
-"""Hot numeric kernels, numba-compiled when available.
+"""Frozen copy of the transportation simplex as it stood before the list-based
+rewrite in ``debias.transport``, kept verbatim as a bit-for-bit oracle.
 
-Set ``DEBIAS_NUMBA=0`` to force the pure-Python/numpy fallback; the kernel
-bodies are written in nopython-compatible style so both paths execute the
-same code.  ``benchmarks/bench_kernels.py`` compares the two.
+Only ``tests/test_transport.py`` imports it; do not edit the function body.
 """
 
-from __future__ import annotations
-
-import os
-
 import numpy as np
-
-NUMBA_ENABLED = os.environ.get("DEBIAS_NUMBA", "1").strip().lower() not in ("0", "false", "off")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit as _njit
-
-        def _jit(func):
-            return _njit(cache=True)(func)
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def _jit(func):
-        return func
 
 
 def _transport_simplex_impl(cost, supply, demand, tol):
@@ -196,6 +176,3 @@ def _transport_simplex_impl(cost, supply, demand, tol):
 
     return flow, u, v, 1, max_iter
 
-
-transport_simplex = _jit(_transport_simplex_impl)
-transport_simplex_nojit = _transport_simplex_impl

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from debias.cli import main
+from debias.harness import parse_results_csv, run_sweep
+from debias.problems import DEFAULTS
 
 
 def write(path, text):
@@ -94,6 +96,17 @@ def test_bench_writes_csv_and_svg(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("problem,method")
     assert len(lines) == 1 + 3  # header + shift/scale/cov rows
+
+
+def test_p6_n_rule_shared_by_sweep_and_bench(tmp_path):
+    # P6 observations scale with dimension: n = n_ratio * d, n_ratio from DEFAULTS
+    over_d = run_sweep("P6", "d", [6], {}, R=2, seed=0, methods=["shift"])
+    over_alpha = run_sweep("P6", "alpha", [1.0], {"d": 6}, R=2, seed=0, methods=["shift"])
+    out = tmp_path / "p6.csv"
+    assert main(["bench", "P6", "--param", "d=6", "--trials", "2", "--method", "shift",
+                 "--workers", "1", "--no-header", "--out", str(out)]) == 0
+    bench_n = parse_results_csv(out)[0]["n"]
+    assert over_d[0].n == over_alpha[0].n == bench_n == DEFAULTS["P6"]["n_ratio"] * 6
 
 
 def test_bench_seed_determinism_and_workers(tmp_path):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import debias
 from debias.core import BootstrapPlan
 from debias.harness import (
     CSV_COLUMNS,
@@ -87,6 +92,30 @@ def test_run_trial_deterministic():
     assert a.naive_value == b.naive_value
     assert a.debiased == b.debiased
     assert a.fingerprint == b.fingerprint
+
+
+def test_fingerprints_stable_across_processes():
+    # hash() of bytes changes with PYTHONHASHSEED; the fingerprints must not
+    script = (
+        "from debias.core import BootstrapPlan\n"
+        "from debias.harness import run_trial\n"
+        "from debias.observations import ObservationSet\n"
+        "from debias.problems import generate_instance\n"
+        "from debias.resampling import RandomStream\n"
+        "print(ObservationSet.from_points([[1.0, 2.0], [3.0, 4.5]]).fingerprint())\n"
+        "print(ObservationSet.from_dirac_points([[0.5], [1.5]]).fingerprint())\n"
+        "inst = generate_instance('P7', {'d': 2}, RandomStream(1))\n"
+        "print(run_trial(inst, 4, BootstrapPlan(rounds=3), ['shift'], RandomStream(2)).fingerprint)\n"
+    )
+    src = str(Path(debias.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        outputs.append(done.stdout.split())
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
 
 
 def test_paired_design_same_observations():

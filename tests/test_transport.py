@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from debias import _kernels
+from _reference_simplex import _transport_simplex_impl as reference_simplex
+from debias import transport
 from debias.observations import ContractError
 from debias.transport import (
     TransportError,
@@ -133,19 +134,78 @@ def test_brute_force_contracts():
         brute_force_transport(q)
 
 
-def test_jit_and_python_kernels_agree():
+def random_simplex_instance(rng, k):
+    """Instance k of the oracle set: shapes with m != n and m or n equal to 1,
+    uniform, non-uniform and k/n resample weights, rounded costs with ties."""
+    if k % 10 == 0:
+        m, n = 1, int(rng.integers(1, 9))
+    elif k % 10 == 1:
+        m, n = int(rng.integers(1, 9)), 1
+    else:
+        m, n = int(rng.integers(2, 10)), int(rng.integers(2, 10))
+    kind = k % 3
+    if kind == 0:
+        supply, demand = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    elif kind == 1:
+        supply, demand = rng.random(m) + 0.05, rng.random(n) + 0.05
+        supply, demand = supply / supply.sum(), demand / demand.sum()
+    else:
+        # bootstrap weights k_i / size with the zero counts pruned
+        size = int(rng.integers(5, 30))
+        supply = rng.multinomial(size, np.full(m, 1.0 / m)) / size
+        demand = rng.multinomial(size, np.full(n, 1.0 / n)) / size
+        supply, demand = supply[supply > 0], demand[demand > 0]
+        m, n = supply.size, demand.size
+    scale = 10.0 ** rng.uniform(-3, 3)
+    if k % 4 == 0:
+        cost = np.round(rng.random((m, n)), 1) * scale  # many ties
+    else:
+        cost = squared_distance_cost(rng.normal(size=(m, 3)), rng.normal(size=(n, 3))) * scale
+    return cost, supply, demand
+
+
+def assert_same_as_reference(cost, supply, demand):
+    """The kernel against the frozen copy: flows, duals, status, pivots."""
+    want = reference_simplex(cost, supply.copy(), demand.copy(), 1e-11)
+    got = transport._simplex(cost, supply, demand, 1e-11)
+    for g, w in zip(got[:3], want[:3]):
+        assert np.array_equal(g, w)
+    assert got[3:] == want[3:]  # status and iteration count
+    return want[3:]
+
+
+def test_simplex_bit_identical_to_reference():
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        cost = rng.random((m, n))
-        supply = np.full(m, 1.0 / m)
-        demand = np.full(n, 1.0 / n)
-        f1, u1, v1, s1, _ = _kernels.transport_simplex(cost, supply.copy(), demand.copy(), 1e-11)
-        f2, u2, v2, s2, _ = _kernels.transport_simplex_nojit(cost, supply.copy(), demand.copy(), 1e-11)
-        assert s1 == s2 == 0
-        assert np.array_equal(f1, f2)
-        assert np.array_equal(u1, u2)
-        assert np.array_equal(v1, v2)
+    pivots = [assert_same_as_reference(*random_simplex_instance(rng, k))[1]
+              for k in range(240)]
+    assert min(pivots) == 0 and sum(p > 0 for p in pivots) > 150
+    # at costs of 1e5 and more, where rounding in (C - u) - v is far above
+    # tol, the two versions still take the same pivots
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        cost = np.round(rng.random((m, n)), 1) * 10.0 ** rng.uniform(5, 7)
+        supply, demand = rng.random(m) + 0.1, rng.random(n) + 0.1
+        assert_same_as_reference(cost, supply / supply.sum(), demand / demand.sum())
+
+
+def test_plan_reports_pivots():
+    # the north-west corner start puts all mass on the diagonal, cost 1
+    problem = TransportProblem.build([[1.0, 0.0], [0.0, 1.0]])
+    plan = solve_transport(problem)
+    assert plan.value == 0.0
+    want = reference_simplex(problem.cost, problem.supply.copy(), problem.demand.copy(), 1e-11)
+    assert plan.iterations == want[4] >= 1
+
+
+def test_iteration_cap_error_names_pivots(monkeypatch):
+    def capped(cost, supply, demand, tol):
+        m, n = cost.shape
+        return np.zeros((m, n)), np.zeros(m), np.zeros(n), 1, 1234
+
+    monkeypatch.setattr(transport, "_simplex", capped)
+    with pytest.raises(TransportError, match="after 1234 pivots"):
+        solve_transport(TransportProblem.build(np.ones((2, 2))))
 
 
 def test_larger_instance_runs():
@@ -155,3 +215,4 @@ def test_larger_instance_runs():
     problem = TransportProblem.build(cost)
     plan = solve_transport(problem)
     check_plan(problem, plan)
+    assert plan.iterations == 9585
