@@ -18,19 +18,14 @@ import sys
 
 import numpy as np
 
-from .core import (
-    BootstrapPlan,
-    DegenerateDenominatorError,
-    UnsupportedMethodError,
-    covariance_debias,
-    scale_debias,
-    shift_debias,
-)
+from .core import BootstrapPlan, DegenerateDenominatorError, UnsupportedMethodError
 from .harness import (
+    METHODS,
     PRESETS,
     default_workers,
     emit_plot,
     emit_results,
+    estimate,
     run_experiment_spec,
     run_sweep,
 )
@@ -194,16 +189,13 @@ def _parse_param(tokens) -> dict:
     return out
 
 
-def _methods_for(arg: str, family: str | None):
+def _methods_for(arg: str, family: str):
     if arg in (None, "all"):
-        return None if family is None else list(PRESETS[family]["methods"])
-    names = {"shift": "shift", "scale": "scale", "cov": "cov"}
-    out = []
-    for tok in arg.split(","):
-        tok = tok.strip()
-        if tok not in names:
-            raise ContractError(f"unknown method {tok!r}; use shift, scale, cov, or all")
-        out.append(names[tok])
+        return list(PRESETS[family]["methods"])
+    out = [tok.strip() for tok in arg.split(",")]
+    for tok in out:
+        if tok not in METHODS:
+            raise ContractError(f"unknown method {tok!r}; use {', '.join(METHODS)}, or all")
     return out
 
 
@@ -227,16 +219,7 @@ def cmd_estimate(args, cfg) -> int:
     obs = read_observations(args.data)
     F = build_objective(args.function, obs.dimension)
     method = args.method or cfg.get("method") or "shift"
-    plan = BootstrapPlan(rounds=k, seed=seed)
-    rng = RandomStream(seed)
-    if method == "shift":
-        est = shift_debias(F, obs, plan, rng)
-    elif method == "scale":
-        est = scale_debias(F, obs, plan, rng)
-    elif method == "cov":
-        est = covariance_debias(F, obs)
-    else:
-        raise ContractError(f"unknown method {method!r}; use shift, scale, or cov")
+    est = estimate(method, F, obs, BootstrapPlan(rounds=k, seed=seed), RandomStream(seed))
     config = {"data": args.data, "function": args.function, "method": method,
               "k": k, "seed": seed, "n": len(obs)}
     _print_header(config, args.no_header)

@@ -14,6 +14,7 @@ execute the trials.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BootstrapPlan, covariance_debias, scale_debias, shift_debias
+from .core import BootstrapPlan, DebiasEstimate, covariance_debias, scale_debias, shift_debias
 from .objectives import Objective
 from .observations import ContractError, mean_observation, stable_digest
 from .problems import ProblemInstance, dimension_scaled_n, generate_instance
@@ -93,30 +94,31 @@ def method_applicable(method: str, instance: ProblemInstance) -> Optional[str]:
     if method == "scale" and F.sign_constraint not in ("positive", "negative"):
         return "scale needs a sign-definite objective"
     if method == "cov":
-        if F.hessian is None:
-            return "covariance needs a hessian oracle"
         if paired:
             return "covariance needs Euclidean observations"
+        if F.hessian is None:
+            return "covariance needs a hessian oracle"
     return None
 
 
-def _estimate(method: str, F: Objective, obs, plan: BootstrapPlan, rng: RandomStream):
+def estimate(method: str, F: Objective, obs, plan: BootstrapPlan, rng: RandomStream) -> DebiasEstimate:
+    """The method table: the named estimator applied to F on obs.
+
+    The estimators are looked up in this module's globals on each call, so
+    code that replaces ``shift_debias`` here (a tracer, a test) sees every use.
+    """
     if method == "shift":
         return shift_debias(F, obs, plan, rng)
     if method == "scale":
         return scale_debias(F, obs, plan, rng)
     if method == "cov":
         return covariance_debias(F, obs)
-    raise ContractError(f"unknown method {method!r}")
+    raise ContractError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
 
 
 def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
               methods, stream: RandomStream) -> TrialRecord:
     """One fresh observation set, all requested methods evaluated on it."""
-    for m in methods:
-        reason = method_applicable(m, instance)
-        if reason:
-            raise ContractError(f"{instance.id}: {reason}")
     obs = instance.sample_observations(n, stream.split(0))
     if isinstance(obs, tuple):
         mean = tuple(mean_observation(s) for s in obs)
@@ -127,7 +129,7 @@ def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
     naive = instance.objective.evaluate(mean)
     debiased = {}
     for j, m in enumerate(methods):
-        est = _estimate(m, instance.objective, obs, plan, stream.split(1 + j))
+        est = estimate(m, instance.objective, obs, plan, stream.split(1 + j))
         debiased[m] = est.debiased_value
         if not math.isfinite(est.debiased_value):
             raise ContractError(f"trial {stream.path}: method {m} produced {est.debiased_value}")
@@ -139,6 +141,21 @@ def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
         seed_path=stream.path,
         fingerprint=fingerprint,
     )
+
+
+def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
+               root: RandomStream, lo: int, hi: int) -> list[TrialRecord]:
+    """Trials lo..hi-1 in order, trial t on split(root, t).
+
+    The methods are checked against the instance once, before any trial runs.
+    """
+    if hi <= lo:
+        raise ContractError(f"R must be >= 1, got {hi - lo}")
+    for m in methods:
+        reason = method_applicable(m, instance)
+        if reason:
+            raise ContractError(f"{instance.id}: {reason}")
+    return [run_trial(instance, n, plan, methods, root.split(t)) for t in range(lo, hi)]
 
 
 def _reduce_records(instance, n, plan, methods, R, seed, records) -> ExperimentSummary:
@@ -172,31 +189,12 @@ def _reduce_records(instance, n, plan, methods, R, seed, records) -> ExperimentS
     )
 
 
-def run_experiment(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
-                   R: int, master_stream: RandomStream, seed: Optional[int] = None) -> ExperimentSummary:
-    """R paired trials, trial t on split(master_stream, t), reduced in order."""
-    if R < 1:
-        raise ContractError(f"R must be >= 1, got {R}")
-    for m in methods:
-        reason = method_applicable(m, instance)
-        if reason:
-            raise ContractError(f"{instance.id}: {reason}")
-    records = [run_trial(instance, n, plan, methods, master_stream.split(t)) for t in range(R)]
-    return _reduce_records(instance, n, plan, methods, R,
-                           seed if seed is not None else master_stream.origin_seed, records)
-
-
 def _trial_block(family, params, seed, exp_index, n, K, m_size, methods, t_lo, t_hi):
-    """Worker entry: regenerate the instance and run a contiguous trial block."""
+    """Worker entry: regenerate the instance and run trials t_lo..t_hi-1."""
     master = RandomStream(seed).split(exp_index)
     instance = generate_instance(family, params, master.split(0))
     plan = BootstrapPlan(rounds=K, size=m_size)
-    trial_root = master.split(1)
-    out = []
-    for t in range(t_lo, t_hi):
-        rec = run_trial(instance, n, plan, methods, trial_root.split(t))
-        out.append((t, rec.naive_value, rec.debiased))
-    return out
+    return run_trials(instance, n, plan, methods, master.split(1), t_lo, t_hi)
 
 
 def run_experiment_spec(family: str, params: dict, n: int, K: int, methods, R: int,
@@ -211,28 +209,17 @@ def run_experiment_spec(family: str, params: dict, n: int, K: int, methods, R: i
     master = RandomStream(seed).split(exp_index)
     instance = generate_instance(family, params, master.split(0))
     plan = BootstrapPlan(rounds=K, size=m_size)
-    for m in methods:
-        reason = method_applicable(m, instance)
-        if reason:
-            raise ContractError(f"{family}: {reason}")
     if workers <= 1 or R < 4:
-        trial_root = master.split(1)
-        records = [run_trial(instance, n, plan, methods, trial_root.split(t)) for t in range(R)]
+        records = run_trials(instance, n, plan, methods, master.split(1), 0, R)
     else:
         workers = min(workers, R)
-        bounds = np.linspace(0, R, workers + 1).astype(int)
-        args = [(family, params, seed, exp_index, n, K, m_size, list(methods), int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        bounds = np.linspace(0, R, workers + 1).astype(int).tolist()
+        block = functools.partial(_trial_block, family, params, seed, exp_index, n, K,
+                                  m_size, list(methods))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_trial_block_star, args))
-        flat = sorted((item for block in blocks for item in block), key=lambda r: r[0])
-        records = [TrialRecord(t, instance.truth_value, naive, deb, (t,), 0)
-                   for t, naive, deb in flat]
+            blocks = pool.map(block, bounds[:-1], bounds[1:])
+            records = [rec for recs in blocks for rec in recs]
     return _reduce_records(instance, n, plan, methods, R, seed, records)
-
-
-def _trial_block_star(args):
-    return _trial_block(*args)
 
 
 def default_workers() -> int:

@@ -274,12 +274,8 @@ class ProblemInstance:
     matrices: dict = field(default_factory=dict)
 
     def sample_observations(self, n: int, stream: RandomStream):
+        """n i.i.d. observations from the instance's noise model."""
         return self.noise.sample(n, stream)
-
-
-def sample_observations(instance: ProblemInstance, n: int, stream: RandomStream):
-    """n i.i.d. observations from the instance's noise model."""
-    return instance.sample_observations(n, stream)
 
 
 # ---------------------------------------------------------------------------

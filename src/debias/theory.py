@@ -32,9 +32,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BootstrapPlan, DebiasEstimate, covariance_debias, scale_debias, shift_debias
+from .core import BootstrapPlan
+from .harness import run_trials
 from .objectives import Objective
-from .observations import ContractError, mean_observation
+from .observations import ContractError
 from .resampling import RandomStream
 
 _MAX_M4_DIM = 20
@@ -184,52 +185,26 @@ class MseComparison:
     trials: int
 
 
-def _run_method(name: str, F, obs, plan, rng) -> DebiasEstimate:
-    if name == "shift":
-        return shift_debias(F, obs, plan, rng)
-    if name == "scale":
-        return scale_debias(F, obs, plan, rng)
-    if name == "cov":
-        return covariance_debias(F, obs)
-    if name == "identity":
-        mean = mean_observation(obs) if not isinstance(obs, tuple) else tuple(map(mean_observation, obs))
-        naive = F.evaluate(mean)
-        return DebiasEstimate(naive, "identity", 0.0, naive, mean)
-    raise ContractError(f"unknown method {name!r}")
-
-
-def empirical_mse_comparison(F: Objective, instance, n: int, K: int, R: int,
+def empirical_mse_comparison(instance, n: int, K: int, R: int,
                              methods, stream: RandomStream) -> dict[str, MseComparison]:
     """R paired trials of naive vs debiased squared error on fresh samples.
 
-    Every method sees the same observation set within a trial, so the mean
+    The trials are the harness's: trial t draws from split(stream, t), and
+    every method sees the same observation set within a trial, so the mean
     paired difference (debiased sq.err - naive sq.err) and its standard
     error make "debiasing strictly helps" a one-sided test.
     """
-    if R < 1:
-        raise ContractError(f"R must be >= 1, got {R}")
+    records = run_trials(instance, n, BootstrapPlan(rounds=K), methods, stream, 0, R)
     truth = instance.truth_value
-    plan = BootstrapPlan(rounds=K)
-    naive_sq = np.empty(R)
-    deb_sq = {m: np.empty(R) for m in methods}
-    for t in range(R):
-        ts = stream.split(t)
-        obs = instance.sample_observations(n, ts.split(0))
-        for j, m in enumerate(methods):
-            est = _run_method(m, F, obs, plan, ts.split(1 + j))
-            deb_sq[m][t] = (est.debiased_value - truth) ** 2
-            if j == 0:
-                naive_sq[t] = (est.naive_value - truth) ** 2
-        if not methods:
-            mean = mean_observation(obs) if not isinstance(obs, tuple) else tuple(map(mean_observation, obs))
-            naive_sq[t] = (F.evaluate(mean) - truth) ** 2
+    naive_sq = np.array([(rec.naive_value - truth) ** 2 for rec in records])
     out = {}
     for m in methods:
-        diff = deb_sq[m] - naive_sq
+        deb_sq = np.array([(rec.debiased[m] - truth) ** 2 for rec in records])
+        diff = deb_sq - naive_sq
         se = float(diff.std(ddof=1) / math.sqrt(R)) if R > 1 else None
         out[m] = MseComparison(
             mse_naive=float(naive_sq.mean()),
-            mse_debiased=float(deb_sq[m].mean()),
+            mse_debiased=float(deb_sq.mean()),
             paired_diff_mean=float(diff.mean()),
             paired_diff_se=se,
             trials=R,

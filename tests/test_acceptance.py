@@ -8,10 +8,11 @@ import time
 
 import numpy as np
 
+from _oracles import quadratic_form, random_symmetric_tensor3
 from debias.cli import main as cli_main
 from debias.core import covariance_debias, exact_resample_expectation
 from debias.harness import run_experiment_spec, run_sweep
-from debias.linalg import quadratic_form, random_symmetric_tensor3, spd_with_condition
+from debias.linalg import spd_with_condition
 from debias.observations import ObservationSet, mean_observation
 from debias.problems import (
     generate_instance,
@@ -20,7 +21,6 @@ from debias.problems import (
     p3_rational,
     p5_constraint_value,
     p6_entropy,
-    sample_observations,
 )
 from debias.resampling import RandomStream
 from debias.theory import empirical_mse_comparison, moments_gaussian, sigma_set
@@ -97,7 +97,7 @@ def test_criterion_3_covariance_quadratic_unbiasedness():
     naive_res = np.empty(R)
     deb_res = np.empty(R)
     for t in range(R):
-        obs = sample_observations(inst, n, rng.split(t))
+        obs = inst.sample_observations(n, rng.split(t))
         est = covariance_debias(inst.objective, obs)
         naive_res[t] = est.naive_value - truth
         deb_res[t] = est.debiased_value - truth
@@ -194,7 +194,7 @@ def test_criterion_7_shift_strictly_reduces_mse():
     F = p1_quadratic(np.eye(1))
     margin = sigma_set(F, np.zeros(1), moments_gaussian(1.0, 1), c_k=1.0).margin_shift
     inst = generate_instance("P1", {"d": 1, "xstar_norm2": 0.0, "sigma": 1.0}, RandomStream(108))
-    out = empirical_mse_comparison(inst.objective, inst, n=50, K=50, R=20_000,
+    out = empirical_mse_comparison(inst, n=50, K=50, R=20_000,
                                    methods=["shift"], stream=RandomStream(109))
     cmp = out["shift"]
     z = cmp.paired_diff_mean / cmp.paired_diff_se

@@ -69,6 +69,15 @@ def test_estimate_unknown_function_exit_3(tmp_path, euclid_file):
     assert main(["estimate", euclid_file, "--function", "mystery"]) == 3
 
 
+def test_estimate_unknown_method_exit_3(tmp_path, euclid_file, capsys):
+    A = write(tmp_path / "A.csv", "1\n")
+    rc = main(["estimate", euclid_file, "--function", f"quadratic:{A}", "--method", "bogus"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "bogus" in captured.err and "Traceback" not in captured.err
+    assert "debiased_value" not in captured.out
+
+
 def test_estimate_empirical_variant_unsupported(tmp_path, capsys):
     data = write(tmp_path / "emp.csv", "# dim=1 variant=empirical\n0.5\n")
     assert main(["estimate", data, "--function", "entropy"]) == 3
@@ -85,6 +94,31 @@ def test_bench_unknown_problem_exit_3(capsys):
     rc = main(["bench", "P9", "--trials", "5"])
     assert rc == 3
     assert "P1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--trials", "0"], ["--trials", "-3", "--workers", "2"]])
+@pytest.mark.parametrize("command", [["bench", "P1"],
+                                     ["sweep", "P1", "--axis", "d", "--values", "2"]])
+def test_nonpositive_trials_exit_3(tmp_path, capsys, command, extra):
+    out = tmp_path / "r.csv"
+    rc = main(command + extra + ["--no-header", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "R must be >= 1" in err
+    assert not out.exists() and not (tmp_path / "r.svg").exists()
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["bench", "P4", "--method", "cov", "--workers", "1"], "hessian"),
+    (["bench", "P7", "--method", "cov", "--workers", "2"], "Euclidean"),
+])
+def test_bench_inapplicable_method_exit_3(tmp_path, capsys, argv, reason):
+    out = tmp_path / "m.csv"
+    rc = main(argv + ["--trials", "8", "--no-header", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert reason in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bench_writes_csv_and_svg(tmp_path, capsys):

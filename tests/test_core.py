@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import quadratic_form, random_symmetric_tensor3
 from debias.core import (
     BootstrapPlan,
     DegenerateDenominatorError,
@@ -14,7 +15,6 @@ from debias.core import (
     scale_debias,
     shift_debias,
 )
-from debias.linalg import quadratic_form, random_symmetric_tensor3
 from debias.objectives import DomainError, EvaluationError, Objective
 from debias.observations import ContractError, ObservationSet, mean_observation
 from debias.problems import p1_quadratic

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -9,20 +10,22 @@ from types import SimpleNamespace
 import pytest
 
 import debias
+from debias import harness
 from debias.core import BootstrapPlan
 from debias.harness import (
     CSV_COLUMNS,
     PRESETS,
     TrialRecord,
     _reduce_records,
+    _trial_block,
     emit_plot,
     emit_results,
     method_applicable,
     parse_results_csv,
-    run_experiment,
     run_experiment_spec,
     run_sweep,
     run_trial,
+    run_trials,
 )
 from debias.observations import ContractError
 from debias.problems import generate_instance
@@ -67,8 +70,7 @@ def test_hand_made_residuals_example():
 
 
 def test_raw_sum_reconstruction_bit_exact():
-    inst = generate_instance("P1", {"d": 3}, RandomStream(0))
-    s = run_experiment(inst, 10, BootstrapPlan(rounds=10), ["shift", "cov"], 40, RandomStream(1))
+    s = run_experiment_spec("P1", {"d": 3}, 10, 10, ["shift", "cov"], 40, seed=1)
     for m in s.methods:
         assert s.rmse_r[m] == math.sqrt(s.debias_sq_sum[m]) / math.sqrt(s.naive_sq_sum)
         assert s.bias_r[m] == s.debias_err_sum[m] / s.naive_err_sum
@@ -128,16 +130,20 @@ def test_paired_design_same_observations():
     assert a.debiased["shift"] == b.debiased["shift"]
 
 
-def test_method_applicability_checked_before_trials():
+def test_method_applicability_checked_before_trials(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the methods were checked")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
     inst4 = generate_instance("P4", {"d": 3}, RandomStream(8))
     assert method_applicable("cov", inst4) is not None
     with pytest.raises(ContractError, match="hessian"):
-        run_experiment(inst4, 5, BootstrapPlan(rounds=4), ["cov"], 3, RandomStream(9))
+        run_experiment_spec("P4", {"d": 3}, 5, 4, ["shift", "cov"], 3, seed=9)
     inst7 = generate_instance("P7", {"d": 2}, RandomStream(10))
     assert method_applicable("cov", inst7) is not None
     assert method_applicable("shift", inst7) is None
-    with pytest.raises(ContractError):
-        run_experiment(inst7, 5, BootstrapPlan(rounds=4), ["nonsense"], 3, RandomStream(11))
+    with pytest.raises(ContractError, match="nonsense"):
+        run_experiment_spec("P7", {"d": 2}, 5, 4, ["shift", "nonsense"], 3, seed=11)
 
 
 def test_p7_trial_runs():
@@ -151,11 +157,11 @@ def test_p7_trial_runs():
 
 
 def test_run_experiment_deterministic():
-    inst = generate_instance("P1", {"d": 2}, RandomStream(14))
-    s1 = run_experiment(inst, 8, BootstrapPlan(rounds=6), ["shift"], 25, RandomStream(15))
-    s2 = run_experiment(inst, 8, BootstrapPlan(rounds=6), ["shift"], 25, RandomStream(15))
+    s1 = run_experiment_spec("P1", {"d": 2}, 8, 6, ["shift"], 25, seed=15, exp_index=3)
+    s2 = run_experiment_spec("P1", {"d": 2}, 8, 6, ["shift"], 25, seed=15, exp_index=3)
     assert s1.rmse_r == s2.rmse_r
     assert s1.bias_r == s2.bias_r
+    assert s1.naive_sq_sum == s2.naive_sq_sum
 
 
 def test_run_experiment_spec_workers_identical():
@@ -170,9 +176,28 @@ def test_run_experiment_spec_workers_identical():
 
 
 def test_run_experiment_validates_r():
-    inst = generate_instance("P1", {"d": 2}, RandomStream(16))
-    with pytest.raises(ContractError):
-        run_experiment(inst, 8, BootstrapPlan(rounds=6), ["shift"], 0, RandomStream(17))
+    for R in (0, -3):
+        for workers in (1, 2):
+            with pytest.raises(ContractError, match="R must be >= 1"):
+                run_experiment_spec("P1", {"d": 2}, 8, 6, ["shift"], R, seed=17, workers=workers)
+
+
+@pytest.mark.parametrize("family,params,methods", [
+    ("P1", {"d": 3}, ["shift", "scale", "cov"]),
+    ("P7", {"d": 2}, ["shift", "scale"]),
+])
+def test_worker_blocks_carry_lineage(family, params, methods):
+    seed, exp_index, n, K, R = 21, 1, 5, 4, 6
+    master = RandomStream(seed).split(exp_index)
+    instance = generate_instance(family, params, master.split(0))
+    local = run_trials(instance, n, BootstrapPlan(rounds=K), methods, master.split(1), 0, R)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+        halves = [pool.submit(_trial_block, family, params, seed, exp_index, n, K, None,
+                              methods, lo, hi) for lo, hi in ((0, R // 2), (R // 2, R))]
+        remote = [rec for half in halves for rec in half.result(timeout=120)]
+    assert remote == local
+    assert [rec.seed_path for rec in remote] == [master.split(1).split(t).path for t in range(R)]
+    assert all(rec.fingerprint != 0 for rec in remote)
 
 
 def test_bench_presets():

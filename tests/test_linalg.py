@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from debias.linalg import (
-    FactorizationError,
-    cholesky_solve,
-    kkt_solve,
-    quadratic_form,
-    random_orthogonal,
-    random_symmetric_tensor3,
-    spd_with_condition,
-)
+from _oracles import kkt_solve, quadratic_form, random_symmetric_tensor3
+from debias.linalg import FactorizationError, cholesky_solve, random_orthogonal, spd_with_condition
 from debias.observations import ContractError
 from debias.resampling import RandomStream
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import kkt_solve
 from debias.core import BootstrapPlan, covariance_debias, shift_debias
-from debias.linalg import kkt_solve, spd_with_condition
+from debias.linalg import spd_with_condition
 from debias.objectives import DomainError
 from debias.observations import ContractError, ObservationSet, mean_observation
 from debias.problems import (
@@ -16,7 +17,6 @@ from debias.problems import (
     p5_constraint_value,
     p6_entropy,
     p7_wasserstein,
-    sample_observations,
 )
 from debias.resampling import RandomStream
 
@@ -304,7 +304,7 @@ def test_generate_instance_deterministic():
 
 def test_p1_sample_mean_correctness():
     inst = generate_instance("P1", {"d": 3}, RandomStream(16))
-    obs = sample_observations(inst, 100_000, RandomStream(17))
+    obs = inst.sample_observations(100_000, RandomStream(17))
     x_star = inst.truth_input.coords
     se = inst.params["sigma"] / math.sqrt(len(obs))
     assert np.all(np.abs(obs.points.mean(axis=0) - x_star) < 3 * se)
@@ -312,7 +312,7 @@ def test_p1_sample_mean_correctness():
 
 def test_p3_noise_mean_and_positivity():
     inst = generate_instance("P3", {"d": 4}, RandomStream(18))
-    obs = sample_observations(inst, 100_000, RandomStream(19))
+    obs = inst.sample_observations(100_000, RandomStream(19))
     x_star = inst.truth_input.coords
     assert np.all(obs.points > 0)
     se = x_star / math.sqrt(len(obs))  # exponential sd equals its mean
@@ -321,7 +321,7 @@ def test_p3_noise_mean_and_positivity():
 
 def test_p4_observations_spd_and_mean():
     inst = generate_instance("P4", {"d": 3, "k_shape": 1.0}, RandomStream(20))
-    obs = sample_observations(inst, 10_000, RandomStream(21))
+    obs = inst.sample_observations(10_000, RandomStream(21))
     d = 3
     for row in obs.points[:50]:
         np.linalg.cholesky(row.reshape(d, d))
@@ -336,14 +336,14 @@ def test_p4_observations_spd_and_mean():
 
 def test_p6_observations_one_hot():
     inst = generate_instance("P6", {"d": 5}, RandomStream(22))
-    obs = sample_observations(inst, 200, RandomStream(23))
+    obs = inst.sample_observations(200, RandomStream(23))
     assert np.all(np.isin(obs.points, (0.0, 1.0)))
     assert np.all(obs.points.sum(axis=1) == 1.0)
 
 
 def test_p6_category_frequencies():
     inst = generate_instance("P6", {"d": 4, "alpha": 2.0}, RandomStream(24))
-    obs = sample_observations(inst, 100_000, RandomStream(25))
+    obs = inst.sample_observations(100_000, RandomStream(25))
     p_star = inst.noise.params["p_star"]
     freq = obs.points.mean(axis=0)
     se = np.sqrt(p_star * (1 - p_star) / len(obs))
@@ -352,12 +352,12 @@ def test_p6_category_frequencies():
 
 def test_p7_sampling_shapes_and_truth():
     inst = generate_instance("P7", {"d": 4, "mu2_norm": 1.5}, RandomStream(26))
-    pair = sample_observations(inst, 7, RandomStream(27))
+    pair = inst.sample_observations(7, RandomStream(27))
     assert isinstance(pair, tuple) and len(pair) == 2
     assert len(pair[0]) == 7 and len(pair[1]) == 7  # m defaults to n
     assert inst.truth_value == pytest.approx(1.5**2)
     inst2 = generate_instance("P7", {"d": 4, "m_samples": 12}, RandomStream(26))
-    pair2 = sample_observations(inst2, 7, RandomStream(27))
+    pair2 = inst2.sample_observations(7, RandomStream(27))
     assert len(pair2[1]) == 12
 
 
@@ -381,7 +381,7 @@ def test_entropy_covariance_closed_form():
     for d in range(2, 11):
         inst = generate_instance("P6", {"d": d, "alpha": 1.0}, rng.split(d))
         n = 6 * d
-        obs = sample_observations(inst, n, rng.split(100 + d))
+        obs = inst.sample_observations(n, rng.split(100 + d))
         est = covariance_debias(inst.objective, obs)
         pbar = mean_observation(obs).coords
         support = int(np.count_nonzero(pbar > 0))
@@ -401,6 +401,6 @@ def test_entropy_covariance_zero_support_coordinates():
 
 def test_p2_shift_runs_end_to_end():
     inst = generate_instance("P2", {"d": 3}, RandomStream(29))
-    obs = sample_observations(inst, 10, RandomStream(30))
+    obs = inst.sample_observations(10, RandomStream(30))
     est = shift_debias(inst.objective, obs, BootstrapPlan(rounds=10), RandomStream(31))
     assert math.isfinite(est.debiased_value)

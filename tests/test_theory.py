@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from debias.harness import run_experiment_spec
 from debias.objectives import Objective
 from debias.observations import ContractError
 from debias.problems import generate_instance, p1_quadratic, p2_quartic
@@ -192,18 +193,22 @@ def test_third_derivative_finite_difference_matches_p2():
 # empirical MSE comparison
 
 
-def test_identity_method_matches_naive():
-    inst = generate_instance("P1", {"d": 2}, RandomStream(5))
-    out = empirical_mse_comparison(inst.objective, inst, n=8, K=5, R=50,
-                                   methods=["identity"], stream=RandomStream(6))
-    cmp = out["identity"]
-    assert cmp.mse_naive == cmp.mse_debiased
-    assert cmp.paired_diff_mean == 0.0
+def test_mse_comparison_runs_harness_trials():
+    # same lineage as run_experiment_spec: instance on split(0), trials on split(1)
+    seed, exp_index, R, methods = 5, 2, 50, ["shift", "scale", "cov"]
+    summary = run_experiment_spec("P1", {"d": 2}, 8, 5, methods, R, seed, exp_index=exp_index)
+    master = RandomStream(seed).split(exp_index)
+    inst = generate_instance("P1", {"d": 2}, master.split(0))
+    out = empirical_mse_comparison(inst, n=8, K=5, R=R, methods=methods,
+                                   stream=RandomStream(seed).split(exp_index).split(1))
+    for m in methods:
+        assert out[m].mse_naive * R == pytest.approx(summary.naive_sq_sum, rel=1e-12)
+        assert out[m].mse_debiased * R == pytest.approx(summary.debias_sq_sum[m], rel=1e-12)
 
 
 def test_single_trial_has_no_se():
     inst = generate_instance("P1", {"d": 2}, RandomStream(7))
-    out = empirical_mse_comparison(inst.objective, inst, n=8, K=5, R=1,
+    out = empirical_mse_comparison(inst, n=8, K=5, R=1,
                                    methods=["shift"], stream=RandomStream(8))
     assert out["shift"].paired_diff_se is None
 
@@ -211,7 +216,7 @@ def test_single_trial_has_no_se():
 def test_shift_reduces_mse_when_condition_holds():
     # scaled-down version of the MSE-reduction verification protocol
     inst = generate_instance("P1", {"d": 1, "xstar_norm2": 0.0, "sigma": 1.0}, RandomStream(9))
-    out = empirical_mse_comparison(inst.objective, inst, n=25, K=25, R=3000,
+    out = empirical_mse_comparison(inst, n=25, K=25, R=3000,
                                    methods=["shift"], stream=RandomStream(10))
     cmp = out["shift"]
     assert cmp.paired_diff_mean < 0
