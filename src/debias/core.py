@@ -93,7 +93,7 @@ def bootstrap_means(obs_set: ObservationSet, plan: BootstrapPlan, rng: RandomStr
         points = _euclidean_resample_means(obs_set, counts)
         return [EuclideanPoint(p) for p in points]
     m = counts.sum(axis=1)
-    return [mixture(obs_set._obs, counts[k] / m[k]) for k in range(counts.shape[0])]
+    return [mixture(obs_set, counts[k] / m[k]) for k in range(counts.shape[0])]
 
 
 def _resample_counts(n: int, plan: BootstrapPlan, rng: RandomStream) -> np.ndarray:
@@ -268,7 +268,7 @@ def resample_distribution(obs_set: ObservationSet, resample_size: Optional[int] 
         if obs_set.variant == "euclidean":
             obs = EuclideanPoint(center + arr @ deviations / m)
         else:
-            obs = mixture(obs_set._obs, arr / m)
+            obs = mixture(obs_set, arr / m)
         yield weight, obs
 
 

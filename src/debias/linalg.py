@@ -1,12 +1,13 @@
 """Small dense linear algebra used by the benchmark problem generators:
-Cholesky factors and SPD solves, and random orthogonal / conditioned-SPD
-matrix generation.
+Cholesky factors and SPD solves (one matrix, or each of a stack), and random
+orthogonal / conditioned-SPD matrix generation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .observations import ContractError
 from .resampling import RandomStream
@@ -28,6 +29,40 @@ def cholesky_factor(A: np.ndarray):
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for SPD A."""
     return scipy.linalg.cho_solve(cholesky_factor(A), np.asarray(b, dtype=float))
+
+
+def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A_k x_k = b for each SPD matrix of a (K, d, d) stack; (K, d) out.
+
+    Row k is bit-identical to ``cholesky_solve(mats[k], b)``: the same LAPACK
+    routines with the same arguments (``dpotrf`` lower without cleaning the
+    upper triangle, then ``dpotrs``) and the same checks scipy's
+    ``cho_factor``/``cho_solve`` make, without their per-call wrappers.
+    """
+    mats = np.asarray(mats, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if mats.ndim != 3 or mats.shape[1:] != (b.size, b.size) or b.ndim != 1:
+        raise ValueError(f"incompatible dimensions {mats.shape} and {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("array must not contain infs or NaNs")
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    out = np.empty((mats.shape[0], b.size))
+    for k, A in enumerate(mats):
+        if not finite[k]:
+            raise ValueError("array must not contain infs or NaNs")
+        c, info = dpotrf(A, lower=1, clean=0)
+        if info > 0:
+            raise FactorizationError(f"matrix is not positive definite: {info}-th "
+                                     "leading minor of the array is not positive definite")
+        if info < 0:
+            raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument "
+                             'on entry to "POTRF".')
+        if not np.isfinite(c).all():
+            raise ValueError("array must not contain infs or NaNs")
+        out[k], info = dpotrs(c, b, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return out
 
 
 def random_orthogonal(d: int, stream: RandomStream) -> np.ndarray:

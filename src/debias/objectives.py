@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .observations import EuclideanPoint, WeightedEmpirical
+from .observations import ContractError, EuclideanPoint, WeightedEmpirical
 
 
 class DomainError(ValueError):
@@ -45,9 +45,14 @@ class Objective:
     ``hessian`` and ``third_derivative`` (when present) map a coordinate
     vector to the corresponding derivative array.  ``sign_constraint`` is
     one of ``"none"``, ``"positive"``, ``"negative"``; the scaling method
-    requires a sign-definite objective.  ``fn_many`` is an optional batched
-    evaluator over an (K, d) array of points, used to keep hot loops out of
-    Python.
+    requires a sign-definite objective.
+
+    For Euclidean objectives, ``fn_many`` maps a (K, d) array of points to
+    the K values of ``fn`` (to rounding; it may sum in another order);
+    without it ``evaluate_batch`` falls back to calling ``fn`` row by row.
+    ``domain_check`` is a function of the last axis: a (..., d) array in,
+    one boolean per point out, so one call checks a whole batch and the
+    same function checks a single point.
     """
 
     fn: Callable
@@ -66,10 +71,6 @@ class Objective:
         if self.cov_denominator not in ("unbiased", "plugin"):
             raise ValueError(f"bad cov_denominator {self.cov_denominator!r}")
 
-    def in_domain(self, obs) -> bool:
-        value = unwrap(obs)
-        return True if self.domain_check is None else bool(self.domain_check(value))
-
     def evaluate(self, obs) -> float:
         """F at one observation; raises DomainError / EvaluationError."""
         value = unwrap(obs)
@@ -84,9 +85,13 @@ class Objective:
         """F at each row of an (K, d) array of Euclidean points."""
         points = np.asarray(points, dtype=float)
         if self.domain_check is not None:
-            for i, row in enumerate(points):
-                if not self.domain_check(row):
-                    raise DomainError(f"{self.name or 'objective'}: row {i} outside domain")
+            inside = np.asarray(self.domain_check(points), dtype=bool)
+            if inside.shape != points.shape[:-1]:
+                raise ContractError(f"{self.name or 'objective'}: domain_check gave shape "
+                                    f"{inside.shape} for points of shape {points.shape}")
+            bad = np.flatnonzero(~inside)
+            if bad.size:
+                raise DomainError(f"{self.name or 'objective'}: row {bad[0]} outside domain")
         if self.fn_many is not None:
             out = np.asarray(self.fn_many(points), dtype=float)
         else:

@@ -8,6 +8,7 @@ supported measures) average as mixtures, merging duplicate support points.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -150,6 +151,21 @@ class ObservationSet:
     def observations(self) -> list:
         return [self.observation(i) for i in range(len(self))]
 
+    @functools.cached_property
+    def atom_table(self):
+        """The atoms of an empirical set, built once for all its mixtures:
+        (support, owner, base weight, group, number of groups), where an
+        atom's owner is the index of its observation and its group numbers
+        the distinct atom bytes in order of first occurrence."""
+        if self.variant != "empirical":
+            raise ContractError("atom_table needs an empirical observation set")
+        support = np.concatenate([o.support for o in self._obs])
+        owner = np.repeat(np.arange(len(self._obs)), [o.support.shape[0] for o in self._obs])
+        base = np.concatenate([o.weights for o in self._obs])
+        ids: dict[bytes, int] = {}
+        group = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in support])
+        return support, owner, base, group, len(ids)
+
     def fingerprint(self) -> int:
         """Digest of the raw data, used to assert paired trial designs; the
         same in every process."""
@@ -167,34 +183,30 @@ def stable_digest(chunks) -> int:
     return int.from_bytes(hashlib.blake2b(b"".join(chunks), digest_size=8).digest(), "big")
 
 
-def _merge_support(support: np.ndarray, weights: np.ndarray) -> WeightedEmpirical:
-    """Merge duplicate support rows by summing their weights."""
-    seen: dict[bytes, int] = {}
-    keep_rows = []
-    merged = []
-    for row, w in zip(support, weights):
-        key = row.tobytes()
-        if key in seen:
-            merged[seen[key]] += w
-        else:
-            seen[key] = len(keep_rows)
-            keep_rows.append(row)
-            merged.append(w)
-    w = np.asarray(merged, dtype=float)
+def mixture(obs_set: ObservationSet, coeffs) -> WeightedEmpirical:
+    """The mixture sum_i coeffs_i * obs_i of an empirical set's members.
+
+    Atoms of nonpositive weight are dropped.  Atoms with the same bytes are
+    merged into the first of them that is kept, their weights summed in atom
+    order; the merged weights are then renormalised to sum to 1.
+    """
+    support, owner, base, group, groups = obs_set.atom_table
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (len(obs_set),):
+        raise ContractError(f"need one coefficient per observation, got shape {coeffs.shape}")
+    weights = coeffs[owner] * base
+    kept = np.flatnonzero(weights > 0)
+    if kept.size == 0:
+        raise ContractError("mixture has no mass")
+    g = group[kept]
+    first = np.full(groups, support.shape[0])
+    np.minimum.at(first, g, kept)
+    lead = kept[first[g] == kept]  # the first kept atom of each group, in atom order
+    w = np.bincount(g, weights=weights[kept], minlength=groups)[group[lead]]
     total = w.sum()
     if total > 0:
         w = w / total  # renormalize away accumulated rounding
-    return WeightedEmpirical(np.stack(keep_rows), w)
-
-
-def mixture(observations: list[WeightedEmpirical], coeffs: np.ndarray) -> WeightedEmpirical:
-    """The mixture sum_i coeffs_i * obs_i with duplicate atoms merged."""
-    support = np.concatenate([o.support for o in observations])
-    weights = np.concatenate([c * o.weights for c, o in zip(coeffs, observations)])
-    keep = weights > 0
-    if not np.any(keep):
-        raise ContractError("mixture has no mass")
-    return _merge_support(support[keep], weights[keep])
+    return WeightedEmpirical(support[lead], w)
 
 
 def mean_observation(obs_set: ObservationSet) -> Observation:
@@ -210,4 +222,4 @@ def mean_observation(obs_set: ObservationSet) -> Observation:
         # anchored mean: exact when all observations coincide
         anchor = obs_set.points[0]
         return EuclideanPoint(anchor + (obs_set.points - anchor).mean(axis=0))
-    return mixture(obs_set._obs, np.full(n, 1.0 / n))
+    return mixture(obs_set, np.full(n, 1.0 / n))

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .linalg import cholesky_factor, cholesky_solve, spd_with_condition, random_orthogonal
+from .linalg import (cholesky_factor, cholesky_solve, cholesky_solve_each, random_orthogonal,
+                     spd_with_condition)
 from .objectives import Objective
 from .observations import ContractError, EuclideanPoint, ObservationSet
 from .resampling import RandomStream
@@ -81,11 +82,12 @@ def p3_rational(b: np.ndarray, c: np.ndarray) -> Objective:
     if np.any(b <= 0) or np.any(c <= 0):
         raise ContractError("p3 requires b > 0 and c > 0 componentwise")
 
-    def in_domain(x):
-        if x.shape != b.shape or np.any(x <= 0.0):
-            return False
+    def in_domain(X):
+        X = np.asarray(X, dtype=float)
+        if X.shape[-1:] != b.shape:
+            return np.zeros(X.shape[:-1], dtype=bool)
         with np.errstate(over="ignore", divide="ignore"):
-            return bool(np.all(np.isfinite(c / x)))
+            return np.all(X > 0.0, axis=-1) & np.all(np.isfinite(c / X), axis=-1)
 
     def third(x):
         T = np.zeros((b.size,) * 3)
@@ -114,12 +116,19 @@ def p4_opt_value(b: np.ndarray) -> Objective:
     b = np.asarray(b, dtype=float)
     d = b.size
 
-    def fn(aflat):
-        A = np.asarray(aflat, dtype=float).reshape(d, d)
-        A = (A + A.T) / 2.0
-        return -0.5 * float(b @ cholesky_solve(A, b))
+    def fn_many(X):
+        X = np.asarray(X, dtype=float)
+        mats = X.reshape(X.shape[0], d, d)
+        mats = (mats + mats.transpose(0, 2, 1)) / 2.0
+        # one 1-d dot per row: a batched product would sum in another order
+        return np.array([-0.5 * float(b @ x) for x in cholesky_solve_each(mats, b)])
 
-    return Objective(fn=fn, sign_constraint="negative", name="opt_value")
+    return Objective(
+        fn=lambda aflat: fn_many([aflat])[0],
+        fn_many=fn_many,
+        sign_constraint="negative",
+        name="opt_value",
+    )
 
 
 def p5_constraint_value(B: np.ndarray, A: np.ndarray) -> Objective:
@@ -167,9 +176,11 @@ def p6_entropy(d: int) -> Objective:
             terms = np.where(P > 0.0, P * np.log(np.where(P > 0.0, P, 1.0)), 0.0)
         return -terms.sum(axis=1)
 
-    def in_domain(p):
-        p = np.asarray(p, dtype=float)
-        return p.shape == (d,) and abs(p.sum() - 1.0) <= 1e-9 and np.all(p >= -1e-9)
+    def in_domain(P):
+        P = np.asarray(P, dtype=float)
+        if P.shape[-1:] != (d,):
+            return np.zeros(P.shape[:-1], dtype=bool)
+        return (np.abs(P.sum(axis=-1) - 1.0) <= 1e-9) & np.all(P >= -1e-9, axis=-1)
 
     def hessian(p):
         diag = np.where(p > 0.0, -1.0 / np.where(p > 0.0, p, 1.0), 0.0)

@@ -92,17 +92,15 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
 
     coupling = np.zeros((m, n))
     coupling[np.ix_(rows, cols)] = flow
-    dual_row = np.full(m, -np.inf)
-    dual_col = np.full(n, -np.inf)
+    dual_row = np.empty(m)
+    dual_col = np.empty(n)
     dual_row[rows] = u
     dual_col[cols] = v
     # pruned nodes get the tightest feasible potential
-    for i in range(m):
-        if not np.isfinite(dual_row[i]):
-            dual_row[i] = np.min(cost[i, cols] - dual_col[cols])
-    for j in range(n):
-        if not np.isfinite(dual_col[j]):
-            dual_col[j] = np.min(cost[rows, j] - dual_row[rows])
+    pruned_rows = np.flatnonzero(~(supply > 0))
+    pruned_cols = np.flatnonzero(~(demand > 0))
+    dual_row[pruned_rows] = np.min(cost[np.ix_(pruned_rows, cols)] - v, axis=1)
+    dual_col[pruned_cols] = np.min(cost[np.ix_(rows, pruned_cols)] - u[:, None], axis=0)
     value = float(np.sum(coupling * cost))
     return TransportPlan(coupling, value, dual_row, dual_col, iterations)
 

@@ -1,10 +1,11 @@
 """Test-only helpers: a quadratic form, an independent KKT solve for P5's
-equality-constrained minimum, and a random symmetric third-order tensor."""
+equality-constrained minimum, a random symmetric third-order tensor, and a
+per-row reference merge of mixture atoms."""
 
 import numpy as np
 
 from debias.linalg import FactorizationError, cholesky_solve
-from debias.observations import ContractError
+from debias.observations import ContractError, WeightedEmpirical
 from debias.resampling import RandomStream
 
 
@@ -56,3 +57,29 @@ def random_symmetric_tensor3(d: int, stream: RandomStream) -> np.ndarray:
     for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         out += np.transpose(T, perm)
     return out / 6.0
+
+
+def mixture_reference(observations, coeffs) -> WeightedEmpirical:
+    """sum_i coeffs_i * obs_i over a list of distributions, merging duplicate
+    atoms in a per-row loop keyed by the row's bytes."""
+    support = np.concatenate([o.support for o in observations])
+    weights = np.concatenate([c * o.weights for c, o in zip(coeffs, observations)])
+    keep = weights > 0
+    if not np.any(keep):
+        raise ContractError("mixture has no mass")
+    seen: dict[bytes, int] = {}
+    keep_rows = []
+    merged = []
+    for row, w in zip(support[keep], weights[keep]):
+        key = row.tobytes()
+        if key in seen:
+            merged[seen[key]] += w
+        else:
+            seen[key] = len(keep_rows)
+            keep_rows.append(row)
+            merged.append(w)
+    w = np.asarray(merged, dtype=float)
+    total = w.sum()
+    if total > 0:
+        w = w / total
+    return WeightedEmpirical(np.stack(keep_rows), w)

@@ -351,7 +351,7 @@ def test_quadratic_unbiasedness_smoke():
 def test_domain_violation_identifies_resample():
     F = Objective(
         fn=lambda x: float(x[0] ** 2),
-        domain_check=lambda x: bool(x[0] < 1.9),
+        domain_check=lambda x: x[..., 0] < 1.9,
         name="guarded",
     )
     s = ObservationSet.from_points([[0.0], [2.0]])

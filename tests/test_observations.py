@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import mixture_reference
 from debias.observations import (
     ContractError,
     EuclideanPoint,
@@ -71,10 +72,69 @@ def test_weighted_empirical_invariants():
 def test_mixture_merges_duplicates():
     a = WeightedEmpirical.dirac([1.0, 2.0])
     b = WeightedEmpirical([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])
-    mix = mixture([a, b], np.array([0.5, 0.5]))
+    mix = mixture(ObservationSet([a, b]), np.array([0.5, 0.5]))
     weights = {tuple(pt): w for pt, w in zip(mix.support, mix.weights)}
     assert weights[(1.0, 2.0)] == pytest.approx(0.75)
     assert weights[(3.0, 4.0)] == pytest.approx(0.25)
+
+
+def _same_distribution(a, b):
+    # bytes, not ==, so that 0.0 and -0.0 atoms count as different
+    return (a.support.tobytes() == b.support.tobytes() and a.support.shape == b.support.shape
+            and a.weights.tobytes() == b.weights.tobytes())
+
+
+def _mixture_cases():
+    dirac = WeightedEmpirical.dirac
+    dup = [dirac([1.0, 2.0]), dirac([3.0, 4.0]), dirac([1.0, 2.0]), dirac([1.0, 2.0])]
+    yield dup, np.array([0.25, 0.25, 0.25, 0.25])
+    yield dup, np.array([0.0, 0.5, 0.25, 0.25])  # first duplicate dropped: group moves back
+    yield dup, np.array([1 / 3, 0.0, 1 / 3, 1 / 3])
+    signed = [dirac([0.0]), dirac([-0.0]), dirac([0.0]), dirac([1.0])]
+    yield signed, np.array([0.1, 0.2, 0.3, 0.4])
+    yield signed, np.array([0.0, 0.5, 0.5, 0.0])
+    multi = [
+        WeightedEmpirical([[0.0, 1.0], [2.0, 2.0], [0.0, 1.0]], [0.2, 0.5, 0.3]),
+        WeightedEmpirical([[2.0, 2.0], [5.0, 5.0]], [0.0, 1.0]),  # a zero-weight atom
+        dirac([0.0, 1.0]),
+    ]
+    yield multi, np.array([0.5, 0.3, 0.2])
+    yield multi, np.array([0.0, 0.6, 0.4])
+    rng = np.random.default_rng(3)
+    pool = rng.normal(size=(4, 2))
+    for _ in range(60):
+        members = []
+        for _ in range(rng.integers(1, 7)):
+            atoms = rng.integers(1, 4)
+            w = rng.integers(0, 3, atoms).astype(float)
+            w[rng.integers(atoms)] += 1.0
+            members.append(WeightedEmpirical(pool[rng.integers(0, 4, atoms)], w / w.sum()))
+        counts = rng.integers(0, 3, len(members)).astype(float)
+        counts[rng.integers(len(members))] += 1.0
+        yield members, counts / counts.sum()
+
+
+def test_mixture_matches_per_row_merge():
+    for members, coeffs in _mixture_cases():
+        got = mixture(ObservationSet(members), coeffs)
+        assert _same_distribution(got, mixture_reference(members, coeffs))
+
+
+def test_mixture_keeps_signed_zero_atoms_apart():
+    s = ObservationSet([WeightedEmpirical.dirac([0.0]), WeightedEmpirical.dirac([-0.0])])
+    mix = mixture(s, np.array([0.5, 0.5]))
+    assert mix.support.shape == (2, 1)
+    assert np.signbit(mix.support[:, 0]).tolist() == [False, True]
+
+
+def test_mixture_contracts():
+    s = ObservationSet([WeightedEmpirical.dirac([1.0]), WeightedEmpirical.dirac([2.0])])
+    with pytest.raises(ContractError, match="no mass"):
+        mixture(s, np.array([0.0, 0.0]))
+    with pytest.raises(ContractError, match="one coefficient per observation"):
+        mixture(s, np.array([1.0]))
+    with pytest.raises(ContractError):
+        mixture(ObservationSet.from_points([[1.0], [2.0]]), np.array([0.5, 0.5]))
 
 
 def test_fingerprint_detects_changes():

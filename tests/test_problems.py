@@ -1,11 +1,14 @@
 import math
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from _oracles import kkt_solve
 from debias.core import BootstrapPlan, covariance_debias, shift_debias
-from debias.linalg import spd_with_condition
+from debias.linalg import FactorizationError, cholesky_solve, spd_with_condition
 from debias.objectives import DomainError
 from debias.observations import ContractError, ObservationSet, mean_observation
 from debias.problems import (
@@ -404,3 +407,125 @@ def test_p2_shift_runs_end_to_end():
     obs = inst.sample_observations(10, RandomStream(30))
     est = shift_debias(inst.objective, obs, BootstrapPlan(rounds=10), RandomStream(31))
     assert math.isfinite(est.debiased_value)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+
+
+def _p4_reference(b, aflat):
+    """P4's value through the scipy ``cho_factor``/``cho_solve`` path."""
+    d = b.size
+    A = aflat.reshape(d, d)
+    return -0.5 * float(b @ cholesky_solve((A + A.T) / 2.0, b))
+
+
+@pytest.mark.parametrize("d,kappa", [(1, 1.0), (2, 3.0), (6, 2.0), (5, 1e6)])
+def test_p4_fn_many_matches_cholesky_solve(d, kappa):
+    stream = RandomStream(40 + d)
+    b = stream.split(0).normal(d)
+    F = p4_opt_value(b)
+    # SPD stack with rounding-level asymmetry, as resample means have
+    mats = np.stack([spd_with_condition(d, kappa, stream.split(1 + k)) for k in range(30)])
+    mats = mats * (1.0 + 1e-15 * stream.split(99).normal(mats.shape))
+    X = mats.reshape(30, d * d)
+    expected = np.array([_p4_reference(b, x) for x in X])
+    assert np.array_equal(F.fn_many(X), expected)
+    assert np.array_equal(F.evaluate_batch(X), expected)
+    assert np.array_equal([F.fn(x) for x in X], expected)
+    assert F.fn_many(X[:0]).shape == (0,)
+
+
+def test_p4_fn_many_rejects_bad_rows():
+    b = np.array([1.0, -2.0, 0.5])
+    F = p4_opt_value(b)
+    X = np.tile(np.eye(3).ravel(), (5, 1))
+    X[2] = np.diag([1.0, -1.0, 1.0]).ravel()  # not positive definite
+    with pytest.raises(FactorizationError, match="2-th leading minor"):
+        _p4_reference(b, X[2])
+    with pytest.raises(FactorizationError, match="2-th leading minor"):
+        F.fn_many(X)
+    with pytest.raises(FactorizationError):
+        F.evaluate_batch(X)
+    X[2] = np.eye(3).ravel()
+    X[4, 0] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _p4_reference(b, X[4])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        F.fn_many(X)
+
+
+def _p3_row_check(b, c, x):
+    """P3's domain, one point: the shape, x > 0 and c / x finite."""
+    if x.shape != b.shape or np.any(x <= 0.0):
+        return False
+    with np.errstate(over="ignore", divide="ignore"):
+        return bool(np.all(np.isfinite(c / x)))
+
+
+def _p6_row_check(d, p):
+    """P6's domain, one point: the shape, sum 1 and no negative mass, to 1e-9."""
+    return p.shape == (d,) and abs(p.sum() - 1.0) <= 1e-9 and bool(np.all(p >= -1e-9))
+
+
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, 1e-320, -1e-10, -1e-9, -2e-9, 1e-300, 1.0, np.inf, -np.inf, np.nan])
+
+
+def _batches(d):
+    entry = st.one_of(st.floats(-1.0, 2.0), _SPECIAL)
+    return st.tuples(
+        hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(d)), elements=entry),
+        st.booleans(),
+    )
+
+
+def _assert_batch_check(F, X, row_check):
+    inside = F.domain_check(X)
+    assert inside.shape == (X.shape[0],) and inside.dtype == bool
+    assert inside.tolist() == [bool(F.domain_check(x)) for x in X]
+    assert inside.tolist() == [row_check(x) for x in X]
+    bad = [i for i, x in enumerate(X) if not row_check(x)]
+    if bad:
+        with pytest.raises(DomainError, match=f"row {bad[0]} outside domain"):
+            F.evaluate_batch(X)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_batches(3))
+def test_p3_domain_check_over_last_axis(batch):
+    X, scale = batch
+    b, c = np.array([1.0, 0.5, 2.0]), np.array([0.3, 1.0, 1e-3])
+    F = p3_rational(b, c)
+    X = np.abs(X) if scale else X
+    _assert_batch_check(F, X, lambda x: _p3_row_check(b, c, x))
+    assert not F.domain_check(np.ones(4)) and F.domain_check(np.ones((2, 4))).shape == (2,)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_batches(3))
+def test_p6_domain_check_over_last_axis(batch):
+    X, normalize = batch
+    F = p6_entropy(3)
+    if normalize:
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            X = X / X.sum(axis=-1, keepdims=True)
+    # negative mass at and just past the -1e-9 tolerance
+    X = np.concatenate([X, [[1.0 + 1e-9, -1e-9, 0.0], [1.0 + 2e-9, -2e-9, 0.0]]])
+    _assert_batch_check(F, X, lambda x: _p6_row_check(3, x))
+    assert not F.domain_check(np.full(4, 0.25)) and F.domain_check(np.ones((2, 4))).shape == (2,)
+
+
+@pytest.mark.parametrize("family", ["P1", "P2", "P3", "P4", "P5", "P6"])
+def test_euclidean_presets_evaluate_whole_batches(family):
+    # no Euclidean family may fall back to the per-row evaluation loop
+    inst = generate_instance(family, {}, RandomStream(50))
+    F = inst.objective
+    assert F.fn_many is not None
+    X = inst.sample_observations(12, RandomStream(51)).points
+    values = F.evaluate_batch(X)
+    assert values.shape == (12,)
+    assert np.allclose(values, [F.fn(x) for x in X], rtol=1e-12, atol=0.0)
+    if F.domain_check is not None:
+        inside = np.asarray(F.domain_check(X))
+        assert inside.shape == (12,) and inside.dtype == bool

@@ -125,6 +125,24 @@ def test_zero_weight_rows_pruned():
     assert slack.min() >= -1e-8
 
 
+def test_pruned_duals_are_tightest_potentials():
+    # each pruned node's dual is the per-node minimum over the kept nodes, exactly
+    rng = np.random.default_rng(12)
+    for _ in range(80):
+        m, n = rng.integers(1, 8, 2)
+        cost = rng.uniform(0.0, 5.0, (m, n)).round(rng.integers(0, 3))
+        a = rng.integers(0, 3, m).astype(float)
+        b = rng.integers(0, 3, n).astype(float)
+        a[rng.integers(m)] += 1.0
+        b[rng.integers(n)] += 1.0
+        plan = solve_transport(TransportProblem.build(cost, a / a.sum(), b / b.sum()))
+        rows, cols = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
+        for i in np.flatnonzero(a == 0):
+            assert plan.dual_row[i] == np.min(cost[i, cols] - plan.dual_col[cols])
+        for j in np.flatnonzero(b == 0):
+            assert plan.dual_col[j] == np.min(cost[rows, j] - plan.dual_row[rows])
+
+
 def test_brute_force_contracts():
     p = TransportProblem.build(np.zeros((8, 8)))
     with pytest.raises(ContractError):
