@@ -37,6 +37,7 @@ from .observations import (
     ObservationSet,
     mean_observation,
     mixture,
+    sample_means,
 )
 from .resampling import RandomStream
 
@@ -90,7 +91,9 @@ def bootstrap_means(obs_set: ObservationSet, plan: BootstrapPlan, rng: RandomStr
     """
     counts = _resample_counts(len(obs_set), plan, rng)
     if obs_set.variant == "euclidean":
-        points = _euclidean_resample_means(obs_set, counts)
+        center = mean_observation(obs_set).coords
+        points = _euclidean_resample_means(center[None], (obs_set.points - center)[None],
+                                           counts[None])[0]
         return [EuclideanPoint(p) for p in points]
     m = counts.sum(axis=1)
     return [mixture(obs_set, counts[k] / m[k]) for k in range(counts.shape[0])]
@@ -105,46 +108,105 @@ def _resample_counts(n: int, plan: BootstrapPlan, rng: RandomStream) -> np.ndarr
     return counts.astype(np.int64)
 
 
-def _euclidean_resample_means(obs_set: ObservationSet, counts: np.ndarray) -> np.ndarray:
+def _euclidean_resample_means(centers: np.ndarray, deviations: np.ndarray,
+                              counts: np.ndarray) -> np.ndarray:
+    """(B, K, d) resample means of B sets from their means (B, d), their
+    deviations from those means (B, n, d) and their counts (B, K, n)."""
     # centered form: a set of identical observations yields means bit-equal
     # to the sample mean for every count vector
-    center = mean_observation(obs_set).coords
-    m = counts.sum(axis=1, keepdims=True)
-    return center + (counts @ (obs_set.points - center)) / m
+    m = counts.sum(axis=-1, keepdims=True)
+    return centers[:, None] + (counts @ deviations) / m
 
 
-def _mean_and_resample_values(F, obs, plan, rng):
+def _euclidean_resample_values(F: Objective, centers: np.ndarray, deviations: np.ndarray,
+                              counts: np.ndarray) -> np.ndarray:
+    """(B, K) values of F at the resample means of B Euclidean sets.
+
+    One ``evaluate_batch`` call checks the domain of, and evaluates, all
+    B*K rows (one call per set when K < 3, see below); each row's value is
+    the one its set alone would give.  Errors name the first bad row of the
+    call, which for a block of one is the resample of that set.
+    """
+    points = _euclidean_resample_means(centers, deviations, counts)
+    sets, rounds, d = points.shape
+    # numpy's einsum (fn_many of P1, P2, P5) sums a batch of one or two rows
+    # of two coordinates in another order than a longer batch, so sets with
+    # fewer than three resamples are evaluated one call each
+    batches = [points.reshape(-1, d)] if rounds >= 3 else list(points)
+    try:
+        values = np.concatenate([F.evaluate_batch(rows) for rows in batches])
+    except DomainError as exc:
+        raise DomainError(f"bootstrap resample: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise EvaluationError(f"non-finite F at bootstrap resample {bad[0]}")
+    return values.reshape(sets, rounds)
+
+
+class EuclideanBlock:
+    """B Euclidean observation sets of one shape, debiased together.
+
+    The means, the deviations and the resample means of all B sets are
+    computed at once, and each estimator evaluates F at the B*K resample
+    means in one call (see ``_euclidean_resample_values``).  Every value is
+    bit for bit what the single-set estimator gives on that set with the
+    same stream.
+    """
+
+    def __init__(self, F: Objective, points: np.ndarray):
+        self.F = F
+        self.means = sample_means(points)
+        if not np.all(np.isfinite(self.means)):
+            raise ContractError("EuclideanPoint coordinates must be finite")
+        self.naive = [F.evaluate(mean) for mean in self.means]
+        self.deviations = points - self.means[:, None]
+
+    def _resample_values(self, plan: BootstrapPlan, rngs) -> np.ndarray:
+        n = self.deviations.shape[1]
+        counts = np.stack([_resample_counts(n, plan, rng) for rng in rngs])
+        return _euclidean_resample_values(self.F, self.means, self.deviations, counts)
+
+    def shift(self, plan: BootstrapPlan, rngs) -> list[float]:
+        """Each set's shift-debiased value; set b resamples from ``rngs[b]``."""
+        values = self._resample_values(plan, rngs)
+        return [naive + _shift_correction(naive, v) for naive, v in zip(self.naive, values)]
+
+    def scale(self, plan: BootstrapPlan, rngs) -> list[float]:
+        """Each set's scale-debiased value; set b resamples from ``rngs[b]``."""
+        _require_sign_definite(self.F)
+        values = self._resample_values(plan, rngs)
+        return [_scale_correction(naive, v) * naive for naive, v in zip(self.naive, values)]
+
+    def covariance(self) -> list[float]:
+        """Each set's covariance-debiased value."""
+        q = _covariance_q(self.F, self.deviations.shape[1], None)
+        return [naive + _covariance_correction(self.F, mean, dev, q)
+                for naive, mean, dev in zip(self.naive, self.means, self.deviations)]
+
+
+def _mean_and_resample_values(F, obs, plan, rng, at_mean=None):
     """naive mean(s), F there, and F at the K resample means.
 
     ``obs`` may be one ObservationSet or a tuple of sets (paired functional
     inputs); tuple components are resampled independently, each with its own
-    size, from split child streams.
+    size, from split child streams.  ``at_mean`` is (mean, F(mean)) when the
+    caller has them already.
     """
+    if at_mean is None:
+        mean = (tuple(mean_observation(s) for s in obs) if isinstance(obs, tuple)
+                else mean_observation(obs))
+        at_mean = (mean, F.evaluate(mean))
+    mean, naive = at_mean
     if isinstance(obs, tuple):
-        means = tuple(mean_observation(s) for s in obs)
-        naive = F.evaluate(means)
-        per_component = []
-        for i, component in enumerate(obs):
-            per_component.append(bootstrap_means(component, plan, rng.split(i)))
-        values = []
-        for k, resample in enumerate(zip(*per_component)):
-            values.append(_evaluate_indexed(F, resample, k))
-        return means, naive, np.asarray(values)
-
-    mean = mean_observation(obs)
-    naive = F.evaluate(mean)
-    if obs.variant == "euclidean":
+        per_component = [bootstrap_means(s, plan, rng.split(i)) for i, s in enumerate(obs)]
+        values = [_evaluate_indexed(F, r, k) for k, r in enumerate(zip(*per_component))]
+    elif obs.variant == "euclidean":
         counts = _resample_counts(len(obs), plan, rng)
-        points = _euclidean_resample_means(obs, counts)
-        try:
-            values = F.evaluate_batch(points)
-        except DomainError as exc:
-            raise DomainError(f"bootstrap resample: {exc}") from exc
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise EvaluationError(f"non-finite F at bootstrap resample {bad[0]}")
-        return mean, naive, values
-    values = [_evaluate_indexed(F, r, k) for k, r in enumerate(bootstrap_means(obs, plan, rng))]
+        center = mean.coords
+        values = _euclidean_resample_values(F, center[None], (obs.points - center)[None],
+                                           counts[None])[0]
+    else:
+        values = [_evaluate_indexed(F, r, k) for k, r in enumerate(bootstrap_means(obs, plan, rng))]
     return mean, naive, np.asarray(values)
 
 
@@ -155,13 +217,37 @@ def _evaluate_indexed(F, observation, k):
         raise type(exc)(f"bootstrap resample {k}: {exc}") from exc
 
 
-def shift_debias(F: Objective, obs, plan: BootstrapPlan, rng: Optional[RandomStream] = None) -> DebiasEstimate:
-    """Additive bootstrap debiasing: F(xbar) + [F(xbar) - mean_k F(xtilde_k)]."""
+def _shift_correction(naive: float, values) -> float:
+    # A degenerate set's resample means equal its mean bit for bit, so each
+    # difference is fn(mean) - fn_many's value there: exactly 0 where the two
+    # sum alike (P3, P4), a few ulps of F where they do not (P1, P2, P5).
+    return math.fsum((naive - values).tolist()) / len(values)
+
+
+def _scale_correction(naive: float, values) -> float:
+    denom = math.fsum((values * values).tolist())
+    if denom < 1e-300:
+        raise DegenerateDenominatorError("sum of squared bootstrap values vanished")
+    # per-term products: on a degenerate set s is exactly 1 where fn and
+    # fn_many sum alike, and within a few ulps of 1 where they do not
+    return math.fsum((naive * values).tolist()) / denom
+
+
+def _require_sign_definite(F: Objective) -> None:
+    if F.sign_constraint not in ("positive", "negative"):
+        raise UnsupportedMethodError("scale_debias requires a sign-definite objective")
+
+
+def shift_debias(F: Objective, obs, plan: BootstrapPlan, rng: Optional[RandomStream] = None,
+                 at_mean=None) -> DebiasEstimate:
+    """Additive bootstrap debiasing: F(xbar) + [F(xbar) - mean_k F(xtilde_k)].
+
+    ``at_mean`` is (mean, F(mean)) of ``obs`` when the caller has them.
+    """
     if rng is None:
         rng = RandomStream(plan.seed)
-    mean, naive, values = _mean_and_resample_values(F, obs, plan, rng)
-    # paired differences: exactly zero for a degenerate observation set
-    correction = math.fsum(naive - v for v in values) / len(values)
+    mean, naive, values = _mean_and_resample_values(F, obs, plan, rng, at_mean)
+    correction = _shift_correction(naive, values)
     return DebiasEstimate(
         naive_value=naive,
         method="shift_bootstrap",
@@ -172,23 +258,20 @@ def shift_debias(F: Objective, obs, plan: BootstrapPlan, rng: Optional[RandomStr
     )
 
 
-def scale_debias(F: Objective, obs, plan: BootstrapPlan, rng: Optional[RandomStream] = None) -> DebiasEstimate:
+def scale_debias(F: Objective, obs, plan: BootstrapPlan, rng: Optional[RandomStream] = None,
+                 at_mean=None) -> DebiasEstimate:
     """Multiplicative bootstrap debiasing for sign-definite F.
 
     A negative-signed F is handled by debiasing -F and negating, which
     reduces to the same formula: s_hat and s_hat * F(xbar) are invariant
-    under F -> -F.
+    under F -> -F.  ``at_mean`` is (mean, F(mean)) of ``obs`` when the
+    caller has them.
     """
-    if F.sign_constraint not in ("positive", "negative"):
-        raise UnsupportedMethodError("scale_debias requires a sign-definite objective")
+    _require_sign_definite(F)
     if rng is None:
         rng = RandomStream(plan.seed)
-    mean, naive, values = _mean_and_resample_values(F, obs, plan, rng)
-    denom = math.fsum(v * v for v in values)
-    if denom < 1e-300:
-        raise DegenerateDenominatorError("sum of squared bootstrap values vanished")
-    # per-term products: s is exactly 1 for a degenerate observation set
-    s = math.fsum(naive * v for v in values) / denom
+    mean, naive, values = _mean_and_resample_values(F, obs, plan, rng, at_mean)
+    s = _scale_correction(naive, values)
     return DebiasEstimate(
         naive_value=naive,
         method="scale_bootstrap",
@@ -207,23 +290,12 @@ def covariance_debias(F: Objective, obs_set: ObservationSet, denominator: Option
     (``"plugin"``).  The entropy objective uses the plug-in form, for which
     the correction equals (support size - 1) / (2 n) exactly.
     """
-    if F.hessian is None:
-        raise UnsupportedMethodError("covariance_debias requires a hessian oracle")
     if not isinstance(obs_set, ObservationSet) or obs_set.variant != "euclidean":
         raise UnsupportedMethodError("covariance_debias requires one Euclidean observation set")
-    denominator = denominator or F.cov_denominator
-    if denominator not in ("unbiased", "plugin"):
-        raise ContractError(f"bad denominator {denominator!r}")
-    n = len(obs_set)
-    if denominator == "unbiased" and n < 2:
-        raise ContractError("unbiased covariance needs n >= 2")
+    q = _covariance_q(F, len(obs_set), denominator)
     mean = mean_observation(obs_set)
     naive = F.evaluate(mean)
-    H = np.asarray(F.hessian(mean.coords), dtype=float)
-    centered = obs_set.points - mean.coords
-    forms = np.einsum("ij,jk,ik->i", centered, H, centered)
-    q = n - 1 if denominator == "unbiased" else n
-    correction = -math.fsum(forms) / (2.0 * n * q)
+    correction = _covariance_correction(F, mean.coords, obs_set.points - mean.coords, q)
     return DebiasEstimate(
         naive_value=naive,
         method="covariance",
@@ -231,6 +303,24 @@ def covariance_debias(F: Objective, obs_set: ObservationSet, denominator: Option
         debiased_value=naive + correction,
         mean_observation=mean,
     )
+
+
+def _covariance_q(F: Objective, n: int, denominator: Optional[str]) -> int:
+    """The covariance denominator q for n observations, once the method applies."""
+    if F.hessian is None:
+        raise UnsupportedMethodError("covariance_debias requires a hessian oracle")
+    denominator = denominator or F.cov_denominator
+    if denominator not in ("unbiased", "plugin"):
+        raise ContractError(f"bad denominator {denominator!r}")
+    if denominator == "unbiased" and n < 2:
+        raise ContractError("unbiased covariance needs n >= 2")
+    return n - 1 if denominator == "unbiased" else n
+
+
+def _covariance_correction(F: Objective, mean: np.ndarray, centered: np.ndarray, q: int) -> float:
+    H = np.asarray(F.hessian(mean), dtype=float)
+    forms = np.einsum("ij,jk,ik->i", centered, H, centered)
+    return -math.fsum(forms) / (2.0 * centered.shape[0] * q)
 
 
 def _compositions(total: int, parts: int):

@@ -23,13 +23,18 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BootstrapPlan, DebiasEstimate, covariance_debias, scale_debias, shift_debias
+from .core import (BootstrapPlan, DebiasEstimate, EuclideanBlock, covariance_debias, scale_debias,
+                   shift_debias)
 from .objectives import Objective
 from .observations import ContractError, mean_observation, stable_digest
 from .problems import ProblemInstance, dimension_scaled_n, generate_instance
 from .resampling import RandomStream
 
 METHODS = ("shift", "scale", "cov")
+
+# Euclidean trials run in blocks of at most this many resample count cells
+# (trials x K x n), which bounds the memory a block's arrays take.
+BLOCK_CELLS = 4096
 
 PRESETS = {
     "P1": {"n": 10, "K": 10, "methods": ["shift", "scale", "cov"]},
@@ -90,49 +95,83 @@ def method_applicable(method: str, instance: ProblemInstance) -> Optional[str]:
     if method not in METHODS:
         return f"unknown method {method!r}; valid: {', '.join(METHODS)}"
     F = instance.objective
-    paired = instance.noise.kind == "iid_dirac_pair"
     if method == "scale" and F.sign_constraint not in ("positive", "negative"):
         return "scale needs a sign-definite objective"
     if method == "cov":
-        if paired:
+        if instance.paired:
             return "covariance needs Euclidean observations"
         if F.hessian is None:
             return "covariance needs a hessian oracle"
     return None
 
 
-def estimate(method: str, F: Objective, obs, plan: BootstrapPlan, rng: RandomStream) -> DebiasEstimate:
+def estimate(method: str, F: Objective, obs, plan: BootstrapPlan, rng: RandomStream,
+             at_mean=None) -> DebiasEstimate:
     """The method table: the named estimator applied to F on obs.
 
-    The estimators are looked up in this module's globals on each call, so
-    code that replaces ``shift_debias`` here (a tracer, a test) sees every use.
+    ``at_mean`` is (mean, F(mean)) of obs when the caller has them.  The
+    estimators are looked up in this module's globals on each call, so code
+    that replaces ``shift_debias`` here (a tracer, a test) sees every use.
     """
     if method == "shift":
-        return shift_debias(F, obs, plan, rng)
+        return shift_debias(F, obs, plan, rng, at_mean)
     if method == "scale":
-        return scale_debias(F, obs, plan, rng)
+        return scale_debias(F, obs, plan, rng, at_mean)
     if method == "cov":
         return covariance_debias(F, obs)
     raise ContractError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
 
 
+def _estimate_block(method: str, block: EuclideanBlock, plan: BootstrapPlan, rngs) -> list[float]:
+    """The method table over a block of Euclidean sets: each set's debiased
+    value, set b resampling from ``rngs[b]``."""
+    if method == "shift":
+        return block.shift(plan, rngs)
+    if method == "scale":
+        return block.scale(plan, rngs)
+    if method == "cov":
+        return block.covariance()
+    raise ContractError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+
+
+def _finite(value: float, method: str, stream: RandomStream) -> float:
+    if not math.isfinite(value):
+        raise ContractError(f"trial {stream.path}: method {method} produced {value}")
+    return value
+
+
 def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
               methods, stream: RandomStream) -> TrialRecord:
-    """One fresh observation set, all requested methods evaluated on it."""
+    """One fresh observation set (or pair), all requested methods evaluated on it."""
+    if not instance.paired:
+        return _euclidean_trials(instance, n, plan, methods, [stream])[0]
     obs = instance.sample_observations(n, stream.split(0))
-    if isinstance(obs, tuple):
-        mean = tuple(mean_observation(s) for s in obs)
-        fingerprint = stable_digest(s.fingerprint().to_bytes(8, "big") for s in obs)
-    else:
-        mean = mean_observation(obs)
-        fingerprint = obs.fingerprint()
+    mean = tuple(mean_observation(s) for s in obs)
     naive = instance.objective.evaluate(mean)
     debiased = {}
     for j, m in enumerate(methods):
-        est = estimate(m, instance.objective, obs, plan, stream.split(1 + j))
-        debiased[m] = est.debiased_value
-        if not math.isfinite(est.debiased_value):
-            raise ContractError(f"trial {stream.path}: method {m} produced {est.debiased_value}")
+        est = estimate(m, instance.objective, obs, plan, stream.split(1 + j), (mean, naive))
+        debiased[m] = _finite(est.debiased_value, m, stream)
+    fingerprint = stable_digest(s.fingerprint().to_bytes(8, "big") for s in obs)
+    return _record(instance, naive, debiased, stream, fingerprint)
+
+
+def _euclidean_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
+                      streams) -> list[TrialRecord]:
+    """The trials on ``streams`` as one block: each samples its own set, and
+    each method runs once over the block."""
+    sets = [instance.sample_observations(n, s.split(0)) for s in streams]
+    block = EuclideanBlock(instance.objective, np.stack([obs.points for obs in sets]))
+    debiased = [{} for _ in streams]
+    for j, m in enumerate(methods):
+        values = _estimate_block(m, block, plan, [s.split(1 + j) for s in streams])
+        for trial, value, stream in zip(debiased, values, streams):
+            trial[m] = _finite(value, m, stream)
+    return [_record(instance, naive, trial, stream, obs.fingerprint())
+            for naive, trial, stream, obs in zip(block.naive, debiased, streams, sets)]
+
+
+def _record(instance, naive, debiased, stream, fingerprint) -> TrialRecord:
     return TrialRecord(
         trial_index=stream.path[-1] if stream.path else 0,
         truth_value=instance.truth_value,
@@ -148,6 +187,10 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
     """Trials lo..hi-1 in order, trial t on split(root, t).
 
     The methods are checked against the instance once, before any trial runs.
+    Euclidean trials run in blocks of at most ``BLOCK_CELLS`` count cells; a
+    block that raises runs again trial by trial, so the error is the one of
+    the first failing trial, in method order.  No record depends on the
+    block size.
     """
     if hi <= lo:
         raise ContractError(f"R must be >= 1, got {hi - lo}")
@@ -155,7 +198,17 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
         reason = method_applicable(m, instance)
         if reason:
             raise ContractError(f"{instance.id}: {reason}")
-    return [run_trial(instance, n, plan, methods, root.split(t)) for t in range(lo, hi)]
+    if instance.paired:
+        return [run_trial(instance, n, plan, methods, root.split(t)) for t in range(lo, hi)]
+    size = max(1, BLOCK_CELLS // (plan.rounds * n))
+    records = []
+    for start in range(lo, hi, size):
+        streams = [root.split(t) for t in range(start, min(start + size, hi))]
+        try:
+            records += _euclidean_trials(instance, n, plan, methods, streams)
+        except (ValueError, ArithmeticError):  # every error class a trial raises
+            records += [run_trial(instance, n, plan, methods, s) for s in streams]
+    return records
 
 
 def _reduce_records(instance, n, plan, methods, R, seed, records) -> ExperimentSummary:

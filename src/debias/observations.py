@@ -219,7 +219,15 @@ def mean_observation(obs_set: ObservationSet) -> Observation:
     """
     n = len(obs_set)
     if obs_set.variant == "euclidean":
-        # anchored mean: exact when all observations coincide
-        anchor = obs_set.points[0]
-        return EuclideanPoint(anchor + (obs_set.points - anchor).mean(axis=0))
+        return EuclideanPoint(sample_means(obs_set.points[None])[0])
     return mixture(obs_set, np.full(n, 1.0 / n))
+
+
+def sample_means(points: np.ndarray) -> np.ndarray:
+    """The means of a stack of Euclidean sets of one shape, (B, n, d) -> (B, d).
+
+    Each set is averaged about its first point, so the mean is exact when all
+    its observations coincide; a set's mean does not depend on the others.
+    """
+    anchor = points[:, 0]
+    return anchor + (points - anchor[:, None]).mean(axis=1)

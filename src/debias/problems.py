@@ -284,6 +284,12 @@ class ProblemInstance:
     params: dict
     matrices: dict = field(default_factory=dict)
 
+    @property
+    def paired(self) -> bool:
+        """True if an observation is a pair of empirical sets (P7), False if
+        it is one Euclidean set (P1-P6)."""
+        return self.noise.kind == "iid_dirac_pair"
+
     def sample_observations(self, n: int, stream: RandomStream):
         """n i.i.d. observations from the instance's noise model."""
         return self.noise.sample(n, stream)

@@ -1,11 +1,14 @@
 """Test-only helpers: a quadratic form, an independent KKT solve for P5's
-equality-constrained minimum, a random symmetric third-order tensor, and a
-per-row reference merge of mixture atoms."""
+equality-constrained minimum, a random symmetric third-order tensor, a
+per-row reference merge of mixture atoms, and a per-trial reference trial."""
+
+import math
 
 import numpy as np
 
+from debias.harness import TrialRecord, estimate
 from debias.linalg import FactorizationError, cholesky_solve
-from debias.observations import ContractError, WeightedEmpirical
+from debias.observations import ContractError, WeightedEmpirical, mean_observation
 from debias.resampling import RandomStream
 
 
@@ -83,3 +86,18 @@ def mixture_reference(observations, coeffs) -> WeightedEmpirical:
     if total > 0:
         w = w / total
     return WeightedEmpirical(np.stack(keep_rows), w)
+
+
+def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
+    """One Euclidean trial on its own: its set from split(0), then each
+    method's single-set estimator on split(1 + j), in method order."""
+    obs = instance.sample_observations(n, stream.split(0))
+    naive = instance.objective.evaluate(mean_observation(obs))
+    debiased = {}
+    for j, m in enumerate(methods):
+        value = estimate(m, instance.objective, obs, plan, stream.split(1 + j)).debiased_value
+        if not math.isfinite(value):
+            raise ContractError(f"trial {stream.path}: method {m} produced {value}")
+        debiased[m] = value
+    return TrialRecord(stream.path[-1], instance.truth_value, naive, debiased, stream.path,
+                       obs.fingerprint())

@@ -17,7 +17,7 @@ from debias.core import (
 )
 from debias.objectives import DomainError, EvaluationError, Objective
 from debias.observations import ContractError, ObservationSet, mean_observation
-from debias.problems import p1_quadratic
+from debias.problems import generate_instance, p1_quadratic
 from debias.resampling import RandomStream
 
 
@@ -285,6 +285,29 @@ def test_degenerate_set_fixed_point():
         assert shift_debias(F, s, plan, RandomStream(1)).correction == 0.0
         assert scale_debias(F, s, plan, RandomStream(1)).correction == 1.0
         assert covariance_debias(F, s).correction == 0.0
+
+
+@pytest.mark.parametrize("family", ["P1", "P2", "P3", "P4", "P5"])
+def test_degenerate_set_corrections_per_family(family):
+    # Eight copies of one point: every resample mean equals the sample mean
+    # bit for bit, so the corrections measure fn(mean) against fn_many there.
+    # P3 and P4 compute both alike, so shift adds exactly 0 and scale is
+    # exactly 1; P1, P2 and P5 sum the d^2 products of x'Ax in another order
+    # in fn_many (einsum) than in fn, which leaves a few ulps.
+    for seed in range(5):
+        inst = generate_instance(family, {}, RandomStream(seed))
+        F = inst.objective
+        point = inst.sample_observations(1, RandomStream(seed + 100)).points[0]
+        s = ObservationSet.from_points(np.tile(point, (8, 1)))
+        plan = BootstrapPlan(rounds=5)
+        shift = shift_debias(F, s, plan, RandomStream(1))
+        s_hat = scale_debias(F, s, plan, RandomStream(1)).correction
+        if family in ("P3", "P4"):
+            assert shift.correction == 0.0
+            assert s_hat == 1.0
+        else:
+            assert abs(shift.correction) <= 8 * np.spacing(abs(shift.naive_value))
+            assert abs(s_hat - 1.0) <= 8 * np.spacing(1.0)
 
 
 def test_quadratic_resampling_identity():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -7,11 +8,13 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import debias
+from _oracles import run_trial_reference
 from debias import harness
-from debias.core import BootstrapPlan
+from debias.core import BootstrapPlan, DegenerateDenominatorError
 from debias.harness import (
     CSV_COLUMNS,
     PRESETS,
@@ -27,8 +30,9 @@ from debias.harness import (
     run_trial,
     run_trials,
 )
-from debias.observations import ContractError
-from debias.problems import generate_instance
+from debias.objectives import DomainError, EvaluationError
+from debias.observations import ContractError, ObservationSet
+from debias.problems import NoiseModel, generate_instance
 from debias.resampling import RandomStream
 
 
@@ -134,6 +138,9 @@ def test_method_applicability_checked_before_trials(monkeypatch):
     def no_trial(*args):
         raise AssertionError("a trial ran before the methods were checked")
 
+    # every trial path samples its observations: the per-trial loop, a block
+    # of Euclidean trials, and a block's rerun trial by trial
+    monkeypatch.setattr(NoiseModel, "sample", no_trial)
     monkeypatch.setattr(harness, "run_trial", no_trial)
     inst4 = generate_instance("P4", {"d": 3}, RandomStream(8))
     assert method_applicable("cov", inst4) is not None
@@ -182,22 +189,157 @@ def test_run_experiment_validates_r():
                 run_experiment_spec("P1", {"d": 2}, 8, 6, ["shift"], R, seed=17, workers=workers)
 
 
-@pytest.mark.parametrize("family,params,methods", [
-    ("P1", {"d": 3}, ["shift", "scale", "cov"]),
-    ("P7", {"d": 2}, ["shift", "scale"]),
-])
-def test_worker_blocks_carry_lineage(family, params, methods):
+def check_worker_blocks(family, params, m_size, methods):
+    """The records of two blocks run in a real process pool (--workers 2)
+    equal the in-process records (--workers 1)."""
     seed, exp_index, n, K, R = 21, 1, 5, 4, 6
     master = RandomStream(seed).split(exp_index)
     instance = generate_instance(family, params, master.split(0))
-    local = run_trials(instance, n, BootstrapPlan(rounds=K), methods, master.split(1), 0, R)
+    local = run_trials(instance, n, BootstrapPlan(rounds=K, size=m_size), methods,
+                       master.split(1), 0, R)
     with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-        halves = [pool.submit(_trial_block, family, params, seed, exp_index, n, K, None,
+        halves = [pool.submit(_trial_block, family, params, seed, exp_index, n, K, m_size,
                               methods, lo, hi) for lo, hi in ((0, R // 2), (R // 2, R))]
         remote = [rec for half in halves for rec in half.result(timeout=120)]
     assert remote == local
     assert [rec.seed_path for rec in remote] == [master.split(1).split(t).path for t in range(R)]
     assert all(rec.fingerprint != 0 for rec in remote)
+
+
+@pytest.mark.parametrize("family,params,methods", [
+    ("P1", {"d": 3}, ["shift", "scale", "cov"]),
+    ("P7", {"d": 2}, ["shift", "scale"]),
+])
+def test_worker_blocks_carry_lineage(family, params, methods):
+    check_worker_blocks(family, params, None, methods)
+
+
+@pytest.mark.parametrize("family,params,m_size,methods", [
+    ("P2", {"d": 2}, 3, ["shift", "scale", "cov"]),
+    ("P3", {"d": 4}, None, ["shift", "scale", "cov"]),
+    ("P4", {"d": 2}, 8, ["shift", "scale"]),
+    ("P5", {"d": 3}, None, ["shift", "scale"]),
+    ("P6", {"d": 4}, 7, ["shift", "scale", "cov"]),
+])
+def test_worker_blocks_match_for_each_euclidean_family(family, params, m_size, methods):
+    check_worker_blocks(family, params, m_size, methods)
+
+
+# ---------------------------------------------------------------------------
+# blocks of Euclidean trials
+
+
+def record_bits(records):
+    """Records with every float as its hex string, so -0.0 != 0.0."""
+    return [(r.trial_index, r.truth_value.hex(), r.naive_value.hex(),
+             {m: v.hex() for m, v in r.debiased.items()}, r.seed_path, r.fingerprint)
+            for r in records]
+
+
+def block_sizes(monkeypatch):
+    """Record the number of trials of each block run_trials runs."""
+    sizes = []
+    inner = harness._euclidean_trials
+
+    def spy(instance, n, plan, methods, streams):
+        sizes.append(len(streams))
+        return inner(instance, n, plan, methods, streams)
+
+    monkeypatch.setattr(harness, "_euclidean_trials", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("family,params,n,K,m_size,methods", [
+    ("P1", {"d": 3}, 6, 5, None, ["shift", "scale", "cov"]),
+    ("P1", {"d": 2}, 1, 3, 2, ["shift", "scale"]),
+    ("P2", {"d": 2}, 5, 4, 3, ["shift", "scale", "cov"]),
+    ("P3", {"d": 4}, 7, 6, None, ["shift", "scale", "cov"]),
+    ("P3", {"d": 1}, 4, 3, 9, ["shift", "scale", "cov"]),
+    ("P4", {"d": 2}, 5, 5, 8, ["shift", "scale"]),
+    ("P5", {"d": 2}, 6, 2, None, ["shift", "scale"]),
+    ("P5", {"d": 3}, 4, 7, 5, ["shift", "scale"]),
+    ("P6", {"d": 4}, 8, 5, 11, ["shift", "scale", "cov"]),
+])
+def test_block_size_does_not_change_records(monkeypatch, family, params, n, K, m_size, methods):
+    R = 7
+    master = RandomStream(31).split(2)
+    instance = generate_instance(family, params, master.split(0))
+    plan = BootstrapPlan(rounds=K, size=m_size)
+    root = master.split(1)
+    want = record_bits([run_trial_reference(instance, n, plan, methods, root.split(t))
+                        for t in range(R)])
+    assert record_bits([run_trial(instance, n, plan, methods, root.split(t))
+                        for t in range(R)]) == want
+    sizes = block_sizes(monkeypatch)
+    for trials in (1, 2, 3, R):
+        sizes.clear()
+        monkeypatch.setattr(harness, "BLOCK_CELLS", trials * K * n)
+        assert record_bits(run_trials(instance, n, plan, methods, root, 0, R)) == want
+        assert sizes == [trials] * (R // trials) + [R % trials] * (R % trials > 0)
+
+
+def crafted_instance(family, params, sets, **objective_changes):
+    """An instance whose trial t observes ``sets[t]``, with its objective's
+    fields replaced by ``objective_changes``."""
+    instance = generate_instance(family, params, RandomStream(0))
+    instance = dataclasses.replace(
+        instance, objective=dataclasses.replace(instance.objective, **objective_changes))
+    # trial t samples from split(t).split(0)
+    instance.sample_observations = lambda n, stream: ObservationSet.from_points(
+        sets[stream.path[-2]])
+    return instance
+
+
+def domain_below(limit):
+    """Objective fields for a domain that ends at x_0 = limit."""
+    return {"domain_check": lambda X: np.asarray(X)[..., 0] < limit}
+
+
+def p1_inf_beyond(limit):
+    """Objective fields for P1 at d = 1 with F = inf beyond x = limit."""
+    F = generate_instance("P1", {"d": 1}, RandomStream(0)).objective
+    return {"fn": lambda x: float("inf") if x[0] > limit else F.fn(x),
+            "fn_many": lambda X: np.where(X[:, 0] > limit, np.inf, F.fn_many(X))}
+
+
+FINE = [[0.5], [1.0], [1.5], [2.0]]
+
+ERROR_CASES = {
+    # trial 3 draws resamples at 0, outside P3's open orthant
+    "p3-domain": ("P3", [FINE, FINE, FINE, [[1e-310]] * 3 + [[3.0]], FINE, FINE], {},
+                  DomainError),
+    # trial 3's one-hot set has entropy 0 at every resample
+    "p6-degenerate-scale": ("P6", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 3
+                            + [[[1.0, 0.0, 0.0]] * 2] + [[[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]] * 2,
+                            {}, DegenerateDenominatorError),
+    # trial 2 has resample means beyond 3, where F is inf
+    "p1-non-finite": ("P1", [FINE, FINE, [[0.0]] * 3 + [[8.0]], FINE, FINE, FINE],
+                      p1_inf_beyond(3.0), EvaluationError),
+    # trial 1 fails in scale (F = 0 everywhere), trial 2 in shift (out of the
+    # domain): trial order, not method order across the block, decides
+    "p1-trial-order": ("P1", [FINE, [[0.0]] * 4, [[0.0]] * 3 + [[8.0]], FINE, FINE, FINE],
+                       domain_below(3.0), DegenerateDenominatorError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_block_errors_match_per_trial_loop(monkeypatch, case):
+    family, sets, changes, error = ERROR_CASES[case]
+    instance = crafted_instance(family, {"d": len(sets[0][0])}, sets, **changes)
+    n, K, R = len(sets[0]), 20, len(sets)
+    plan = BootstrapPlan(rounds=K)
+    methods = ["shift", "scale", "cov"]
+    root = RandomStream(3)
+    with pytest.raises(error) as want:
+        for t in range(R):
+            run_trial_reference(instance, n, plan, methods, root.split(t))
+    assert t > 0  # a trial in the middle of the block
+    for trials in (1, 2, R):
+        monkeypatch.setattr(harness, "BLOCK_CELLS", trials * K * n)
+        with pytest.raises(error) as got:
+            run_trials(instance, n, plan, methods, root, 0, R)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def test_bench_presets():
