@@ -189,32 +189,44 @@ def _mean_and_resample_values(F, obs, plan, rng, at_mean=None):
 
     ``obs`` may be one ObservationSet or a tuple of sets (paired functional
     inputs); tuple components are resampled independently, each with its own
-    size, from split child streams.  ``at_mean`` is (mean, F(mean)) when the
-    caller has them already.
+    size, from split child streams, and F's paired ``fn_many`` (when it has
+    one) evaluates all K resample pairs from their count vectors in one call.
+    ``at_mean`` is (mean, F(mean)) when the caller has them already.
     """
     if at_mean is None:
         mean = (tuple(mean_observation(s) for s in obs) if isinstance(obs, tuple)
                 else mean_observation(obs))
         at_mean = (mean, F.evaluate(mean))
     mean, naive = at_mean
-    if isinstance(obs, tuple):
+    if isinstance(obs, tuple) and F.fn_many is not None:
+        counts = [_resample_counts(len(s), plan, rng.split(i)) for i, s in enumerate(obs)]
+        coeffs = [c / c.sum(axis=1, keepdims=True) for c in counts]
+        values = _indexed(map(F.finite, F.fn_many(obs, coeffs)))
+    elif isinstance(obs, tuple):
         per_component = [bootstrap_means(s, plan, rng.split(i)) for i, s in enumerate(obs)]
-        values = [_evaluate_indexed(F, r, k) for k, r in enumerate(zip(*per_component))]
+        values = _indexed(F.evaluate(r) for r in zip(*per_component))
     elif obs.variant == "euclidean":
         counts = _resample_counts(len(obs), plan, rng)
         center = mean.coords
         values = _euclidean_resample_values(F, center[None], (obs.points - center)[None],
                                            counts[None])[0]
     else:
-        values = [_evaluate_indexed(F, r, k) for k, r in enumerate(bootstrap_means(obs, plan, rng))]
-    return mean, naive, np.asarray(values)
+        values = _indexed(F.evaluate(r) for r in bootstrap_means(obs, plan, rng))
+    return mean, naive, values
 
 
-def _evaluate_indexed(F, observation, k):
-    try:
-        return F.evaluate(observation)
-    except (EvaluationError, ValueError) as exc:
-        raise type(exc)(f"bootstrap resample {k}: {exc}") from exc
+def _indexed(values) -> np.ndarray:
+    """The values an iterator over the resamples yields, in order; an error
+    raised while computing value k is raised again naming resample k."""
+    out = []
+    values = iter(values)
+    while True:
+        try:
+            out.append(next(values))
+        except StopIteration:
+            return np.asarray(out)
+        except (EvaluationError, ValueError) as exc:
+            raise type(exc)(f"bootstrap resample {len(out)}: {exc}") from exc
 
 
 def _shift_correction(naive: float, values) -> float:

@@ -50,6 +50,13 @@ class Objective:
     For Euclidean objectives, ``fn_many`` maps a (K, d) array of points to
     the K values of ``fn`` (to rounding; it may sum in another order);
     without it ``evaluate_batch`` falls back to calling ``fn`` row by row.
+    For paired empirical objectives, ``fn_many(sets, coeffs)`` takes the
+    pair of ObservationSets and a pair of (K, n_i) coefficient matrices and
+    returns an iterator over the K values of ``fn`` at the mixture pairs
+    ``(mixture(sets[0], coeffs[0][k]), mixture(sets[1], coeffs[1][k]))``,
+    bit for bit; an error in value k is raised by the k-th step, so the
+    caller can name the resample.  Without it the bootstrap builds each
+    mixture and calls ``evaluate``.
     ``domain_check`` is a function of the last axis: a (..., d) array in,
     one boolean per point out, so one call checks a whole batch and the
     same function checks a single point.
@@ -76,7 +83,11 @@ class Objective:
         value = unwrap(obs)
         if self.domain_check is not None and not self.domain_check(value):
             raise DomainError(f"{self.name or 'objective'}: point outside domain")
-        y = float(self.fn(value))
+        return self.finite(self.fn(value))
+
+    def finite(self, y) -> float:
+        """y as a float; raises EvaluationError if it is not finite."""
+        y = float(y)
         if not math.isfinite(y):
             raise EvaluationError(f"{self.name or 'objective'}: non-finite value {y}")
         return y

@@ -65,7 +65,7 @@ class WeightedEmpirical:
             raise ContractError("weights length must match number of support points")
         if np.any(w < 0):
             raise ContractError("WeightedEmpirical weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise ContractError(f"WeightedEmpirical weights must sum to 1, got {w.sum()!r}")
         self.support = s
         self.weights = w
@@ -160,6 +160,8 @@ class ObservationSet:
         if self.variant != "empirical":
             raise ContractError("atom_table needs an empirical observation set")
         support = np.concatenate([o.support for o in self._obs])
+        if not np.all(np.isfinite(support)):
+            raise ContractError("WeightedEmpirical support points must be finite")
         owner = np.repeat(np.arange(len(self._obs)), [o.support.shape[0] for o in self._obs])
         base = np.concatenate([o.weights for o in self._obs])
         ids: dict[bytes, int] = {}
@@ -190,23 +192,48 @@ def mixture(obs_set: ObservationSet, coeffs) -> WeightedEmpirical:
     merged into the first of them that is kept, their weights summed in atom
     order; the merged weights are then renormalised to sum to 1.
     """
-    support, owner, base, group, groups = obs_set.atom_table
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (len(obs_set),):
         raise ContractError(f"need one coefficient per observation, got shape {coeffs.shape}")
-    weights = coeffs[owner] * base
-    kept = np.flatnonzero(weights > 0)
-    if kept.size == 0:
+    (lead, w), = mixture_weights(obs_set, coeffs[None])
+    return WeightedEmpirical(obs_set.atom_table[0][lead], w)
+
+
+def mixture_weights(obs_set: ObservationSet, coeffs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The mixtures of an empirical set for each row of a (K, n) coefficient
+    matrix, as (indices of their atoms in ``atom_table``, weights).
+
+    Each row is merged with ``mixture``'s arithmetic, bit for bit; the
+    weights of all K rows are checked as ``WeightedEmpirical`` checks them,
+    once for the batch.
+    """
+    _, owner, base, group, groups = obs_set.atom_table
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 2 or coeffs.shape[1] != len(obs_set):
+        raise ContractError(f"need one coefficient per observation, got shape {coeffs.shape}")
+    rounds = coeffs.shape[0]
+    weights = coeffs[:, owner] * base
+    row, atom = np.nonzero(weights > 0)  # the kept atoms, row by row in atom order
+    # one key per (row, group); bincount adds each key's weights in atom order
+    key = row * groups + group[atom]
+    merged = np.bincount(key, weights=weights[row, atom], minlength=rounds * groups)
+    lead = np.sort(np.unique(key, return_index=True)[1])  # the first kept atom of each group
+    bounds = np.searchsorted(row[lead], np.arange(rounds + 1))
+    if np.any(bounds[1:] == bounds[:-1]):
         raise ContractError("mixture has no mass")
-    g = group[kept]
-    first = np.full(groups, support.shape[0])
-    np.minimum.at(first, g, kept)
-    lead = kept[first[g] == kept]  # the first kept atom of each group, in atom order
-    w = np.bincount(g, weights=weights[kept], minlength=groups)[group[lead]]
-    total = w.sum()
-    if total > 0:
-        w = w / total  # renormalize away accumulated rounding
-    return WeightedEmpirical(support[lead], w)
+    rows = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    w = merged[key[lead]]
+    # a row's total is at least its largest kept weight, so it is positive
+    totals = np.array([w[lo:hi].sum() for lo, hi in rows])
+    w = w / np.repeat(totals, np.diff(bounds))  # renormalize away accumulated rounding
+    if np.any(w < 0):
+        raise ContractError("WeightedEmpirical weights must be nonnegative")
+    bad = np.flatnonzero(~(np.abs(np.add.reduceat(w, bounds[:-1]) - 1.0) <= 1e-12))
+    if bad.size:
+        lo, hi = rows[bad[0]]
+        raise ContractError(f"WeightedEmpirical weights must sum to 1, got {w[lo:hi].sum()!r}")
+    lead = atom[lead]
+    return [(lead[lo:hi], w[lo:hi]) for lo, hi in rows]
 
 
 def mean_observation(obs_set: ObservationSet) -> Observation:

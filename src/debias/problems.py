@@ -19,12 +19,12 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
+from . import transport
 from .linalg import (cholesky_factor, cholesky_solve, cholesky_solve_each, random_orthogonal,
                      spd_with_condition)
 from .objectives import Objective
-from .observations import ContractError, EuclideanPoint, ObservationSet
+from .observations import ContractError, EuclideanPoint, ObservationSet, mixture_weights
 from .resampling import RandomStream
-from .transport import transport_value
 
 FAMILIES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 
@@ -203,9 +203,21 @@ def p7_wasserstein() -> Objective:
 
     def fn(pair):
         p, q = pair
-        return transport_value(p.support, q.support, p.weights, q.weights)
+        return transport.transport_value(p.support, q.support, p.weights, q.weights)
 
-    return Objective(fn=fn, sign_constraint="positive", name="wasserstein_sq")
+    def fn_many(sets, coeffs):
+        # each mixture pair's costs are a submatrix of the costs between the
+        # two atom tables, so those are computed and checked once; if the
+        # check fails, each pair's own costs are checked as fn checks them
+        cost = transport.squared_distance_cost(sets[0].atom_table[0], sets[1].atom_table[0])
+        problem = (transport.TransportProblem
+                   if np.all(np.isfinite(cost)) and not np.any(cost < 0)
+                   else transport.TransportProblem.build)
+        mixtures = [mixture_weights(s, c) for s, c in zip(sets, coeffs)]
+        return (transport.solve_transport(problem(cost[lx][:, ly], wx, wy)).value
+                for (lx, wx), (ly, wy) in zip(*mixtures))
+
+    return Objective(fn=fn, fn_many=fn_many, sign_constraint="positive", name="wasserstein_sq")
 
 
 # ---------------------------------------------------------------------------

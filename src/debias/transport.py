@@ -75,7 +75,10 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
 
     Zero-weight rows and columns are pruned before solving; their dual
     potentials are backfilled so feasibility ``u_i + v_j <= cost_ij`` holds
-    everywhere.
+    everywhere.  When nothing is pruned the simplex's flows are the
+    coupling.  Reduced costs count as negative below ``-1e-11`` times the
+    largest cost (at least 1), so rounding in large costs does not make the
+    solver cycle.
     """
     cost, supply, demand = problem.cost, problem.supply, problem.demand
     m, n = cost.shape
@@ -83,24 +86,28 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
     cols = np.flatnonzero(demand > 0)
     if rows.size == 0 or cols.size == 0:
         raise TransportError("a balanced problem cannot have empty marginals")
-
-    sub_cost = np.ascontiguousarray(cost[np.ix_(rows, cols)])
-    flow, u, v, status, iterations = _simplex(sub_cost, supply[rows], demand[cols], 1e-11)
+    pruned = rows.size < m or cols.size < n
+    sub_cost = cost[np.ix_(rows, cols)] if pruned else cost
+    tol = 1e-11 * max(1.0, float(sub_cost.max()))
+    flow, u, v, status, iterations = _simplex(sub_cost, supply[rows], demand[cols], tol)
     if status != 0:
         raise TransportError(
             f"transportation simplex hit its iteration cap after {iterations} pivots")
 
-    coupling = np.zeros((m, n))
-    coupling[np.ix_(rows, cols)] = flow
-    dual_row = np.empty(m)
-    dual_col = np.empty(n)
-    dual_row[rows] = u
-    dual_col[cols] = v
-    # pruned nodes get the tightest feasible potential
-    pruned_rows = np.flatnonzero(~(supply > 0))
-    pruned_cols = np.flatnonzero(~(demand > 0))
-    dual_row[pruned_rows] = np.min(cost[np.ix_(pruned_rows, cols)] - v, axis=1)
-    dual_col[pruned_cols] = np.min(cost[np.ix_(rows, pruned_cols)] - u[:, None], axis=0)
+    if pruned:
+        coupling = np.zeros((m, n))
+        coupling[np.ix_(rows, cols)] = flow
+        dual_row = np.empty(m)
+        dual_col = np.empty(n)
+        dual_row[rows] = u
+        dual_col[cols] = v
+        # pruned nodes get the tightest feasible potential
+        pruned_rows = np.flatnonzero(~(supply > 0))
+        pruned_cols = np.flatnonzero(~(demand > 0))
+        dual_row[pruned_rows] = np.min(cost[np.ix_(pruned_rows, cols)] - v, axis=1)
+        dual_col[pruned_cols] = np.min(cost[np.ix_(rows, pruned_cols)] - u[:, None], axis=0)
+    else:
+        coupling, dual_row, dual_col = flow, u, v
     value = float(np.sum(coupling * cost))
     return TransportPlan(coupling, value, dual_row, dual_col, iterations)
 
@@ -109,9 +116,11 @@ def _simplex(cost, supply, demand, tol):
     """Transportation simplex on a balanced problem with positive weights.
 
     North-west-corner start, tree duals, Bland's rule for both the entering
-    cell (first reduced cost below ``-tol`` in row-major order) and the
-    leaving cell (lowest ``row * n + col`` among the minimum-ratio
-    candidates), which prevents cycling under degenerate (zero-flow) pivots.
+    cell (first non-basic cell whose reduced cost is below ``-tol``, in
+    row-major order) and the leaving cell (lowest ``row * n + col`` among
+    the minimum-ratio candidates), which prevents cycling under degenerate
+    (zero-flow) pivots.  A basic cell's reduced cost is zero up to
+    rounding, so it is never taken to enter.
 
     The basis tree, flows and costs live in Python lists: a float op on them
     is the same IEEE double op as on numpy scalars.  Nodes are rows
@@ -130,6 +139,7 @@ def _simplex(cost, supply, demand, tol):
     a = supply.tolist()
     b = demand.tolist()
     flow = [[0.0] * n for _ in range(m)]
+    basic = [[False] * n for _ in range(m)]
     brow = [0] * nb
     bcol = [0] * nb
     adj = [set() for _ in range(nodes)]  # node -> basic cells touching it
@@ -141,6 +151,7 @@ def _simplex(cost, supply, demand, tol):
         bcol[k] = j
         adj[i].add(k)
         adj[m + j].add(k)
+        basic[i][j] = True
         q = a[i] if a[i] < b[j] else b[j]
         flow[i][j] = q
         a[i] -= q
@@ -176,15 +187,15 @@ def _simplex(cost, supply, demand, tol):
                     depth[other] = depth[node] + 1
                     order.append(other)
 
-        # entering cell: the first reduced cost (C - u) - v below -tol in
-        # row-major order
+        # entering cell: the first non-basic cell whose reduced cost
+        # (C - u) - v is below -tol, in row-major order
         ei = -1
         v = dual[m:]
         for r in range(m):
             ur = dual[r]
             Cr = C[r]
             for c in range(n):
-                if Cr[c] - ur - v[c] < -tol:
+                if Cr[c] - ur - v[c] < -tol and not basic[r][c]:
                     ei, ej = r, c
                     break
             if ei >= 0:
@@ -228,6 +239,8 @@ def _simplex(cost, supply, demand, tol):
         flow[ei][ej] += theta
         leaving = path[leave_pos]
         flow[brow[leaving]][bcol[leaving]] = 0.0
+        basic[brow[leaving]][bcol[leaving]] = False
+        basic[ei][ej] = True
         adj[brow[leaving]].discard(leaving)
         adj[m + bcol[leaving]].discard(leaving)
         brow[leaving] = ei

@@ -1,15 +1,18 @@
 """Test-only helpers: a quadratic form, an independent KKT solve for P5's
 equality-constrained minimum, a random symmetric third-order tensor, a
-per-row reference merge of mixture atoms, and a per-trial reference trial."""
+per-row reference merge of mixture atoms, a per-trial reference trial, and
+a per-resample reference of P7's bootstrap values and trials."""
 
 import math
 
 import numpy as np
 
+from debias.core import _resample_counts
 from debias.harness import TrialRecord, estimate
 from debias.linalg import FactorizationError, cholesky_solve
-from debias.observations import ContractError, WeightedEmpirical, mean_observation
+from debias.observations import ContractError, WeightedEmpirical, mean_observation, stable_digest
 from debias.resampling import RandomStream
+from debias.transport import transport_value
 
 
 def quadratic_form(A: np.ndarray, y: np.ndarray) -> float:
@@ -101,3 +104,49 @@ def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
         debiased[m] = value
     return TrialRecord(stream.path[-1], instance.truth_value, naive, debiased, stream.path,
                        obs.fingerprint())
+
+
+def wasserstein_reference(p, q) -> float:
+    """Squared W2 between two distributions, costs built from their supports."""
+    return transport_value(p.support, q.support, p.weights, q.weights)
+
+
+def paired_values_reference(sets, plan, stream) -> np.ndarray:
+    """W2^2 at each of the K resample pairs of a pair of empirical sets: set i
+    draws its counts from ``stream.split(i)``, each resample is merged on its
+    own with ``mixture_reference`` and solved from its own cost matrix."""
+    mixtures = []
+    for i, s in enumerate(sets):
+        counts = _resample_counts(len(s), plan, stream.split(i))
+        m = counts.sum(axis=1)
+        mixtures.append([mixture_reference(s.observations, counts[k] / m[k])
+                         for k in range(plan.rounds)])
+    return np.array([wasserstein_reference(p, q) for p, q in zip(*mixtures)])
+
+
+def paired_naive_reference(sets) -> float:
+    """W2^2 between the uniform mixtures of the two sets."""
+    p, q = (mixture_reference(s.observations, np.full(len(s), 1.0 / len(s))) for s in sets)
+    return wasserstein_reference(p, q)
+
+
+def paired_debiased_reference(method, naive, values) -> float:
+    """The shift or scale debiased value from the naive value and the K
+    bootstrap values."""
+    if method == "shift":
+        return naive + math.fsum((naive - values).tolist()) / len(values)
+    s = math.fsum((naive * values).tolist()) / math.fsum((values * values).tolist())
+    return s * naive
+
+
+def paired_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
+    """One P7 trial resample by resample: the pair from split(0), then each
+    method's bootstrap values from split(1 + j), in method order."""
+    sets = instance.sample_observations(n, stream.split(0))
+    naive = paired_naive_reference(sets)
+    debiased = {m: paired_debiased_reference(
+        m, naive, paired_values_reference(sets, plan, stream.split(1 + j)))
+        for j, m in enumerate(methods)}
+    fingerprint = stable_digest(s.fingerprint().to_bytes(8, "big") for s in sets)
+    return TrialRecord(stream.path[-1], instance.truth_value, naive, debiased, stream.path,
+                       fingerprint)

@@ -6,6 +6,7 @@ import pytest
 from debias.cli import main
 from debias.harness import parse_results_csv, run_sweep
 from debias.problems import DEFAULTS
+from debias.transport import squared_distance_cost
 
 
 def write(path, text):
@@ -201,6 +202,20 @@ def test_transport_with_marginals_and_oracle(tmp_path, capsys):
     assert rc == 0
     assert "value = 0.0" in out
     assert "brute_force_value = 0.0" in out
+
+
+def test_transport_large_costs_exit_0(tmp_path, capsys):
+    # squared distances of about 1e6, at which the solver used to cycle to
+    # its iteration cap and exit 3
+    x, y = np.random.default_rng(5).normal(size=(2, 6, 3)) * 1e3
+    rows = [",".join(repr(float(c)) for c in row) for row in squared_distance_cost(x, y)]
+    cost = write(tmp_path / "c.csv", "\n".join(rows) + "\n")
+    rc = main(["transport", "--cost", cost, "--brute-force", "--no-header"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    value = float(out.split("value = ")[1].split()[0])
+    brute = float(out.split("brute_force_value = ")[1].split()[0])
+    assert value == pytest.approx(brute, rel=1e-12)
 
 
 def test_transport_unbalanced_exit_3(tmp_path):

@@ -1,9 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from _oracles import quadratic_form, random_symmetric_tensor3
+from _oracles import (
+    paired_debiased_reference,
+    paired_naive_reference,
+    paired_values_reference,
+    quadratic_form,
+    random_symmetric_tensor3,
+)
+from debias import transport
 from debias.core import (
     BootstrapPlan,
     DegenerateDenominatorError,
@@ -16,9 +24,10 @@ from debias.core import (
     shift_debias,
 )
 from debias.objectives import DomainError, EvaluationError, Objective
-from debias.observations import ContractError, ObservationSet, mean_observation
-from debias.problems import generate_instance, p1_quadratic
+from debias.observations import ContractError, ObservationSet, WeightedEmpirical, mean_observation
+from debias.problems import generate_instance, p1_quadratic, p7_wasserstein
 from debias.resampling import RandomStream
+from debias.transport import TransportError
 
 
 def quad1d():
@@ -365,6 +374,114 @@ def test_quadratic_unbiasedness_smoke():
         residuals[t] = est.debiased_value - truth
     se = residuals.std(ddof=1) / math.sqrt(R)
     assert abs(residuals.mean()) < 3 * se
+
+
+# ---------------------------------------------------------------------------
+# paired resamples (P7)
+
+
+def crafted_pair(far):
+    """Two empirical sets with duplicate atoms, multi-atom members and a -0.0
+    atom beside 0.0; with ``far``, also a zero-weight atom whose squared
+    distances to the other set overflow to inf."""
+    tail = [[1e200, 0.0]] if far else []
+    xs = ObservationSet([
+        WeightedEmpirical([[0.0, 0.0], [1.0, 0.5]], [0.25, 0.75]),
+        WeightedEmpirical.dirac([0.0, 0.0]),
+        WeightedEmpirical([[1.0, 0.5], [2.0, -1.0]] + tail, [0.5, 0.5] + [0.0] * len(tail)),
+        WeightedEmpirical.dirac([-0.0, 0.0]),
+        WeightedEmpirical.dirac([0.0, 0.0]),
+    ])
+    ys = ObservationSet([
+        WeightedEmpirical.dirac([1.0, 1.0]),
+        WeightedEmpirical([[1.0, 1.0], [0.0, 2.0], [3.0, 0.0]], [0.2, 0.3, 0.5]),
+        WeightedEmpirical.dirac([0.5, 0.5]),
+    ])
+    return xs, ys
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("size", [None, 4])
+@pytest.mark.parametrize("far", [False, True])
+def test_paired_resamples_match_per_resample_reference(far, size):
+    sets = crafted_pair(far)
+    plan = BootstrapPlan(rounds=40, size=size)
+    naive = paired_naive_reference(sets)
+    values = paired_values_reference(sets, plan, RandomStream(21))
+    for method, estimator in (("shift", shift_debias), ("scale", scale_debias)):
+        est = estimator(p7_wasserstein(), sets, plan, RandomStream(21))
+        assert est.naive_value.hex() == naive.hex()
+        assert hexes(est.bootstrap_values) == hexes(values)
+        assert est.debiased_value.hex() == paired_debiased_reference(method, naive, values).hex()
+
+
+def test_paired_fn_many_matches_objective_without_it():
+    F = p7_wasserstein()
+    loop = dataclasses.replace(F, fn_many=None)  # one mixture and one evaluate per resample
+    generated = generate_instance("P7", {"d": 3, "m_samples": 6}, RandomStream(2))
+    for sets in (crafted_pair(False), crafted_pair(True),
+                 generated.sample_observations(9, RandomStream(3))):
+        for estimator in (shift_debias, scale_debias):
+            a = estimator(F, sets, BootstrapPlan(rounds=30), RandomStream(4))
+            b = estimator(loop, sets, BootstrapPlan(rounds=30), RandomStream(4))
+            assert hexes(a.bootstrap_values) == hexes(b.bootstrap_values)
+            assert a.debiased_value.hex() == b.debiased_value.hex()
+
+
+@pytest.mark.parametrize("failure", ["cap", "nan"])
+def test_paired_errors_name_the_resample(monkeypatch, failure):
+    # resample 5 fails, as the simplex's iteration cap or as a NaN value; the
+    # batched path raises what the mixture-per-resample loop raises
+    simplex, solve = transport._simplex, transport.solve_transport
+    calls = []
+
+    def in_resample_5():  # solve 0 is the naive value, solve 1 + k resample k
+        return len(calls) == 1 + 5 + 1
+
+    def capped(cost, supply, demand, tol):
+        flow, u, v, status, pivots = simplex(cost, supply, demand, tol)
+        return flow, u, v, (1 if in_resample_5() else status), 1234
+
+    def counted(problem):
+        calls.append(problem)
+        plan = solve(problem)
+        if failure == "nan" and in_resample_5():
+            plan.value = float("nan")
+        return plan
+
+    monkeypatch.setattr(transport, "solve_transport", counted)
+    if failure == "cap":
+        monkeypatch.setattr(transport, "_simplex", capped)
+    F = p7_wasserstein()
+    errors = []
+    for objective in (F, dataclasses.replace(F, fn_many=None)):
+        calls.clear()
+        with pytest.raises((TransportError, EvaluationError)) as info:
+            shift_debias(objective, crafted_pair(False), BootstrapPlan(rounds=10), RandomStream(4))
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith("bootstrap resample 5: ")
+    assert errors[0][0] is (TransportError if failure == "cap" else EvaluationError)
+
+
+def test_paired_cost_overflow_names_the_resample():
+    # an atom whose squared distances overflow: given a naive value, the
+    # bootstrap fails at the first resample that holds it, on both paths
+    xs = ObservationSet([WeightedEmpirical.dirac([0.0])] * 5 + [WeightedEmpirical.dirac([1e200])])
+    ys = ObservationSet([WeightedEmpirical.dirac([1.0]), WeightedEmpirical.dirac([2.0])])
+    F = p7_wasserstein()
+    errors = []
+    for objective in (F, dataclasses.replace(F, fn_many=None)):
+        with pytest.raises(TransportError) as info:
+            shift_debias(objective, (xs, ys), BootstrapPlan(rounds=20), RandomStream(2),
+                         at_mean=(None, 1.0))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].endswith(": costs must be finite and nonnegative")
+    assert errors[0].startswith("bootstrap resample 1: ")  # resample 0 lacks it
 
 
 # ---------------------------------------------------------------------------

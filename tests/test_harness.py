@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import debias
-from _oracles import run_trial_reference
+from _oracles import paired_trial_reference, run_trial_reference
 from debias import harness
 from debias.core import BootstrapPlan, DegenerateDenominatorError
 from debias.harness import (
@@ -157,6 +157,28 @@ def test_p7_trial_runs():
     inst = generate_instance("P7", {"d": 2}, RandomStream(12))
     rec = run_trial(inst, 5, BootstrapPlan(rounds=6), ["shift", "scale"], RandomStream(13))
     assert set(rec.debiased) == {"shift", "scale"}
+
+
+@pytest.mark.parametrize("params, n, K, m_size", [
+    ({}, 10, 50, None),  # the preset
+    ({"m_samples": 7}, 10, 50, None),
+    ({"d": 1}, 10, 50, None),
+    ({"d": 32}, 10, 50, None),
+    ({"d": 2, "m_samples": 4}, 3, 5, 6),
+])
+def test_p7_records_match_per_resample_reference(monkeypatch, params, n, K, m_size):
+    # the batched resamples give the records of the mixture-per-resample loop,
+    # and every trial still runs through harness.run_trial
+    instance = generate_instance("P7", params, RandomStream(5).split(0))
+    plan = BootstrapPlan(rounds=K, size=m_size)
+    root = RandomStream(5).split(1)
+    calls = []
+    monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a) or run_trial(*a))
+    got = run_trials(instance, n, plan, ["shift", "scale"], root, 0, 3)
+    want = [paired_trial_reference(instance, n, plan, ["shift", "scale"], root.split(t))
+            for t in range(3)]
+    assert record_bits(got) == record_bits(want)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from debias.observations import (
     WeightedEmpirical,
     mean_observation,
     mixture,
+    mixture_weights,
 )
 
 
@@ -65,6 +66,8 @@ def test_weighted_empirical_invariants():
         WeightedEmpirical([[0.0]], [0.5])  # weights must sum to 1
     with pytest.raises(ContractError):
         WeightedEmpirical([[0.0], [1.0]], [1.5, -0.5])  # nonnegative
+    with pytest.raises(ContractError):
+        WeightedEmpirical([[0.0], [1.0]], [np.nan, 1.0])
     w = WeightedEmpirical([[0.0], [1.0]], [0.25, 0.75])
     assert w.dimension == 1
 
@@ -118,6 +121,36 @@ def test_mixture_matches_per_row_merge():
     for members, coeffs in _mixture_cases():
         got = mixture(ObservationSet(members), coeffs)
         assert _same_distribution(got, mixture_reference(members, coeffs))
+
+
+def test_mixture_weights_match_per_row_merge():
+    # each row of a batch, as atoms and weights, byte-equal to merging it alone
+    rng = np.random.default_rng(8)
+    for members, coeffs in _mixture_cases():
+        counts = rng.integers(0, 3, (5, len(members))).astype(float)
+        counts[np.arange(5), rng.integers(len(members), size=5)] += 1.0
+        batch = np.vstack([coeffs, counts / counts.sum(axis=1, keepdims=True), coeffs])
+        support = ObservationSet(members).atom_table[0]
+        rows = mixture_weights(ObservationSet(members), batch)
+        assert len(rows) == len(batch)
+        for (lead, w), row in zip(rows, batch):
+            want = mixture_reference(members, row)
+            assert support[lead].tobytes() == want.support.tobytes()
+            assert w.tobytes() == want.weights.tobytes()
+
+
+def test_mixture_weights_contracts():
+    s = ObservationSet([WeightedEmpirical.dirac([1.0]), WeightedEmpirical.dirac([2.0])])
+    with pytest.raises(ContractError, match="no mass"):
+        mixture_weights(s, np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ContractError, match="one coefficient per observation"):
+        mixture_weights(s, np.array([0.5, 0.5]))
+    with pytest.raises(ContractError, match="one coefficient per observation"):
+        mixture_weights(s, np.ones((2, 3)) / 3)
+    with np.errstate(invalid="ignore"), pytest.raises(ContractError, match="must sum to 1"):
+        mixture_weights(s, np.array([[0.5, 0.5], [np.inf, 1.0]]))  # weights inf/inf
+    with np.errstate(invalid="ignore"), pytest.raises(ContractError, match="must sum to 1"):
+        mixture(s, np.array([np.inf, 1.0]))
 
 
 def test_mixture_keeps_signed_zero_atoms_apart():

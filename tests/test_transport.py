@@ -68,6 +68,26 @@ def test_oracle_equivalence_and_duality():
         check_plan(problem, plan)
 
 
+def highs_value(problem):
+    """The optimal value of the transport LP by scipy's HiGHS, an independent solver."""
+    m, n = problem.cost.shape
+    A_eq, b_eq = [], []
+    for i in range(m):
+        row = np.zeros(m * n)
+        row[i * n:(i + 1) * n] = 1.0
+        A_eq.append(row)
+        b_eq.append(problem.supply[i])
+    for j in range(n):
+        col = np.zeros(m * n)
+        col[j::n] = 1.0
+        A_eq.append(col)
+        b_eq.append(problem.demand[j])
+    res = scipy.optimize.linprog(problem.cost.ravel(), A_eq=np.array(A_eq), b_eq=np.array(b_eq),
+                                 bounds=(0, None), method="highs")
+    assert res.success
+    return res.fun
+
+
 def test_weighted_instances_against_linprog():
     # rational bootstrap weights: check against an independent LP solver
     rng = np.random.default_rng(1)
@@ -80,22 +100,20 @@ def test_weighted_instances_against_linprog():
             pass  # keep some degenerate marginals in the mix
         problem = TransportProblem.build(cost, supply, demand)
         plan = solve_transport(problem)
-        A_eq, b_eq = [], []
-        for i in range(m):
-            row = np.zeros(m * n)
-            row[i * n:(i + 1) * n] = 1.0
-            A_eq.append(row)
-            b_eq.append(supply[i])
-        for j in range(n):
-            col = np.zeros(m * n)
-            col[j::n] = 1.0
-            A_eq.append(col)
-            b_eq.append(demand[j])
-        res = scipy.optimize.linprog(cost.ravel(), A_eq=np.array(A_eq), b_eq=np.array(b_eq),
-                                     bounds=(0, None), method="highs")
-        assert res.success
-        assert plan.value == pytest.approx(res.fun, abs=1e-9)
+        assert plan.value == pytest.approx(highs_value(problem), abs=1e-9)
         check_plan(problem, plan)
+
+
+def test_cost_submatrices_equal_their_own_costs():
+    # P7 takes each resample's costs from the matrix between the whole sets
+    rng = np.random.default_rng(9)
+    for d in range(1, 33):
+        x, y = rng.normal(size=(12, d)), rng.normal(size=(9, d)) * 10.0 ** rng.uniform(-3, 3)
+        cost = squared_distance_cost(x, y)
+        for _ in range(20):
+            r = np.sort(rng.choice(12, int(rng.integers(1, 13)), replace=False))
+            c = np.sort(rng.choice(9, int(rng.integers(1, 10)), replace=False))
+            assert cost[r][:, c].tobytes() == squared_distance_cost(x[r], y[c]).tobytes()
 
 
 def test_metric_sanity():
@@ -183,28 +201,51 @@ def random_simplex_instance(rng, k):
 
 
 def assert_same_as_reference(cost, supply, demand):
-    """The kernel against the frozen copy: flows, duals, status, pivots."""
+    """solve_transport against the frozen copy of the old kernel at its
+    tolerance of 1e-11: flows, duals and pivots."""
     want = reference_simplex(cost, supply.copy(), demand.copy(), 1e-11)
-    got = transport._simplex(cost, supply, demand, 1e-11)
-    for g, w in zip(got[:3], want[:3]):
+    assert want[3] == 0
+    plan = solve_transport(TransportProblem(cost, supply, demand))
+    for g, w in zip((plan.coupling, plan.dual_row, plan.dual_col), want[:3]):
         assert np.array_equal(g, w)
-    assert got[3:] == want[3:]  # status and iteration count
-    return want[3:]
+    assert plan.iterations == want[4]
+    return plan.iterations
 
 
 def test_simplex_bit_identical_to_reference():
     rng = np.random.default_rng(3)
-    pivots = [assert_same_as_reference(*random_simplex_instance(rng, k))[1]
-              for k in range(240)]
+    pivots = [assert_same_as_reference(*random_simplex_instance(rng, k)) for k in range(240)]
     assert min(pivots) == 0 and sum(p > 0 for p in pivots) > 150
-    # at costs of 1e5 and more, where rounding in (C - u) - v is far above
-    # tol, the two versions still take the same pivots
+    # at costs of 1e5 and more, rounding in (C - u) - v is far above 1e-11
+    # and the old kernel could cycle to its cap; the solver reaches the
+    # optimum HiGHS finds, with a zero duality gap
     rng = np.random.default_rng(7)
     for _ in range(20):
         m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         cost = np.round(rng.random((m, n)), 1) * 10.0 ** rng.uniform(5, 7)
         supply, demand = rng.random(m) + 0.1, rng.random(n) + 0.1
-        assert_same_as_reference(cost, supply / supply.sum(), demand / demand.sum())
+        problem = TransportProblem.build(cost, supply / supply.sum(), demand / demand.sum())
+        plan = solve_transport(problem)
+        scale = cost.max()
+        assert abs(plan.value - highs_value(problem)) <= 1e-12 * scale
+        assert abs(plan.value - plan.dual_value(problem)) <= 1e-12 * scale
+        check_plan(problem, plan)
+
+
+def test_large_costs_do_not_cycle():
+    # 6x6 point clouds at coordinate scale 1e3: costs of about 1e6, where the
+    # old absolute tolerance let basic cells enter and the kernel cycle
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        x, y = rng.normal(size=(2, 6, 3)) * 1e3
+        problem = TransportProblem.build(squared_distance_cost(x, y))
+        plan = solve_transport(problem)
+        scale = problem.cost.max()
+        assert abs(plan.value - brute_force_transport(problem)) <= 1e-12 * scale
+        assert abs(plan.value - plan.dual_value(problem)) <= 1e-12 * scale
+        # skipping basic cells alone keeps the kernel out of the cycle here,
+        # even at the old tolerance
+        assert transport._simplex(problem.cost, problem.supply, problem.demand, 1e-11)[3] == 0
 
 
 def test_plan_reports_pivots():
