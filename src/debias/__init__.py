@@ -10,6 +10,7 @@ from .core import (
     UnsupportedMethodError,
     bootstrap_means,
     covariance_debias,
+    debias,
     exact_expectation_debias,
     exact_resample_expectation,
     scale_debias,
@@ -24,7 +25,7 @@ from .observations import (
     WeightedEmpirical,
     mean_observation,
 )
-from .resampling import RandomStream, draw_counts, split
+from .resampling import RandomStream
 
 __all__ = [
     "BootstrapPlan",
@@ -42,13 +43,12 @@ __all__ = [
     "WeightedEmpirical",
     "bootstrap_means",
     "covariance_debias",
-    "draw_counts",
+    "debias",
     "exact_expectation_debias",
     "exact_resample_expectation",
     "mean_observation",
     "scale_debias",
     "shift_debias",
-    "split",
 ]
 
 __version__ = "0.1.0"

@@ -18,14 +18,13 @@ import sys
 
 import numpy as np
 
-from .core import BootstrapPlan, DegenerateDenominatorError, UnsupportedMethodError
+from .core import METHODS, BootstrapPlan, DegenerateDenominatorError, UnsupportedMethodError, debias
 from .harness import (
-    METHODS,
     PRESETS,
     default_workers,
     emit_plot,
     emit_results,
-    estimate,
+    resolve_n,
     run_experiment_spec,
     run_sweep,
 )
@@ -33,7 +32,6 @@ from .linalg import FactorizationError
 from .objectives import DomainError, EvaluationError
 from .observations import ContractError, ObservationSet
 from .problems import (
-    dimension_scaled_n,
     generate_instance,
     p1_quadratic,
     p2_quartic,
@@ -42,7 +40,8 @@ from .problems import (
 )
 from .resampling import RandomStream
 from .theory import moments_gaussian, sigma_set
-from .transport import TransportError, TransportProblem, brute_force_transport, solve_transport
+from .transport import (IterationCapError, TransportError, TransportProblem,
+                        brute_force_transport, solve_transport)
 
 
 class CliParseError(Exception):
@@ -219,7 +218,7 @@ def cmd_estimate(args, cfg) -> int:
     obs = read_observations(args.data)
     F = build_objective(args.function, obs.dimension)
     method = args.method or cfg.get("method") or "shift"
-    est = estimate(method, F, obs, BootstrapPlan(rounds=k, seed=seed), RandomStream(seed))
+    est = debias(method, F, obs, BootstrapPlan(rounds=k, seed=seed), RandomStream(seed))
     config = {"data": args.data, "function": args.function, "method": method,
               "k": k, "seed": seed, "n": len(obs)}
     _print_header(config, args.no_header)
@@ -236,13 +235,23 @@ def cmd_estimate(args, cfg) -> int:
     return 0
 
 
-def _resolve_bench_n(family: str, n, params: dict):
-    if n is not None:
-        return n
-    preset_n = PRESETS[family]["n"]
-    if preset_n is not None:
-        return preset_n
-    return dimension_scaled_n(family, params)
+def _emit(args, cfg, config: dict, summaries, default_out: str) -> int:
+    """Print the config header and each method's ratios, write the summaries
+    (CSV unless --format says otherwise) to --out or ``default_out`` and the
+    SVG plot beside them, and say where."""
+    _print_header(config, args.no_header)
+    for s in summaries:
+        where = f" {s.axis}={s.axis_value!r}" if s.axis else ""
+        for m in s.methods:
+            print(f"{s.problem}{where} {m}: rmse_r = {s.rmse_r[m]!r}, bias_r = {s.bias_r[m]!r}")
+    out = args.out or default_out
+    fmt = args.format or cfg.get("format") or "csv"
+    header = () if args.no_header else _header_lines(config)
+    emit_results(summaries, fmt, out, header_lines=header)
+    svg = os.path.splitext(out)[0] + ".svg"
+    emit_plot(summaries, svg)
+    print(f"wrote {out} and {svg}")
+    return 0
 
 
 def cmd_bench(args, cfg) -> int:
@@ -253,23 +262,13 @@ def cmd_bench(args, cfg) -> int:
     trials = _resolve(args, "trials", cfg, int, 1000)
     workers = _resolve(args, "workers", cfg, int, default_workers())
     params = _parse_param(args.param)
-    n = _resolve_bench_n(family, _resolve(args, "n", cfg, int, None), params)
+    n = resolve_n(family, _resolve(args, "n", cfg, int, None), params)
     k = _resolve(args, "k", cfg, int, PRESETS[family]["K"])
     methods = _methods_for(args.method or cfg.get("method"), family)
     summary = run_experiment_spec(family, params, n, k, methods, trials, seed, workers=workers)
     config = {"problem": family, "n": n, "K": k, "R": trials, "seed": seed,
               "methods": methods, "params": params, "workers": workers}
-    _print_header(config, args.no_header)
-    for m in methods:
-        print(f"{family} {m}: rmse_r = {summary.rmse_r[m]!r}, bias_r = {summary.bias_r[m]!r}")
-    out = args.out or f"bench_{family}.csv"
-    fmt = args.format or cfg.get("format") or "csv"
-    header = () if args.no_header else _header_lines(config)
-    emit_results([summary], fmt, out, header_lines=header)
-    svg = os.path.splitext(out)[0] + ".svg"
-    emit_plot([summary], svg)
-    print(f"wrote {out} and {svg}")
-    return 0
+    return _emit(args, cfg, config, [summary], f"bench_{family}.csv")
 
 
 def cmd_sweep(args, cfg) -> int:
@@ -297,19 +296,7 @@ def cmd_sweep(args, cfg) -> int:
                           methods=methods, workers=workers)
     config = {"problem": family, "axis": args.axis, "values": values, "R": trials,
               "seed": seed, "methods": methods, "fixed": fixed, "workers": workers}
-    _print_header(config, args.no_header)
-    for s in summaries:
-        for m in s.methods:
-            print(f"{family} {args.axis}={s.axis_value!r} {m}: "
-                  f"rmse_r = {s.rmse_r[m]!r}, bias_r = {s.bias_r[m]!r}")
-    out = args.out or f"sweep_{family}_{args.axis}.csv"
-    fmt = args.format or cfg.get("format") or "csv"
-    header = () if args.no_header else _header_lines(config)
-    emit_results(summaries, fmt, out, header_lines=header)
-    svg = os.path.splitext(out)[0] + ".svg"
-    emit_plot(summaries, svg)
-    print(f"wrote {out} and {svg}")
-    return 0
+    return _emit(args, cfg, config, summaries, f"sweep_{family}_{args.axis}.csv")
 
 
 def cmd_theory(args, cfg) -> int:
@@ -448,12 +435,13 @@ def main(argv=None) -> int:
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (EvaluationError, DomainError, DegenerateDenominatorError, FactorizationError,
+            IterationCapError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 4
     except (ContractError, UnsupportedMethodError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (EvaluationError, DomainError, DegenerateDenominatorError, FactorizationError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

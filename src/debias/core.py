@@ -15,6 +15,14 @@ bias (Jensen's inequality).  Three corrections are provided:
 All three apply unchanged to concave F: the algebra is sign-symmetric, so
 debiasing -F and negating gives identical results.
 
+Every estimate runs on a block of B inputs of one kind (``block_for``):
+``EuclideanBlock`` or ``EmpiricalBlock``.  A block exposes ``naive`` (F at
+each input's mean), ``mean(b)``, ``resample_values(plan, rngs)`` (F at each
+input's K resample means, input b resampling from ``rngs[b]``) and
+``covariance()``.  ``corrections`` is the method table over a block,
+``debiased`` combines a naive value with its correction, and ``why_not``
+says whether a method applies.  ``debias`` runs a block of one input.
+
 ``exact_expectation_debias`` replaces the K-round bootstrap average by the
 exact expectation over all resamples (enumerated through multinomial count
 vectors); it is the deterministic oracle the bootstrap estimators are tested
@@ -33,8 +41,8 @@ from .objectives import DomainError, EvaluationError, Objective
 from .observations import (
     ContractError,
     EuclideanPoint,
-    Observation,
     ObservationSet,
+    WeightedEmpirical,
     mean_observation,
     mixture,
     sample_means,
@@ -82,19 +90,14 @@ class DebiasEstimate:
     bootstrap_values: Optional[list[float]] = None
 
 
-def bootstrap_means(obs_set: ObservationSet, plan: BootstrapPlan, rng: RandomStream) -> list[Observation]:
-    """K resample means: the k-th is the mean of m draws with replacement.
+def bootstrap_means(obs_set: ObservationSet, plan: BootstrapPlan,
+                    rng: RandomStream) -> list[WeightedEmpirical]:
+    """K resample means of an empirical set: the k-th is the mixture of m
+    draws with replacement, weighted by its multinomial count vector.
 
-    Each resample is represented by its multinomial count vector over the n
-    observations; the mean is the count-weighted average.  Deterministic
-    given (set order, plan, rng state).
+    Deterministic given (set order, plan, rng state).
     """
     counts = _resample_counts(len(obs_set), plan, rng)
-    if obs_set.variant == "euclidean":
-        center = mean_observation(obs_set).coords
-        points = _euclidean_resample_means(center[None], (obs_set.points - center)[None],
-                                           counts[None])[0]
-        return [EuclideanPoint(p) for p in points]
     m = counts.sum(axis=1)
     return [mixture(obs_set, counts[k] / m[k]) for k in range(counts.shape[0])]
 
@@ -118,39 +121,13 @@ def _euclidean_resample_means(centers: np.ndarray, deviations: np.ndarray,
     return centers[:, None] + (counts @ deviations) / m
 
 
-def _euclidean_resample_values(F: Objective, centers: np.ndarray, deviations: np.ndarray,
-                              counts: np.ndarray) -> np.ndarray:
-    """(B, K) values of F at the resample means of B Euclidean sets.
-
-    One ``evaluate_batch`` call checks the domain of, and evaluates, all
-    B*K rows (one call per set when K < 3, see below); each row's value is
-    the one its set alone would give.  Errors name the first bad row of the
-    call, which for a block of one is the resample of that set.
-    """
-    points = _euclidean_resample_means(centers, deviations, counts)
-    sets, rounds, d = points.shape
-    # numpy's einsum (fn_many of P1, P2, P5) sums a batch of one or two rows
-    # of two coordinates in another order than a longer batch, so sets with
-    # fewer than three resamples are evaluated one call each
-    batches = [points.reshape(-1, d)] if rounds >= 3 else list(points)
-    try:
-        values = np.concatenate([F.evaluate_batch(rows) for rows in batches])
-    except DomainError as exc:
-        raise DomainError(f"bootstrap resample: {exc}") from exc
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise EvaluationError(f"non-finite F at bootstrap resample {bad[0]}")
-    return values.reshape(sets, rounds)
-
-
 class EuclideanBlock:
     """B Euclidean observation sets of one shape, debiased together.
 
     The means, the deviations and the resample means of all B sets are
-    computed at once, and each estimator evaluates F at the B*K resample
-    means in one call (see ``_euclidean_resample_values``).  Every value is
-    bit for bit what the single-set estimator gives on that set with the
-    same stream.
+    computed at once, and F is evaluated at the B*K resample means in one
+    call (see ``resample_values``).  Every value is bit for bit what a block
+    of that set alone gives with the same stream.
     """
 
     def __init__(self, F: Objective, points: np.ndarray):
@@ -161,72 +138,114 @@ class EuclideanBlock:
         self.naive = [F.evaluate(mean) for mean in self.means]
         self.deviations = points - self.means[:, None]
 
-    def _resample_values(self, plan: BootstrapPlan, rngs) -> np.ndarray:
+    def mean(self, b: int) -> EuclideanPoint:
+        return EuclideanPoint(self.means[b])
+
+    def resample_values(self, plan: BootstrapPlan, rngs) -> np.ndarray:
+        """(B, K) values of F at the resample means, set b resampling from
+        ``rngs[b]``.
+
+        One ``evaluate_batch`` call checks the domain of, and evaluates, all
+        B*K rows (one call per set when K < 3, see below); each row's value
+        is the one its set alone would give.  Errors name the first bad row
+        of the call, which for a block of one is the resample of that set.
+        """
         n = self.deviations.shape[1]
         counts = np.stack([_resample_counts(n, plan, rng) for rng in rngs])
-        return _euclidean_resample_values(self.F, self.means, self.deviations, counts)
-
-    def shift(self, plan: BootstrapPlan, rngs) -> list[float]:
-        """Each set's shift-debiased value; set b resamples from ``rngs[b]``."""
-        values = self._resample_values(plan, rngs)
-        return [naive + _shift_correction(naive, v) for naive, v in zip(self.naive, values)]
-
-    def scale(self, plan: BootstrapPlan, rngs) -> list[float]:
-        """Each set's scale-debiased value; set b resamples from ``rngs[b]``."""
-        _require_sign_definite(self.F)
-        values = self._resample_values(plan, rngs)
-        return [_scale_correction(naive, v) * naive for naive, v in zip(self.naive, values)]
+        points = _euclidean_resample_means(self.means, self.deviations, counts)
+        sets, rounds, d = points.shape
+        # numpy's einsum (fn_many of P1, P2, P5) sums a batch of one or two
+        # rows of two coordinates in another order than a longer batch, so
+        # sets with fewer than three resamples are evaluated one call each
+        batches = [points.reshape(-1, d)] if rounds >= 3 else list(points)
+        try:
+            values = np.concatenate([self.F.evaluate_batch(rows) for rows in batches])
+        except DomainError as exc:
+            raise DomainError(f"bootstrap resample: {exc}") from exc
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise EvaluationError(f"non-finite F at bootstrap resample {bad[0]}")
+        return values.reshape(sets, rounds)
 
     def covariance(self) -> list[float]:
-        """Each set's covariance-debiased value."""
-        q = _covariance_q(self.F, self.deviations.shape[1], None)
-        return [naive + _covariance_correction(self.F, mean, dev, q)
-                for naive, mean, dev in zip(self.naive, self.means, self.deviations)]
+        """Each set's ``-(1 / (2 n q)) sum_i (x_i - xbar)^T H (x_i - xbar)``, H
+        the Hessian at its mean, q = n - 1 or n by ``F.cov_denominator``."""
+        n = self.deviations.shape[1]
+        q = n - 1 if self.F.cov_denominator == "unbiased" else n
+        if q < 1:
+            raise ContractError("unbiased covariance needs n >= 2")
+        out = []
+        for mean, centered in zip(self.means, self.deviations):
+            H = np.asarray(self.F.hessian(mean), dtype=float)
+            forms = np.einsum("ij,jk,ik->i", centered, H, centered)
+            out.append(-math.fsum(forms) / (2.0 * n * q))
+        return out
 
 
-def _mean_and_resample_values(F, obs, plan, rng, at_mean=None):
-    """naive mean(s), F there, and F at the K resample means.
+class EmpiricalBlock:
+    """B inputs of weighted empirical distributions, each one empirical
+    ObservationSet or a tuple of them (a paired functional such as P7's W2^2).
 
-    ``obs`` may be one ObservationSet or a tuple of sets (paired functional
-    inputs); tuple components are resampled independently, each with its own
-    size, from split child streams, and F's paired ``fn_many`` (when it has
-    one) evaluates all K resample pairs from their count vectors in one call.
-    ``at_mean`` is (mean, F(mean)) when the caller has them already.
+    The means and F there are computed once per input, when the block is
+    built.  Each input is resampled on its own: the components of a tuple
+    independently, each with its own size, from ``rng.split(i)``.  F's
+    paired ``fn_many`` (when it has one) evaluates all K resample pairs of
+    an input from their count vectors in one call; otherwise each resample
+    is merged as a mixture and evaluated.
     """
-    if at_mean is None:
-        mean = (tuple(mean_observation(s) for s in obs) if isinstance(obs, tuple)
-                else mean_observation(obs))
-        at_mean = (mean, F.evaluate(mean))
-    mean, naive = at_mean
-    if isinstance(obs, tuple) and F.fn_many is not None:
+
+    def __init__(self, F: Objective, inputs):
+        self.F = F
+        self.inputs = list(inputs)
+        self.means = [tuple(mean_observation(s) for s in obs) if isinstance(obs, tuple)
+                      else mean_observation(obs) for obs in self.inputs]
+        self.naive = [F.evaluate(mean) for mean in self.means]
+
+    def mean(self, b: int):
+        return self.means[b]
+
+    def resample_values(self, plan: BootstrapPlan, rngs) -> list[np.ndarray]:
+        """The K values of F at the resample means of each input, input b
+        resampling from ``rngs[b]``; an error in value k names resample k."""
+        return [self._values(obs, plan, rng) for obs, rng in zip(self.inputs, rngs)]
+
+    def _values(self, obs, plan, rng) -> np.ndarray:
+        F = self.F
+        if not isinstance(obs, tuple):
+            return _indexed(F.evaluate(r) for r in bootstrap_means(obs, plan, rng))
+        if F.fn_many is None:
+            per_component = [bootstrap_means(s, plan, rng.split(i)) for i, s in enumerate(obs)]
+            return _indexed(F.evaluate(r) for r in zip(*per_component))
         counts = [_resample_counts(len(s), plan, rng.split(i)) for i, s in enumerate(obs)]
         coeffs = [c / c.sum(axis=1, keepdims=True) for c in counts]
-        values = _indexed(map(F.finite, F.fn_many(obs, coeffs)))
-    elif isinstance(obs, tuple):
-        per_component = [bootstrap_means(s, plan, rng.split(i)) for i, s in enumerate(obs)]
-        values = _indexed(F.evaluate(r) for r in zip(*per_component))
-    elif obs.variant == "euclidean":
-        counts = _resample_counts(len(obs), plan, rng)
-        center = mean.coords
-        values = _euclidean_resample_values(F, center[None], (obs.points - center)[None],
-                                           counts[None])[0]
-    else:
-        values = _indexed(F.evaluate(r) for r in bootstrap_means(obs, plan, rng))
-    return mean, naive, values
+        return _indexed(map(F.finite, F.fn_many(obs, coeffs)))
+
+    def covariance(self) -> list[float]:
+        raise UnsupportedMethodError("covariance needs Euclidean observations")
+
+
+def _is_euclidean(obs) -> bool:
+    return isinstance(obs, ObservationSet) and obs.variant == "euclidean"
+
+
+def block_for(F: Objective, inputs):
+    """The block for a list of inputs of one kind: Euclidean sets of one
+    shape, or empirical sets or tuples of them."""
+    if _is_euclidean(inputs[0]):
+        return EuclideanBlock(F, np.stack([obs.points for obs in inputs]))
+    return EmpiricalBlock(F, inputs)
 
 
 def _indexed(values) -> np.ndarray:
     """The values an iterator over the resamples yields, in order; an error
     raised while computing value k is raised again naming resample k."""
     out = []
-    values = iter(values)
-    while True:
-        try:
-            out.append(next(values))
-        except StopIteration:
-            return np.asarray(out)
-        except (EvaluationError, ValueError) as exc:
-            raise type(exc)(f"bootstrap resample {len(out)}: {exc}") from exc
+    try:
+        for value in values:
+            out.append(value)
+    except (EvaluationError, ValueError) as exc:
+        raise type(exc)(f"bootstrap resample {len(out)}: {exc}") from exc
+    return np.asarray(out)
 
 
 def _shift_correction(naive: float, values) -> float:
@@ -245,94 +264,83 @@ def _scale_correction(naive: float, values) -> float:
     return math.fsum((naive * values).tolist()) / denom
 
 
-def _require_sign_definite(F: Objective) -> None:
-    if F.sign_constraint not in ("positive", "negative"):
-        raise UnsupportedMethodError("scale_debias requires a sign-definite objective")
+# method -> (DebiasEstimate.method, correction from (naive, K bootstrap values))
+_TABLE = {
+    "shift": ("shift_bootstrap", _shift_correction),
+    "scale": ("scale_bootstrap", _scale_correction),
+    "cov": ("covariance", None),
+}
+METHODS = tuple(_TABLE)
 
 
-def shift_debias(F: Objective, obs, plan: BootstrapPlan, rng: Optional[RandomStream] = None,
-                 at_mean=None) -> DebiasEstimate:
-    """Additive bootstrap debiasing: F(xbar) + [F(xbar) - mean_k F(xtilde_k)].
+def why_not(method: str, F: Objective, euclidean: bool) -> Optional[str]:
+    """None if the method applies to F on Euclidean (or, with ``euclidean``
+    False, empirical) inputs, else the reason it does not."""
+    if method not in _TABLE:
+        return f"unknown method {method!r}; valid: {', '.join(METHODS)}"
+    if method == "scale" and F.sign_constraint not in ("positive", "negative"):
+        return "scale needs a sign-definite objective"
+    if method == "cov":
+        if not euclidean:
+            return "covariance needs Euclidean observations"
+        if F.hessian is None:
+            return "covariance needs a hessian oracle"
+    return None
 
-    ``at_mean`` is (mean, F(mean)) of ``obs`` when the caller has them.
+
+def corrections(method: str, block, plan: Optional[BootstrapPlan], rngs):
+    """The method table over a block: each input's correction under
+    ``method``, and the bootstrap values behind them (None for cov); input b
+    resamples from ``rngs[b]``."""
+    correction = _TABLE[method][1]
+    if correction is None:
+        return block.covariance(), None
+    values = block.resample_values(plan, rngs)
+    return [correction(naive, v) for naive, v in zip(block.naive, values)], values
+
+
+def debiased(method: str, naive: float, correction: float) -> float:
+    """The debiased value: scale multiplies the naive value by its
+    correction, shift and cov add theirs to it."""
+    return correction * naive if method == "scale" else naive + correction
+
+
+def debias(method: str, F: Objective, obs, plan: Optional[BootstrapPlan] = None,
+           rng: Optional[RandomStream] = None) -> DebiasEstimate:
+    """Debias F at the mean of one input, an ObservationSet or a tuple of
+    them (P7), with "shift", "scale" or "cov", as a block of one.
+
+    The bootstrap methods need ``plan`` and resample from ``rng`` (default
+    ``RandomStream(plan.seed)``).  A method ``why_not`` rules out raises
+    UnsupportedMethodError before F is evaluated.
     """
-    if rng is None:
+    reason = why_not(method, F, _is_euclidean(obs))
+    if reason:
+        raise UnsupportedMethodError(reason)
+    if rng is None and plan is not None:
         rng = RandomStream(plan.seed)
-    mean, naive, values = _mean_and_resample_values(F, obs, plan, rng, at_mean)
-    correction = _shift_correction(naive, values)
-    return DebiasEstimate(
-        naive_value=naive,
-        method="shift_bootstrap",
-        correction=correction,
-        debiased_value=naive + correction,
-        mean_observation=mean,
-        bootstrap_values=list(map(float, values)),
-    )
+    block = block_for(F, [obs])
+    (correction,), values = corrections(method, block, plan, [rng])
+    naive = block.naive[0]
+    return DebiasEstimate(naive, _TABLE[method][0], correction,
+                          debiased(method, naive, correction), block.mean(0),
+                          None if values is None else list(map(float, values[0])))
 
 
-def scale_debias(F: Objective, obs, plan: BootstrapPlan, rng: Optional[RandomStream] = None,
-                 at_mean=None) -> DebiasEstimate:
-    """Multiplicative bootstrap debiasing for sign-definite F.
-
-    A negative-signed F is handled by debiasing -F and negating, which
-    reduces to the same formula: s_hat and s_hat * F(xbar) are invariant
-    under F -> -F.  ``at_mean`` is (mean, F(mean)) of ``obs`` when the
-    caller has them.
-    """
-    _require_sign_definite(F)
-    if rng is None:
-        rng = RandomStream(plan.seed)
-    mean, naive, values = _mean_and_resample_values(F, obs, plan, rng, at_mean)
-    s = _scale_correction(naive, values)
-    return DebiasEstimate(
-        naive_value=naive,
-        method="scale_bootstrap",
-        correction=s,
-        debiased_value=s * naive,
-        mean_observation=mean,
-        bootstrap_values=list(map(float, values)),
-    )
+def shift_debias(F: Objective, obs, plan: BootstrapPlan, rng=None) -> DebiasEstimate:
+    """Additive bootstrap debiasing: F(xbar) + [F(xbar) - mean_k F(xtilde_k)]."""
+    return debias("shift", F, obs, plan, rng)
 
 
-def covariance_debias(F: Objective, obs_set: ObservationSet, denominator: Optional[str] = None) -> DebiasEstimate:
-    """Second-order analytic debiasing from the sample covariance.
-
-    ``c_hat = -(1 / (2 n q)) sum_i (x_i - xbar)^T H (x_i - xbar)`` where H is
-    the Hessian oracle at the sample mean and q is n-1 (``"unbiased"``) or n
-    (``"plugin"``).  The entropy objective uses the plug-in form, for which
-    the correction equals (support size - 1) / (2 n) exactly.
-    """
-    if not isinstance(obs_set, ObservationSet) or obs_set.variant != "euclidean":
-        raise UnsupportedMethodError("covariance_debias requires one Euclidean observation set")
-    q = _covariance_q(F, len(obs_set), denominator)
-    mean = mean_observation(obs_set)
-    naive = F.evaluate(mean)
-    correction = _covariance_correction(F, mean.coords, obs_set.points - mean.coords, q)
-    return DebiasEstimate(
-        naive_value=naive,
-        method="covariance",
-        correction=correction,
-        debiased_value=naive + correction,
-        mean_observation=mean,
-    )
+def scale_debias(F: Objective, obs, plan: BootstrapPlan, rng=None) -> DebiasEstimate:
+    """Multiplicative bootstrap debiasing for sign-definite F; s_hat and
+    s_hat * F(xbar) are invariant under F -> -F."""
+    return debias("scale", F, obs, plan, rng)
 
 
-def _covariance_q(F: Objective, n: int, denominator: Optional[str]) -> int:
-    """The covariance denominator q for n observations, once the method applies."""
-    if F.hessian is None:
-        raise UnsupportedMethodError("covariance_debias requires a hessian oracle")
-    denominator = denominator or F.cov_denominator
-    if denominator not in ("unbiased", "plugin"):
-        raise ContractError(f"bad denominator {denominator!r}")
-    if denominator == "unbiased" and n < 2:
-        raise ContractError("unbiased covariance needs n >= 2")
-    return n - 1 if denominator == "unbiased" else n
-
-
-def _covariance_correction(F: Objective, mean: np.ndarray, centered: np.ndarray, q: int) -> float:
-    H = np.asarray(F.hessian(mean), dtype=float)
-    forms = np.einsum("ij,jk,ik->i", centered, H, centered)
-    return -math.fsum(forms) / (2.0 * centered.shape[0] * q)
+def covariance_debias(F: Objective, obs_set: ObservationSet) -> DebiasEstimate:
+    """Analytic debiasing from the sample covariance of one Euclidean set."""
+    return debias("cov", F, obs_set)
 
 
 def _compositions(total: int, parts: int):
@@ -376,8 +384,7 @@ def resample_distribution(obs_set: ObservationSet, resample_size: Optional[int] 
 
 def exact_resample_expectation(obs_set: ObservationSet, statistic, resample_size: Optional[int] = None) -> float:
     """E[statistic(resample mean)] by exact enumeration."""
-    total = math.fsum(w * statistic(obs) for w, obs in resample_distribution(obs_set, resample_size))
-    return total
+    return math.fsum(w * statistic(obs) for w, obs in resample_distribution(obs_set, resample_size))
 
 
 def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str,
@@ -389,23 +396,18 @@ def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str,
     """
     if mode not in ("shift", "scale"):
         raise ContractError(f"mode must be 'shift' or 'scale', got {mode!r}")
-    if mode == "scale" and F.sign_constraint not in ("positive", "negative"):
-        raise UnsupportedMethodError("scale mode requires a sign-definite objective")
+    reason = why_not(mode, F, _is_euclidean(obs_set))
+    if reason:
+        raise UnsupportedMethodError(reason)
     mean = mean_observation(obs_set)
     naive = F.evaluate(mean)
-    diff_terms = []
-    num_terms = []
-    ef2_terms = []
-    for w, obs in resample_distribution(obs_set, resample_size):
-        v = F.evaluate(obs)
-        diff_terms.append(w * (naive - v))
-        num_terms.append(w * (naive * v))
-        ef2_terms.append(w * (v * v))
+    terms = [(w, F.evaluate(obs)) for w, obs in resample_distribution(obs_set, resample_size)]
     if mode == "shift":
-        correction = math.fsum(diff_terms)
-        return DebiasEstimate(naive, "shift_bootstrap", correction, naive + correction, mean)
-    ef2 = math.fsum(ef2_terms)
-    if ef2 < 1e-300:
-        raise DegenerateDenominatorError("exact expectation of F^2 vanished")
-    s = math.fsum(num_terms) / ef2
-    return DebiasEstimate(naive, "scale_bootstrap", s, s * naive, mean)
+        correction = math.fsum(w * (naive - v) for w, v in terms)
+    else:
+        ef2 = math.fsum(w * (v * v) for w, v in terms)
+        if ef2 < 1e-300:
+            raise DegenerateDenominatorError("exact expectation of F^2 vanished")
+        correction = math.fsum(w * (naive * v) for w, v in terms) / ef2
+    return DebiasEstimate(naive, _TABLE[mode][0], correction,
+                          debiased(mode, naive, correction), mean)

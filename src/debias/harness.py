@@ -6,7 +6,7 @@ reports, per method,
     RMSE_r = sqrt(sum_t (F_debias - F*)^2) / sqrt(sum_t (F_naive - F*)^2)
     Bias_r = sum_t (F_debias - F*) / sum_t (F_naive - F*)
 
-Trial t draws every random quantity from ``split(master, t)``, so summaries
+Trial t draws every random quantity from ``master.split(t)``, so summaries
 are a pure function of (config, master seed) regardless of how many workers
 execute the trials.
 """
@@ -23,16 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (BootstrapPlan, DebiasEstimate, EuclideanBlock, covariance_debias, scale_debias,
-                   shift_debias)
-from .objectives import Objective
-from .observations import ContractError, mean_observation, stable_digest
+from .core import BootstrapPlan, block_for, corrections, debiased, why_not
+# hooked by perfbench/spans.py
+from .core import covariance_debias, scale_debias, shift_debias  # noqa: F401
+from .observations import ContractError, stable_digest
+from .observations import mean_observation  # noqa: F401  hooked by perfbench/spans.py
 from .problems import ProblemInstance, dimension_scaled_n, generate_instance
 from .resampling import RandomStream
 
-METHODS = ("shift", "scale", "cov")
-
-# Euclidean trials run in blocks of at most this many resample count cells
+# Trials run in blocks of at most this many resample count cells
 # (trials x K x n), which bounds the memory a block's arrays take.
 BLOCK_CELLS = 4096
 
@@ -92,105 +91,54 @@ class ExperimentSummary:
 
 def method_applicable(method: str, instance: ProblemInstance) -> Optional[str]:
     """None if the method applies to this instance, else the reason it doesn't."""
-    if method not in METHODS:
-        return f"unknown method {method!r}; valid: {', '.join(METHODS)}"
-    F = instance.objective
-    if method == "scale" and F.sign_constraint not in ("positive", "negative"):
-        return "scale needs a sign-definite objective"
-    if method == "cov":
-        if instance.paired:
-            return "covariance needs Euclidean observations"
-        if F.hessian is None:
-            return "covariance needs a hessian oracle"
-    return None
+    return why_not(method, instance.objective, not instance.paired)
 
 
-def estimate(method: str, F: Objective, obs, plan: BootstrapPlan, rng: RandomStream,
-             at_mean=None) -> DebiasEstimate:
-    """The method table: the named estimator applied to F on obs.
-
-    ``at_mean`` is (mean, F(mean)) of obs when the caller has them.  The
-    estimators are looked up in this module's globals on each call, so code
-    that replaces ``shift_debias`` here (a tracer, a test) sees every use.
-    """
-    if method == "shift":
-        return shift_debias(F, obs, plan, rng, at_mean)
-    if method == "scale":
-        return scale_debias(F, obs, plan, rng, at_mean)
-    if method == "cov":
-        return covariance_debias(F, obs)
-    raise ContractError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-
-
-def _estimate_block(method: str, block: EuclideanBlock, plan: BootstrapPlan, rngs) -> list[float]:
-    """The method table over a block of Euclidean sets: each set's debiased
-    value, set b resampling from ``rngs[b]``."""
-    if method == "shift":
-        return block.shift(plan, rngs)
-    if method == "scale":
-        return block.scale(plan, rngs)
-    if method == "cov":
-        return block.covariance()
-    raise ContractError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-
-
-def _finite(value: float, method: str, stream: RandomStream) -> float:
-    if not math.isfinite(value):
-        raise ContractError(f"trial {stream.path}: method {method} produced {value}")
-    return value
+def resolve_n(family: str, n: Optional[int], params: dict) -> int:
+    """Observations per trial: ``n`` if given, else the family's preset,
+    else ``n_ratio * d`` (P6)."""
+    return n if n is not None else PRESETS[family]["n"] or dimension_scaled_n(family, params)
 
 
 def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
               methods, stream: RandomStream) -> TrialRecord:
     """One fresh observation set (or pair), all requested methods evaluated on it."""
-    if not instance.paired:
-        return _euclidean_trials(instance, n, plan, methods, [stream])[0]
-    obs = instance.sample_observations(n, stream.split(0))
-    mean = tuple(mean_observation(s) for s in obs)
-    naive = instance.objective.evaluate(mean)
-    debiased = {}
+    return _trials(instance, n, plan, methods, [stream])[0]
+
+
+def _trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
+            streams) -> list[TrialRecord]:
+    """The trials on ``streams`` as one block: the trial on stream s samples
+    its input from ``s.split(0)``, and each method j runs once over the
+    block, the trial on s resampling from ``s.split(1 + j)``."""
+    inputs = [instance.sample_observations(n, s.split(0)) for s in streams]
+    block = block_for(instance.objective, inputs)
+    debiased_values = [{} for _ in streams]
     for j, m in enumerate(methods):
-        est = estimate(m, instance.objective, obs, plan, stream.split(1 + j), (mean, naive))
-        debiased[m] = _finite(est.debiased_value, m, stream)
-    fingerprint = stable_digest(s.fingerprint().to_bytes(8, "big") for s in obs)
-    return _record(instance, naive, debiased, stream, fingerprint)
+        corr, _ = corrections(m, block, plan, [s.split(1 + j) for s in streams])
+        for trial, naive, c, stream in zip(debiased_values, block.naive, corr, streams):
+            trial[m] = debiased(m, naive, c)
+            if not math.isfinite(trial[m]):
+                raise ContractError(f"trial {stream.path}: method {m} produced {trial[m]}")
+    return [TrialRecord(stream.path[-1] if stream.path else 0, instance.truth_value, naive,
+                        trial, stream.path, _fingerprint(obs))
+            for naive, trial, stream, obs in zip(block.naive, debiased_values, streams, inputs)]
 
 
-def _euclidean_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
-                      streams) -> list[TrialRecord]:
-    """The trials on ``streams`` as one block: each samples its own set, and
-    each method runs once over the block."""
-    sets = [instance.sample_observations(n, s.split(0)) for s in streams]
-    block = EuclideanBlock(instance.objective, np.stack([obs.points for obs in sets]))
-    debiased = [{} for _ in streams]
-    for j, m in enumerate(methods):
-        values = _estimate_block(m, block, plan, [s.split(1 + j) for s in streams])
-        for trial, value, stream in zip(debiased, values, streams):
-            trial[m] = _finite(value, m, stream)
-    return [_record(instance, naive, trial, stream, obs.fingerprint())
-            for naive, trial, stream, obs in zip(block.naive, debiased, streams, sets)]
-
-
-def _record(instance, naive, debiased, stream, fingerprint) -> TrialRecord:
-    return TrialRecord(
-        trial_index=stream.path[-1] if stream.path else 0,
-        truth_value=instance.truth_value,
-        naive_value=naive,
-        debiased=debiased,
-        seed_path=stream.path,
-        fingerprint=fingerprint,
-    )
+def _fingerprint(obs) -> int:
+    if isinstance(obs, tuple):
+        return stable_digest(s.fingerprint().to_bytes(8, "big") for s in obs)
+    return obs.fingerprint()
 
 
 def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
                root: RandomStream, lo: int, hi: int) -> list[TrialRecord]:
-    """Trials lo..hi-1 in order, trial t on split(root, t).
+    """Trials lo..hi-1 in order, trial t on root.split(t).
 
     The methods are checked against the instance once, before any trial runs.
-    Euclidean trials run in blocks of at most ``BLOCK_CELLS`` count cells; a
-    block that raises runs again trial by trial, so the error is the one of
-    the first failing trial, in method order.  No record depends on the
-    block size.
+    Trials run in blocks of at most ``BLOCK_CELLS`` count cells; a block that
+    raises runs again trial by trial, so the error is the one of the first
+    failing trial, in method order.  No record depends on the block size.
     """
     if hi <= lo:
         raise ContractError(f"R must be >= 1, got {hi - lo}")
@@ -198,14 +146,12 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
         reason = method_applicable(m, instance)
         if reason:
             raise ContractError(f"{instance.id}: {reason}")
-    if instance.paired:
-        return [run_trial(instance, n, plan, methods, root.split(t)) for t in range(lo, hi)]
     size = max(1, BLOCK_CELLS // (plan.rounds * n))
     records = []
     for start in range(lo, hi, size):
         streams = [root.split(t) for t in range(start, min(start + size, hi))]
         try:
-            records += _euclidean_trials(instance, n, plan, methods, streams)
+            records += _trials(instance, n, plan, methods, streams)
         except (ValueError, ArithmeticError):  # every error class a trial raises
             records += [run_trial(instance, n, plan, methods, s) for s in streams]
     return records
@@ -288,25 +234,15 @@ def run_sweep(family: str, axis: str, values, fixed: dict, R: int, seed: int,
     if axis not in SWEEP_AXES[family]:
         raise ContractError(
             f"invalid axis {axis!r} for {family}; valid: {', '.join(SWEEP_AXES[family])}")
-    preset = PRESETS[family]
-    fixed = dict(fixed)
-    n = fixed.pop("n", preset["n"])
-    K = fixed.pop("K", preset["K"])
-    methods = list(methods) if methods is not None else list(preset["methods"])
+    methods = list(methods) if methods is not None else list(PRESETS[family]["methods"])
     summaries = []
     for i, value in enumerate(values):
-        params = dict(fixed)
-        n_i, K_i = n, K
-        if axis == "n":
-            n_i = int(value)
-        elif axis == "K":
-            K_i = int(value)
-        else:
-            params[axis] = value
-        if n_i is None:
-            n_i = dimension_scaled_n(family, params)
-        summary = run_experiment_spec(family, params, n_i, K_i, methods, R, seed,
-                                      exp_index=i, workers=workers)
+        params = {**fixed, axis: value}
+        n = params.pop("n", None)
+        K = int(params.pop("K", PRESETS[family]["K"]))
+        n = resolve_n(family, None if n is None else int(n), params)
+        summary = run_experiment_spec(family, params, n, K, methods, R, seed, exp_index=i,
+                                      workers=workers)
         summary.axis = axis
         summary.axis_value = float(value)
         summaries.append(summary)

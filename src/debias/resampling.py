@@ -5,7 +5,7 @@ which wraps a counter-based Philox generator keyed by ``(origin_seed, path)``.
 Two streams with the same seed and path produce identical draw sequences on
 any machine; streams with different paths are independent by construction.
 This is what makes parallel trials reproducible regardless of scheduling:
-trial ``t`` always works on ``split(master, t)``.
+trial ``t`` always works on ``master.split(t)``.
 
 Gaussian variates are produced by the Box-Muller transform applied to Philox
 uniforms (``z0 = sqrt(-2 ln u1) cos(2 pi u2)``, ``z1 = sqrt(-2 ln u1)
@@ -28,7 +28,7 @@ class RandomStream:
     origin_seed : int
         Master seed, interpreted as an unsigned 64-bit integer.
     path : tuple of int
-        Split lineage.  The root stream has an empty path; ``split(s, i)``
+        Split lineage.  The root stream has an empty path; ``s.split(i)``
         appends ``i``.
     """
 
@@ -108,21 +108,3 @@ class RandomStream:
         u = self.generator.random(size)
         return np.searchsorted(cdf, u, side="right")
 
-
-def split(stream: RandomStream, index: int) -> RandomStream:
-    """Deterministic child stream; siblings with distinct indices are independent."""
-    return stream.split(index)
-
-
-def draw_counts(n: int, m: int, stream: RandomStream) -> np.ndarray:
-    """Multinomial(m; 1/n, ..., 1/n) counts over n slots.
-
-    The counts are the number of times each of the n source observations
-    appears in one resample of size m; they always sum to m.
-    """
-    if n < 1 or m < 1:
-        raise ValueError(f"draw_counts needs n >= 1 and m >= 1, got n={n}, m={m}")
-    if n == 1:
-        return np.array([m], dtype=np.int64)
-    counts = stream.generator.multinomial(m, np.full(n, 1.0 / n))
-    return counts.astype(np.int64)

@@ -22,6 +22,10 @@ class TransportError(ValueError):
     """Invalid transport problem or solver failure."""
 
 
+class IterationCapError(TransportError):
+    """The simplex hit its iteration cap: a numeric failure, not a bad problem."""
+
+
 @dataclass(frozen=True)
 class TransportProblem:
     """Balanced transport instance: cost (m, n), supply (m,), demand (n,)."""
@@ -91,7 +95,7 @@ def solve_transport(problem: TransportProblem) -> TransportPlan:
     tol = 1e-11 * max(1.0, float(sub_cost.max()))
     flow, u, v, status, iterations = _simplex(sub_cost, supply[rows], demand[cols], tol)
     if status != 0:
-        raise TransportError(
+        raise IterationCapError(
             f"transportation simplex hit its iteration cap after {iterations} pivots")
 
     if pruned:

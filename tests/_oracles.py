@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from debias.core import _resample_counts
-from debias.harness import TrialRecord, estimate
+from debias.core import _resample_counts, debias
+from debias.harness import TrialRecord
 from debias.linalg import FactorizationError, cholesky_solve
 from debias.observations import ContractError, WeightedEmpirical, mean_observation, stable_digest
 from debias.resampling import RandomStream
@@ -92,18 +92,23 @@ def mixture_reference(observations, coeffs) -> WeightedEmpirical:
 
 
 def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
-    """One Euclidean trial on its own: its set from split(0), then each
-    method's single-set estimator on split(1 + j), in method order."""
+    """One trial on its own: its set (or pair of sets) from split(0), then
+    each method's public single-input estimator ``debias`` on split(1 + j),
+    in method order."""
     obs = instance.sample_observations(n, stream.split(0))
-    naive = instance.objective.evaluate(mean_observation(obs))
+    paired = isinstance(obs, tuple)
+    naive = instance.objective.evaluate(tuple(map(mean_observation, obs)) if paired
+                                        else mean_observation(obs))
     debiased = {}
     for j, m in enumerate(methods):
-        value = estimate(m, instance.objective, obs, plan, stream.split(1 + j)).debiased_value
+        value = debias(m, instance.objective, obs, plan, stream.split(1 + j)).debiased_value
         if not math.isfinite(value):
             raise ContractError(f"trial {stream.path}: method {m} produced {value}")
         debiased[m] = value
+    fingerprint = (stable_digest(s.fingerprint().to_bytes(8, "big") for s in obs) if paired
+                   else obs.fingerprint())
     return TrialRecord(stream.path[-1], instance.truth_value, naive, debiased, stream.path,
-                       obs.fingerprint())
+                       fingerprint)
 
 
 def wasserstein_reference(p, q) -> float:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from debias import transport
 from debias.cli import main
 from debias.harness import parse_results_csv, run_sweep
 from debias.problems import DEFAULTS
@@ -223,6 +224,33 @@ def test_transport_unbalanced_exit_3(tmp_path):
     sup = write(tmp_path / "s.csv", "0.9\n0.5\n")
     dem = write(tmp_path / "d.csv", "0.5\n0.5\n")
     assert main(["transport", "--cost", cost, "--supply", sup, "--demand", dem]) == 3
+
+
+@pytest.mark.parametrize("command,supply,code", [
+    ("transport", None, 4),
+    ("transport", "0.9\n0.5\n", 3),  # an invalid problem is still a configuration error
+    ("bench", None, 4),
+])
+def test_iteration_cap_exit_codes(tmp_path, capsys, monkeypatch, command, supply, code):
+    # the simplex hits its iteration cap on every solve: a numeric failure
+    def capped(cost, supply, demand, tol):
+        m, n = cost.shape
+        return np.zeros((m, n)), np.zeros(m), np.zeros(n), 1, 1234
+
+    monkeypatch.setattr(transport, "_simplex", capped)
+    if command == "transport":
+        argv = ["transport", "--cost", write(tmp_path / "c.csv", "0 1\n1 0\n")]
+        if supply:
+            argv += ["--supply", write(tmp_path / "s.csv", supply),
+                     "--demand", write(tmp_path / "d.csv", "0.5\n0.5\n")]
+    else:
+        argv = ["bench", "P7", "--trials", "2", "--n", "4", "--k", "3", "--workers", "1",
+                "--out", str(tmp_path / "b.csv")]
+    rc = main(argv + ["--no-header"])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert ("iteration cap after 1234 pivots" in err) == (code == 4)
+    assert "Traceback" not in err
 
 
 def test_seed_env_fallback(tmp_path, euclid_file, monkeypatch, capsys):

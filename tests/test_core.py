@@ -15,6 +15,7 @@ from debias import transport
 from debias.core import (
     BootstrapPlan,
     DegenerateDenominatorError,
+    EuclideanBlock,
     UnsupportedMethodError,
     bootstrap_means,
     covariance_debias,
@@ -27,7 +28,7 @@ from debias.objectives import DomainError, EvaluationError, Objective
 from debias.observations import ContractError, ObservationSet, WeightedEmpirical, mean_observation
 from debias.problems import generate_instance, p1_quadratic, p7_wasserstein
 from debias.resampling import RandomStream
-from debias.transport import TransportError
+from debias.transport import IterationCapError, TransportError
 
 
 def quad1d():
@@ -39,23 +40,29 @@ def constant_objective(c):
 
 
 # ---------------------------------------------------------------------------
-# bootstrap_means
+# resample means
+
+
+def resample_means(points, plan, rng):
+    """The (K, d) resample means of one Euclidean set at which a trial's
+    block evaluates F."""
+    seen = []
+    F = Objective(fn=lambda x: 0.0, fn_many=lambda X: seen.append(X.copy()) or np.zeros(len(X)))
+    EuclideanBlock(F, np.asarray(points, dtype=float)[None]).resample_values(plan, [rng])
+    return np.concatenate(seen)
 
 
 def test_bootstrap_means_single_atom():
-    s = ObservationSet.from_points([[3.25, -1.5]])
-    means = bootstrap_means(s, BootstrapPlan(rounds=20), RandomStream(0))
-    assert len(means) == 20
+    means = resample_means([[3.25, -1.5]], BootstrapPlan(rounds=20), RandomStream(0))
+    assert means.shape == (20, 2)
     for m in means:
-        assert np.array_equal(m.coords, [3.25, -1.5])
+        assert np.array_equal(m, [3.25, -1.5])
 
 
 def test_bootstrap_means_two_point_distribution():
     # resample means of {0, 2} with m=2 hit {0, 1, 2} w.p. {1/4, 1/2, 1/4}
-    s = ObservationSet.from_points([[0.0], [2.0]])
     K = 4000
-    means = bootstrap_means(s, BootstrapPlan(rounds=K, size=2), RandomStream(1))
-    vals = np.array([m.coords[0] for m in means])
+    vals = resample_means([[0.0], [2.0]], BootstrapPlan(rounds=K, size=2), RandomStream(1))[:, 0]
     assert set(np.unique(vals)) <= {0.0, 1.0, 2.0}
     for target, prob in ((0.0, 0.25), (1.0, 0.5), (2.0, 0.25)):
         freq = np.mean(vals == target)
@@ -74,11 +81,10 @@ def test_bootstrap_means_dirac_weights():
 
 
 def test_bootstrap_means_deterministic():
-    s = ObservationSet.from_points(np.random.default_rng(3).normal(size=(6, 2)))
-    a = bootstrap_means(s, BootstrapPlan(rounds=10), RandomStream(4))
-    b = bootstrap_means(s, BootstrapPlan(rounds=10), RandomStream(4))
-    for x, y in zip(a, b):
-        assert np.array_equal(x.coords, y.coords)
+    points = np.random.default_rng(3).normal(size=(6, 2))
+    a = resample_means(points, BootstrapPlan(rounds=10), RandomStream(4))
+    b = resample_means(points, BootstrapPlan(rounds=10), RandomStream(4))
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +215,8 @@ def test_covariance_unbiased_needs_two():
 
 def test_covariance_plugin_variant():
     s = ObservationSet.from_points([[0.0], [2.0]])
-    unbiased = covariance_debias(quad1d(), s, denominator="unbiased")
-    plugin = covariance_debias(quad1d(), s, denominator="plugin")
+    unbiased = covariance_debias(quad1d(), s)
+    plugin = covariance_debias(dataclasses.replace(quad1d(), cov_denominator="plugin"), s)
     assert plugin.correction == pytest.approx(unbiased.correction / 2, abs=1e-14)
 
 
@@ -464,7 +470,19 @@ def test_paired_errors_name_the_resample(monkeypatch, failure):
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
     assert errors[0][1].startswith("bootstrap resample 5: ")
-    assert errors[0][0] is (TransportError if failure == "cap" else EvaluationError)
+    assert errors[0][0] is (IterationCapError if failure == "cap" else EvaluationError)
+
+
+def answer_first_call(objective, value):
+    """The objective with its first ``fn`` call, the naive value at the
+    means, answered by ``value``."""
+    calls = []
+
+    def fn(pair):
+        calls.append(pair)
+        return value if len(calls) == 1 else objective.fn(pair)
+
+    return dataclasses.replace(objective, fn=fn)
 
 
 def test_paired_cost_overflow_names_the_resample():
@@ -476,8 +494,8 @@ def test_paired_cost_overflow_names_the_resample():
     errors = []
     for objective in (F, dataclasses.replace(F, fn_many=None)):
         with pytest.raises(TransportError) as info:
-            shift_debias(objective, (xs, ys), BootstrapPlan(rounds=20), RandomStream(2),
-                         at_mean=(None, 1.0))
+            shift_debias(answer_first_call(objective, 1.0), (xs, ys), BootstrapPlan(rounds=20),
+                         RandomStream(2))
         errors.append(str(info.value))
     assert errors[0] == errors[1]
     assert errors[0].endswith(": costs must be finite and nonnegative")

@@ -14,7 +14,7 @@ import pytest
 import debias
 from _oracles import paired_trial_reference, run_trial_reference
 from debias import harness
-from debias.core import BootstrapPlan, DegenerateDenominatorError
+from debias.core import METHODS, BootstrapPlan, DegenerateDenominatorError
 from debias.harness import (
     CSV_COLUMNS,
     PRESETS,
@@ -166,19 +166,15 @@ def test_p7_trial_runs():
     ({"d": 32}, 10, 50, None),
     ({"d": 2, "m_samples": 4}, 3, 5, 6),
 ])
-def test_p7_records_match_per_resample_reference(monkeypatch, params, n, K, m_size):
-    # the batched resamples give the records of the mixture-per-resample loop,
-    # and every trial still runs through harness.run_trial
+def test_p7_records_match_per_resample_reference(params, n, K, m_size):
+    # the batched resamples give the records of the mixture-per-resample loop
     instance = generate_instance("P7", params, RandomStream(5).split(0))
     plan = BootstrapPlan(rounds=K, size=m_size)
     root = RandomStream(5).split(1)
-    calls = []
-    monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a) or run_trial(*a))
     got = run_trials(instance, n, plan, ["shift", "scale"], root, 0, 3)
     want = [paired_trial_reference(instance, n, plan, ["shift", "scale"], root.split(t))
             for t in range(3)]
     assert record_bits(got) == record_bits(want)
-    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +244,7 @@ def test_worker_blocks_match_for_each_euclidean_family(family, params, m_size, m
 
 
 # ---------------------------------------------------------------------------
-# blocks of Euclidean trials
+# blocks of trials
 
 
 def record_bits(records):
@@ -261,13 +257,13 @@ def record_bits(records):
 def block_sizes(monkeypatch):
     """Record the number of trials of each block run_trials runs."""
     sizes = []
-    inner = harness._euclidean_trials
+    inner = harness._trials
 
     def spy(instance, n, plan, methods, streams):
         sizes.append(len(streams))
         return inner(instance, n, plan, methods, streams)
 
-    monkeypatch.setattr(harness, "_euclidean_trials", spy)
+    monkeypatch.setattr(harness, "_trials", spy)
     return sizes
 
 
@@ -281,6 +277,8 @@ def block_sizes(monkeypatch):
     ("P5", {"d": 2}, 6, 2, None, ["shift", "scale"]),
     ("P5", {"d": 3}, 4, 7, 5, ["shift", "scale"]),
     ("P6", {"d": 4}, 8, 5, 11, ["shift", "scale", "cov"]),
+    ("P7", {"d": 2}, 5, 6, None, ["shift", "scale"]),
+    ("P7", {"d": 3, "m_samples": 4}, 3, 5, 6, ["scale", "shift"]),
 ])
 def test_block_size_does_not_change_records(monkeypatch, family, params, n, K, m_size, methods):
     R = 7
@@ -300,6 +298,13 @@ def test_block_size_does_not_change_records(monkeypatch, family, params, n, K, m
         assert sizes == [trials] * (R // trials) + [R % trials] * (R % trials > 0)
 
 
+def observe(points):
+    """A Euclidean set of the points, or a pair of Dirac sets of a pair."""
+    if isinstance(points, tuple):
+        return tuple(ObservationSet.from_dirac_points(p) for p in points)
+    return ObservationSet.from_points(points)
+
+
 def crafted_instance(family, params, sets, **objective_changes):
     """An instance whose trial t observes ``sets[t]``, with its objective's
     fields replaced by ``objective_changes``."""
@@ -307,8 +312,7 @@ def crafted_instance(family, params, sets, **objective_changes):
     instance = dataclasses.replace(
         instance, objective=dataclasses.replace(instance.objective, **objective_changes))
     # trial t samples from split(t).split(0)
-    instance.sample_observations = lambda n, stream: ObservationSet.from_points(
-        sets[stream.path[-2]])
+    instance.sample_observations = lambda n, stream: observe(sets[stream.path[-2]])
     return instance
 
 
@@ -325,6 +329,7 @@ def p1_inf_beyond(limit):
 
 
 FINE = [[0.5], [1.0], [1.5], [2.0]]
+PAIR = ([[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]], [[1.0, 1.0], [0.5, 0.5], [3.0, 0.0]])
 
 ERROR_CASES = {
     # trial 3 draws resamples at 0, outside P3's open orthant
@@ -341,16 +346,24 @@ ERROR_CASES = {
     # domain): trial order, not method order across the block, decides
     "p1-trial-order": ("P1", [FINE, [[0.0]] * 4, [[0.0]] * 3 + [[8.0]], FINE, FINE, FINE],
                        domain_below(3.0), DegenerateDenominatorError),
+    # trial 1's clouds are one point, so W2^2 is 0 at every resample and
+    # scale fails; trial 2 has an atom whose costs overflow, so its naive
+    # value fails while the block is built, before any method runs
+    "p7-trial-order": ("P7", [PAIR, ([[1.0, 1.0]] * 3, [[1.0, 1.0]] * 3),
+                              ([[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]], PAIR[1]), PAIR, PAIR, PAIR],
+                       {}, DegenerateDenominatorError),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_block_errors_match_per_trial_loop(monkeypatch, case):
     family, sets, changes, error = ERROR_CASES[case]
-    instance = crafted_instance(family, {"d": len(sets[0][0])}, sets, **changes)
-    n, K, R = len(sets[0]), 20, len(sets)
+    first = observe(sets[0])
+    first = first[0] if isinstance(first, tuple) else first
+    instance = crafted_instance(family, {"d": first.dimension}, sets, **changes)
+    n, K, R = len(first), 20, len(sets)
     plan = BootstrapPlan(rounds=K)
-    methods = ["shift", "scale", "cov"]
+    methods = [m for m in METHODS if method_applicable(m, instance) is None]
     root = RandomStream(3)
     with pytest.raises(error) as want:
         for t in range(R):

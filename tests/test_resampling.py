@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from debias.resampling import RandomStream, draw_counts, split
+from debias.core import BootstrapPlan, _resample_counts
+from debias.observations import ContractError, ObservationSet
+from debias.resampling import RandomStream
 
 # first uniforms of (seed 42, path (3, 7)); the Philox/SeedSequence scheme is
 # platform independent, so these are frozen as a portability contract
@@ -16,14 +18,14 @@ GOLDEN_42_3_7 = [
 
 
 def test_split_determinism():
-    a = split(RandomStream(9), 0)
-    b = split(RandomStream(9), 0)
+    a = RandomStream(9).split(0)
+    b = RandomStream(9).split(0)
     assert np.array_equal(a.uniform(1000), b.uniform(1000))
 
 
 def test_split_distinctness():
-    a = split(RandomStream(9), 0).uniform(1000)
-    b = split(RandomStream(9), 1).uniform(1000)
+    a = RandomStream(9).split(0).uniform(1000)
+    b = RandomStream(9).split(1).uniform(1000)
     assert np.any(a != b)
 
 
@@ -40,24 +42,25 @@ def test_path_reproducibility_long():
     assert np.array_equal(a, b)
 
 
+# the multinomial resample counts every bootstrap draws (core._resample_counts)
+
+
 def test_draw_counts_single_category():
-    assert draw_counts(1, 5, RandomStream(0)).tolist() == [5]
+    assert _resample_counts(1, BootstrapPlan(rounds=2, size=5), RandomStream(0)).tolist() == [
+        [5], [5]]
 
 
 def test_draw_counts_sum_invariant():
-    s = RandomStream(4)
-    for _ in range(200):
-        counts = draw_counts(6, 11, s)
-        assert counts.sum() == 11
-        assert np.all(counts >= 0)
+    counts = _resample_counts(6, BootstrapPlan(rounds=200, size=11), RandomStream(4))
+    assert counts.shape == (200, 6)
+    assert np.all(counts.sum(axis=1) == 11)
+    assert np.all(counts >= 0)
 
 
 def test_draw_counts_moments():
     # n=4, m=8: each slot has mean 2; 1e5 draws, 3 sigma band
-    s = RandomStream(5)
-    total = np.zeros(4)
     draws = 100_000
-    counts = s.generator.multinomial(8, [0.25] * 4, size=draws)
+    counts = _resample_counts(4, BootstrapPlan(rounds=draws, size=8), RandomStream(5))
     total = counts.mean(axis=0)
     se = np.sqrt(8 * 0.25 * 0.75 / draws)
     assert np.all(np.abs(total - 2.0) < 3 * se)
@@ -65,9 +68,8 @@ def test_draw_counts_moments():
 
 def test_draw_counts_marginal_chisquare():
     # marginal of slot 0 is Binomial(8, 1/4); chi-square GOF at 1e-3
-    s = RandomStream(6)
     draws = 100_000
-    counts = s.generator.multinomial(8, [0.25] * 4, size=draws)[:, 0]
+    counts = _resample_counts(4, BootstrapPlan(rounds=draws, size=8), RandomStream(6))[:, 0]
     observed = np.bincount(counts, minlength=9).astype(float)
     expected = scipy.stats.binom.pmf(np.arange(9), 8, 0.25) * draws
     # merge the sparse tail so expected counts stay above 5
@@ -79,10 +81,11 @@ def test_draw_counts_marginal_chisquare():
 
 
 def test_draw_counts_validates():
-    with pytest.raises(ValueError):
-        draw_counts(0, 3, RandomStream(0))
-    with pytest.raises(ValueError):
-        draw_counts(3, 0, RandomStream(0))
+    # a resample of an empty set, and a resample of size 0, are refused
+    with pytest.raises(ContractError):
+        ObservationSet.from_points(np.empty((0, 3)))
+    with pytest.raises(ContractError):
+        BootstrapPlan(rounds=3, size=0)
 
 
 def test_normal_moments():

@@ -6,6 +6,7 @@ from _reference_simplex import _transport_simplex_impl as reference_simplex
 from debias import transport
 from debias.observations import ContractError
 from debias.transport import (
+    IterationCapError,
     TransportError,
     TransportProblem,
     brute_force_transport,
@@ -263,7 +264,7 @@ def test_iteration_cap_error_names_pivots(monkeypatch):
         return np.zeros((m, n)), np.zeros(m), np.zeros(n), 1, 1234
 
     monkeypatch.setattr(transport, "_simplex", capped)
-    with pytest.raises(TransportError, match="after 1234 pivots"):
+    with pytest.raises(IterationCapError, match="after 1234 pivots"):
         solve_transport(TransportProblem.build(np.ones((2, 2))))
 
 
