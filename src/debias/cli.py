@@ -19,25 +19,12 @@ import sys
 import numpy as np
 
 from .core import METHODS, BootstrapPlan, DegenerateDenominatorError, UnsupportedMethodError, debias
-from .harness import (
-    PRESETS,
-    default_workers,
-    emit_plot,
-    emit_results,
-    resolve_n,
-    run_experiment_spec,
-    run_sweep,
-)
+from .harness import default_workers, emit_plot, emit_results, run_experiment_spec, run_sweep
 from .linalg import FactorizationError
 from .objectives import DomainError, EvaluationError
 from .observations import ContractError, ObservationSet
-from .problems import (
-    generate_instance,
-    p1_quadratic,
-    p2_quartic,
-    p3_rational,
-    p6_entropy,
-)
+from .problems import (FAMILIES, generate_instance, get_family, p1_quadratic, p2_quartic,
+                       p3_rational, p6_entropy)
 from .resampling import RandomStream
 from .theory import moments_gaussian, sigma_set
 from .transport import (IterationCapError, TransportError, TransportProblem,
@@ -190,7 +177,7 @@ def _parse_param(tokens) -> dict:
 
 def _methods_for(arg: str, family: str):
     if arg in (None, "all"):
-        return list(PRESETS[family]["methods"])
+        return list(get_family(family).methods)
     out = [tok.strip() for tok in arg.split(",")]
     for tok in out:
         if tok not in METHODS:
@@ -256,14 +243,13 @@ def _emit(args, cfg, config: dict, summaries, default_out: str) -> int:
 
 def cmd_bench(args, cfg) -> int:
     family = args.problem
-    if family not in PRESETS:
-        raise ContractError(f"unknown problem {family!r}; valid: {', '.join(PRESETS)}")
+    spec = get_family(family)
     seed = _resolve(args, "seed", cfg, int, 0)
     trials = _resolve(args, "trials", cfg, int, 1000)
     workers = _resolve(args, "workers", cfg, int, default_workers())
     params = _parse_param(args.param)
-    n = resolve_n(family, _resolve(args, "n", cfg, int, None), params)
-    k = _resolve(args, "k", cfg, int, PRESETS[family]["K"])
+    n = spec.resolve_n(_resolve(args, "n", cfg, int, None), params)
+    k = _resolve(args, "k", cfg, int, spec.K)
     methods = _methods_for(args.method or cfg.get("method"), family)
     summary = run_experiment_spec(family, params, n, k, methods, trials, seed, workers=workers)
     config = {"problem": family, "n": n, "K": k, "R": trials, "seed": seed,
@@ -273,8 +259,6 @@ def cmd_bench(args, cfg) -> int:
 
 def cmd_sweep(args, cfg) -> int:
     family = args.problem
-    if family not in PRESETS:
-        raise ContractError(f"unknown problem {family!r}; valid: {', '.join(PRESETS)}")
     seed = _resolve(args, "seed", cfg, int, 0)
     trials = _resolve(args, "trials", cfg, int, 200)
     workers = _resolve(args, "workers", cfg, int, default_workers())
@@ -311,7 +295,7 @@ def cmd_theory(args, cfg) -> int:
         A = np.eye(d)
         F = p1_quadratic(A)
         x_star = np.full(d, args.xstar)
-    elif args.problem in PRESETS:
+    elif args.problem in FAMILIES:
         inst = generate_instance(args.problem, _parse_param(args.param), RandomStream(seed))
         F = inst.objective
         if F.gradient is None or F.hessian is None:
@@ -410,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transport", help="solve a transport LP from a cost CSV")
     p.add_argument("--cost", required=True)
-    p.add_argument("--uniform", action="store_true", help="uniform marginals (default)")
     p.add_argument("--supply", default=None)
     p.add_argument("--demand", default=None)
     p.add_argument("--brute-force", action="store_true", help="also print the oracle value")

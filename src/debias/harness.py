@@ -28,33 +28,12 @@ from .core import BootstrapPlan, block_for, corrections, debiased, why_not
 from .core import covariance_debias, scale_debias, shift_debias  # noqa: F401
 from .observations import ContractError, stable_digest
 from .observations import mean_observation  # noqa: F401  hooked by perfbench/spans.py
-from .problems import ProblemInstance, dimension_scaled_n, generate_instance
+from .problems import ProblemInstance, generate_instance, get_family
 from .resampling import RandomStream
 
 # Trials run in blocks of at most this many resample count cells
 # (trials x K x n), which bounds the memory a block's arrays take.
 BLOCK_CELLS = 4096
-
-PRESETS = {
-    "P1": {"n": 10, "K": 10, "methods": ["shift", "scale", "cov"]},
-    "P2": {"n": 10, "K": 10, "methods": ["shift", "scale", "cov"]},
-    "P3": {"n": 10, "K": 10, "methods": ["shift", "scale", "cov"]},
-    "P4": {"n": 10, "K": 100, "methods": ["shift", "scale"]},
-    "P5": {"n": 10, "K": 100, "methods": ["shift", "scale"]},
-    "P6": {"n": None, "K": 100, "methods": ["shift", "scale", "cov"]},  # n = n_ratio * d
-    "P7": {"n": 10, "K": 50, "methods": ["shift", "scale"]},
-}
-
-SWEEP_AXES = {
-    "P1": ("d", "kappa", "sigma", "xstar_norm2", "n", "K"),
-    "P2": ("d", "kappa", "sigma", "xstar_norm2", "n", "K"),
-    "P3": ("d", "c_norm", "xstar_norm2", "n", "K"),
-    "P4": ("d", "kappa", "k_shape", "n", "K"),
-    "P5": ("d", "p_dim", "ratio_dp", "sigma", "n", "K"),
-    "P6": ("d", "alpha", "n_ratio", "n", "K"),
-    "P7": ("d", "mu2_norm", "sigma", "m_samples", "n", "K"),
-}
-
 
 @dataclass
 class TrialRecord:
@@ -92,12 +71,6 @@ class ExperimentSummary:
 def method_applicable(method: str, instance: ProblemInstance) -> Optional[str]:
     """None if the method applies to this instance, else the reason it doesn't."""
     return why_not(method, instance.objective, not instance.paired)
-
-
-def resolve_n(family: str, n: Optional[int], params: dict) -> int:
-    """Observations per trial: ``n`` if given, else the family's preset,
-    else ``n_ratio * d`` (P6)."""
-    return n if n is not None else PRESETS[family]["n"] or dimension_scaled_n(family, params)
 
 
 def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
@@ -142,6 +115,8 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
     """
     if hi <= lo:
         raise ContractError(f"R must be >= 1, got {hi - lo}")
+    if n < 1:
+        raise ContractError(f"n must be >= 1, got {n}")
     for m in methods:
         reason = method_applicable(m, instance)
         if reason:
@@ -229,18 +204,16 @@ def run_sweep(family: str, axis: str, values, fixed: dict, R: int, seed: int,
               methods=None, workers: int = 1) -> list[ExperimentSummary]:
     """One experiment per axis value; value i uses experiment index i of the
     shared master seed, so sweeps are reproducible point by point."""
-    if family not in SWEEP_AXES:
-        raise ContractError(f"unknown problem family {family!r}")
-    if axis not in SWEEP_AXES[family]:
-        raise ContractError(
-            f"invalid axis {axis!r} for {family}; valid: {', '.join(SWEEP_AXES[family])}")
-    methods = list(methods) if methods is not None else list(PRESETS[family]["methods"])
+    spec = get_family(family)
+    if axis not in spec.axes:
+        raise ContractError(f"invalid axis {axis!r} for {family}; valid: {', '.join(spec.axes)}")
+    methods = list(methods if methods is not None else spec.methods)
     summaries = []
     for i, value in enumerate(values):
         params = {**fixed, axis: value}
         n = params.pop("n", None)
-        K = int(params.pop("K", PRESETS[family]["K"]))
-        n = resolve_n(family, None if n is None else int(n), params)
+        K = int(params.pop("K", spec.K))
+        n = spec.resolve_n(None if n is None else int(n), params)
         summary = run_experiment_spec(family, params, n, K, methods, R, seed, exp_index=i,
                                       workers=workers)
         summary.axis = axis

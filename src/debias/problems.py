@@ -8,13 +8,16 @@ P4  optimal value of min .5 x'Ax + b'x over random SPD A (gamma eigenvalue noise
 P5  optimal value of min x'Bx s.t. Ax = b over Gaussian-noisy b
 P6  discrete entropy, one-hot single-sample observations of a Dirichlet truth
 P7  squared 2-Wasserstein distance between two empirical distributions
+
+``FAMILIES`` maps each name to its parameters and their defaults, its bench
+preset and the builder that draws an instance; ``get_family`` looks one up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -25,9 +28,6 @@ from .linalg import (cholesky_factor, cholesky_solve, cholesky_solve_each, rando
 from .objectives import Objective
 from .observations import ContractError, EuclideanPoint, ObservationSet, mixture_weights
 from .resampling import RandomStream
-
-FAMILIES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
-
 
 # ---------------------------------------------------------------------------
 # objectives
@@ -226,58 +226,22 @@ def p7_wasserstein() -> Objective:
 
 @dataclass
 class NoiseModel:
-    """Sampling recipe with mean equal to the instance's truth input."""
+    """Draws n observations whose mean is the instance's truth input: one
+    Euclidean set, or a pair of empirical sets if ``paired`` (P7)."""
 
-    kind: str
-    params: dict = field(default_factory=dict)
+    draw: Callable[[int, RandomStream], object]
+    paired: bool = False
 
     def sample(self, n: int, stream: RandomStream):
         if n < 1:
             raise ContractError(f"need n >= 1 observations, got {n}")
-        p = self.params
-        if self.kind == "isotropic_gaussian":
-            x = p["x_star"] + p["sigma"] * stream.normal((n, p["x_star"].size))
-            return ObservationSet.from_points(x)
-        if self.kind == "coordinate_exponential":
-            means = p["means"]
-            u = stream.generator.random((n, means.size))
-            return ObservationSet.from_points(-np.log1p(-u) * means)
-        if self.kind == "gamma_eigen":
-            U, lam, k = p["U"], p["lam"], p["k_shape"]
-            d = lam.size
-            xi = stream.gamma(k, 1.0 / k, (n, d))
-            mats = np.einsum("ij,nj,kj->nik", U, xi * lam, U)
-            return ObservationSet.from_points(mats.reshape(n, d * d))
-        if self.kind == "categorical_onehot":
-            p_star = p["p_star"]
-            idx = stream.categorical(p_star, n)
-            onehot = np.zeros((n, p_star.size))
-            onehot[np.arange(n), idx] = 1.0
-            return ObservationSet.from_points(onehot)
-        if self.kind == "iid_dirac_pair":
-            d = p["mu1"].size
-            m = p["m_samples"] or n
-            xs = p["mu1"] + p["sigma"] * stream.normal((n, d))
-            ys = p["mu2"] + p["sigma"] * stream.normal((m, d))
-            return (
-                ObservationSet.from_dirac_points(xs),
-                ObservationSet.from_dirac_points(ys),
-            )
-        raise ContractError(f"unknown noise kind {self.kind!r}")
+        return self.draw(n, stream)
 
-    @property
-    def mean(self) -> Optional[np.ndarray]:
-        """Analytic mean of one observation, where it is a finite vector."""
-        p = self.params
-        if self.kind == "isotropic_gaussian":
-            return p["x_star"]
-        if self.kind == "coordinate_exponential":
-            return p["means"]
-        if self.kind == "gamma_eigen":
-            return ((p["U"] * p["lam"]) @ p["U"].T).ravel()
-        if self.kind == "categorical_onehot":
-            return p["p_star"]
-        return None
+
+def _gaussian(mean: np.ndarray, sigma) -> NoiseModel:
+    sigma = float(sigma)
+    return NoiseModel(lambda n, s: ObservationSet.from_points(
+        mean + sigma * s.normal((n, mean.size))))
 
 
 @dataclass
@@ -300,7 +264,7 @@ class ProblemInstance:
     def paired(self) -> bool:
         """True if an observation is a pair of empirical sets (P7), False if
         it is one Euclidean set (P1-P6)."""
-        return self.noise.kind == "iid_dirac_pair"
+        return self.noise.paired
 
     def sample_observations(self, n: int, stream: RandomStream):
         """n i.i.d. observations from the instance's noise model."""
@@ -308,24 +272,9 @@ class ProblemInstance:
 
 
 # ---------------------------------------------------------------------------
-# instance generation
-
-DEFAULTS = {
-    "P1": {"d": 20, "kappa": 2.0, "sigma": 1.0, "xstar_norm2": 2.0},
-    "P2": {"d": 20, "kappa": 2.0, "sigma": 1.0, "xstar_norm2": 2.0},
-    "P3": {"d": 20, "c_norm": 1.0, "xstar_norm2": 2.0},
-    "P4": {"d": 6, "kappa": 2.0, "k_shape": 1.0},
-    "P5": {"d": 10, "p_dim": None, "ratio_dp": 0.5, "kappa": 2.0, "sigma": 1.0},
-    "P6": {"d": 30, "alpha": 1.0, "n_ratio": 5},
-    "P7": {"d": 5, "mu2_norm": 1.0, "sigma": 1.0, "m_samples": None},
-}
-
-
-def dimension_scaled_n(family: str, params: dict) -> int:
-    """Observation count of a family whose n grows with dimension (P6):
-    ``n = n_ratio * d``, each factor from ``params`` or else ``DEFAULTS``."""
-    p = {**DEFAULTS[family], **params}
-    return int(p["n_ratio"] * p["d"])
+# the families: each builder draws its matrices and truth from the stream and
+# returns (objective, noise, truth input, truth value, matrices); the order of
+# the draws is part of every recorded number
 
 
 def _unit_vector(d: int, stream: RandomStream, positive: bool = False) -> np.ndarray:
@@ -335,13 +284,146 @@ def _unit_vector(d: int, stream: RandomStream, positive: bool = False) -> np.nda
     return g / np.linalg.norm(g)
 
 
-def _resolve_params(family: str, params: dict) -> dict:
-    base = dict(DEFAULTS[family])
-    unknown = set(params) - set(base)
-    if unknown:
-        raise ContractError(f"{family} does not take parameters {sorted(unknown)}; valid: {sorted(base)}")
-    base.update(params)
-    return base
+def _truth_point(p: dict, d: int, stream: RandomStream, positive: bool = False) -> np.ndarray:
+    if not p["xstar_norm2"] >= 0:
+        raise ContractError(f"xstar_norm2 must be >= 0, got {p['xstar_norm2']}")
+    return math.sqrt(p["xstar_norm2"]) * _unit_vector(d, stream, positive)
+
+
+def _positive(p: dict, name: str) -> float:
+    if not p[name] > 0:
+        raise ContractError(f"{name} must be > 0, got {p[name]}")
+    return float(p[name])
+
+
+def _euclidean(objective: Objective, noise: NoiseModel, x_star: np.ndarray, matrices: dict):
+    truth = EuclideanPoint(x_star)
+    return objective, noise, truth, objective.evaluate(truth), matrices
+
+
+def _quadratic_form(objective):
+    def build(p, d, stream):
+        A = spd_with_condition(d, p["kappa"], stream)
+        x_star = _truth_point(p, d, stream)
+        return _euclidean(objective(A), _gaussian(x_star, p["sigma"]), x_star, {"A": A})
+    return build
+
+
+def _build_p3(p, d, stream):
+    b = np.abs(_unit_vector(d, stream, positive=True))
+    c = p["c_norm"] * np.abs(_unit_vector(d, stream, positive=True))
+    x_star = _truth_point(p, d, stream, positive=True)
+    # coordinatewise exponential with mean x_star, by inverse CDF
+    noise = NoiseModel(lambda n, s: ObservationSet.from_points(
+        -np.log1p(-s.generator.random((n, d))) * x_star))
+    return _euclidean(p3_rational(b, c), noise, x_star, {"b": b, "c": c})
+
+
+def _build_p4(p, d, stream):
+    k = _positive(p, "k_shape")
+    U = random_orthogonal(d, stream)
+    lam = np.empty(d)
+    lam[0] = 1.0
+    if d > 1:
+        lam[1] = _positive(p, "kappa")
+    if d > 2:
+        lam[2:] = np.exp(stream.uniform(d - 2) * np.log(p["kappa"]))
+    b = _unit_vector(d, stream)
+
+    def draw(n, s):  # U diag(lam * xi) U' with xi ~ Gamma(k, 1/k), mean U diag(lam) U'
+        xi = s.gamma(k, 1.0 / k, (n, d))
+        mats = np.einsum("ij,nj,kj->nik", U, xi * lam, U)
+        return ObservationSet.from_points(mats.reshape(n, d * d))
+
+    a_star = ((U * lam) @ U.T).ravel()
+    return _euclidean(p4_opt_value(b), NoiseModel(draw), a_star, {"b": b, "U": U, "lam": lam})
+
+
+def _build_p5(p, d, stream):
+    p_dim = int(p["p_dim"]) if p["p_dim"] else max(d + 1, round(d / _positive(p, "ratio_dp")))
+    if d > p_dim:
+        raise ContractError(f"P5 needs d <= p_dim, got d={d}, p_dim={p_dim}")
+    p["p_dim"] = p_dim  # the instance's params record the p_dim it used
+    B = spd_with_condition(p_dim, p["kappa"], stream)
+    A = stream.normal((d, p_dim))
+    b_star = _unit_vector(d, stream)
+    return _euclidean(p5_constraint_value(B, A), _gaussian(b_star, p["sigma"]), b_star,
+                      {"B": B, "A": A})
+
+
+def _build_p6(p, d, stream):
+    p_star = stream.dirichlet(_positive(p, "alpha"), d)
+
+    def draw(n, s):
+        onehot = np.zeros((n, d))
+        onehot[np.arange(n), s.categorical(p_star, n)] = 1.0
+        return ObservationSet.from_points(onehot)
+
+    return _euclidean(p6_entropy(d), NoiseModel(draw), p_star, {})
+
+
+def _build_p7(p, d, stream):
+    if d > 32:
+        raise ContractError("P7 is capped at d <= 32; the distance is not "
+                            "meaningfully estimable from small samples beyond that")
+    mu1 = np.zeros(d)
+    mu2 = p["mu2_norm"] * _unit_vector(d, stream)
+    sigma = float(p["sigma"])
+    m_samples = int(_positive(p, "m_samples")) if p["m_samples"] else None
+
+    def draw(n, s):  # n draws around mu1 and m_samples (default n) around mu2
+        xs = mu1 + sigma * s.normal((n, d))
+        ys = mu2 + sigma * s.normal((m_samples or n, d))
+        return ObservationSet.from_dirac_points(xs), ObservationSet.from_dirac_points(ys)
+
+    # W2^2 between the true isotropic Gaussians: ||mu1-mu2||^2 + d (s1-s2)^2
+    truth_value = float(np.sum((mu1 - mu2) ** 2))
+    return p7_wasserstein(), NoiseModel(draw, paired=True), None, truth_value, {"mu2": mu2}
+
+
+@dataclass(frozen=True)
+class Family:
+    """A family's parameters with their defaults, its bench preset (``n`` of
+    None means ``n_ratio * d``) and the builder of its instances."""
+
+    params: dict
+    n: Optional[int]
+    K: int
+    methods: tuple
+    build: Callable
+
+    @property
+    def axes(self) -> tuple:
+        """What a sweep may vary: the parameters, then ``n`` and ``K``."""
+        return (*self.params, "n", "K")
+
+    def resolve_n(self, n: Optional[int], params: dict) -> int:
+        """Observations per trial: ``n`` if given, else the preset, else
+        ``n_ratio * d``, each factor from ``params`` or else the defaults."""
+        p = {**self.params, **params}
+        return n if n is not None else self.n or int(p["n_ratio"] * p["d"])
+
+
+_ALL, _BOOTSTRAP = ("shift", "scale", "cov"), ("shift", "scale")
+_GAUSSIAN = {"d": 20, "kappa": 2.0, "sigma": 1.0, "xstar_norm2": 2.0}
+FAMILIES = {
+    "P1": Family(dict(_GAUSSIAN), 10, 10, _ALL, _quadratic_form(p1_quadratic)),
+    "P2": Family(dict(_GAUSSIAN), 10, 10, _ALL, _quadratic_form(p2_quartic)),
+    "P3": Family({"d": 20, "c_norm": 1.0, "xstar_norm2": 2.0}, 10, 10, _ALL, _build_p3),
+    "P4": Family({"d": 6, "kappa": 2.0, "k_shape": 1.0}, 10, 100, _BOOTSTRAP, _build_p4),
+    "P5": Family({"d": 10, "p_dim": None, "ratio_dp": 0.5, "kappa": 2.0, "sigma": 1.0},
+                 10, 100, _BOOTSTRAP, _build_p5),
+    "P6": Family({"d": 30, "alpha": 1.0, "n_ratio": 5}, None, 100, _ALL, _build_p6),
+    "P7": Family({"d": 5, "mu2_norm": 1.0, "sigma": 1.0, "m_samples": None}, 10, 50, _BOOTSTRAP,
+                 _build_p7),
+}
+
+
+def get_family(name: str) -> Family:
+    """The family called ``name``; the one place an unknown name is rejected."""
+    if name not in FAMILIES:
+        raise ContractError(f"unknown problem family {name!r}; valid: {', '.join(FAMILIES)}")
+    return FAMILIES[name]
 
 
 def generate_instance(family: str, params: Optional[dict] = None,
@@ -351,85 +433,15 @@ def generate_instance(family: str, params: Optional[dict] = None,
     All randomness (matrices, truth inputs) comes from ``stream``; identical
     (family, params, stream) triples give identical instances.
     """
-    if family not in FAMILIES:
-        raise ContractError(f"unknown problem family {family!r}; valid: {', '.join(FAMILIES)}")
-    p = _resolve_params(family, params or {})
-    stream = stream if stream is not None else RandomStream(0)
+    spec, params = get_family(family), params or {}
+    unknown = set(params) - set(spec.params)
+    if unknown:
+        raise ContractError(f"{family} does not take parameters {sorted(unknown)}; "
+                            f"valid: {sorted(spec.params)}")
+    p = {**spec.params, **params}
     d = int(p["d"])
-
-    if family in ("P1", "P2"):
-        A = spd_with_condition(d, p["kappa"], stream)
-        x_star = math.sqrt(p["xstar_norm2"]) * _unit_vector(d, stream)
-        objective = p1_quadratic(A) if family == "P1" else p2_quartic(A)
-        noise = NoiseModel("isotropic_gaussian", {"x_star": x_star, "sigma": float(p["sigma"])})
-        truth_input = EuclideanPoint(x_star)
-        truth_value = objective.evaluate(truth_input)
-        extra = {"A": A}
-
-    elif family == "P3":
-        b = np.abs(_unit_vector(d, stream, positive=True))
-        c = p["c_norm"] * np.abs(_unit_vector(d, stream, positive=True))
-        x_star = math.sqrt(p["xstar_norm2"]) * _unit_vector(d, stream, positive=True)
-        objective = p3_rational(b, c)
-        noise = NoiseModel("coordinate_exponential", {"means": x_star})
-        truth_input = EuclideanPoint(x_star)
-        truth_value = objective.evaluate(truth_input)
-        extra = {"b": b, "c": c}
-
-    elif family == "P4":
-        U = random_orthogonal(d, stream)
-        lam = np.empty(d)
-        lam[0] = 1.0
-        if d > 1:
-            lam[1] = p["kappa"]
-        if d > 2:
-            lam[2:] = np.exp(stream.uniform(d - 2) * np.log(p["kappa"]))
-        b = _unit_vector(d, stream)
-        objective = p4_opt_value(b)
-        a_star = (U * lam) @ U.T
-        noise = NoiseModel("gamma_eigen", {"U": U, "lam": lam, "k_shape": float(p["k_shape"])})
-        truth_input = EuclideanPoint(a_star.ravel())
-        truth_value = objective.evaluate(truth_input)
-        extra = {"b": b}
-
-    elif family == "P5":
-        p_dim = int(p["p_dim"]) if p["p_dim"] else max(d + 1, round(d / p["ratio_dp"]))
-        if d > p_dim:
-            raise ContractError(f"P5 needs d <= p_dim, got d={d}, p_dim={p_dim}")
-        B = spd_with_condition(p_dim, p["kappa"], stream)
-        A = stream.normal((d, p_dim))
-        b_star = _unit_vector(d, stream)
-        objective = p5_constraint_value(B, A)
-        noise = NoiseModel("isotropic_gaussian", {"x_star": b_star, "sigma": float(p["sigma"])})
-        truth_input = EuclideanPoint(b_star)
-        truth_value = objective.evaluate(truth_input)
-        p = dict(p, p_dim=p_dim)
-        extra = {"B": B, "A": A}
-
-    elif family == "P6":
-        p_star = stream.dirichlet(p["alpha"], d)
-        objective = p6_entropy(d)
-        noise = NoiseModel("categorical_onehot", {"p_star": p_star})
-        truth_input = EuclideanPoint(p_star)
-        truth_value = objective.evaluate(truth_input)
-        extra = {}
-
-    elif family == "P7":
-        if d > 32:
-            raise ContractError("P7 is capped at d <= 32; the distance is not "
-                                "meaningfully estimable from small samples beyond that")
-        mu1 = np.zeros(d)
-        mu2 = p["mu2_norm"] * _unit_vector(d, stream)
-        sigma = float(p["sigma"])
-        m_samples = int(p["m_samples"]) if p["m_samples"] else None
-        objective = p7_wasserstein()
-        noise = NoiseModel(
-            "iid_dirac_pair",
-            {"mu1": mu1, "mu2": mu2, "sigma": sigma, "m_samples": m_samples},
-        )
-        # W2^2 between the true isotropic Gaussians: ||mu1-mu2||^2 + d (s1-s2)^2
-        truth_value = float(np.sum((mu1 - mu2) ** 2))
-        truth_input = None
-        extra = {"mu2": mu2}
-
-    return ProblemInstance(family, objective, truth_input, truth_value, noise, dict(p), extra)
+    if d < 1:
+        raise ContractError(f"d must be >= 1, got {p['d']}")
+    built = spec.build(p, d, stream if stream is not None else RandomStream(0))
+    objective, noise, truth_input, truth_value, matrices = built
+    return ProblemInstance(family, objective, truth_input, truth_value, noise, p, matrices)

@@ -19,6 +19,11 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
+from .observations import ContractError
+
+# Draws a Dirichlet sample may take before its alpha is rejected as too small.
+DIRICHLET_DRAWS = 100
+
 
 class RandomStream:
     """A deterministic random stream identified by (origin_seed, path).
@@ -91,12 +96,13 @@ class RandomStream:
             raise ValueError(f"dirichlet alpha must be > 0, got {alpha}")
         if d < 1:
             raise ValueError(f"dirichlet dimension must be >= 1, got {d}")
-        g = self.generator.gamma(alpha, 1.0, d)
-        total = g.sum()
-        while total <= 0.0:  # all-zero draw (possible underflow at tiny alpha)
+        for _ in range(DIRICHLET_DRAWS):  # redraw while every gamma underflows to 0
             g = self.generator.gamma(alpha, 1.0, d)
             total = g.sum()
-        return g / total
+            if total > 0.0:
+                return g / total
+        raise ContractError(f"dirichlet alpha={alpha} is too small: all {DIRICHLET_DRAWS} "
+                            f"draws of {d} gammas underflowed to 0")
 
     def categorical(self, p: np.ndarray, size=None) -> np.ndarray | int:
         """Category indices distributed as ``p``, by inverse CDF on one uniform each."""

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import debias
 from debias import transport
 from debias.cli import main
 from debias.harness import parse_results_csv, run_sweep
-from debias.problems import DEFAULTS
+from debias.problems import FAMILIES
 from debias.transport import squared_distance_cost
 
 
@@ -135,14 +140,14 @@ def test_bench_writes_csv_and_svg(tmp_path, capsys):
 
 
 def test_p6_n_rule_shared_by_sweep_and_bench(tmp_path):
-    # P6 observations scale with dimension: n = n_ratio * d, n_ratio from DEFAULTS
+    # P6 observations scale with dimension: n = n_ratio * d, n_ratio from the family's defaults
     over_d = run_sweep("P6", "d", [6], {}, R=2, seed=0, methods=["shift"])
     over_alpha = run_sweep("P6", "alpha", [1.0], {"d": 6}, R=2, seed=0, methods=["shift"])
     out = tmp_path / "p6.csv"
     assert main(["bench", "P6", "--param", "d=6", "--trials", "2", "--method", "shift",
                  "--workers", "1", "--no-header", "--out", str(out)]) == 0
     bench_n = parse_results_csv(out)[0]["n"]
-    assert over_d[0].n == over_alpha[0].n == bench_n == DEFAULTS["P6"]["n_ratio"] * 6
+    assert over_d[0].n == over_alpha[0].n == bench_n == FAMILIES["P6"].params["n_ratio"] * 6
 
 
 def test_bench_seed_determinism_and_workers(tmp_path):
@@ -172,6 +177,41 @@ def test_sweep_invalid_axis_exit_3(tmp_path, capsys):
     assert "valid" in capsys.readouterr().err
 
 
+def test_sweep_p5_kappa(tmp_path):
+    # kappa is a P5 parameter, so it is a P5 sweep axis
+    out = tmp_path / "k.csv"
+    assert main(["sweep", "P5", "--axis", "kappa", "--values", "2,4", "--trials", "3",
+                 "--workers", "1", "--no-header", "--out", str(out)]) == 0
+    assert [r["axis_value"] for r in parse_results_csv(out)] == [2.0, 2.0, 4.0, 4.0]
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("bench P1 --n 0", "n"),
+    ("bench P6 --param n_ratio=0", "n"),
+    ("sweep P1 --axis n --values 0", "n"),
+    ("bench P4 --param k_shape=0", "k_shape"),
+    ("bench P4 --param kappa=0", "kappa"),
+    ("bench P5 --param ratio_dp=0", "ratio_dp"),
+    ("bench P6 --param alpha=0", "alpha"),
+    ("bench P6 --param alpha=1e-300", "alpha"),  # every gamma draw underflows to 0
+    ("bench P1 --param xstar_norm2=-1", "xstar_norm2"),
+    ("bench P3 --param xstar_norm2=-1", "xstar_norm2"),
+    ("bench P3 --param d=0", "d"),
+    ("bench P5 --param d=0", "d"),
+    ("bench P7 --param d=0", "d"),
+    ("bench P7 --param m_samples=-1", "m_samples"),
+])
+def test_bad_parameter_exit_3(tmp_path, argv, name):
+    src = str(Path(debias.__file__).resolve().parents[1])
+    args = [*argv.split(), "--trials", "8", "--workers", "2", "--no-header",
+            "--out", str(tmp_path / "o.csv")]
+    done = subprocess.run([sys.executable, "-m", "debias.cli", *args], capture_output=True,
+                          text=True, timeout=10, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"{name}=" in done.stderr or f"{name} must" in done.stderr
+
+
 def test_theory_quad1d_example(capsys):
     rc = main(["theory", "--problem", "quad1d", "--xstar", "0", "--sigma", "1",
                "--ck", "1", "--no-header"])
@@ -187,7 +227,7 @@ def test_theory_unknown_problem_exit_3():
 
 def test_transport_single_cell(tmp_path, capsys):
     cost = write(tmp_path / "c.csv", "4.25\n")
-    rc = main(["transport", "--cost", cost, "--uniform", "--no-header"])
+    rc = main(["transport", "--cost", cost, "--no-header"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "value = 4.25" in out

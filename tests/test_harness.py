@@ -17,7 +17,6 @@ from debias import harness
 from debias.core import METHODS, BootstrapPlan, DegenerateDenominatorError
 from debias.harness import (
     CSV_COLUMNS,
-    PRESETS,
     TrialRecord,
     _reduce_records,
     _trial_block,
@@ -32,7 +31,7 @@ from debias.harness import (
 )
 from debias.objectives import DomainError, EvaluationError
 from debias.observations import ContractError, ObservationSet
-from debias.problems import NoiseModel, generate_instance
+from debias.problems import FAMILIES, NoiseModel, generate_instance
 from debias.resampling import RandomStream
 
 
@@ -378,11 +377,11 @@ def test_block_errors_match_per_trial_loop(monkeypatch, case):
 
 
 def test_bench_presets():
-    assert PRESETS["P1"]["n"] == 10 and PRESETS["P1"]["K"] == 10
-    assert PRESETS["P4"]["n"] == 10 and PRESETS["P4"]["K"] == 100
-    assert PRESETS["P5"]["n"] == 10 and PRESETS["P5"]["K"] == 100
-    assert PRESETS["P6"]["K"] == 100 and PRESETS["P6"]["n"] is None
-    assert PRESETS["P7"]["K"] == 50
+    presets = {name: (f.n, f.K, f.methods) for name, f in FAMILIES.items()}
+    all3, boot = ("shift", "scale", "cov"), ("shift", "scale")
+    assert presets == {"P1": (10, 10, all3), "P2": (10, 10, all3), "P3": (10, 10, all3),
+                       "P4": (10, 100, boot), "P5": (10, 100, boot), "P6": (None, 100, all3),
+                       "P7": (10, 50, boot)}
 
 
 # ---------------------------------------------------------------------------

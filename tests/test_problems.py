@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 
 from _oracles import kkt_solve
 from debias.core import BootstrapPlan, covariance_debias, shift_debias
+from debias.harness import run_sweep
 from debias.linalg import FactorizationError, cholesky_solve, spd_with_condition
 from debias.objectives import DomainError
 from debias.observations import ContractError, ObservationSet, mean_observation
 from debias.problems import (
+    FAMILIES,
     generate_instance,
     p1_quadratic,
     p2_quartic,
@@ -328,11 +331,12 @@ def test_p4_observations_spd_and_mean():
     d = 3
     for row in obs.points[:50]:
         np.linalg.cholesky(row.reshape(d, d))
-    a_star = inst.noise.mean
-    U, lam = inst.noise.params["U"], inst.noise.params["lam"]
+    a_star = inst.truth_input.coords
+    U, lam = inst.matrices["U"], inst.matrices["lam"]
+    assert np.array_equal((U * lam) @ U.T, a_star.reshape(d, d))
     # entry variance: sum_l (U_il lam_l U_jl)^2 / k
     basis = np.einsum("il,l,jl->ijl", U, lam, U)
-    entry_sd = np.sqrt((basis**2).sum(axis=2) / inst.noise.params["k_shape"])
+    entry_sd = np.sqrt((basis**2).sum(axis=2) / inst.params["k_shape"])
     err = np.abs(obs.points.mean(axis=0).reshape(d, d) - a_star.reshape(d, d))
     assert np.all(err < 3 * entry_sd / math.sqrt(len(obs)) + 1e-12)
 
@@ -347,7 +351,7 @@ def test_p6_observations_one_hot():
 def test_p6_category_frequencies():
     inst = generate_instance("P6", {"d": 4, "alpha": 2.0}, RandomStream(24))
     obs = inst.sample_observations(100_000, RandomStream(25))
-    p_star = inst.noise.params["p_star"]
+    p_star = inst.truth_input.coords
     freq = obs.points.mean(axis=0)
     se = np.sqrt(p_star * (1 - p_star) / len(obs))
     assert np.all(np.abs(freq - p_star) < 3 * se + 1e-12)
@@ -529,3 +533,46 @@ def test_euclidean_presets_evaluate_whole_batches(family):
     if F.domain_check is not None:
         inside = np.asarray(F.domain_check(X))
         assert inside.shape == (12,) and inside.dtype == bool
+
+
+# BLAKE2b digests of each family's seed-0 instance (truth value, truth input,
+# matrices by name) and of its first trial's n = 5 sample, on the lineage
+# run_experiment_spec uses.  Any change to the order or the arithmetic of the
+# draws moves them.
+GOLDEN = {
+    "P1": ("957e9b89a1b2d869effd53cd8ea13675", "68dd0e2b9177b74f78da56b63c35cefa"),
+    "P2": ("399cd3ff06899543d99759e5a5ddbe2e", "68dd0e2b9177b74f78da56b63c35cefa"),
+    "P3": ("79886341b8214242a5dbde31f4c06cb2", "565bd15fa99044abb8d26d31df94d605"),
+    "P4": ("327ba6074738a3413a5abfa5e28f6de0", "a035f26fed7738e291b9fe3665284b10"),
+    "P5": ("10bc1cc5f6336f0b73ebd48c2b7172e3", "4c3720c5e112e1d7f45edc1d5d660050"),
+    "P6": ("d3fc80ec2712e5d99132425c32e1623c", "bbac3db2fbe6728fb576c45c74fec557"),
+    "P7": ("9a35b0819f8aac358f111a3c9646ef19", "3497f4b76b13893a2e924db0e8faf2b1"),
+}
+
+
+def _digest(chunks) -> str:
+    return hashlib.blake2b(b"".join(chunks), digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN))
+def test_seed0_instance_and_sample_digests(family):
+    master = RandomStream(0).split(0)
+    inst = generate_instance(family, {}, master.split(0))
+    chunks = [repr(inst.truth_value).encode()]
+    if inst.truth_input is not None:
+        chunks.append(inst.truth_input.coords.tobytes())
+    for name in sorted(inst.matrices):
+        chunks += [name.encode(), np.ascontiguousarray(inst.matrices[name]).tobytes()]
+    sample = inst.sample_observations(5, master.split(1).split(0).split(0))
+    if inst.paired:
+        arrays = [a for s in sample for o in s.observations for a in (o.support, o.weights)]
+    else:
+        arrays = [sample.points]
+    assert (_digest(chunks), _digest(a.tobytes() for a in arrays)) == GOLDEN[family]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sweep_axes_are_parameters_n_and_K(family):
+    with pytest.raises(ContractError) as err:
+        run_sweep(family, "bogus", [1.0], {}, R=1, seed=0)
+    assert str(err.value).split("valid: ")[1].split(", ") == [*FAMILIES[family].params, "n", "K"]
