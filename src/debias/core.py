@@ -135,7 +135,8 @@ class EuclideanBlock:
         self.means = sample_means(points)
         if not np.all(np.isfinite(self.means)):
             raise ContractError("EuclideanPoint coordinates must be finite")
-        self.naive = [F.evaluate(mean) for mean in self.means]
+        F.check_domain(self.means)  # one check for all B means
+        self.naive = [F.finite(F.fn(mean)) for mean in self.means]
         self.deviations = points - self.means[:, None]
 
     def mean(self, b: int) -> EuclideanPoint:

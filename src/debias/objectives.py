@@ -81,9 +81,13 @@ class Objective:
     def evaluate(self, obs) -> float:
         """F at one observation; raises DomainError / EvaluationError."""
         value = unwrap(obs)
-        if self.domain_check is not None and not self.domain_check(value):
-            raise DomainError(f"{self.name or 'objective'}: point outside domain")
+        self.check_domain(value)
         return self.finite(self.fn(value))
+
+    def check_domain(self, points) -> None:
+        """Raise DomainError unless every point (along the last axis) is inside."""
+        if self.domain_check is not None and not np.all(self.domain_check(points)):
+            raise DomainError(f"{self.name or 'objective'}: point outside domain")
 
     def finite(self, y) -> float:
         """y as a float; raises EvaluationError if it is not finite."""

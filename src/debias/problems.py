@@ -439,6 +439,9 @@ def generate_instance(family: str, params: Optional[dict] = None,
         raise ContractError(f"{family} does not take parameters {sorted(unknown)}; "
                             f"valid: {sorted(spec.params)}")
     p = {**spec.params, **params}
+    for name in ("d", "p_dim", "m_samples"):  # counts: 2.0 is taken as 2, 2.5 refused
+        if p.get(name) is not None and p[name] % 1 != 0:  # nan and inf fail too
+            raise ContractError(f"{name} must be an integer, got {p[name]}")
     d = int(p["d"])
     if d < 1:
         raise ContractError(f"d must be >= 1, got {p['d']}")

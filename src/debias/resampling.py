@@ -16,44 +16,135 @@ sequence is still fully determined by the stream state.
 
 from __future__ import annotations
 
+import functools
+import numbers
+
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 from .observations import ContractError
 
 # Draws a Dirichlet sample may take before its alpha is rejected as too small.
 DIRICHLET_DRAWS = 100
 
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """n's little-endian 32-bit words, as numpy splits an entropy integer."""
+    return [n] if n <= _M32 else [n >> shift & _M32 for shift in range(0, n.bit_length(), 32)]
+
+
+def _mix_in(pool: list, h: int, w: int, skip: int = -1) -> int:
+    """Hash w into every pool word but ``pool[skip]``, in place, as numpy's
+    ``mix_entropy`` does; returns the hash constant after those steps."""
+    for dst in range(4):
+        if dst != skip:
+            v = w ^ h
+            h = h * _MULT_A & _M32
+            v = v * h & _M32
+            r = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _M32
+            pool[dst] = r ^ r >> 16
+    return h
+
+
+class SeedPool(ISeedSequence):
+    """The pool of numpy's ``SeedSequence(seed, spawn_key=path)``: its four
+    mixer words and the hash constant after the steps taken so far.  numpy
+    mixes the path's words in one at a time, so a child's pool is its
+    parent's with the child's index mixed in (``absorb``)."""
+
+    def __init__(self, words: tuple, hash_const: int):
+        self.words = words
+        self.hash_const = hash_const
+
+    @classmethod
+    def of(cls, seed: int, path=()) -> "SeedPool":
+        """The pool for an unsigned 64-bit seed and a path."""
+        pool, h = [], _INIT_A
+        for w in (_words(seed) + [0, 0, 0])[:4]:  # the seed's words, zero padded
+            v = w ^ h
+            h = h * _MULT_A & _M32
+            v = v * h & _M32
+            pool.append(v ^ v >> 16)
+        for src in range(4):  # every pool word mixed into every other
+            h = _mix_in(pool, h, pool[src], skip=src)
+        return functools.reduce(SeedPool.absorb, path, cls(tuple(pool), h))
+
+    def absorb(self, index: int) -> "SeedPool":
+        """The pool of the path one entry ``index`` longer."""
+        pool, h = list(self.words), self.hash_const
+        for w in _words(index):
+            h = _mix_in(pool, h, w)
+        return SeedPool(tuple(pool), h)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        """``SeedSequence.generate_state``: n_words uint32 or uint64 words
+        hashed from the cycled pool, a uint64 from each little-endian pair."""
+        wide = np.dtype(dtype) == np.uint64
+        if not wide and np.dtype(dtype) != np.uint32:
+            raise ValueError("only support uint32 or uint64")
+        out, h = [], _INIT_B
+        for k in range(n_words << wide):
+            v = self.words[k & 3] ^ h
+            h = h * _MULT_B & _M32
+            v = v * h & _M32
+            out.append(v ^ v >> 16)
+        state = np.array(out, dtype="<u4")
+        return state.view("<u8") if wide else state
+
+
+def _index(i) -> int:
+    if isinstance(i, (int, numbers.Integral)) and i >= 0:  # int first: the fast check
+        return int(i)
+    raise ContractError(f"stream index must be an integer >= 0, got {i!r}")
+
 
 class RandomStream:
     """A deterministic random stream identified by (origin_seed, path).
+
+    Its Philox key is numpy's ``SeedSequence(origin_seed, spawn_key=path)``
+    key, read from a :class:`SeedPool` derived when it first draws or splits.
 
     Parameters
     ----------
     origin_seed : int
         Master seed, interpreted as an unsigned 64-bit integer.
     path : tuple of int
-        Split lineage.  The root stream has an empty path; ``s.split(i)``
-        appends ``i``.
+        Split lineage of non-negative integers.  The root stream has an
+        empty path; ``s.split(i)`` appends ``i``.
     """
 
-    __slots__ = ("origin_seed", "path", "_gen")
+    __slots__ = ("origin_seed", "path", "_gen", "_pool", "_parent_pool")
 
     def __init__(self, origin_seed: int, path: tuple[int, ...] = ()):
         self.origin_seed = int(origin_seed) & 0xFFFFFFFFFFFFFFFF
-        self.path = tuple(int(p) for p in path)
-        self._gen: Generator | None = None
+        self.path = tuple(_index(p) for p in path)
+        self._gen = self._pool = self._parent_pool = None  # built when first needed
 
     @property
     def generator(self) -> Generator:
         if self._gen is None:
-            ss = SeedSequence(self.origin_seed, spawn_key=self.path)
-            self._gen = Generator(Philox(ss))
+            self._gen = Generator(Philox(self._seed_pool()))
         return self._gen
+
+    def _seed_pool(self) -> SeedPool:
+        if self._pool is None:
+            self._pool = (SeedPool.of(self.origin_seed, self.path) if self._parent_pool is None
+                          else self._parent_pool.absorb(self.path[-1]))
+        return self._pool
 
     def split(self, index: int) -> "RandomStream":
         """Child stream with lineage ``path + (index,)``, state untouched."""
-        return RandomStream(self.origin_seed, self.path + (int(index),))
+        child = RandomStream(self.origin_seed)
+        child.path = self.path + (_index(index),)
+        child._parent_pool = self._seed_pool()
+        return child
 
     def __repr__(self):
         return f"RandomStream(seed={self.origin_seed}, path={self.path})"

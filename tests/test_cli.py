@@ -200,6 +200,10 @@ def test_sweep_p5_kappa(tmp_path):
     ("bench P5 --param d=0", "d"),
     ("bench P7 --param d=0", "d"),
     ("bench P7 --param m_samples=-1", "m_samples"),
+    ("bench P1 --param d=2.5", "d"),  # integer parameters: ran d=2, recorded 2.5
+    ("bench P5 --param p_dim=11.5", "p_dim"),
+    ("bench P7 --param m_samples=0.5", "m_samples"),  # ran m_samples = n
+    ("sweep P1 --axis d --values 2,2.5", "d"),
 ])
 def test_bad_parameter_exit_3(tmp_path, argv, name):
     src = str(Path(debias.__file__).resolve().parents[1])

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -197,6 +198,43 @@ def test_run_experiment_spec_workers_identical():
     assert s1.rmse_r == s2.rmse_r == s3.rmse_r
     assert s1.bias_r == s2.bias_r == s3.bias_r
     assert s1.naive_sq_sum == s2.naive_sq_sum == s3.naive_sq_sum
+
+
+# BLAKE2b digests of the trial records run_experiment_spec reduces for each
+# family at its preset n, K and methods, seed 3, R = 6 (P7: 4): seed paths,
+# sample fingerprints, naive and debiased values as hex floats.  Frozen from
+# the implementation that built a numpy SeedSequence for every stream; the
+# keys of every method stream, not only the samples, enter them.
+RECORD_DIGESTS = {
+    "P1": "2842f085d14ff4263fe1f9546ec5b793",
+    "P2": "9de84c9528b8c890bce2c27615839e11",
+    "P3": "901f65c7bcbf456e29f7961ecf88066e",
+    "P4": "0de09967c83d1dcd53fee9508ac2af26",
+    "P5": "32b755c0de9fd354314545ad571d4d34",
+    "P6": "ddef41349f09bf5dff75db873bb82c93",
+    "P7": "7cf8874fb4d1657757a5530fe33a627f",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("family", sorted(RECORD_DIGESTS))
+def test_trial_record_digests(monkeypatch, family, workers):
+    spec, records = FAMILIES[family], []
+
+    def keep(*args):
+        records.extend(args[-1])
+        return _reduce_records(*args)
+
+    monkeypatch.setattr(harness, "_reduce_records", keep)
+    run_experiment_spec(family, {}, spec.resolve_n(None, {}), spec.K, spec.methods,
+                        4 if family == "P7" else 6, seed=3, workers=workers)
+    chunks = []
+    for rec in records:
+        chunks += [repr(rec.seed_path).encode(), rec.fingerprint.to_bytes(8, "big"),
+                   rec.naive_value.hex().encode()]
+        chunks += [f"{m}={rec.debiased[m].hex()}".encode() for m in spec.methods]
+    digest = hashlib.blake2b(b"|".join(chunks), digest_size=16).hexdigest()
+    assert digest == RECORD_DIGESTS[family]
 
 
 def test_run_experiment_validates_r():

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from numpy.random import Philox, SeedSequence
 
+import debias
 from debias.core import BootstrapPlan, _resample_counts
 from debias.observations import ContractError, ObservationSet
 from debias.resampling import RandomStream
@@ -40,6 +49,47 @@ def test_path_reproducibility_long():
     a = RandomStream(123, (1, 2, 3)).uniform(100)
     b = RandomStream(123, (1, 2, 3)).uniform(100)
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(-2**70, 2**70) | st.sampled_from([0, 2**32, 2**64, 2**64 + 5]),
+       path=st.lists(st.integers(0, 2**70 - 1) | st.integers(0, 3), max_size=6))
+def test_keys_are_seedsequence_keys(seed, path):
+    # oracle: numpy's own SeedSequence on the masked seed and the whole path
+    ref_seq = SeedSequence(seed & (2**64 - 1), spawn_key=tuple(path))
+    ref = Philox(ref_seq)
+    chain = RandomStream(seed)
+    for i in path:
+        chain = chain.split(i)
+    for stream in (chain, RandomStream(seed, tuple(path))):
+        assert stream.path == tuple(path)
+        bits = stream.generator.bit_generator
+        assert repr(bits.state) == repr(ref.state)
+        assert stream.uniform(8).tolist() == np.random.Generator(Philox(ref_seq)).random(8).tolist()
+        pool = stream._seed_pool()
+        for n_words, dtype in [(1, np.uint32), (5, np.uint32), (2, np.uint64), (7, np.uint64)]:
+            state = pool.generate_state(n_words, dtype)
+            assert state.dtype == dtype
+            assert state.tolist() == ref_seq.generate_state(n_words, dtype).tolist()
+
+
+def test_bad_index_rejected_promptly():
+    # each raises at once; a word loop on a negative index would never end
+    code = """
+from debias.observations import ContractError
+from debias.resampling import RandomStream
+for make in (lambda: RandomStream(0).split(-1), lambda: RandomStream(0).split(1.5),
+             lambda: RandomStream(0, (-2,))):
+    try:
+        make()
+    except ContractError:
+        continue
+    raise SystemExit("accepted")
+"""
+    src = str(Path(debias.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
 
 
 # the multinomial resample counts every bootstrap draws (core._resample_counts)
