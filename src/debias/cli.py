@@ -162,6 +162,14 @@ def _resolve(args, key, cfg, cast, fallback):
     return fallback
 
 
+def _resolve_workers(args, cfg) -> int:
+    """``--workers`` or the config's ``workers``, else one a CPU; below 1 is refused."""
+    workers = _resolve(args, "workers", cfg, int, default_workers())
+    if workers < 1:
+        raise ContractError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def _parse_param(tokens) -> dict:
     out = {}
     for tok in tokens or ():
@@ -246,7 +254,7 @@ def cmd_bench(args, cfg) -> int:
     spec = get_family(family)
     seed = _resolve(args, "seed", cfg, int, 0)
     trials = _resolve(args, "trials", cfg, int, 1000)
-    workers = _resolve(args, "workers", cfg, int, default_workers())
+    workers = _resolve_workers(args, cfg)
     params = _parse_param(args.param)
     n = spec.resolve_n(_resolve(args, "n", cfg, int, None), params)
     k = _resolve(args, "k", cfg, int, spec.K)
@@ -261,7 +269,7 @@ def cmd_sweep(args, cfg) -> int:
     family = args.problem
     seed = _resolve(args, "seed", cfg, int, 0)
     trials = _resolve(args, "trials", cfg, int, 200)
-    workers = _resolve(args, "workers", cfg, int, default_workers())
+    workers = _resolve_workers(args, cfg)
     fixed = _parse_param(args.param)
     n = _resolve(args, "n", cfg, int, None)
     k = _resolve(args, "k", cfg, int, None)

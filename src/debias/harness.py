@@ -28,7 +28,7 @@ from .core import BootstrapPlan, block_for, corrections, debiased, why_not
 from .core import covariance_debias, scale_debias, shift_debias  # noqa: F401
 from .observations import ContractError, stable_digest
 from .observations import mean_observation  # noqa: F401  hooked by perfbench/spans.py
-from .problems import ProblemInstance, generate_instance, get_family
+from .problems import ProblemInstance, check_counts, generate_instance, get_family
 from .resampling import RandomStream
 
 # Trials run in blocks of at most this many resample count cells
@@ -211,6 +211,7 @@ def run_sweep(family: str, axis: str, values, fixed: dict, R: int, seed: int,
     summaries = []
     for i, value in enumerate(values):
         params = {**fixed, axis: value}
+        check_counts(params, ("n", "K"))
         n = params.pop("n", None)
         K = int(params.pop("K", spec.K))
         n = spec.resolve_n(None if n is None else int(n), params)

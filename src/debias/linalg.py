@@ -1,13 +1,14 @@
 """Small dense linear algebra used by the benchmark problem generators:
 Cholesky factors and SPD solves (one matrix, or each of a stack), and random
 orthogonal / conditioned-SPD matrix generation.
+
+This is the one module that imports scipy, and it does so on first use: only
+the SPD solves of P4 and P5 need it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .observations import ContractError
 from .resampling import RandomStream
@@ -19,16 +20,25 @@ class FactorizationError(ValueError):
 
 def cholesky_factor(A: np.ndarray):
     """Cholesky factor of an SPD matrix, as scipy's (c, lower) pair."""
+    import scipy.linalg
+
     A = np.asarray(A, dtype=float)
     try:
         return scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # the class scipy.linalg re-exports
         raise FactorizationError(f"matrix is not positive definite: {exc}") from exc
+
+
+def cho_solve(factor, b) -> np.ndarray:
+    """Solve A x = b given ``factor = cholesky_factor(A)``."""
+    import scipy.linalg
+
+    return scipy.linalg.cho_solve(factor, b)
 
 
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for SPD A."""
-    return scipy.linalg.cho_solve(cholesky_factor(A), np.asarray(b, dtype=float))
+    return cho_solve(cholesky_factor(A), np.asarray(b, dtype=float))
 
 
 def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -39,6 +49,8 @@ def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
     upper triangle, then ``dpotrs``) and the same checks scipy's
     ``cho_factor``/``cho_solve`` make, without their per-call wrappers.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     mats = np.asarray(mats, dtype=float)
     b = np.asarray(b, dtype=float)
     if mats.ndim != 3 or mats.shape[1:] != (b.size, b.size) or b.ndim != 1:

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import transport
-from .linalg import (cholesky_factor, cholesky_solve, cholesky_solve_each, random_orthogonal,
-                     spd_with_condition)
+from .linalg import (cho_solve, cholesky_factor, cholesky_solve, cholesky_solve_each,
+                     random_orthogonal, spd_with_condition)
 from .objectives import Objective
 from .observations import ContractError, EuclideanPoint, ObservationSet, mixture_weights
 from .resampling import RandomStream
@@ -141,11 +140,11 @@ def p5_constraint_value(B: np.ndarray, A: np.ndarray) -> Objective:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     schur = A @ cholesky_solve(B, A.T)
     factor = cholesky_factor(schur)
-    M = scipy.linalg.cho_solve(factor, np.eye(A.shape[0]))
+    M = cho_solve(factor, np.eye(A.shape[0]))
     M = (M + M.T) / 2.0
 
     return Objective(
-        fn=lambda bv: float(bv @ scipy.linalg.cho_solve(factor, bv)),
+        fn=lambda bv: float(bv @ cho_solve(factor, bv)),
         fn_many=lambda X: np.einsum("ki,ij,kj->k", X, M, X),
         gradient=lambda bv: 2.0 * (M @ bv),
         hessian=lambda bv: 2.0 * M,
@@ -290,6 +289,13 @@ def _truth_point(p: dict, d: int, stream: RandomStream, positive: bool = False) 
     return math.sqrt(p["xstar_norm2"]) * _unit_vector(d, stream, positive)
 
 
+def check_counts(p: dict, names) -> None:
+    """Counts must be integral: 2.0 is taken as 2; 2.5, nan and inf are refused."""
+    for name in names:
+        if p.get(name) is not None and p[name] % 1 != 0:
+            raise ContractError(f"{name} must be an integer, got {p[name]}")
+
+
 def _positive(p: dict, name: str) -> float:
     if not p[name] > 0:
         raise ContractError(f"{name} must be > 0, got {p[name]}")
@@ -369,7 +375,7 @@ def _build_p7(p, d, stream):
     mu1 = np.zeros(d)
     mu2 = p["mu2_norm"] * _unit_vector(d, stream)
     sigma = float(p["sigma"])
-    m_samples = int(_positive(p, "m_samples")) if p["m_samples"] else None
+    m_samples = None if p["m_samples"] is None else int(_positive(p, "m_samples"))
 
     def draw(n, s):  # n draws around mu1 and m_samples (default n) around mu2
         xs = mu1 + sigma * s.normal((n, d))
@@ -439,9 +445,7 @@ def generate_instance(family: str, params: Optional[dict] = None,
         raise ContractError(f"{family} does not take parameters {sorted(unknown)}; "
                             f"valid: {sorted(spec.params)}")
     p = {**spec.params, **params}
-    for name in ("d", "p_dim", "m_samples"):  # counts: 2.0 is taken as 2, 2.5 refused
-        if p.get(name) is not None and p[name] % 1 != 0:  # nan and inf fail too
-            raise ContractError(f"{name} must be an integer, got {p[name]}")
+    check_counts(p, ("d", "p_dim", "m_samples"))
     d = int(p["d"])
     if d < 1:
         raise ContractError(f"d must be >= 1, got {p['d']}")

@@ -204,6 +204,9 @@ def test_sweep_p5_kappa(tmp_path):
     ("bench P5 --param p_dim=11.5", "p_dim"),
     ("bench P7 --param m_samples=0.5", "m_samples"),  # ran m_samples = n
     ("sweep P1 --axis d --values 2,2.5", "d"),
+    ("sweep P1 --axis K --values 2.5", "K"),  # sweep counts: ran K=2, labelled K=2.5
+    ("sweep P1 --axis n --values 3.5", "n"),  # ran n=3
+    ("bench P7 --param m_samples=0", "m_samples"),  # ran m_samples = n, recorded 0
 ])
 def test_bad_parameter_exit_3(tmp_path, argv, name):
     src = str(Path(debias.__file__).resolve().parents[1])
@@ -214,6 +217,31 @@ def test_bad_parameter_exit_3(tmp_path, argv, name):
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr
     assert f"{name}=" in done.stderr or f"{name} must" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["bench P1", "sweep P1 --axis sigma --values 1"])
+@pytest.mark.parametrize("workers, source", [("0", "flag"), ("-5", "flag"), ("0", "config")])
+def test_workers_below_1_exit_3(tmp_path, capsys, command, workers, source):
+    # ran serially and wrote the bad value into the header and JSON config
+    if source == "flag":
+        extra = ["--workers", workers]
+    else:
+        extra = ["--config", write(tmp_path / "w.cfg", f"workers={workers}\n")]
+    out = tmp_path / "o.json"
+    rc = main([*command.split(), "--trials", "8", "--format", "json", "--out", str(out), *extra])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"workers must be >= 1, got {workers}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_sweep_counts_kept_as_given(tmp_path):
+    # 2.0 is a valid count and is written as given, like d
+    out = tmp_path / "k.csv"
+    assert main(["sweep", "P1", "--axis", "K", "--values", "2.0,3", "--trials", "4",
+                 "--param", "d=2", "--workers", "1", "--no-header", "--out", str(out)]) == 0
+    rows = parse_results_csv(out)
+    assert [(r["axis_value"], r["K"]) for r in rows[::3]] == [(2.0, 2), (3.0, 3)]
 
 
 def test_theory_quad1d_example(capsys):
