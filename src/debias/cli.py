@@ -293,7 +293,9 @@ def cmd_sweep(args, cfg) -> int:
 
 def cmd_theory(args, cfg) -> int:
     seed = _resolve(args, "seed", cfg, int, 0)
-    d = args.d or 1
+    d = 1 if args.d is None else args.d
+    if d < 1:
+        raise ContractError(f"d must be >= 1, got {d}")
     if args.problem == "quad1d":
         d = 1
         A = np.eye(1)

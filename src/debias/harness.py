@@ -287,27 +287,6 @@ def summary_dict(s: ExperimentSummary) -> dict:
     }
 
 
-def parse_results_csv(path: str) -> list[dict]:
-    """Read back a CSV written by emit_results; floats via full-precision parse."""
-    rows = []
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    body = [ln for ln in lines if not ln.startswith("#")]
-    if not body or body[0] != CSV_COLUMNS:
-        raise ContractError(f"{path}: missing expected CSV header row")
-    cols = CSV_COLUMNS.split(",")
-    for ln in body[1:]:
-        parts = ln.split(",")
-        rec = dict(zip(cols, parts))
-        rec["axis_value"] = float(rec["axis_value"]) if rec["axis_value"] else None
-        for k in ("n", "K", "R", "seed"):
-            rec[k] = int(rec[k])
-        rec["rmse_r"] = float(rec["rmse_r"])
-        rec["bias_r"] = float(rec["bias_r"])
-        rows.append(rec)
-    return rows
-
-
 _SVG_W, _SVG_H, _SVG_PAD = 420, 300, 45
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 

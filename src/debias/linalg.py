@@ -44,12 +44,14 @@ def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A_k x_k = b for each SPD matrix of a (K, d, d) stack; (K, d) out.
 
-    Row k is bit-identical to ``cholesky_solve(mats[k], b)``: the same LAPACK
-    routines with the same arguments (``dpotrf`` lower without cleaning the
-    upper triangle, then ``dpotrs``) and the same checks scipy's
-    ``cho_factor``/``cho_solve`` make, without their per-call wrappers.
+    Row k is bit-identical to ``cholesky_solve(mats[k], b)``: one LAPACK
+    ``dposv`` per matrix, which is ``dpotrf`` (lower, upper triangle left as
+    given) followed by ``dpotrs``, the routines scipy's
+    ``cho_factor``/``cho_solve`` call. The stack raises what ``cholesky_solve``
+    raises for its first failing row, in that path's order: a non-finite
+    matrix, then a failed factorisation, then a non-finite factor.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    from scipy.linalg.lapack import dposv
 
     mats = np.asarray(mats, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -58,22 +60,25 @@ def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(b)):
         raise ValueError("array must not contain infs or NaNs")
     finite = np.isfinite(mats).all(axis=(1, 2))
-    out = np.empty((mats.shape[0], b.size))
-    for k, A in enumerate(mats):
-        if not finite[k]:
-            raise ValueError("array must not contain infs or NaNs")
-        c, info = dpotrf(A, lower=1, clean=0)
-        if info > 0:
-            raise FactorizationError(f"matrix is not positive definite: {info}-th "
-                                     "leading minor of the array is not positive definite")
-        if info < 0:
-            raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument "
-                             'on entry to "POTRF".')
-        if not np.isfinite(c).all():
-            raise ValueError("array must not contain infs or NaNs")
-        out[k], info = dpotrs(c, b, lower=1)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    stop = len(mats) if finite.all() else int(np.argmin(finite))
+    factors = np.empty((stop, b.size, b.size))
+    out = np.empty((len(mats), b.size))
+    for k in range(stop):
+        factors[k], out[k], info = dposv(mats[k], b, lower=1)
+        if info:
+            break
+    else:
+        k, info = stop, 0
+    if not np.isfinite(factors[:k]).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if info > 0:
+        raise FactorizationError(f"matrix is not positive definite: {info}-th "
+                                 "leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument "
+                         'on entry to "POSV".')
+    if k < len(mats):
+        raise ValueError("array must not contain infs or NaNs")
     return out
 
 

@@ -119,8 +119,10 @@ def p4_opt_value(b: np.ndarray) -> Objective:
         X = np.asarray(X, dtype=float)
         mats = X.reshape(X.shape[0], d, d)
         mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-        # one 1-d dot per row: a batched product would sum in another order
-        return np.array([-0.5 * float(b @ x) for x in cholesky_solve_each(mats, b)])
+        # matmul takes each (1, d) @ (d, 1) product as the 1-d dot ``b @ x``
+        # computes, so every row sums in the same order as a lone evaluation
+        sol = cholesky_solve_each(mats, b)
+        return -0.5 * np.matmul(sol[:, None, :], b[:, None])[:, 0, 0]
 
     return Objective(
         fn=lambda aflat: fn_many([aflat])[0],

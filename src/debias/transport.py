@@ -62,9 +62,6 @@ class TransportPlan:
     dual_col: np.ndarray
     iterations: int
 
-    def dual_value(self, problem: TransportProblem) -> float:
-        return float(self.dual_row @ problem.supply + self.dual_col @ problem.demand)
-
 
 def squared_distance_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean costs between rows of x (m, d) and y (n, d)."""

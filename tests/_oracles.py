@@ -1,14 +1,15 @@
 """Test-only helpers: a quadratic form, an independent KKT solve for P5's
 equality-constrained minimum, a random symmetric third-order tensor, a
-per-row reference merge of mixture atoms, a per-trial reference trial, and
-a per-resample reference of P7's bootstrap values and trials."""
+per-row reference merge of mixture atoms, a per-trial reference trial, a
+per-resample reference of P7's bootstrap values and trials, a transport
+plan's dual objective, and a reader for the results CSV."""
 
 import math
 
 import numpy as np
 
 from debias.core import _resample_counts, debias
-from debias.harness import TrialRecord
+from debias.harness import CSV_COLUMNS, TrialRecord
 from debias.linalg import FactorizationError, cholesky_solve
 from debias.observations import ContractError, WeightedEmpirical, mean_observation, stable_digest
 from debias.resampling import RandomStream
@@ -155,3 +156,29 @@ def paired_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
     fingerprint = stable_digest(s.fingerprint().to_bytes(8, "big") for s in sets)
     return TrialRecord(stream.path[-1], instance.truth_value, naive, debiased, stream.path,
                        fingerprint)
+
+
+def dual_value(plan, problem) -> float:
+    """Dual objective u . supply + v . demand of a transport plan's potentials."""
+    return float(plan.dual_row @ problem.supply + plan.dual_col @ problem.demand)
+
+
+def parse_results_csv(path: str) -> list[dict]:
+    """Read back a CSV written by emit_results; floats via full-precision parse."""
+    rows = []
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    body = [ln for ln in lines if not ln.startswith("#")]
+    if not body or body[0] != CSV_COLUMNS:
+        raise ContractError(f"{path}: missing expected CSV header row")
+    cols = CSV_COLUMNS.split(",")
+    for ln in body[1:]:
+        parts = ln.split(",")
+        rec = dict(zip(cols, parts))
+        rec["axis_value"] = float(rec["axis_value"]) if rec["axis_value"] else None
+        for k in ("n", "K", "R", "seed"):
+            rec[k] = int(rec[k])
+        rec["rmse_r"] = float(rec["rmse_r"])
+        rec["bias_r"] = float(rec["bias_r"])
+        rows.append(rec)
+    return rows

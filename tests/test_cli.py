@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import debias
+from _oracles import parse_results_csv
 from debias import transport
 from debias.cli import main
-from debias.harness import parse_results_csv, run_sweep
+from debias.harness import run_sweep
 from debias.problems import FAMILIES
 from debias.transport import squared_distance_cost
 
@@ -255,6 +256,19 @@ def test_theory_quad1d_example(capsys):
 
 def test_theory_unknown_problem_exit_3():
     assert main(["theory", "--problem", "cubic?"]) == 3
+
+
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_theory_d_below_1_exit_3(d):
+    # --d 0 ran d=1; --d -3 reached np.eye(-3) and exited 1 with a traceback
+    src = str(Path(debias.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "debias.cli", "theory", "--problem", "quad",
+                           "--d", d], capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"d must be >= 1, got {d}" in done.stderr
+    assert done.stdout == ""
 
 
 def test_transport_single_cell(tmp_path, capsys):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import debias
-from _oracles import paired_trial_reference, run_trial_reference
+from _oracles import paired_trial_reference, parse_results_csv, run_trial_reference
 from debias import harness
 from debias.core import METHODS, BootstrapPlan, DegenerateDenominatorError
 from debias.harness import (
@@ -24,7 +24,6 @@ from debias.harness import (
     emit_plot,
     emit_results,
     method_applicable,
-    parse_results_csv,
     run_experiment_spec,
     run_sweep,
     run_trial,

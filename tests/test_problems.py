@@ -424,39 +424,51 @@ def _p4_reference(b, aflat):
     return -0.5 * float(b @ cholesky_solve((A + A.T) / 2.0, b))
 
 
-@pytest.mark.parametrize("d,kappa", [(1, 1.0), (2, 3.0), (6, 2.0), (5, 1e6)])
+@pytest.mark.parametrize("d,kappa", [(1, 1.0), (2, 3.0), (3, 10.0), (6, 2.0), (5, 1e6),
+                                     (9, 50.0), (12, 1e3)])
 def test_p4_fn_many_matches_cholesky_solve(d, kappa):
     stream = RandomStream(40 + d)
     b = stream.split(0).normal(d)
     F = p4_opt_value(b)
-    # SPD stack with rounding-level asymmetry, as resample means have
-    mats = np.stack([spd_with_condition(d, kappa, stream.split(1 + k)) for k in range(30)])
-    mats = mats * (1.0 + 1e-15 * stream.split(99).normal(mats.shape))
-    X = mats.reshape(30, d * d)
-    expected = np.array([_p4_reference(b, x) for x in X])
-    assert np.array_equal(F.fn_many(X), expected)
-    assert np.array_equal(F.evaluate_batch(X), expected)
-    assert np.array_equal([F.fn(x) for x in X], expected)
+    # stacks of one or two rows are where einsum summed P1/P2/P5 rows in
+    # another order than a lone evaluation
+    for rows in (1, 2, 3, 30, 100):
+        # SPD stack with rounding-level asymmetry, as resample means have
+        mats = np.stack([spd_with_condition(d, kappa, stream.split(1 + k)) for k in range(rows)])
+        mats = mats * (1.0 + 1e-15 * stream.split(99).normal(mats.shape))
+        X = mats.reshape(rows, d * d)
+        expected = np.array([_p4_reference(b, x) for x in X])
+        assert np.array_equal(F.fn_many(X), expected)
+        assert np.array_equal(F.evaluate_batch(X), expected)
+        assert np.array_equal([F.fn(x) for x in X], expected)
     assert F.fn_many(X[:0]).shape == (0,)
+
+
+def _raised(f, *args):
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    return type(info.value), str(info.value)
 
 
 def test_p4_fn_many_rejects_bad_rows():
     b = np.array([1.0, -2.0, 0.5])
     F = p4_opt_value(b)
-    X = np.tile(np.eye(3).ravel(), (5, 1))
-    X[2] = np.diag([1.0, -1.0, 1.0]).ravel()  # not positive definite
-    with pytest.raises(FactorizationError, match="2-th leading minor"):
-        _p4_reference(b, X[2])
-    with pytest.raises(FactorizationError, match="2-th leading minor"):
-        F.fn_many(X)
-    with pytest.raises(FactorizationError):
-        F.evaluate_batch(X)
-    X[2] = np.eye(3).ravel()
-    X[4, 0] = np.inf
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        _p4_reference(b, X[4])
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        F.fn_many(X)
+    non_spd = np.diag([1.0, -1.0, 1.0]).ravel()  # 2nd leading minor is negative
+    nonfinite = np.eye(3).ravel()
+    nonfinite[0] = np.inf
+    for first, second in ((nonfinite, non_spd), (non_spd, nonfinite)):
+        X = np.tile(np.eye(3).ravel(), (6, 1))
+        X[2], X[4] = first, second
+        # the stack fails as the reference path fails on its first bad row
+        expected = _raised(_p4_reference, b, X[2])
+        if first is nonfinite:
+            assert expected == (ValueError, "array must not contain infs or NaNs")
+        else:
+            assert expected[0] is FactorizationError and "2-th leading minor" in expected[1]
+        assert _raised(F.fn_many, X) == expected
+        assert _raised(F.evaluate_batch, X) == expected
+        assert _raised(F.fn_many, X[2:3]) == expected
+        assert _raised(F.fn_many, X[3:]) == _raised(_p4_reference, b, X[4])
 
 
 def _p3_row_check(b, c, x):
