@@ -11,8 +11,6 @@ from .core import (
     bootstrap_means,
     covariance_debias,
     debias,
-    exact_expectation_debias,
-    exact_resample_expectation,
     scale_debias,
     shift_debias,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "bootstrap_means",
     "covariance_debias",
     "debias",
-    "exact_expectation_debias",
-    "exact_resample_expectation",
     "mean_observation",
     "scale_debias",
     "shift_debias",

@@ -213,7 +213,7 @@ def cmd_estimate(args, cfg) -> int:
     obs = read_observations(args.data)
     F = build_objective(args.function, obs.dimension)
     method = args.method or cfg.get("method") or "shift"
-    est = debias(method, F, obs, BootstrapPlan(rounds=k, seed=seed), RandomStream(seed))
+    est = debias(method, F, obs, BootstrapPlan(rounds=k), RandomStream(seed))
     config = {"data": args.data, "function": args.function, "method": method,
               "k": k, "seed": seed, "n": len(obs)}
     _print_header(config, args.no_header)
@@ -292,33 +292,35 @@ def cmd_sweep(args, cfg) -> int:
 
 
 def cmd_theory(args, cfg) -> int:
+    """Sigmas and margins of x'x at x* = (xstar, ..., xstar) in d dimensions
+    (quad; quad1d is d = 1), or of a Gaussian-noise family's instance at its
+    truth, whose dimension is a family parameter (``--param d=...``)."""
     seed = _resolve(args, "seed", cfg, int, 0)
-    d = 1 if args.d is None else args.d
-    if d < 1:
-        raise ContractError(f"d must be >= 1, got {d}")
-    if args.problem == "quad1d":
-        d = 1
-        A = np.eye(1)
-        F = p1_quadratic(A)
-        x_star = np.array([args.xstar])
-    elif args.problem == "quad":
-        A = np.eye(d)
-        F = p1_quadratic(A)
-        x_star = np.full(d, args.xstar)
-    elif args.problem in FAMILIES:
+    config = {"problem": args.problem}
+    if args.problem in ("quad1d", "quad"):
+        if args.problem == "quad1d" and args.d is not None:
+            raise ContractError("--d does not apply to quad1d, which has d = 1; use quad")
+        d = 1 if args.d is None else args.d
+        if d < 1:
+            raise ContractError(f"d must be >= 1, got {d}")
+        config["xstar"] = 0.0 if args.xstar is None else args.xstar
+        F = p1_quadratic(np.eye(d))
+        x_star = np.full(d, config["xstar"])
+    elif args.problem in ("P1", "P2", "P5"):
+        for flag, value in (("--xstar", args.xstar), ("--d", args.d)):
+            if value is not None:
+                raise ContractError(f"{flag} does not apply to {args.problem}, whose x* is its "
+                                    "instance's truth; set its dimension with --param d=...")
         inst = generate_instance(args.problem, _parse_param(args.param), RandomStream(seed))
         F = inst.objective
-        if F.gradient is None or F.hessian is None:
-            raise ContractError(f"{args.problem} has no derivative oracles for sigma computation")
         x_star = inst.truth_input.coords
-        if args.problem not in ("P1", "P2", "P5"):
-            raise ContractError(f"theory subcommand supports Gaussian-noise problems, not {args.problem}")
+    elif args.problem in FAMILIES:
+        raise ContractError(f"theory subcommand supports Gaussian-noise problems, not {args.problem}")
     else:
         raise ContractError(f"unknown theory problem {args.problem!r}; use quad1d, quad, P1, P2, or P5")
     moments = moments_gaussian(args.sigma, x_star.size)
     ss = sigma_set(F, x_star, moments, args.ck)
-    config = {"problem": args.problem, "xstar": args.xstar, "sigma": args.sigma,
-              "ck": args.ck, "d": int(x_star.size)}
+    config.update(sigma=args.sigma, ck=args.ck, d=int(x_star.size))
     _print_header(config, args.no_header)
     print(f"sigma1 = {ss.sigma1!r}")
     print(f"sigma2 = {ss.sigma2!r}")
@@ -395,10 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="sigma quantities and condition margins")
     p.add_argument("--problem", default="quad1d", help="quad1d | quad | P1 | P2 | P5")
-    p.add_argument("--xstar", type=float, default=0.0)
+    p.add_argument("--xstar", type=float, default=None,
+                   help="coordinate of x* for quad and quad1d (default 0)")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--ck", type=float, default=1.0, help="the ratio C_K = K/n")
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--d", type=int, default=None, help="dimension for quad (default 1)")
     p.add_argument("--param", action="append", help="problem parameter key=value")
     common(p, out_default=False)
 

@@ -22,11 +22,6 @@ input's K resample means, input b resampling from ``rngs[b]``) and
 ``covariance()``.  ``corrections`` is the method table over a block,
 ``debiased`` combines a naive value with its correction, and ``why_not``
 says whether a method applies.  ``debias`` runs a block of one input.
-
-``exact_expectation_debias`` replaces the K-round bootstrap average by the
-exact expectation over all resamples (enumerated through multinomial count
-vectors); it is the deterministic oracle the bootstrap estimators are tested
-against.
 """
 
 from __future__ import annotations
@@ -60,11 +55,11 @@ class DegenerateDenominatorError(EvaluationError):
 
 @dataclass(frozen=True)
 class BootstrapPlan:
-    """Resampling plan: K rounds of resamples of size m (default m = n)."""
+    """Resampling plan: K rounds of resamples of size m (default m = n).
+    The draws come from the stream passed with the plan, not from the plan."""
 
     rounds: int
     size: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -312,14 +307,14 @@ def debias(method: str, F: Objective, obs, plan: Optional[BootstrapPlan] = None,
     them (P7), with "shift", "scale" or "cov", as a block of one.
 
     The bootstrap methods need ``plan`` and resample from ``rng`` (default
-    ``RandomStream(plan.seed)``).  A method ``why_not`` rules out raises
+    ``RandomStream(0)``).  A method ``why_not`` rules out raises
     UnsupportedMethodError before F is evaluated.
     """
     reason = why_not(method, F, _is_euclidean(obs))
     if reason:
         raise UnsupportedMethodError(reason)
     if rng is None and plan is not None:
-        rng = RandomStream(plan.seed)
+        rng = RandomStream(0)
     block = block_for(F, [obs])
     (correction,), values = corrections(method, block, plan, [rng])
     naive = block.naive[0]
@@ -342,73 +337,3 @@ def scale_debias(F: Objective, obs, plan: BootstrapPlan, rng=None) -> DebiasEsti
 def covariance_debias(F: Objective, obs_set: ObservationSet) -> DebiasEstimate:
     """Analytic debiasing from the sample covariance of one Euclidean set."""
     return debias("cov", F, obs_set)
-
-
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def resample_distribution(obs_set: ObservationSet, resample_size: Optional[int] = None):
-    """Yield (probability, mean observation) over all size-m resamples.
-
-    There are n^m equally likely index draws; draws sharing a count vector
-    share a mean, so the enumeration runs over count vectors weighted by
-    multinomial coefficients.  Guarded to n^m <= 1e6.
-    """
-    n = len(obs_set)
-    m = resample_size if resample_size is not None else n
-    if n ** m > 1_000_000:
-        raise ContractError(f"exact enumeration needs n^m <= 1e6, got {n}^{m}")
-    m_factorial = math.factorial(m)
-    n_pow_m = n ** m
-    if obs_set.variant == "euclidean":
-        center = mean_observation(obs_set).coords
-        deviations = obs_set.points - center
-    for counts in _compositions(m, n):
-        coeff = m_factorial
-        for k in counts:
-            coeff //= math.factorial(k)  # exact: multinomial coefficients are integers
-        weight = coeff / n_pow_m
-        arr = np.asarray(counts, dtype=float)
-        if obs_set.variant == "euclidean":
-            obs = EuclideanPoint(center + arr @ deviations / m)
-        else:
-            obs = mixture(obs_set, arr / m)
-        yield weight, obs
-
-
-def exact_resample_expectation(obs_set: ObservationSet, statistic, resample_size: Optional[int] = None) -> float:
-    """E[statistic(resample mean)] by exact enumeration."""
-    return math.fsum(w * statistic(obs) for w, obs in resample_distribution(obs_set, resample_size))
-
-
-def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str,
-                             resample_size: Optional[int] = None) -> DebiasEstimate:
-    """Bootstrap debiasing with the K-average replaced by the exact expectation.
-
-    Deterministic; serves as the oracle for the randomized estimators in the
-    large-K limit.
-    """
-    if mode not in ("shift", "scale"):
-        raise ContractError(f"mode must be 'shift' or 'scale', got {mode!r}")
-    reason = why_not(mode, F, _is_euclidean(obs_set))
-    if reason:
-        raise UnsupportedMethodError(reason)
-    mean = mean_observation(obs_set)
-    naive = F.evaluate(mean)
-    terms = [(w, F.evaluate(obs)) for w, obs in resample_distribution(obs_set, resample_size)]
-    if mode == "shift":
-        correction = math.fsum(w * (naive - v) for w, v in terms)
-    else:
-        ef2 = math.fsum(w * (v * v) for w, v in terms)
-        if ef2 < 1e-300:
-            raise DegenerateDenominatorError("exact expectation of F^2 vanished")
-        correction = math.fsum(w * (naive * v) for w, v in terms) / ef2
-    return DebiasEstimate(naive, _TABLE[mode][0], correction,
-                          debiased(mode, naive, correction), mean)

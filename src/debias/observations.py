@@ -142,15 +142,6 @@ class ObservationSet:
     def __len__(self) -> int:
         return self.points.shape[0] if self.variant == "euclidean" else len(self._obs)
 
-    def observation(self, i: int) -> Observation:
-        if self.variant == "euclidean":
-            return EuclideanPoint(self.points[i])
-        return self._obs[i]
-
-    @property
-    def observations(self) -> list:
-        return [self.observation(i) for i in range(len(self))]
-
     @functools.cached_property
     def atom_table(self):
         """The atoms of an empirical set, built once for all its mixtures:

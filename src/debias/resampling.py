@@ -168,13 +168,6 @@ class RandomStream:
             return float(z[0])
         return z.reshape(size)
 
-    def exponential(self, rate: float, size=None) -> np.ndarray | float:
-        """Exponential draws with the given rate (mean 1/rate), inverse CDF."""
-        if rate <= 0:
-            raise ValueError(f"exponential rate must be > 0, got {rate}")
-        u = self.generator.random(size)
-        return -np.log1p(-u) / rate
-
     def gamma(self, shape: float, scale: float, size=None) -> np.ndarray | float:
         """Gamma draws; ``shape=k, scale=1/k`` has mean 1."""
         if shape <= 0 or scale <= 0:

@@ -66,20 +66,6 @@ class SigmaSet:
     margin_scale: Optional[float]
 
 
-def moments_from_samples(samples: np.ndarray, center: np.ndarray) -> MomentTensors:
-    """Empirical centered moment tensors about the given center."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    center = np.asarray(center, dtype=float)
-    d = samples.shape[1]
-    if d > _MAX_M4_DIM:
-        raise ContractError(f"moment tensors limited to d <= {_MAX_M4_DIM}, got d={d}")
-    c = samples - center
-    n = samples.shape[0]
-    m2 = c.T @ c / n
-    m4 = np.einsum("na,nb,nc,nd->abcd", c, c, c, c) / n
-    return MomentTensors(m2, m4)
-
-
 def moments_gaussian(sigma: float, d: int) -> MomentTensors:
     """Analytic tensors for N(x*, sigma^2 I): M2 = sigma^2 I and the Isserlis
     fourth moment sigma^4 (d_ab d_cd + d_ac d_bd + d_ad d_bc)."""
@@ -95,25 +81,6 @@ def moments_gaussian(sigma: float, d: int) -> MomentTensors:
     return MomentTensors(m2, m4)
 
 
-def third_derivative_tensor(F: Objective, x: np.ndarray) -> np.ndarray:
-    """Analytic third derivative when available, otherwise central finite
-    differences of the Hessian with step h = cbrt(eps) * max(1, |x|)."""
-    x = np.asarray(x, dtype=float)
-    if F.third_derivative is not None:
-        return np.asarray(F.third_derivative(x), dtype=float)
-    if F.hessian is None:
-        raise ContractError("third derivative needs a hessian oracle to difference")
-    d = x.size
-    h = float(np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, float(np.linalg.norm(x)))
-    T = np.empty((d, d, d))
-    for c in range(d):
-        e = np.zeros(d)
-        e[c] = h
-        T[:, :, c] = (np.asarray(F.hessian(x + e)) - np.asarray(F.hessian(x - e))) / (2.0 * h)
-    return (T + T.transpose(0, 2, 1) + T.transpose(2, 1, 0)
-            + T.transpose(1, 0, 2) + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)) / 6.0
-
-
 def _nonnegative(value: float, label: str) -> float:
     if value < -_PSD_SLOP * (1.0 + abs(value)):
         raise ContractError(f"{label} = {value} violates its PSD sign invariant")
@@ -124,17 +91,18 @@ def sigma_set(F: Objective, x_star: np.ndarray, moments: MomentTensors, c_k: flo
     """All sigma quantities of F at x_star under the given noise moments,
     plus the shift/scale condition margins for the ratio C_K = K/n.
 
-    The scale margin needs a strictly positive F(x*); otherwise
+    F needs gradient, hessian and third derivative oracles.  The scale
+    margin needs a strictly positive F(x*); otherwise
     ``sigma4_prime`` and ``margin_scale`` are None.
     """
-    if F.gradient is None or F.hessian is None:
-        raise ContractError("sigma_set needs gradient and hessian oracles")
+    if F.gradient is None or F.hessian is None or F.third_derivative is None:
+        raise ContractError("sigma_set needs gradient, hessian and third derivative oracles")
     if c_k <= 0:
         raise ContractError(f"c_k must be positive, got {c_k}")
     x_star = np.asarray(x_star, dtype=float)
     g = np.asarray(F.gradient(x_star), dtype=float)
     H = np.asarray(F.hessian(x_star), dtype=float)
-    T = third_derivative_tensor(F, x_star)
+    T = np.asarray(F.third_derivative(x_star), dtype=float)
     m2, m4 = moments.m2, moments.m4
 
     sigma1 = _nonnegative(float(g @ m2 @ g), "sigma1")

@@ -2,17 +2,41 @@
 equality-constrained minimum, a random symmetric third-order tensor, a
 per-row reference merge of mixture atoms, a per-trial reference trial, a
 per-resample reference of P7's bootstrap values and trials, a transport
-plan's dual objective, and a reader for the results CSV."""
+plan's dual objective, a reader for the results CSV, the exact resample
+enumeration, sampled moment tensors, a finite-difference third derivative,
+the members of an observation set and the negation of an objective."""
 
+import dataclasses
 import math
+from typing import Optional
 
 import numpy as np
 
-from debias.core import _resample_counts, debias
+from debias.core import (
+    _TABLE,
+    DebiasEstimate,
+    DegenerateDenominatorError,
+    UnsupportedMethodError,
+    _is_euclidean,
+    _resample_counts,
+    debias,
+    debiased,
+    why_not,
+)
 from debias.harness import CSV_COLUMNS, TrialRecord
 from debias.linalg import FactorizationError, cholesky_solve
-from debias.observations import ContractError, WeightedEmpirical, mean_observation, stable_digest
+from debias.objectives import Objective
+from debias.observations import (
+    ContractError,
+    EuclideanPoint,
+    ObservationSet,
+    WeightedEmpirical,
+    mean_observation,
+    mixture,
+    stable_digest,
+)
 from debias.resampling import RandomStream
+from debias.theory import _MAX_M4_DIM, MomentTensors
 from debias.transport import transport_value
 
 
@@ -125,14 +149,14 @@ def paired_values_reference(sets, plan, stream) -> np.ndarray:
     for i, s in enumerate(sets):
         counts = _resample_counts(len(s), plan, stream.split(i))
         m = counts.sum(axis=1)
-        mixtures.append([mixture_reference(s.observations, counts[k] / m[k])
+        mixtures.append([mixture_reference(members(s), counts[k] / m[k])
                          for k in range(plan.rounds)])
     return np.array([wasserstein_reference(p, q) for p, q in zip(*mixtures)])
 
 
 def paired_naive_reference(sets) -> float:
     """W2^2 between the uniform mixtures of the two sets."""
-    p, q = (mixture_reference(s.observations, np.full(len(s), 1.0 / len(s))) for s in sets)
+    p, q = (mixture_reference(members(s), np.full(len(s), 1.0 / len(s))) for s in sets)
     return wasserstein_reference(p, q)
 
 
@@ -182,3 +206,119 @@ def parse_results_csv(path: str) -> list[dict]:
         rec["bias_r"] = float(rec["bias_r"])
         rows.append(rec)
     return rows
+
+
+def members(obs_set: ObservationSet) -> list:
+    """The observations of a set: EuclideanPoints or WeightedEmpiricals."""
+    return (list(map(EuclideanPoint, obs_set.points)) if obs_set.variant == "euclidean"
+            else list(obs_set._obs))
+
+
+def negated(F: Objective) -> Objective:
+    """-F: its value, batch value and Hessian negated, its sign flipped."""
+    def neg(f):
+        return None if f is None else lambda *args: -f(*args)
+    flip = {"positive": "negative", "negative": "positive", "none": "none"}
+    return dataclasses.replace(F, fn=neg(F.fn), fn_many=neg(F.fn_many), hessian=neg(F.hessian),
+                               sign_constraint=flip[F.sign_constraint])
+
+
+def _compositions(total: int, parts: int):
+    """All nonnegative integer vectors of the given length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def resample_distribution(obs_set: ObservationSet, resample_size: Optional[int] = None):
+    """Yield (probability, mean observation) over all size-m resamples.
+
+    There are n^m equally likely index draws; draws sharing a count vector
+    share a mean, so the enumeration runs over count vectors weighted by
+    multinomial coefficients.  Guarded to n^m <= 1e6.
+    """
+    n = len(obs_set)
+    m = resample_size if resample_size is not None else n
+    if n ** m > 1_000_000:
+        raise ContractError(f"exact enumeration needs n^m <= 1e6, got {n}^{m}")
+    m_factorial = math.factorial(m)
+    n_pow_m = n ** m
+    if obs_set.variant == "euclidean":
+        center = mean_observation(obs_set).coords
+        deviations = obs_set.points - center
+    for counts in _compositions(m, n):
+        coeff = m_factorial
+        for k in counts:
+            coeff //= math.factorial(k)  # exact: multinomial coefficients are integers
+        weight = coeff / n_pow_m
+        arr = np.asarray(counts, dtype=float)
+        if obs_set.variant == "euclidean":
+            obs = EuclideanPoint(center + arr @ deviations / m)
+        else:
+            obs = mixture(obs_set, arr / m)
+        yield weight, obs
+
+
+def exact_resample_expectation(obs_set: ObservationSet, statistic, resample_size: Optional[int] = None) -> float:
+    """E[statistic(resample mean)] by exact enumeration."""
+    return math.fsum(w * statistic(obs) for w, obs in resample_distribution(obs_set, resample_size))
+
+
+def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str,
+                             resample_size: Optional[int] = None) -> DebiasEstimate:
+    """Bootstrap debiasing with the K-average replaced by the exact expectation.
+
+    Deterministic; serves as the oracle for the randomized estimators in the
+    large-K limit.
+    """
+    if mode not in ("shift", "scale"):
+        raise ContractError(f"mode must be 'shift' or 'scale', got {mode!r}")
+    reason = why_not(mode, F, _is_euclidean(obs_set))
+    if reason:
+        raise UnsupportedMethodError(reason)
+    mean = mean_observation(obs_set)
+    naive = F.evaluate(mean)
+    terms = [(w, F.evaluate(obs)) for w, obs in resample_distribution(obs_set, resample_size)]
+    if mode == "shift":
+        correction = math.fsum(w * (naive - v) for w, v in terms)
+    else:
+        ef2 = math.fsum(w * (v * v) for w, v in terms)
+        if ef2 < 1e-300:
+            raise DegenerateDenominatorError("exact expectation of F^2 vanished")
+        correction = math.fsum(w * (naive * v) for w, v in terms) / ef2
+    return DebiasEstimate(naive, _TABLE[mode][0], correction,
+                          debiased(mode, naive, correction), mean)
+
+
+def moments_from_samples(samples: np.ndarray, center: np.ndarray) -> MomentTensors:
+    """Empirical centered moment tensors about the given center."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    center = np.asarray(center, dtype=float)
+    d = samples.shape[1]
+    if d > _MAX_M4_DIM:
+        raise ContractError(f"moment tensors limited to d <= {_MAX_M4_DIM}, got d={d}")
+    c = samples - center
+    n = samples.shape[0]
+    m2 = c.T @ c / n
+    m4 = np.einsum("na,nb,nc,nd->abcd", c, c, c, c) / n
+    return MomentTensors(m2, m4)
+
+
+def third_derivative_fd(F: Objective, x: np.ndarray) -> np.ndarray:
+    """Central finite differences of the Hessian with step
+    h = cbrt(eps) * max(1, |x|), symmetrized over the three indices."""
+    x = np.asarray(x, dtype=float)
+    if F.hessian is None:
+        raise ContractError("third derivative needs a hessian oracle to difference")
+    d = x.size
+    h = float(np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, float(np.linalg.norm(x)))
+    T = np.empty((d, d, d))
+    for c in range(d):
+        e = np.zeros(d)
+        e[c] = h
+        T[:, :, c] = (np.asarray(F.hessian(x + e)) - np.asarray(F.hessian(x - e))) / (2.0 * h)
+    return (T + T.transpose(0, 2, 1) + T.transpose(2, 1, 0)
+            + T.transpose(1, 0, 2) + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)) / 6.0

@@ -8,9 +8,14 @@ import time
 
 import numpy as np
 
-from _oracles import dual_value, quadratic_form, random_symmetric_tensor3
+from _oracles import (
+    dual_value,
+    exact_resample_expectation,
+    quadratic_form,
+    random_symmetric_tensor3,
+)
 from debias.cli import main as cli_main
-from debias.core import covariance_debias, exact_resample_expectation
+from debias.core import covariance_debias
 from debias.harness import run_experiment_spec, run_sweep
 from debias.linalg import spd_with_condition
 from debias.observations import ObservationSet, mean_observation

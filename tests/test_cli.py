@@ -9,11 +9,15 @@ import pytest
 
 import debias
 from _oracles import parse_results_csv
-from debias import transport
-from debias.cli import main
+from debias import cli, transport
+from debias.cli import CliParseError, main
+from debias.core import DegenerateDenominatorError, UnsupportedMethodError
 from debias.harness import run_sweep
+from debias.linalg import FactorizationError
+from debias.objectives import DomainError, EvaluationError
+from debias.observations import ContractError
 from debias.problems import FAMILIES
-from debias.transport import squared_distance_cost
+from debias.transport import IterationCapError, TransportError, squared_distance_cost
 
 
 def write(path, text):
@@ -271,6 +275,25 @@ def test_theory_d_below_1_exit_3(d):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--problem", "quad1d", "--d", "5"], "--d"),  # ran d=1
+    (["--problem", "P1", "--xstar", "5"], "--xstar"),  # x* is the instance's truth
+    (["--problem", "P2", "--d", "7"], "--d"),  # d is the family parameter
+])
+def test_theory_unused_flags_exit_3(argv, flag, capsys):
+    assert main(["theory", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} does not apply to {argv[1]}")
+    assert captured.out == ""
+
+
+def test_theory_family_header_has_no_xstar(capsys):
+    assert main(["theory", "--problem", "P1", "--param", "d=3"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    config = json.loads(header.removeprefix("# config: "))
+    assert config == {"ck": 1.0, "d": 3, "problem": "P1", "sigma": 1.0}
+
+
 def test_transport_single_cell(tmp_path, capsys):
     cost = write(tmp_path / "c.csv", "4.25\n")
     rc = main(["transport", "--cost", cost, "--no-header"])
@@ -336,6 +359,28 @@ def test_iteration_cap_exit_codes(tmp_path, capsys, monkeypatch, command, supply
     err = capsys.readouterr().err
     assert rc == code
     assert ("iteration cap after 1234 pivots" in err) == (code == 4)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error,code", [
+    (CliParseError, 2),
+    (EvaluationError, 4),
+    (DomainError, 4),
+    (DegenerateDenominatorError, 4),
+    (FactorizationError, 4),
+    (IterationCapError, 4),  # a TransportError, but a numeric failure
+    (ContractError, 3),
+    (UnsupportedMethodError, 3),
+    (TransportError, 3),
+])
+def test_exit_code_per_error_class(monkeypatch, capsys, error, code):
+    def fail(args, cfg):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_theory", fail)
+    assert main(["theory"]) == code
+    err = capsys.readouterr().err
+    assert err == ("numeric failure: boom\n" if code == 4 else "error: boom\n")
     assert "Traceback" not in err
 
 

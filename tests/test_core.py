@@ -1,10 +1,15 @@
 import dataclasses
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from _oracles import (
+    exact_expectation_debias,
+    exact_resample_expectation,
+    negated,
     paired_debiased_reference,
     paired_naive_reference,
     paired_values_reference,
@@ -19,14 +24,13 @@ from debias.core import (
     UnsupportedMethodError,
     bootstrap_means,
     covariance_debias,
-    exact_expectation_debias,
-    exact_resample_expectation,
+    debias,
     scale_debias,
     shift_debias,
 )
 from debias.objectives import DomainError, EvaluationError, Objective
 from debias.observations import ContractError, ObservationSet, WeightedEmpirical, mean_observation
-from debias.problems import generate_instance, p1_quadratic, p7_wasserstein
+from debias.problems import FAMILIES, generate_instance, p1_quadratic, p7_wasserstein
 from debias.resampling import RandomStream
 from debias.transport import IterationCapError, TransportError
 
@@ -290,6 +294,29 @@ def test_jensen_direction_exact_shift():
         s = ObservationSet.from_points(rng.normal((n, d)))
         est = exact_expectation_debias(p1_quadratic(A), s, "shift")
         assert est.correction <= 1e-13
+
+
+@pytest.mark.parametrize("family", ["P1", "P2", "P3", "P4", "P5", "P6"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(d=st.integers(2, 4), n=st.integers(2, 9), K=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_negated_objective_negates_estimates(family, d, n, K, seed):
+    # sign symmetry: debiasing -F gives exactly the negated naive and debiased
+    # values, negated shift and cov corrections and the same scale factor
+    inst = generate_instance(family, {"d": d}, RandomStream(seed))
+    obs = inst.sample_observations(n, RandomStream(seed).split(1))
+    plan = BootstrapPlan(rounds=K)
+    for method in FAMILIES[family].methods:
+        try:
+            est = debias(method, inst.objective, obs, plan, RandomStream(seed).split(2))
+        except DegenerateDenominatorError:  # every resample of a P6 set at one vertex
+            with pytest.raises(DegenerateDenominatorError):
+                debias(method, negated(inst.objective), obs, plan, RandomStream(seed).split(2))
+            continue
+        neg = debias(method, negated(inst.objective), obs, plan, RandomStream(seed).split(2))
+        assert neg.naive_value == -est.naive_value
+        assert neg.debiased_value == -est.debiased_value
+        assert neg.correction == (est.correction if method == "scale" else -est.correction)
 
 
 def test_degenerate_set_fixed_point():

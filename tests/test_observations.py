@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import mixture_reference
+from _oracles import members, mixture_reference
 from debias.observations import (
     ContractError,
     EuclideanPoint,
@@ -182,5 +182,5 @@ def test_observation_accessors():
     s = ObservationSet.from_points([[1.0, 2.0], [3.0, 4.0]])
     assert len(s) == 2
     assert s.dimension == 2
-    assert np.array_equal(s.observation(1).coords, [3.0, 4.0])
-    assert len(s.observations) == 2
+    assert np.array_equal(members(s)[1].coords, [3.0, 4.0])
+    assert len(members(s)) == 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from _oracles import kkt_solve
+from _oracles import kkt_solve, members
 from debias.core import BootstrapPlan, covariance_debias, shift_debias
 from debias.harness import run_sweep
 from debias.linalg import FactorizationError, cholesky_solve, spd_with_condition
@@ -76,7 +76,7 @@ def test_p3_examples():
     assert F.gradient(np.array([1.0])) == pytest.approx([0.0], abs=1e-12)
     assert not F.domain_check(np.array([1e-320]))
     with pytest.raises(DomainError):
-        F.evaluate(ObservationSet.from_points([[1e-320]]).observation(0))
+        F.evaluate(members(ObservationSet.from_points([[1e-320]]))[0])
 
 
 def test_p3_requires_positive_coefficients():
@@ -115,7 +115,7 @@ def test_p6_examples():
     assert F.fn(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
     assert F.fn(np.array([0.5, 0.5, 0.0, 0.0])) == pytest.approx(math.log(2.0))
     with pytest.raises(DomainError):
-        F.evaluate(ObservationSet.from_points([[0.5, 0.5, 0.5, -0.5]]).observation(0))
+        F.evaluate(members(ObservationSet.from_points([[0.5, 0.5, 0.5, -0.5]]))[0])
 
 
 def test_p7_examples():
@@ -577,7 +577,7 @@ def test_seed0_instance_and_sample_digests(family):
         chunks += [name.encode(), np.ascontiguousarray(inst.matrices[name]).tobytes()]
     sample = inst.sample_observations(5, master.split(1).split(0).split(0))
     if inst.paired:
-        arrays = [a for s in sample for o in s.observations for a in (o.support, o.weights)]
+        arrays = [a for s in sample for o in members(s) for a in (o.support, o.weights)]
     else:
         arrays = [sample.points]
     assert (_digest(chunks), _digest(a.tobytes() for a in arrays)) == GOLDEN[family]

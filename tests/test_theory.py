@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import moments_from_samples, third_derivative_fd
 from debias.harness import run_experiment_spec
 from debias.objectives import Objective
 from debias.observations import ContractError
@@ -11,10 +12,8 @@ from debias.resampling import RandomStream
 from debias.theory import (
     MomentTensors,
     empirical_mse_comparison,
-    moments_from_samples,
     moments_gaussian,
     sigma_set,
-    third_derivative_tensor,
 )
 
 
@@ -161,6 +160,11 @@ def test_sigma_requires_oracles():
     F = Objective(fn=lambda x: float(x[0]))
     with pytest.raises(ContractError):
         sigma_set(F, np.zeros(1), moments_gaussian(1.0, 1), c_k=1.0)
+    # a missing third derivative is refused as well
+    G = p2_quartic(np.eye(1))
+    stripped = Objective(fn=G.fn, gradient=G.gradient, hessian=G.hessian)
+    with pytest.raises(ContractError, match="third derivative"):
+        sigma_set(stripped, np.ones(1), moments_gaussian(1.0, 1), c_k=1.0)
 
 
 def test_scale_margin_positive_objective():
@@ -183,10 +187,23 @@ def test_third_derivative_finite_difference_matches_p2():
     rng = np.random.default_rng(4)
     for _ in range(10):
         x = rng.normal(size=3)
-        T_fd = third_derivative_tensor(stripped, x)
+        T_fd = third_derivative_fd(stripped, x)
         T_true = analytic_obj.third_derivative(x)
         scale = max(np.abs(T_true).max(), 1.0)
         assert np.abs(T_fd - T_true).max() / scale < 1e-4
+
+
+@pytest.mark.parametrize("family", ["P1", "P2", "P5"])
+def test_family_third_derivative_matches_finite_difference(family):
+    # every objective sigma_set is given in the CLI (quad, quad1d, P1, P2,
+    # P5) brings an analytic third derivative; check it against the FD oracle
+    for seed in range(3):
+        inst = generate_instance(family, {"d": 3}, RandomStream(seed))
+        F = inst.objective
+        x = inst.truth_input.coords + 0.1 * RandomStream(seed + 50).normal(3)
+        T_true = F.third_derivative(x)
+        scale = max(np.abs(T_true).max(), 1.0)
+        assert np.abs(third_derivative_fd(F, x) - T_true).max() / scale < 1e-4
 
 
 # ---------------------------------------------------------------------------
