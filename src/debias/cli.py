@@ -298,6 +298,9 @@ def cmd_theory(args, cfg) -> int:
     seed = _resolve(args, "seed", cfg, int, 0)
     config = {"problem": args.problem}
     if args.problem in ("quad1d", "quad"):
+        if args.param:
+            raise ContractError(f"--param does not apply to {args.problem}, which has no "
+                                "family parameters")
         if args.problem == "quad1d" and args.d is not None:
             raise ContractError("--d does not apply to quad1d, which has d = 1; use quad")
         d = 1 if args.d is None else args.d

@@ -6,14 +6,16 @@ reports, per method,
     RMSE_r = sqrt(sum_t (F_debias - F*)^2) / sqrt(sum_t (F_naive - F*)^2)
     Bias_r = sum_t (F_debias - F*) / sum_t (F_naive - F*)
 
-Trial t draws every random quantity from ``master.split(t)``, so summaries
-are a pure function of (config, master seed) regardless of how many workers
-execute the trials.
+Trial t draws every random quantity from ``master.split(t)``, so records
+and summaries are a pure function of (config, master seed) regardless of
+which process runs a trial.  With W workers the trials are cut into W
+blocks: the calling process runs the last block on the instance it already
+holds, and W - 1 child processes run the others, each on an instance it
+regenerates.  Records, summaries and CSV bytes do not depend on W.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
 import math
@@ -175,7 +177,8 @@ def run_experiment_spec(family: str, params: dict, n: int, K: int, methods, R: i
                         seed: int, exp_index: int = 0, workers: int = 1,
                         m_size: Optional[int] = None) -> ExperimentSummary:
     """Experiment from a declarative spec; safe to parallelize because each
-    worker regenerates the instance and draws trial t from the same lineage.
+    child process regenerates the instance and draws trial t from the same
+    lineage.
 
     Lineage: master = RandomStream(seed).split(exp_index); the instance comes
     from master.split(0) and trial t from master.split(1).split(t).
@@ -186,17 +189,76 @@ def run_experiment_spec(family: str, params: dict, n: int, K: int, methods, R: i
     if workers <= 1 or R < 4:
         records = run_trials(instance, n, plan, methods, master.split(1), 0, R)
     else:
-        workers = min(workers, R)
-        bounds = np.linspace(0, R, workers + 1).astype(int).tolist()
+        bounds = np.linspace(0, R, min(workers, R) + 1).astype(int).tolist()
         block = functools.partial(_trial_block, family, params, seed, exp_index, n, K,
                                   m_size, list(methods))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = pool.map(block, bounds[:-1], bounds[1:])
-            records = [rec for recs in blocks for rec in recs]
+        records = _run_blocks(block, bounds, functools.partial(
+            run_trials, instance, n, plan, methods, master.split(1)))
     return _reduce_records(instance, n, plan, methods, R, seed, records)
 
 
+def _run_blocks(block, bounds, own_block) -> list[TrialRecord]:
+    """The records of trial blocks bounds[i]..bounds[i+1]-1, in order.
+
+    This process runs the last block with ``own_block(lo, hi)`` while one
+    child process per other block runs ``block(lo, hi)`` and sends back its
+    records.  The error raised is the first failing block's, in block order,
+    so an error in this process's block waits for the children's outcomes.
+    A child that exits without sending raises ``ChildProcessError``.  Every
+    child is joined; one whose outcome was not received is terminated first.
+    """
+    import multiprocessing
+
+    children, received = [], 0
+    try:
+        for lo, hi in zip(bounds[:-2], bounds[1:-1]):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_send_block, args=(sender, block, lo, hi))
+            child.start()
+            sender.close()
+            children.append((child, receiver, lo, hi))
+        try:
+            own = (True, own_block(bounds[-2], bounds[-1]))
+        except Exception as exc:  # an earlier block's error wins over this one
+            own = (False, exc)
+        records = []
+        for child, receiver, lo, hi in children:
+            try:
+                ok, result = receiver.recv()
+            except EOFError:
+                child.join()
+                ok, result = False, ChildProcessError(
+                    f"trials {lo}..{hi - 1}: worker process exited with code "
+                    f"{child.exitcode} without sending its records")
+            received += 1
+            if not ok:
+                raise result
+            records += result
+        ok, result = own
+        if not ok:
+            raise result
+        return records + result
+    finally:
+        for child, _, _, _ in children[received:]:
+            child.terminate()
+        for child, receiver, _, _ in children:
+            child.join()
+            receiver.close()
+
+
+def _send_block(sender, block, lo, hi) -> None:
+    """Child entry: send (True, records) or (False, exception) of one block."""
+    try:
+        outcome = (True, block(lo, hi))
+    except Exception as exc:
+        outcome = (False, exc)
+    sender.send(outcome)
+
+
 def default_workers() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 

@@ -279,6 +279,8 @@ def test_theory_d_below_1_exit_3(d):
     (["--problem", "quad1d", "--d", "5"], "--d"),  # ran d=1
     (["--problem", "P1", "--xstar", "5"], "--xstar"),  # x* is the instance's truth
     (["--problem", "P2", "--d", "7"], "--d"),  # d is the family parameter
+    (["--problem", "quad", "--param", "d=5", "--param", "bogus=3"], "--param"),  # ran d=1
+    (["--problem", "quad1d", "--param", "d=2"], "--param"),
 ])
 def test_theory_unused_flags_exit_3(argv, flag, capsys):
     assert main(["theory", *argv]) == 3

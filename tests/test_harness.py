@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +199,7 @@ def test_run_experiment_spec_workers_identical():
     assert s1.rmse_r == s2.rmse_r == s3.rmse_r
     assert s1.bias_r == s2.bias_r == s3.bias_r
     assert s1.naive_sq_sum == s2.naive_sq_sum == s3.naive_sq_sum
+    assert multiprocessing.active_children() == []
 
 
 # BLAKE2b digests of the trial records run_experiment_spec reduces for each
@@ -215,7 +218,7 @@ RECORD_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("family", sorted(RECORD_DIGESTS))
 def test_trial_record_digests(monkeypatch, family, workers):
     spec, records = FAMILIES[family], []
@@ -241,6 +244,49 @@ def test_run_experiment_validates_r():
         for workers in (1, 2):
             with pytest.raises(ContractError, match="R must be >= 1"):
                 run_experiment_spec("P1", {"d": 2}, 8, 6, ["shift"], R, seed=17, workers=workers)
+
+
+# a test that patches what the children call reaches them only through fork
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="children see a patch only when forked")
+
+
+@needs_fork
+@pytest.mark.parametrize("workers,first,last", [(2, 0, 5), (3, 4, 7)])
+def test_child_exit_without_records_raises(monkeypatch, workers, first, last):
+    # the blocks of R = 12 are 0..5 | 6..11 at 2 workers and
+    # 0..3 | 4..7 | 8..11 at 3; the caller runs the last one itself
+    inner = harness._trial_block
+
+    def dies(*args):
+        if args[-2] == first:  # args end with the block's bounds
+            os._exit(1)
+        return inner(*args)
+
+    def hangs(signum, frame):
+        raise TimeoutError("no error 60 s after a child exited")
+
+    monkeypatch.setattr(harness, "_trial_block", dies)
+    previous = signal.signal(signal.SIGALRM, hangs)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ChildProcessError, match=rf"^trials {first}\.\.{last}: worker "
+                           "process exited with code 1 "):
+            run_experiment_spec("P1", {"d": 2}, 8, 6, ["shift"], 12, seed=5, workers=workers)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def test_default_workers_counts_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert harness.default_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness.default_workers() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness.default_workers() == 1
 
 
 def check_worker_blocks(family, params, m_size, methods):
@@ -411,6 +457,33 @@ def test_block_errors_match_per_trial_loop(monkeypatch, case):
             run_trials(instance, n, plan, methods, root, 0, R)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+
+ZERO, FAR = [[0.0]] * 4, [[0.0]] * 3 + [[8.0]]
+
+
+@needs_fork
+@pytest.mark.parametrize("failing,error", [
+    ({1: ZERO}, DegenerateDenominatorError),  # a child's block
+    ({5: FAR}, DomainError),  # the caller's block
+    ({1: ZERO, 5: FAR}, DegenerateDenominatorError),  # the child's error wins
+    ({1: FAR, 5: ZERO}, DomainError),
+    ({3: ZERO, 5: FAR}, DegenerateDenominatorError),  # the second child's at 3 workers
+])
+def test_worker_errors_match_one_worker(monkeypatch, failing, error):
+    # R = 6 runs as 0..2 | 3..5 at 2 workers and 0..1 | 2..3 | 4..5 at 3,
+    # the caller running the last block; ZERO fails in scale, FAR in shift
+    sets = [failing.get(t, FINE) for t in range(6)]
+    instance = crafted_instance("P1", {"d": 1}, sets, **domain_below(3.0))
+    monkeypatch.setattr(harness, "generate_instance", lambda *args: instance)
+    raised = []
+    for workers in (1, 2, 3):
+        with pytest.raises(error) as got:
+            run_experiment_spec("P1", {"d": 1}, 4, 20, ["shift", "scale", "cov"], 6, seed=3,
+                                workers=workers)
+        raised.append((type(got.value), str(got.value)))
+        assert multiprocessing.active_children() == []
+    assert raised == raised[:1] * 3
 
 
 def test_bench_presets():

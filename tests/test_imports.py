@@ -1,6 +1,7 @@
-"""scipy is loaded only where an SPD factorisation needs it (P4 and P5).
+"""scipy is loaded only where an SPD factorisation needs it (P4 and P5),
+and multiprocessing only where trials run in child processes.
 
-Each case runs a fresh interpreter: this test process has scipy loaded
+Each case runs a fresh interpreter: this test process has both loaded
 already through other test modules.
 """
 
@@ -79,3 +80,21 @@ def test_cholesky_factor_raises_factorization_error_on_first_use():
                           timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
     assert done.returncode == 0, done.stderr
     assert "not positive definite" in done.stdout
+
+
+def test_process_modules_load_only_for_parallel_trials():
+    # multiprocessing is imported where a run forks its children, so a
+    # one-worker run does not pay for it at start-up
+    script = ("import sys\n"
+              "from debias import harness\n"
+              "loaded = lambda: [m for m in ('multiprocessing', 'concurrent.futures')\n"
+              "                  if m in sys.modules]\n"
+              "print(loaded())\n"
+              "harness.run_experiment_spec('P1', {'d': 2}, 4, 3, ['shift'], 4, seed=1)\n"
+              "print(loaded())\n"
+              "harness.run_experiment_spec('P1', {'d': 2}, 4, 3, ['shift'], 4, seed=1, workers=2)\n"
+              "print(loaded())\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]", "['multiprocessing']"]
