@@ -314,7 +314,12 @@ def cmd_theory(args, cfg) -> int:
             if value is not None:
                 raise ContractError(f"{flag} does not apply to {args.problem}, whose x* is its "
                                     "instance's truth; set its dimension with --param d=...")
-        inst = generate_instance(args.problem, _parse_param(args.param), RandomStream(seed))
+        params = _parse_param(args.param)
+        if "sigma" in params:
+            raise ContractError(f"--param sigma does not apply to {args.problem} here; set the "
+                                "noise level with --sigma")
+        inst = generate_instance(args.problem, params, RandomStream(seed))
+        config["params"] = params
         F = inst.objective
         x_star = inst.truth_input.coords
     elif args.problem in FAMILIES:
@@ -347,13 +352,14 @@ def cmd_transport(args, cfg) -> int:
         demand = _read_matrix(args.demand).ravel()
     problem = TransportProblem.build(cost, supply, demand)
     plan = solve_transport(problem)
+    brute = brute_force_transport(problem) if args.brute_force else None  # before any output
     config = {"cost": args.cost, "shape": list(cost.shape),
               "uniform": supply is None}
     _print_header(config, args.no_header)
     print(f"value = {plan.value!r}")
     print(f"pivots = {plan.iterations}")
     if args.brute_force:
-        print(f"brute_force_value = {brute_force_transport(problem)!r}")
+        print(f"brute_force_value = {brute!r}")
     print("coupling:")
     for row in plan.coupling:
         print(",".join(repr(float(x)) for x in row))

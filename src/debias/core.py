@@ -16,10 +16,12 @@ All three apply unchanged to concave F: the algebra is sign-symmetric, so
 debiasing -F and negating gives identical results.
 
 Every estimate runs on a block of B inputs of one kind (``block_for``):
-``EuclideanBlock`` or ``EmpiricalBlock``.  A block exposes ``naive`` (F at
-each input's mean), ``mean(b)``, ``resample_values(plan, rngs)`` (F at each
-input's K resample means, input b resampling from ``rngs[b]``) and
-``covariance()``.  ``corrections`` is the method table over a block,
+``EuclideanBlock`` (Euclidean sets of one shape) or ``EmpiricalBlock``
+(pairs of point clouds, resampled through F's paired ``fn_many``; a paired
+objective without it is refused before F is evaluated).  A block exposes
+``naive`` (F at each input's mean), ``mean(b)``, ``resample_values(plan,
+rngs)`` (F at each input's K resample means, input b resampling from
+``rngs[b]``) and ``covariance()``.  ``corrections`` is the method table over a block,
 ``debiased`` combines a naive value with its correction, and ``why_not``
 says whether a method applies.  ``debias`` runs a block of one input.
 """
@@ -85,16 +87,16 @@ class DebiasEstimate:
     bootstrap_values: Optional[list[float]] = None
 
 
-def bootstrap_means(obs_set: ObservationSet, plan: BootstrapPlan,
+def bootstrap_means(cloud: ObservationSet, plan: BootstrapPlan,
                     rng: RandomStream) -> list[WeightedEmpirical]:
-    """K resample means of an empirical set: the k-th is the mixture of m
-    draws with replacement, weighted by its multinomial count vector.
+    """The K resample mixtures of a point cloud: the k-th puts on each point
+    its share of m draws with replacement, from its multinomial count vector.
 
     Deterministic given (set order, plan, rng state).
     """
-    counts = _resample_counts(len(obs_set), plan, rng)
+    counts = _resample_counts(len(cloud), plan, rng)
     m = counts.sum(axis=1)
-    return [mixture(obs_set, counts[k] / m[k]) for k in range(counts.shape[0])]
+    return [mixture(cloud, counts[k] / m[k]) for k in range(counts.shape[0])]
 
 
 def _resample_counts(n: int, plan: BootstrapPlan, rng: RandomStream) -> np.ndarray:
@@ -179,22 +181,22 @@ class EuclideanBlock:
 
 
 class EmpiricalBlock:
-    """B inputs of weighted empirical distributions, each one empirical
-    ObservationSet or a tuple of them (a paired functional such as P7's W2^2).
+    """B pairs of point clouds, the inputs of a paired functional such as
+    P7's W2^2.
 
-    The means and F there are computed once per input, when the block is
-    built.  Each input is resampled on its own: the components of a tuple
-    independently, each with its own size, from ``rng.split(i)``.  F's
-    paired ``fn_many`` (when it has one) evaluates all K resample pairs of
-    an input from their count vectors in one call; otherwise each resample
-    is merged as a mixture and evaluated.
+    Each pair's means, and F there, are computed once, when the block is
+    built.  The two clouds of a pair are resampled independently, cloud i
+    with its own size from ``rng.split(i)``, and F's paired ``fn_many``
+    evaluates all K resample pairs of an input from their coefficient rows
+    in one call.
     """
 
     def __init__(self, F: Objective, inputs):
         self.F = F
         self.inputs = list(inputs)
-        self.means = [tuple(mean_observation(s) for s in obs) if isinstance(obs, tuple)
-                      else mean_observation(obs) for obs in self.inputs]
+        if not all(isinstance(obs, tuple) for obs in self.inputs):
+            raise UnsupportedMethodError("empirical inputs must be pairs of point clouds")
+        self.means = [tuple(map(mean_observation, obs)) for obs in self.inputs]
         self.naive = [F.evaluate(mean) for mean in self.means]
 
     def mean(self, b: int):
@@ -206,15 +208,9 @@ class EmpiricalBlock:
         return [self._values(obs, plan, rng) for obs, rng in zip(self.inputs, rngs)]
 
     def _values(self, obs, plan, rng) -> np.ndarray:
-        F = self.F
-        if not isinstance(obs, tuple):
-            return _indexed(F.evaluate(r) for r in bootstrap_means(obs, plan, rng))
-        if F.fn_many is None:
-            per_component = [bootstrap_means(s, plan, rng.split(i)) for i, s in enumerate(obs)]
-            return _indexed(F.evaluate(r) for r in zip(*per_component))
         counts = [_resample_counts(len(s), plan, rng.split(i)) for i, s in enumerate(obs)]
         coeffs = [c / c.sum(axis=1, keepdims=True) for c in counts]
-        return _indexed(map(F.finite, F.fn_many(obs, coeffs)))
+        return _indexed(map(self.F.finite, self.F.fn_many(obs, coeffs)))
 
     def covariance(self) -> list[float]:
         raise UnsupportedMethodError("covariance needs Euclidean observations")
@@ -226,7 +222,7 @@ def _is_euclidean(obs) -> bool:
 
 def block_for(F: Objective, inputs):
     """The block for a list of inputs of one kind: Euclidean sets of one
-    shape, or empirical sets or tuples of them."""
+    shape, or pairs of point clouds."""
     if _is_euclidean(inputs[0]):
         return EuclideanBlock(F, np.stack([obs.points for obs in inputs]))
     return EmpiricalBlock(F, inputs)
@@ -281,6 +277,8 @@ def why_not(method: str, F: Objective, euclidean: bool) -> Optional[str]:
             return "covariance needs Euclidean observations"
         if F.hessian is None:
             return "covariance needs a hessian oracle"
+    elif not euclidean and F.fn_many is None:
+        return f"{method} on point clouds needs a paired fn_many"
     return None
 
 

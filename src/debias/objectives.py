@@ -2,9 +2,10 @@
 derivative oracles, a sign constraint, and a domain predicate.
 
 The callables operate on unwrapped observation values: a coordinate vector
-for Euclidean observations, a :class:`~debias.observations.WeightedEmpirical`
-for functional ones, or a tuple of those for paired inputs.  ``evaluate``
-takes care of unwrapping, domain checking, and finiteness checking.
+for Euclidean observations, or for a paired functional a pair of
+:class:`~debias.observations.WeightedEmpirical` (the means or resamples of
+two point clouds).  ``evaluate`` takes care of unwrapping, domain checking,
+and finiteness checking.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ class Objective:
     For Euclidean objectives, ``fn_many`` maps a (K, d) array of points to
     the K values of ``fn`` (to rounding; it may sum in another order);
     without it ``evaluate_batch`` falls back to calling ``fn`` row by row.
-    For paired empirical objectives, ``fn_many(sets, coeffs)`` takes the
-    pair of ObservationSets and a pair of (K, n_i) coefficient matrices and
+    For paired empirical objectives, ``fn_many(clouds, coeffs)`` takes a
+    pair of point clouds and a pair of (K, n_i) coefficient matrices and
     returns an iterator over the K values of ``fn`` at the mixture pairs
-    ``(mixture(sets[0], coeffs[0][k]), mixture(sets[1], coeffs[1][k]))``,
+    ``(mixture(clouds[0], coeffs[0][k]), mixture(clouds[1], coeffs[1][k]))``,
     bit for bit; an error in value k is raised by the k-th step, so the
-    caller can name the resample.  Without it the bootstrap builds each
-    mixture and calls ``evaluate``.
+    caller can name the resample.  The bootstrap methods need it on point
+    clouds.
     ``domain_check`` is a function of the last axis: a (..., d) array in,
     one boolean per point out, so one call checks a whole batch and the
     same function checks a single point.

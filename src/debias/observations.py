@@ -1,15 +1,18 @@
-"""Observation containers: Euclidean points, weighted empirical distributions,
-and homogeneous sets of either.
+"""Observation containers: Euclidean points, finitely supported
+distributions, and homogeneous sets of observations.
 
-An observation is the averageable unit the estimators work on.  Euclidean
-points average coordinatewise; weighted empirical distributions (finitely
-supported measures) average as mixtures, merging duplicate support points.
+An observation is the averageable unit the estimators work on.  A set is
+one (n, d) array of points.  In a Euclidean set each point is an
+observation in R^d, averaged coordinatewise.  In an empirical set (a point
+cloud) each point is a Dirac delta, and the set averages as a mixture: the
+distribution that puts each point's coefficient on it.  Equal points are
+kept as separate atoms, not merged.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import math
 
 import numpy as np
 
@@ -43,24 +46,21 @@ class EuclideanPoint:
 
 
 class WeightedEmpirical:
-    """A finitely supported distribution sum_j w_j * delta_{s_j} on R^p.
+    """A finitely supported distribution sum_j w_j * delta_{s_j} on R^p: the
+    mean or a resample of a point cloud.
 
-    Weights are nonnegative and sum to 1 (within 1e-12).  A Dirac delta is
-    the special case of a single support point with weight 1.
+    Weights are nonnegative and sum to 1 (within 1e-12).
     """
 
     __slots__ = ("support", "weights")
 
-    def __init__(self, support, weights=None):
+    def __init__(self, support, weights):
         s = np.atleast_2d(np.asarray(support, dtype=float))
         if s.shape[0] == 0:
             raise ContractError("WeightedEmpirical support must be nonempty")
         if not np.all(np.isfinite(s)):
             raise ContractError("WeightedEmpirical support points must be finite")
-        if weights is None:
-            w = np.full(s.shape[0], 1.0 / s.shape[0])
-        else:
-            w = np.asarray(weights, dtype=float)
+        w = np.asarray(weights, dtype=float)
         if w.shape != (s.shape[0],):
             raise ContractError("weights length must match number of support points")
         if np.any(w < 0):
@@ -70,102 +70,64 @@ class WeightedEmpirical:
         self.support = s
         self.weights = w
 
-    @classmethod
-    def dirac(cls, point) -> "WeightedEmpirical":
-        return cls(np.atleast_2d(np.asarray(point, dtype=float)), np.array([1.0]))
-
-    @property
-    def dimension(self) -> int:
-        return self.support.shape[1]
-
     def __repr__(self):
-        return f"WeightedEmpirical({self.support.shape[0]} atoms in R^{self.dimension})"
+        return f"WeightedEmpirical({self.support.shape[0]} atoms in R^{self.support.shape[1]})"
 
 
 Observation = EuclideanPoint | WeightedEmpirical
 
 
 class ObservationSet:
-    """A nonempty, homogeneous collection of observations.
-
-    Euclidean sets are stored as one (n, d) array so means and bootstrap
-    means reduce to matrix operations; empirical sets keep the observation
-    list.  ``variant`` is ``"euclidean"`` or ``"empirical"``.
+    """A nonempty set of n observations of one dimension, stored as one
+    (n, d) array ``points``, so means and bootstrap means reduce to matrix
+    operations.  ``variant`` is ``"euclidean"`` (points in R^d) or
+    ``"empirical"`` (a cloud of Dirac points, see ``from_dirac_points``).
     """
 
     def __init__(self, observations):
         obs = list(observations)
-        if len(obs) == 0:
-            raise ContractError("ObservationSet must be nonempty")
-        first = obs[0]
-        if isinstance(first, EuclideanPoint):
-            self.variant = "euclidean"
-            dim = first.dimension
-            for o in obs:
-                if not isinstance(o, EuclideanPoint) or o.dimension != dim:
-                    raise ContractError("ObservationSet must be homogeneous in variant and dimension")
-            self.points = np.stack([o.coords for o in obs])
-            self._obs = None
-        elif isinstance(first, WeightedEmpirical):
-            self.variant = "empirical"
-            dim = first.dimension
-            for o in obs:
-                if not isinstance(o, WeightedEmpirical) or o.dimension != dim:
-                    raise ContractError("ObservationSet must be homogeneous in variant and dimension")
-            self.points = None
-            self._obs = obs
-        else:
-            raise ContractError(f"unsupported observation type {type(first).__name__}")
-        self.dimension = dim
+        if not all(isinstance(o, EuclideanPoint) for o in obs):
+            raise ContractError("ObservationSet takes EuclideanPoints; build a point cloud "
+                                "with from_dirac_points")
+        if len({o.dimension for o in obs}) > 1:
+            raise ContractError("ObservationSet must be homogeneous in dimension")
+        self._hold(np.stack([o.coords for o in obs]) if obs else np.empty((0, 0)), "euclidean")
 
-    @classmethod
-    def from_points(cls, points) -> "ObservationSet":
-        """Euclidean set from an (n, d) array without per-row wrapping."""
+    def _hold(self, points, variant: str) -> None:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 0:
             raise ContractError("ObservationSet must be nonempty")
         if not np.all(np.isfinite(pts)):
             raise ContractError("observation coordinates must be finite")
+        self.variant = variant
+        self.points = pts
+        self.dimension = pts.shape[1]
+
+    @classmethod
+    def from_points(cls, points) -> "ObservationSet":
+        """Euclidean set from an (n, d) array without per-row wrapping."""
         out = cls.__new__(cls)
-        out.variant = "euclidean"
-        out.points = pts
-        out._obs = None
-        out.dimension = pts.shape[1]
+        out._hold(points, "euclidean")
         return out
 
     @classmethod
     def from_dirac_points(cls, points) -> "ObservationSet":
-        """Empirical set of Dirac deltas at the given (n, p) sample points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return cls([WeightedEmpirical.dirac(p) for p in pts])
+        """Empirical set: the point cloud of Dirac deltas at the given (n, p)
+        sample points."""
+        out = cls.__new__(cls)
+        out._hold(points, "empirical")
+        return out
 
     def __len__(self) -> int:
-        return self.points.shape[0] if self.variant == "euclidean" else len(self._obs)
-
-    @functools.cached_property
-    def atom_table(self):
-        """The atoms of an empirical set, built once for all its mixtures:
-        (support, owner, base weight, group, number of groups), where an
-        atom's owner is the index of its observation and its group numbers
-        the distinct atom bytes in order of first occurrence."""
-        if self.variant != "empirical":
-            raise ContractError("atom_table needs an empirical observation set")
-        support = np.concatenate([o.support for o in self._obs])
-        if not np.all(np.isfinite(support)):
-            raise ContractError("WeightedEmpirical support points must be finite")
-        owner = np.repeat(np.arange(len(self._obs)), [o.support.shape[0] for o in self._obs])
-        base = np.concatenate([o.weights for o in self._obs])
-        ids: dict[bytes, int] = {}
-        group = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in support])
-        return support, owner, base, group, len(ids)
+        return self.points.shape[0]
 
     def fingerprint(self) -> int:
         """Digest of the raw data, used to assert paired trial designs; the
-        same in every process."""
+        same in every process.  A cloud's digest covers each point's bytes
+        followed by the bytes of its weight 1.0."""
         if self.variant == "euclidean":
             return stable_digest([self.points.tobytes()])
-        return stable_digest(part for o in self._obs
-                             for part in (o.support.tobytes(), o.weights.tobytes()))
+        return stable_digest([np.hstack([self.points, np.ones((len(self), 1))]).tobytes()])
 
 
 def stable_digest(chunks) -> int:
@@ -176,64 +138,37 @@ def stable_digest(chunks) -> int:
     return int.from_bytes(hashlib.blake2b(b"".join(chunks), digest_size=8).digest(), "big")
 
 
-def mixture(obs_set: ObservationSet, coeffs) -> WeightedEmpirical:
-    """The mixture sum_i coeffs_i * obs_i of an empirical set's members.
-
-    Atoms of nonpositive weight are dropped.  Atoms with the same bytes are
-    merged into the first of them that is kept, their weights summed in atom
-    order; the merged weights are then renormalised to sum to 1.
-    """
+def mixture_row(cloud: ObservationSet, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The row rule of every mixture of a point cloud: the indices of the
+    points whose coefficient is positive, in order, and those coefficients
+    divided by their sum.  Equal points are not merged."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (len(obs_set),):
+    if coeffs.shape != (len(cloud),):
         raise ContractError(f"need one coefficient per observation, got shape {coeffs.shape}")
-    (lead, w), = mixture_weights(obs_set, coeffs[None])
-    return WeightedEmpirical(obs_set.atom_table[0][lead], w)
-
-
-def mixture_weights(obs_set: ObservationSet, coeffs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The mixtures of an empirical set for each row of a (K, n) coefficient
-    matrix, as (indices of their atoms in ``atom_table``, weights).
-
-    Each row is merged with ``mixture``'s arithmetic, bit for bit; the
-    weights of all K rows are checked as ``WeightedEmpirical`` checks them,
-    once for the batch.
-    """
-    _, owner, base, group, groups = obs_set.atom_table
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[1] != len(obs_set):
-        raise ContractError(f"need one coefficient per observation, got shape {coeffs.shape}")
-    rounds = coeffs.shape[0]
-    weights = coeffs[:, owner] * base
-    row, atom = np.nonzero(weights > 0)  # the kept atoms, row by row in atom order
-    # one key per (row, group); bincount adds each key's weights in atom order
-    key = row * groups + group[atom]
-    merged = np.bincount(key, weights=weights[row, atom], minlength=rounds * groups)
-    lead = np.sort(np.unique(key, return_index=True)[1])  # the first kept atom of each group
-    bounds = np.searchsorted(row[lead], np.arange(rounds + 1))
-    if np.any(bounds[1:] == bounds[:-1]):
+    kept = (coeffs > 0).nonzero()[0]
+    if kept.size == 0:
         raise ContractError("mixture has no mass")
-    rows = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    w = merged[key[lead]]
-    # a row's total is at least its largest kept weight, so it is positive
-    totals = np.array([w[lo:hi].sum() for lo, hi in rows])
-    w = w / np.repeat(totals, np.diff(bounds))  # renormalize away accumulated rounding
-    if np.any(w < 0):
-        raise ContractError("WeightedEmpirical weights must be nonnegative")
-    bad = np.flatnonzero(~(np.abs(np.add.reduceat(w, bounds[:-1]) - 1.0) <= 1e-12))
-    if bad.size:
-        lo, hi = rows[bad[0]]
-        raise ContractError(f"WeightedEmpirical weights must sum to 1, got {w[lo:hi].sum()!r}")
-    lead = atom[lead]
-    return [(lead[lo:hi], w[lo:hi]) for lo, hi in rows]
+    w = coeffs[kept]
+    total = w.sum()
+    if not math.isfinite(total):
+        raise ContractError(f"mixture coefficients must be finite, got a sum of {total!r}")
+    return kept, w / total
+
+
+def mixture(cloud: ObservationSet, coeffs) -> WeightedEmpirical:
+    """The mixture sum_i coeffs_i * delta_{x_i} of a point cloud, renormalised
+    to sum to 1 (see ``mixture_row``)."""
+    if cloud.variant != "empirical":
+        raise ContractError("a mixture needs an empirical observation set")
+    kept, w = mixture_row(cloud, coeffs)
+    return WeightedEmpirical(cloud.points[kept], w)
 
 
 def mean_observation(obs_set: ObservationSet) -> Observation:
     """The sample average of an observation set.
 
-    Euclidean sets average coordinatewise.  Empirical sets average as the
-    uniform mixture of the member distributions: for n Dirac observations
-    this is the empirical distribution with weight (count)/n on each
-    distinct point.
+    Euclidean sets average coordinatewise.  A point cloud averages as its
+    uniform mixture: weight 1/n on each of its n points.
     """
     n = len(obs_set)
     if obs_set.variant == "euclidean":

@@ -25,7 +25,7 @@ from . import transport
 from .linalg import (cho_solve, cholesky_factor, cholesky_solve, cholesky_solve_each,
                      random_orthogonal, spd_with_condition)
 from .objectives import Objective
-from .observations import ContractError, EuclideanPoint, ObservationSet, mixture_weights
+from .observations import ContractError, EuclideanPoint, ObservationSet, mixture_row
 from .resampling import RandomStream
 
 # ---------------------------------------------------------------------------
@@ -206,17 +206,17 @@ def p7_wasserstein() -> Objective:
         p, q = pair
         return transport.transport_value(p.support, q.support, p.weights, q.weights)
 
-    def fn_many(sets, coeffs):
-        # each mixture pair's costs are a submatrix of the costs between the
-        # two atom tables, so those are computed and checked once; if the
-        # check fails, each pair's own costs are checked as fn checks them
-        cost = transport.squared_distance_cost(sets[0].atom_table[0], sets[1].atom_table[0])
+    def fn_many(clouds, coeffs):
+        # each resample pair's costs are a submatrix of the costs between the
+        # two clouds, so those are computed and checked once; if the check
+        # fails, each pair's own costs are checked as fn checks them
+        cost = transport.squared_distance_cost(clouds[0].points, clouds[1].points)
         problem = (transport.TransportProblem
                    if np.all(np.isfinite(cost)) and not np.any(cost < 0)
                    else transport.TransportProblem.build)
-        mixtures = [mixture_weights(s, c) for s, c in zip(sets, coeffs)]
-        return (transport.solve_transport(problem(cost[lx][:, ly], wx, wy)).value
-                for (lx, wx), (ly, wy) in zip(*mixtures))
+        for cx, cy in zip(*coeffs):
+            (ix, wx), (iy, wy) = mixture_row(clouds[0], cx), mixture_row(clouds[1], cy)
+            yield transport.solve_transport(problem(cost[ix][:, iy], wx, wy)).value
 
     return Objective(fn=fn, fn_many=fn_many, sign_constraint="positive", name="wasserstein_sq")
 
@@ -239,8 +239,8 @@ class NoiseModel:
         return self.draw(n, stream)
 
 
-def _gaussian(mean: np.ndarray, sigma) -> NoiseModel:
-    sigma = float(sigma)
+def _gaussian(mean: np.ndarray, p: dict) -> NoiseModel:
+    sigma = _positive(p, "sigma")
     return NoiseModel(lambda n, s: ObservationSet.from_points(
         mean + sigma * s.normal((n, mean.size))))
 
@@ -313,7 +313,7 @@ def _quadratic_form(objective):
     def build(p, d, stream):
         A = spd_with_condition(d, p["kappa"], stream)
         x_star = _truth_point(p, d, stream)
-        return _euclidean(objective(A), _gaussian(x_star, p["sigma"]), x_star, {"A": A})
+        return _euclidean(objective(A), _gaussian(x_star, p), x_star, {"A": A})
     return build
 
 
@@ -355,7 +355,7 @@ def _build_p5(p, d, stream):
     B = spd_with_condition(p_dim, p["kappa"], stream)
     A = stream.normal((d, p_dim))
     b_star = _unit_vector(d, stream)
-    return _euclidean(p5_constraint_value(B, A), _gaussian(b_star, p["sigma"]), b_star,
+    return _euclidean(p5_constraint_value(B, A), _gaussian(b_star, p), b_star,
                       {"B": B, "A": A})
 
 
@@ -376,7 +376,7 @@ def _build_p7(p, d, stream):
                             "meaningfully estimable from small samples beyond that")
     mu1 = np.zeros(d)
     mu2 = p["mu2_norm"] * _unit_vector(d, stream)
-    sigma = float(p["sigma"])
+    sigma = _positive(p, "sigma")
     m_samples = None if p["m_samples"] is None else int(_positive(p, "m_samples"))
 
     def draw(n, s):  # n draws around mu1 and m_samples (default n) around mu2
@@ -405,10 +405,19 @@ class Family:
         """What a sweep may vary: the parameters, then ``n`` and ``K``."""
         return (*self.params, "n", "K")
 
+    def resolve(self, params: dict) -> dict:
+        """The defaults, overridden by ``params``; a non-finite value is
+        refused, naming its parameter."""
+        p = {**self.params, **params}
+        for name in self.params:
+            if p[name] is not None and not math.isfinite(p[name]):
+                raise ContractError(f"{name} must be finite, got {p[name]}")
+        return p
+
     def resolve_n(self, n: Optional[int], params: dict) -> int:
         """Observations per trial: ``n`` if given, else the preset, else
         ``n_ratio * d``, each factor from ``params`` or else the defaults."""
-        p = {**self.params, **params}
+        p = self.resolve(params)
         return n if n is not None else self.n or int(p["n_ratio"] * p["d"])
 
 
@@ -446,7 +455,7 @@ def generate_instance(family: str, params: Optional[dict] = None,
     if unknown:
         raise ContractError(f"{family} does not take parameters {sorted(unknown)}; "
                             f"valid: {sorted(spec.params)}")
-    p = {**spec.params, **params}
+    p = spec.resolve(params)
     check_counts(p, ("d", "p_dim", "m_samples"))
     d = int(p["d"])
     if d < 1:

@@ -69,6 +69,8 @@ class SigmaSet:
 def moments_gaussian(sigma: float, d: int) -> MomentTensors:
     """Analytic tensors for N(x*, sigma^2 I): M2 = sigma^2 I and the Isserlis
     fourth moment sigma^4 (d_ab d_cd + d_ac d_bd + d_ad d_bc)."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ContractError(f"sigma must be finite and > 0, got {sigma}")
     if d > _MAX_M4_DIM:
         raise ContractError(f"moment tensors limited to d <= {_MAX_M4_DIM}, got d={d}")
     eye = np.eye(d)
@@ -97,8 +99,8 @@ def sigma_set(F: Objective, x_star: np.ndarray, moments: MomentTensors, c_k: flo
     """
     if F.gradient is None or F.hessian is None or F.third_derivative is None:
         raise ContractError("sigma_set needs gradient, hessian and third derivative oracles")
-    if c_k <= 0:
-        raise ContractError(f"c_k must be positive, got {c_k}")
+    if not (math.isfinite(c_k) and c_k > 0):
+        raise ContractError(f"c_k must be finite and > 0, got {c_k}")
     x_star = np.asarray(x_star, dtype=float)
     g = np.asarray(F.gradient(x_star), dtype=float)
     H = np.asarray(F.hessian(x_star), dtype=float)

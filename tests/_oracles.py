@@ -1,10 +1,11 @@
 """Test-only helpers: a quadratic form, an independent KKT solve for P5's
 equality-constrained minimum, a random symmetric third-order tensor, a
-per-row reference merge of mixture atoms, a per-trial reference trial, a
-per-resample reference of P7's bootstrap values and trials, a transport
-plan's dual objective, a reader for the results CSV, the exact resample
-enumeration, sampled moment tensors, a finite-difference third derivative,
-the members of an observation set and the negation of an objective."""
+point-by-point reference mixture of a point cloud, a per-trial reference
+trial, a per-resample reference of P7's bootstrap values and trials, a
+transport plan's dual objective, a reader for the results CSV, the exact
+resample enumeration, sampled moment tensors, a finite-difference third
+derivative, the members of a Euclidean set and the negation of an
+objective."""
 
 import dataclasses
 import math
@@ -90,30 +91,15 @@ def random_symmetric_tensor3(d: int, stream: RandomStream) -> np.ndarray:
     return out / 6.0
 
 
-def mixture_reference(observations, coeffs) -> WeightedEmpirical:
-    """sum_i coeffs_i * obs_i over a list of distributions, merging duplicate
-    atoms in a per-row loop keyed by the row's bytes."""
-    support = np.concatenate([o.support for o in observations])
-    weights = np.concatenate([c * o.weights for c, o in zip(coeffs, observations)])
-    keep = weights > 0
-    if not np.any(keep):
+def mixture_reference(points, coeffs) -> WeightedEmpirical:
+    """sum_i coeffs_i * delta_{points_i}, built point by point: each point
+    of positive coefficient is its own atom, in order (equal points are not
+    merged), and the kept coefficients are renormalised to sum to 1."""
+    keep = [(p, c) for p, c in zip(points, coeffs) if c > 0]
+    if not keep:
         raise ContractError("mixture has no mass")
-    seen: dict[bytes, int] = {}
-    keep_rows = []
-    merged = []
-    for row, w in zip(support[keep], weights[keep]):
-        key = row.tobytes()
-        if key in seen:
-            merged[seen[key]] += w
-        else:
-            seen[key] = len(keep_rows)
-            keep_rows.append(row)
-            merged.append(w)
-    w = np.asarray(merged, dtype=float)
-    total = w.sum()
-    if total > 0:
-        w = w / total
-    return WeightedEmpirical(np.stack(keep_rows), w)
+    w = np.array([c for _, c in keep])
+    return WeightedEmpirical(np.stack([p for p, _ in keep]), w / w.sum())
 
 
 def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
@@ -141,22 +127,30 @@ def wasserstein_reference(p, q) -> float:
     return transport_value(p.support, q.support, p.weights, q.weights)
 
 
-def paired_values_reference(sets, plan, stream) -> np.ndarray:
-    """W2^2 at each of the K resample pairs of a pair of empirical sets: set i
-    draws its counts from ``stream.split(i)``, each resample is merged on its
-    own with ``mixture_reference`` and solved from its own cost matrix."""
-    mixtures = []
+def paired_coefficients_reference(sets, plan, stream) -> list[np.ndarray]:
+    """The (K, n_i) resample coefficients of each cloud of a pair: cloud i
+    draws its counts from ``stream.split(i)``, and row k is count vector k
+    divided by its total."""
+    out = []
     for i, s in enumerate(sets):
         counts = _resample_counts(len(s), plan, stream.split(i))
         m = counts.sum(axis=1)
-        mixtures.append([mixture_reference(members(s), counts[k] / m[k])
-                         for k in range(plan.rounds)])
-    return np.array([wasserstein_reference(p, q) for p, q in zip(*mixtures)])
+        out.append(np.stack([counts[k] / m[k] for k in range(plan.rounds)]))
+    return out
+
+
+def paired_values_reference(sets, coeffs):
+    """W2^2 at each resample pair of a pair of clouds, one at a time: each
+    resample is built on its own with ``mixture_reference`` and solved from
+    its own cost matrix."""
+    for cx, cy in zip(*coeffs):
+        yield wasserstein_reference(mixture_reference(sets[0].points, cx),
+                                    mixture_reference(sets[1].points, cy))
 
 
 def paired_naive_reference(sets) -> float:
     """W2^2 between the uniform mixtures of the two sets."""
-    p, q = (mixture_reference(members(s), np.full(len(s), 1.0 / len(s))) for s in sets)
+    p, q = (mixture_reference(s.points, np.full(len(s), 1.0 / len(s))) for s in sets)
     return wasserstein_reference(p, q)
 
 
@@ -174,9 +168,11 @@ def paired_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
     method's bootstrap values from split(1 + j), in method order."""
     sets = instance.sample_observations(n, stream.split(0))
     naive = paired_naive_reference(sets)
-    debiased = {m: paired_debiased_reference(
-        m, naive, paired_values_reference(sets, plan, stream.split(1 + j)))
-        for j, m in enumerate(methods)}
+    debiased = {}
+    for j, m in enumerate(methods):
+        coeffs = paired_coefficients_reference(sets, plan, stream.split(1 + j))
+        values = np.array(list(paired_values_reference(sets, coeffs)))
+        debiased[m] = paired_debiased_reference(m, naive, values)
     fingerprint = stable_digest(s.fingerprint().to_bytes(8, "big") for s in sets)
     return TrialRecord(stream.path[-1], instance.truth_value, naive, debiased, stream.path,
                        fingerprint)
@@ -209,9 +205,8 @@ def parse_results_csv(path: str) -> list[dict]:
 
 
 def members(obs_set: ObservationSet) -> list:
-    """The observations of a set: EuclideanPoints or WeightedEmpiricals."""
-    return (list(map(EuclideanPoint, obs_set.points)) if obs_set.variant == "euclidean"
-            else list(obs_set._obs))
+    """The observations of a Euclidean set, as EuclideanPoints."""
+    return list(map(EuclideanPoint, obs_set.points))
 
 
 def negated(F: Objective) -> Objective:

@@ -212,6 +212,16 @@ def test_sweep_p5_kappa(tmp_path):
     ("sweep P1 --axis K --values 2.5", "K"),  # sweep counts: ran K=2, labelled K=2.5
     ("sweep P1 --axis n --values 3.5", "n"),  # ran n=3
     ("bench P7 --param m_samples=0", "m_samples"),  # ran m_samples = n, recorded 0
+    ("bench P1 --param sigma=0", "sigma"),  # ran, with rmse_r = nan
+    ("bench P2 --param sigma=-1", "sigma"),  # ran as sigma = 1 in distribution
+    ("bench P5 --param sigma=0", "sigma"),
+    ("bench P7 --param sigma=-1", "sigma"),
+    # non-finite values: exit 4 after numpy RuntimeWarnings
+    ("bench P1 --param kappa=1e999", "kappa"),
+    ("sweep P1 --axis kappa --values nan", "kappa"),
+    ("sweep P1 --axis kappa --values inf", "kappa"),
+    ("sweep P6 --axis alpha --values 1e999", "alpha"),
+    ("sweep P6 --axis n_ratio --values inf", "n_ratio"),  # exit 1 with a traceback
 ])
 def test_bad_parameter_exit_3(tmp_path, argv, name):
     src = str(Path(debias.__file__).resolve().parents[1])
@@ -220,7 +230,7 @@ def test_bad_parameter_exit_3(tmp_path, argv, name):
     done = subprocess.run([sys.executable, "-m", "debias.cli", *args], capture_output=True,
                           text=True, timeout=10, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 3, done.stderr
-    assert "Traceback" not in done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     assert f"{name}=" in done.stderr or f"{name} must" in done.stderr
 
 
@@ -281,6 +291,9 @@ def test_theory_d_below_1_exit_3(d):
     (["--problem", "P2", "--d", "7"], "--d"),  # d is the family parameter
     (["--problem", "quad", "--param", "d=5", "--param", "bogus=3"], "--param"),  # ran d=1
     (["--problem", "quad1d", "--param", "d=2"], "--param"),
+    # the noise level is --sigma; --param sigma=3 printed the bytes of sigma=1
+    (["--problem", "P1", "--param", "sigma=3"], "--param sigma"),
+    (["--problem", "P5", "--param", "d=4", "--param", "sigma=1"], "--param sigma"),
 ])
 def test_theory_unused_flags_exit_3(argv, flag, capsys):
     assert main(["theory", *argv]) == 3
@@ -290,10 +303,26 @@ def test_theory_unused_flags_exit_3(argv, flag, capsys):
 
 
 def test_theory_family_header_has_no_xstar(capsys):
-    assert main(["theory", "--problem", "P1", "--param", "d=3"]) == 0
+    assert main(["theory", "--problem", "P1", "--param", "d=3", "--param", "kappa=2.5"]) == 0
     header = capsys.readouterr().out.splitlines()[0]
     config = json.loads(header.removeprefix("# config: "))
-    assert config == {"ck": 1.0, "d": 3, "problem": "P1", "sigma": 1.0}
+    assert config == {"ck": 1.0, "d": 3, "params": {"d": 3, "kappa": 2.5}, "problem": "P1",
+                      "sigma": 1.0}
+
+
+@pytest.mark.parametrize("problem", ["quad", "P2"])
+@pytest.mark.parametrize("argv, name", [
+    (["--sigma", "nan"], "sigma"),  # printed margin_shift = nan
+    (["--sigma", "-1"], "sigma"),  # ran as sigma = 1
+    (["--sigma", "0"], "sigma"),
+    (["--ck", "nan"], "c_k"),
+    (["--ck", "inf"], "c_k"),
+])
+def test_theory_bad_noise_exit_3(capsys, problem, argv, name):
+    assert main(["theory", "--problem", problem, *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must be finite and > 0, got ")
+    assert captured.out == ""
 
 
 def test_transport_single_cell(tmp_path, capsys):
@@ -328,6 +357,17 @@ def test_transport_large_costs_exit_0(tmp_path, capsys):
     value = float(out.split("value = ")[1].split()[0])
     brute = float(out.split("brute_force_value = ")[1].split()[0])
     assert value == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", ["0 1 2 3\n1 0 2 3\n2 1 0 3", "\n".join(["1 " * 8] * 8)],
+                         ids=["3x4", "8x8"])
+def test_transport_brute_force_preconditions_exit_3(tmp_path, capsys, rows):
+    # printed value and pivots, then exited 3
+    cost = write(tmp_path / "c.csv", rows + "\n")
+    assert main(["transport", "--cost", cost, "--brute-force"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: brute force needs")
+    assert captured.out == ""
 
 
 def test_transport_unbalanced_exit_3(tmp_path):

@@ -10,6 +10,7 @@ from _oracles import (
     exact_expectation_debias,
     exact_resample_expectation,
     negated,
+    paired_coefficients_reference,
     paired_debiased_reference,
     paired_naive_reference,
     paired_values_reference,
@@ -29,7 +30,7 @@ from debias.core import (
     shift_debias,
 )
 from debias.objectives import DomainError, EvaluationError, Objective
-from debias.observations import ContractError, ObservationSet, WeightedEmpirical, mean_observation
+from debias.observations import ContractError, ObservationSet, mean_observation
 from debias.problems import FAMILIES, generate_instance, p1_quadratic, p7_wasserstein
 from debias.resampling import RandomStream
 from debias.transport import IterationCapError, TransportError
@@ -414,22 +415,13 @@ def test_quadratic_unbiasedness_smoke():
 
 
 def crafted_pair(far):
-    """Two empirical sets with duplicate atoms, multi-atom members and a -0.0
-    atom beside 0.0; with ``far``, also a zero-weight atom whose squared
-    distances to the other set overflow to inf."""
+    """Two point clouds with a duplicate point and a -0.0 point beside 0.0;
+    with ``far``, also a point whose squared distances to the other cloud
+    overflow to inf."""
     tail = [[1e200, 0.0]] if far else []
-    xs = ObservationSet([
-        WeightedEmpirical([[0.0, 0.0], [1.0, 0.5]], [0.25, 0.75]),
-        WeightedEmpirical.dirac([0.0, 0.0]),
-        WeightedEmpirical([[1.0, 0.5], [2.0, -1.0]] + tail, [0.5, 0.5] + [0.0] * len(tail)),
-        WeightedEmpirical.dirac([-0.0, 0.0]),
-        WeightedEmpirical.dirac([0.0, 0.0]),
-    ])
-    ys = ObservationSet([
-        WeightedEmpirical.dirac([1.0, 1.0]),
-        WeightedEmpirical([[1.0, 1.0], [0.0, 2.0], [3.0, 0.0]], [0.2, 0.3, 0.5]),
-        WeightedEmpirical.dirac([0.5, 0.5]),
-    ])
+    xs = ObservationSet.from_dirac_points(
+        [[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [2.0, -1.0], [-0.0, 0.0]] + tail)
+    ys = ObservationSet.from_dirac_points([[1.0, 1.0], [0.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
     return xs, ys
 
 
@@ -437,37 +429,62 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
+def outcomes(values):
+    """The hex of each value an iterator yields, in order, then the message
+    of the TransportError that ended it, if one did."""
+    out = []
+    try:
+        for value in values:
+            out.append(float(value).hex())
+    except TransportError as exc:
+        out.append(str(exc))
+    return out
+
+
 @pytest.mark.parametrize("size", [None, 4])
 @pytest.mark.parametrize("far", [False, True])
 def test_paired_resamples_match_per_resample_reference(far, size):
+    # with ``far`` the costs between the clouds overflow, so each resample
+    # pair's costs are checked on their own: pairs without the far point give
+    # the reference's bits, and the first one holding it fails as it does
     sets = crafted_pair(far)
     plan = BootstrapPlan(rounds=40, size=size)
+    coeffs = paired_coefficients_reference(sets, plan, RandomStream(21))
+    want = outcomes(paired_values_reference(sets, coeffs))
+    assert outcomes(p7_wasserstein().fn_many(sets, coeffs)) == want
+    if far:
+        assert want[-1] == "costs must be finite and nonnegative" and len(want) > 1
+        return
     naive = paired_naive_reference(sets)
-    values = paired_values_reference(sets, plan, RandomStream(21))
+    values = np.array([float.fromhex(v) for v in want])
     for method, estimator in (("shift", shift_debias), ("scale", scale_debias)):
         est = estimator(p7_wasserstein(), sets, plan, RandomStream(21))
         assert est.naive_value.hex() == naive.hex()
-        assert hexes(est.bootstrap_values) == hexes(values)
+        assert hexes(est.bootstrap_values) == want
         assert est.debiased_value.hex() == paired_debiased_reference(method, naive, values).hex()
 
 
-def test_paired_fn_many_matches_objective_without_it():
-    F = p7_wasserstein()
-    loop = dataclasses.replace(F, fn_many=None)  # one mixture and one evaluate per resample
-    generated = generate_instance("P7", {"d": 3, "m_samples": 6}, RandomStream(2))
-    for sets in (crafted_pair(False), crafted_pair(True),
-                 generated.sample_observations(9, RandomStream(3))):
-        for estimator in (shift_debias, scale_debias):
-            a = estimator(F, sets, BootstrapPlan(rounds=30), RandomStream(4))
-            b = estimator(loop, sets, BootstrapPlan(rounds=30), RandomStream(4))
-            assert hexes(a.bootstrap_values) == hexes(b.bootstrap_values)
-            assert a.debiased_value.hex() == b.debiased_value.hex()
+def test_paired_objective_without_fn_many_is_refused():
+    calls = []
+
+    def fn(pair):
+        calls.append(pair)
+        return 1.0
+
+    F = dataclasses.replace(p7_wasserstein(), fn=fn, fn_many=None)
+    xs, ys = crafted_pair(False)
+    for method, inputs in (("shift", (xs, ys)), ("scale", (xs, ys)), ("cov", (xs, ys))):
+        with pytest.raises(UnsupportedMethodError):
+            debias(method, F, inputs, BootstrapPlan(rounds=5))
+    # a point cloud on its own is no input of a paired functional
+    with pytest.raises(UnsupportedMethodError, match="pairs of point clouds"):
+        shift_debias(p7_wasserstein(), xs, BootstrapPlan(rounds=5))
+    assert calls == []
 
 
 @pytest.mark.parametrize("failure", ["cap", "nan"])
 def test_paired_errors_name_the_resample(monkeypatch, failure):
-    # resample 5 fails, as the simplex's iteration cap or as a NaN value; the
-    # batched path raises what the mixture-per-resample loop raises
+    # resample 5 fails, as the simplex's iteration cap or as a NaN value
     simplex, solve = transport._simplex, transport.solve_transport
     calls = []
 
@@ -488,16 +505,11 @@ def test_paired_errors_name_the_resample(monkeypatch, failure):
     monkeypatch.setattr(transport, "solve_transport", counted)
     if failure == "cap":
         monkeypatch.setattr(transport, "_simplex", capped)
-    F = p7_wasserstein()
-    errors = []
-    for objective in (F, dataclasses.replace(F, fn_many=None)):
-        calls.clear()
-        with pytest.raises((TransportError, EvaluationError)) as info:
-            shift_debias(objective, crafted_pair(False), BootstrapPlan(rounds=10), RandomStream(4))
-        errors.append((type(info.value), str(info.value)))
-    assert errors[0] == errors[1]
-    assert errors[0][1].startswith("bootstrap resample 5: ")
-    assert errors[0][0] is (IterationCapError if failure == "cap" else EvaluationError)
+    with pytest.raises((TransportError, EvaluationError)) as info:
+        shift_debias(p7_wasserstein(), crafted_pair(False), BootstrapPlan(rounds=10),
+                     RandomStream(4))
+    assert str(info.value).startswith("bootstrap resample 5: ")
+    assert type(info.value) is (IterationCapError if failure == "cap" else EvaluationError)
 
 
 def answer_first_call(objective, value):
@@ -513,20 +525,15 @@ def answer_first_call(objective, value):
 
 
 def test_paired_cost_overflow_names_the_resample():
-    # an atom whose squared distances overflow: given a naive value, the
-    # bootstrap fails at the first resample that holds it, on both paths
-    xs = ObservationSet([WeightedEmpirical.dirac([0.0])] * 5 + [WeightedEmpirical.dirac([1e200])])
-    ys = ObservationSet([WeightedEmpirical.dirac([1.0]), WeightedEmpirical.dirac([2.0])])
-    F = p7_wasserstein()
-    errors = []
-    for objective in (F, dataclasses.replace(F, fn_many=None)):
-        with pytest.raises(TransportError) as info:
-            shift_debias(answer_first_call(objective, 1.0), (xs, ys), BootstrapPlan(rounds=20),
-                         RandomStream(2))
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
-    assert errors[0].endswith(": costs must be finite and nonnegative")
-    assert errors[0].startswith("bootstrap resample 1: ")  # resample 0 lacks it
+    # a point whose squared distances overflow: given a naive value, the
+    # bootstrap fails at the first resample that holds it
+    xs = ObservationSet.from_dirac_points([[0.0]] * 5 + [[1e200]])
+    ys = ObservationSet.from_dirac_points([[1.0], [2.0]])
+    with pytest.raises(TransportError) as info:
+        shift_debias(answer_first_call(p7_wasserstein(), 1.0), (xs, ys),
+                     BootstrapPlan(rounds=20), RandomStream(2))
+    assert str(info.value).endswith(": costs must be finite and nonnegative")
+    assert str(info.value).startswith("bootstrap resample 1: ")  # resample 0 lacks it
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,32 @@ def test_p7_examples():
     assert F.evaluate((mean_observation(pa), mean_observation(pb))) == pytest.approx(1.0)
 
 
+def test_p7_duplicate_points_match_merged_cloud():
+    # equal points stay separate atoms, so W2^2 of a cloud with duplicate
+    # rows is that of the merged distribution up to rounding, at its mean
+    # and at its resamples
+    from debias.transport import transport_value
+
+    F = p7_wasserstein()
+    rng = np.random.default_rng(4)
+    pool_x, pool_y = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+
+    def merged(pool, picks, coeffs):
+        w = np.bincount(picks, weights=coeffs, minlength=len(pool))
+        return pool[w > 0], w[w > 0] / w.sum()
+
+    for _ in range(20):
+        ix, iy = rng.integers(0, 4, 9), rng.integers(0, 3, 7)
+        clouds = tuple(map(ObservationSet.from_dirac_points, (pool_x[ix], pool_y[iy])))
+        counts = [rng.integers(0, 3, (2, n)) + np.eye(1, n) for n in (9, 7)]
+        coeffs = [c / c.sum(axis=1, keepdims=True) for c in counts]
+        got = [F.evaluate(tuple(map(mean_observation, clouds))), *F.fn_many(clouds, coeffs)]
+        rows = zip(got, [np.ones(9), *coeffs[0]], [np.ones(7), *coeffs[1]])
+        for value, rx, ry in rows:
+            (sx, wx), (sy, wy) = merged(pool_x, ix, rx), merged(pool_y, iy, ry)
+            assert value == pytest.approx(transport_value(sx, sy, wx, wy), rel=0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # derivative checks (P1, P2, P3, P5)
 
@@ -577,7 +603,8 @@ def test_seed0_instance_and_sample_digests(family):
         chunks += [name.encode(), np.ascontiguousarray(inst.matrices[name]).tobytes()]
     sample = inst.sample_observations(5, master.split(1).split(0).split(0))
     if inst.paired:
-        arrays = [a for s in sample for o in members(s) for a in (o.support, o.weights)]
+        # each point's bytes, then the bytes of its weight 1.0
+        arrays = [np.hstack([s.points, np.ones((len(s), 1))]) for s in sample]
     else:
         arrays = [sample.points]
     assert (_digest(chunks), _digest(a.tobytes() for a in arrays)) == GOLDEN[family]

@@ -41,9 +41,11 @@ def test_gaussian_moments_trace_contraction():
 
 
 def test_gaussian_moments_zero_sigma():
-    m = moments_gaussian(0.0, 3)
-    assert np.all(m.m2 == 0.0)
-    assert np.all(m.m4 == 0.0)
+    # a zero, negative or non-finite sigma is no Gaussian noise level
+    # (sigma = -1 used to run as 1, nan to print nan margins)
+    for sigma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ContractError, match="sigma must be finite and > 0"):
+            moments_gaussian(sigma, 3)
 
 
 def test_moments_from_repeated_center():
@@ -102,7 +104,8 @@ def test_sigma_quadratic_origin_margin():
 
 
 def test_sigma_zero_moments():
-    ss = sigma_set(quad1d_objective(), np.array([2.0]), moments_gaussian(0.0, 1), c_k=1.0)
+    zero = MomentTensors(np.zeros((1, 1)), np.zeros((1, 1, 1, 1)))
+    ss = sigma_set(quad1d_objective(), np.array([2.0]), zero, c_k=1.0)
     assert ss.sigma1 == ss.sigma2 == ss.sigma3 == ss.sigma4 == 0.0
     assert ss.margin_shift == 0.0
 
