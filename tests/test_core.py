@@ -473,9 +473,9 @@ def test_paired_objective_without_fn_many_is_refused():
 
     F = dataclasses.replace(p7_wasserstein(), fn=fn, fn_many=None)
     xs, ys = crafted_pair(False)
-    for method, inputs in (("shift", (xs, ys)), ("scale", (xs, ys)), ("cov", (xs, ys))):
+    for method in ("shift", "scale", "cov"):
         with pytest.raises(UnsupportedMethodError):
-            debias(method, F, inputs, BootstrapPlan(rounds=5))
+            debias(method, F, (xs, ys), BootstrapPlan(rounds=5))
     # a point cloud on its own is no input of a paired functional
     with pytest.raises(UnsupportedMethodError, match="pairs of point clouds"):
         shift_debias(p7_wasserstein(), xs, BootstrapPlan(rounds=5))
