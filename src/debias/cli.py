@@ -58,6 +58,17 @@ def _read_matrix(path: str) -> np.ndarray:
     return np.asarray(rows)
 
 
+def _read_parameters(path: str) -> np.ndarray:
+    """A function spec's matrix or vector file, whose entries must be finite."""
+    values = _read_matrix(path)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise ContractError(f"{path}: non-finite value {values[row, col]} "
+                            f"in row {row + 1}, column {col + 1}")
+    return values
+
+
 def read_observations(path: str) -> ObservationSet:
     """Observation CSV: header '# dim=<d> variant=<euclidean|empirical>',
     then one observation per row (d comma-separated floats)."""
@@ -108,15 +119,15 @@ def build_objective(spec: str, dim: int):
     if kind in ("quadratic", "quartic"):
         if len(parts) != 2:
             raise ContractError(f"{kind} spec needs a matrix file: {kind}:A.csv")
-        A = _read_matrix(parts[1])
+        A = _read_parameters(parts[1])
         if A.shape != (dim, dim):
             raise ContractError(f"matrix {parts[1]} is {A.shape}, data dimension is {dim}")
         return p1_quadratic(A) if kind == "quadratic" else p2_quartic(A)
     if kind == "rational":
         if len(parts) != 3:
             raise ContractError("rational spec needs two vector files: rational:b.csv:c.csv")
-        b = _read_matrix(parts[1]).ravel()
-        c = _read_matrix(parts[2]).ravel()
+        b = _read_parameters(parts[1]).ravel()
+        c = _read_parameters(parts[2]).ravel()
         if b.size != dim or c.size != dim:
             raise ContractError(f"rational vectors must have length {dim}")
         return p3_rational(b, c)

@@ -175,7 +175,14 @@ class EuclideanBlock:
         out = []
         for mean, centered in zip(self.means, self.deviations):
             H = np.asarray(self.F.hessian(mean), dtype=float)
-            forms = np.einsum("ij,jk,ik->i", centered, H, centered)
+            h = np.diag(H)
+            if np.count_nonzero(H) == np.count_nonzero(h):
+                # a diagonal H (P3, P6): the 3-operand kernel adds the terms
+                # one at a time in j order, the order of the full contraction
+                # less its zero terms, so the forms keep their bits
+                forms = np.einsum("ij,j,ij->i", centered, h, centered)
+            else:
+                forms = np.einsum("ij,jk,ik->i", centered, H, centered)
             out.append(-math.fsum(forms) / (2.0 * n * q))
         return out
 

@@ -2,43 +2,105 @@
 Cholesky factors and SPD solves (one matrix, or each of a stack), and random
 orthogonal / conditioned-SPD matrix generation.
 
-This is the one module that imports scipy, and it does so on first use: only
-the SPD solves of P4 and P5 need it.
+This is the one module that uses scipy, and it does so on first use: only
+the SPD solves of P4 and P5 need it. It calls LAPACK's ``dpotrf``,
+``dpotrs`` and ``dposv`` through scipy's compiled wrapper module
+``scipy.linalg._flapack``, loaded without importing the ``scipy.linalg``
+package, with the arguments and checks of scipy's
+``cho_factor(A, lower=True)`` and ``cho_solve``, so the results are theirs
+bit for bit.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import os
+import sys
+from importlib.machinery import PathFinder
 
 import numpy as np
 
 from .observations import ContractError
 from .resampling import RandomStream
 
+_FLAPACK = "scipy.linalg._flapack"
+
 
 class FactorizationError(ValueError):
     """Cholesky failed: the matrix is not positive definite."""
 
 
-def cholesky_factor(A: np.ndarray):
-    """Cholesky factor of an SPD matrix, as scipy's (c, lower) pair."""
-    import scipy.linalg
+def _lapack():
+    """scipy's compiled LAPACK wrappers, loaded on first use.
 
-    A = np.asarray(A, dtype=float)
-    try:
-        return scipy.linalg.cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:  # the class scipy.linalg re-exports
-        raise FactorizationError(f"matrix is not positive definite: {exc}") from exc
+    ``import scipy`` runs scipy's own start-up (DLL paths on Windows, for
+    one); the extension module is then loaded from scipy's ``linalg``
+    directory and registered under its own name, so a later
+    ``import scipy.linalg`` reuses it. The ``scipy.linalg`` package itself,
+    and the array-API machinery it imports, stay unloaded.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+
+        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = PathFinder.find_spec(_FLAPACK, [where])
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no compiled LAPACK module "
+                              f"_flapack in {where}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module
+
+
+def _finite(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _check_factorization(info: int, routine: str) -> None:
+    if info > 0:
+        raise FactorizationError(f"matrix is not positive definite: {info}-th "
+                                 "leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument "
+                         f'on entry to "{routine}".')
+
+
+def cholesky_factor(A: np.ndarray):
+    """Cholesky factor of an SPD matrix as ``scipy.linalg.cho_factor(A,
+    lower=True)`` gives it: ``(c, True)``, the factor in c's lower triangle
+    and A's upper triangle left as given."""
+    A = _finite(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square 2-D matrix, got shape {A.shape}")
+    c, info = _lapack().dpotrf(A, lower=1, clean=0)
+    _check_factorization(info, "POTRF")
+    return c, True
 
 
 def cho_solve(factor, b) -> np.ndarray:
-    """Solve A x = b given ``factor = cholesky_factor(A)``."""
-    import scipy.linalg
-
-    return scipy.linalg.cho_solve(factor, b)
+    """Solve A x = b given ``factor = cholesky_factor(A)``; b is a vector or
+    a matrix of right-hand sides, as for ``scipy.linalg.cho_solve``."""
+    c, lower = factor
+    b = _finite(b)
+    c = _finite(c)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError("The factored matrix c is not square.")
+    if c.shape[1] != b.shape[0]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
+    x, info = _lapack().dpotrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for SPD A."""
-    return cho_solve(cholesky_factor(A), np.asarray(b, dtype=float))
+    return cho_solve(cholesky_factor(A), b)
 
 
 def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -46,19 +108,17 @@ def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Row k is bit-identical to ``cholesky_solve(mats[k], b)``: one LAPACK
     ``dposv`` per matrix, which is ``dpotrf`` (lower, upper triangle left as
-    given) followed by ``dpotrs``, the routines scipy's
-    ``cho_factor``/``cho_solve`` call. The stack raises what ``cholesky_solve``
-    raises for its first failing row, in that path's order: a non-finite
-    matrix, then a failed factorisation, then a non-finite factor.
+    given) followed by ``dpotrs``, the routines ``cholesky_factor`` and
+    ``cho_solve`` call. The stack raises what ``cholesky_solve`` raises for
+    its first failing row, in that path's order: a non-finite matrix, then a
+    failed factorisation, then a non-finite factor.
     """
-    from scipy.linalg.lapack import dposv
-
+    dposv = _lapack().dposv
     mats = np.asarray(mats, dtype=float)
     b = np.asarray(b, dtype=float)
     if mats.ndim != 3 or mats.shape[1:] != (b.size, b.size) or b.ndim != 1:
         raise ValueError(f"incompatible dimensions {mats.shape} and {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("array must not contain infs or NaNs")
+    _finite(b)
     finite = np.isfinite(mats).all(axis=(1, 2))
     stop = len(mats) if finite.all() else int(np.argmin(finite))
     factors = np.empty((stop, b.size, b.size))
@@ -69,14 +129,8 @@ def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
             break
     else:
         k, info = stop, 0
-    if not np.isfinite(factors[:k]).all():
-        raise ValueError("array must not contain infs or NaNs")
-    if info > 0:
-        raise FactorizationError(f"matrix is not positive definite: {info}-th "
-                                 "leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument "
-                         'on entry to "POSV".')
+    _finite(factors[:k])
+    _check_factorization(info, "POSV")
     if k < len(mats):
         raise ValueError("array must not contain infs or NaNs")
     return out

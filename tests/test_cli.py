@@ -81,6 +81,22 @@ def test_estimate_unknown_function_exit_3(tmp_path, euclid_file):
     assert main(["estimate", euclid_file, "--function", "mystery"]) == 3
 
 
+@pytest.mark.parametrize("kind, files, bad", [
+    ("quadratic", ["1 0\n0 nan\n"], 0),
+    ("quartic", ["1 -inf\n0 1\n"], 0),
+    ("rational", ["1 1\n", "1, inf\n"], 1),
+])
+def test_estimate_non_finite_function_file_exit_3(tmp_path, capsys, kind, files, bad):
+    data = write(tmp_path / "obs.csv", "# dim=2 variant=euclidean\n1,2\n2,1\n")
+    paths = [write(tmp_path / f"f{i}.csv", text) for i, text in enumerate(files)]
+    rc = main(["estimate", data, "--function", ":".join([kind, *paths]), "--method", "shift"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith(f"error: {paths[bad]}: non-finite value ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_estimate_unknown_method_exit_3(tmp_path, euclid_file, capsys):
     A = write(tmp_path / "A.csv", "1\n")
     rc = main(["estimate", euclid_file, "--function", f"quadratic:{A}", "--method", "bogus"])

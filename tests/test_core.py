@@ -225,6 +225,23 @@ def test_covariance_plugin_variant():
     assert plugin.correction == pytest.approx(unbiased.correction / 2, abs=1e-14)
 
 
+@pytest.mark.parametrize("family", ["P3", "P6"])
+@pytest.mark.parametrize("n", [2, 5, 40])
+def test_diagonal_hessian_covariance_keeps_full_contraction_bits(family, n):
+    # P3's and P6's Hessians are diagonal, and the block contracts only
+    # their diagonal; each set must keep the bits of the full d x d form
+    for seed in range(6):
+        inst = generate_instance(family, {}, RandomStream(seed))
+        F = inst.objective
+        sets = [inst.sample_observations(n, RandomStream(seed * 10 + b)).points for b in range(3)]
+        sets.append(np.tile(sets[0][0], (n, 1)))  # degenerate: every deviation is 0
+        block = EuclideanBlock(F, np.stack(sets))
+        q = n - 1 if F.cov_denominator == "unbiased" else n
+        full = [-math.fsum(np.einsum("ij,jk,ik->i", c, F.hessian(m), c)) / (2.0 * n * q)
+                for m, c in zip(block.means, block.deviations)]
+        assert [v.hex() for v in block.covariance()] == [v.hex() for v in full]
+
+
 # ---------------------------------------------------------------------------
 # exact expectation as oracle
 

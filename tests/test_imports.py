@@ -1,8 +1,11 @@
 """scipy is loaded only where an SPD factorisation needs it (P4 and P5),
-and multiprocessing only where trials run in child processes.
+and then only as ``import scipy`` plus its compiled LAPACK module
+``scipy.linalg._flapack``: the ``scipy.linalg`` package stays unloaded, and
+a later ``import scipy.linalg`` reuses that module. multiprocessing is
+loaded only where trials run in child processes.
 
-Each case runs a fresh interpreter: this test process has both loaded
-already through other test modules.
+Each case runs a fresh interpreter: this test process has all of these
+loaded already through other test modules.
 """
 
 import json
@@ -19,20 +22,29 @@ SCRIPT = """
 import json, sys
 from debias import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+loaded = [m for m in ("scipy", "scipy.linalg", "scipy.linalg._flapack") if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def run_fresh(argvs, tmp_path):
     """Run each argv through ``cli.main`` in one new interpreter; return the
-    exit codes and whether scipy ended up in ``sys.modules``."""
+    exit codes and which of scipy, its ``linalg`` package and ``_flapack``
+    ended up in ``sys.modules``."""
     done = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argvs)], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    return result["codes"], result["scipy"], done.stderr
+    return result["codes"], result["loaded"], done.stderr
+
+
+def run_script(script):
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def bench(problem, workers, tmp_path, *extra):
@@ -47,25 +59,50 @@ def test_factorisation_free_commands_leave_scipy_unloaded(tmp_path):
     argvs = [bench(p, w, tmp_path) for p in ("P1", "P6", "P7") for w in (1, 2)]
     argvs += [["transport", "--cost", str(cost), "--no-header"],
               ["theory", "--problem", "quad", "--d", "2", "--no-header"]]
-    codes, scipy_loaded, _ = run_fresh(argvs, tmp_path)
+    codes, loaded, _ = run_fresh(argvs, tmp_path)
     assert codes == [0] * len(argvs)
-    assert not scipy_loaded
+    assert loaded == []
 
 
 def test_spd_families_load_scipy(tmp_path):
-    codes, scipy_loaded, _ = run_fresh([bench("P4", 2, tmp_path), bench("P5", 2, tmp_path)],
-                                       tmp_path)
-    assert codes == [0, 0]
-    assert scipy_loaded
+    for problem in ("P4", "P5"):
+        codes, loaded, _ = run_fresh([bench(problem, 1, tmp_path), bench(problem, 2, tmp_path)],
+                                     tmp_path)
+        assert codes == [0, 0]
+        assert loaded == ["scipy", "scipy.linalg._flapack"]
+
+
+def test_later_scipy_linalg_import_reuses_lapack_module(tmp_path):
+    script = ("import sys, numpy as np\n"
+              "from debias import cli\n"
+              "from debias.linalg import cho_solve, cholesky_factor\n"
+              f"assert cli.main({bench('P4', 1, tmp_path)!r}) == 0\n"
+              f"assert cli.main({bench('P5', 1, tmp_path)!r}) == 0\n"
+              "assert 'scipy.linalg' not in sys.modules\n"
+              "flapack = sys.modules['scipy.linalg._flapack']\n"
+              "rng = np.random.default_rng(3)\n"
+              "G = rng.normal(size=(7, 7))\n"
+              "A = G @ G.T + np.eye(7) + np.triu(G, 1)\n"
+              "b = rng.normal(size=7)\n"
+              "c, lower = cholesky_factor(A)\n"
+              "x = cho_solve((c, lower), b)\n"
+              "import scipy.linalg\n"
+              "from scipy.linalg import _flapack, lapack\n"
+              "assert _flapack is flapack and lapack.dpotrf is flapack.dpotrf\n"
+              "ref = scipy.linalg.cho_factor(A, lower=True)\n"
+              "assert np.array_equal(c, ref[0])\n"
+              "assert np.array_equal(x, scipy.linalg.cho_solve(ref, b))\n"
+              "print('same bits')\n")
+    assert run_script(script).splitlines()[-1] == "same bits"
 
 
 def test_non_spd_exits_4_on_first_scipy_use(tmp_path):
     # every Gamma(1e-300) draw underflows to 0, so P4's first solve fails
-    codes, scipy_loaded, err = run_fresh([bench("P4", 1, tmp_path, "--param", "k_shape=1e-300")],
-                                         tmp_path)
+    codes, loaded, err = run_fresh([bench("P4", 1, tmp_path, "--param", "k_shape=1e-300")],
+                                   tmp_path)
     assert codes == [4]
     assert "not positive definite" in err
-    assert scipy_loaded
+    assert loaded == ["scipy", "scipy.linalg._flapack"]
 
 
 def test_cholesky_factor_raises_factorization_error_on_first_use():
@@ -76,10 +113,7 @@ def test_cholesky_factor_raises_factorization_error_on_first_use():
               "    cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))\n"
               "except FactorizationError as exc:\n"
               "    print(exc)\n")
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
-    assert done.returncode == 0, done.stderr
-    assert "not positive definite" in done.stdout
+    assert "not positive definite" in run_script(script)
 
 
 def test_process_modules_load_only_for_parallel_trials():
@@ -94,7 +128,4 @@ def test_process_modules_load_only_for_parallel_trials():
               "print(loaded())\n"
               "harness.run_experiment_spec('P1', {'d': 2}, 4, 3, ['shift'], 4, seed=1, workers=2)\n"
               "print(loaded())\n")
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "[]", "['multiprocessing']"]
+    assert run_script(script).splitlines() == ["[]", "[]", "['multiprocessing']"]

@@ -1,8 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy
+import scipy.linalg
 
 from _oracles import kkt_solve, quadratic_form, random_symmetric_tensor3
-from debias.linalg import FactorizationError, cholesky_solve, random_orthogonal, spd_with_condition
+from debias import linalg
+from debias.linalg import (FactorizationError, cho_solve, cholesky_factor, cholesky_solve,
+                           random_orthogonal, spd_with_condition)
 from debias.observations import ContractError
 from debias.resampling import RandomStream
 
@@ -59,6 +65,78 @@ def test_cholesky_roundtrip_many():
 def test_cholesky_rejects_indefinite():
     with pytest.raises(FactorizationError):
         cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# cholesky_factor / cho_solve: scipy's cho_factor(lower=True) / cho_solve
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_factor_and_solve_match_scipy_bit_for_bit(d):
+    rng = np.random.default_rng(100 + d)
+    spd = random_spd(rng, d)
+    # only the lower triangle is factored; the upper one is left as given
+    lopsided = spd + np.triu(rng.normal(size=(d, d)), 1)
+    for A in (spd, spd_with_condition(d, 1e6, RandomStream(d)), lopsided):
+        c, lower = cholesky_factor(A)
+        ref_c, ref_lower = scipy.linalg.cho_factor(A, lower=True)
+        assert lower is ref_lower is True
+        assert np.array_equal(c, ref_c)
+        assert np.array_equal(np.triu(c, 1), np.triu(A, 1))
+        for b in (rng.normal(size=d), rng.normal(size=(d, 3))):
+            x = cho_solve((c, lower), b)
+            assert x.shape == b.shape
+            assert np.array_equal(x, scipy.linalg.cho_solve((ref_c, ref_lower), b))
+
+
+NAN = np.array([[1.0, np.nan], [0.0, 1.0]])
+INF = np.array([[np.inf, 0.0], [0.0, 1.0]])
+INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize("A, ours, scipys", [
+    (NAN, ValueError, ValueError),
+    (INF, ValueError, ValueError),
+    (np.ones((2, 3)), ValueError, ValueError),
+    (np.ones(3), ValueError, ValueError),
+    # the class scipy raises is wrapped as the package's own
+    (INDEFINITE, FactorizationError, np.linalg.LinAlgError),
+])
+def test_factor_errors_match_scipy(A, ours, scipys):
+    with pytest.raises(ValueError) as got:
+        cholesky_factor(A)
+    with pytest.raises(ValueError) as ref:
+        scipy.linalg.cho_factor(A, lower=True)
+    assert (type(got.value), type(ref.value)) == (ours, scipys)
+    if ours is FactorizationError:
+        assert "not positive definite" in str(got.value)
+
+
+@pytest.mark.parametrize("c, b", [
+    (np.eye(2), np.array([1.0, np.nan])),
+    (INF, np.ones(2)),
+    (np.ones((2, 3)), np.ones(2)),
+    (np.eye(2), np.ones(3)),
+])
+def test_cho_solve_errors_match_scipy(c, b):
+    with pytest.raises(ValueError) as got:
+        cho_solve((c, True), b)
+    with pytest.raises(ValueError) as ref:
+        scipy.linalg.cho_solve((c, True), b)
+    assert type(got.value) is type(ref.value) is ValueError
+    assert str(got.value) == str(ref.value)
+
+
+def test_missing_lapack_module_names_the_scipy_version(monkeypatch):
+    class NoModules:
+        @staticmethod
+        def find_spec(name, path):
+            return None
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(linalg, "PathFinder", NoModules)
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no compiled LAPACK"):
+        cholesky_factor(np.eye(2))
 
 
 # ---------------------------------------------------------------------------
