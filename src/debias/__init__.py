@@ -15,14 +15,7 @@ from .core import (
     shift_debias,
 )
 from .objectives import DomainError, EvaluationError, Objective
-from .observations import (
-    ContractError,
-    EuclideanPoint,
-    Observation,
-    ObservationSet,
-    WeightedEmpirical,
-    mean_observation,
-)
+from .observations import ContractError, ObservationSet, mean_observation
 from .resampling import RandomStream
 
 __all__ = [
@@ -31,14 +24,11 @@ __all__ = [
     "DebiasEstimate",
     "DegenerateDenominatorError",
     "DomainError",
-    "EuclideanPoint",
     "EvaluationError",
     "Objective",
-    "Observation",
     "ObservationSet",
     "RandomStream",
     "UnsupportedMethodError",
-    "WeightedEmpirical",
     "bootstrap_means",
     "covariance_debias",
     "debias",

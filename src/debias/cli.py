@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input parse error, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -29,6 +30,9 @@ from .resampling import RandomStream
 from .theory import moments_gaussian, sigma_set
 from .transport import (IterationCapError, TransportError, TransportProblem,
                         brute_force_transport, solve_transport)
+
+
+FORMATS = ("csv", "json")  # of bench and sweep results
 
 
 class CliParseError(Exception):
@@ -209,6 +213,29 @@ def _header_lines(config: dict) -> list[str]:
     return [f"generated: {stamp}", f"config: {json.dumps(config, sort_keys=True)}"]
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failed write of ``path`` as a configuration error (exit 3)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ContractError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _outputs(args, cfg, default_out: str):
+    """The results path, the SVG path beside it and the results format,
+    checked before any trial runs."""
+    out = args.out or default_out
+    svg = os.path.splitext(out)[0] + ".svg"
+    if svg == out:
+        raise ContractError(f"--out {out}: the SVG plot is written to the .svg path beside "
+                            "the results, so the results need another extension")
+    fmt = args.format or cfg.get("format") or "csv"
+    if fmt not in FORMATS:
+        raise ContractError(f"unknown format {fmt!r}; use {' or '.join(FORMATS)}")
+    return out, svg, fmt
+
+
 def _print_header(config: dict, no_header: bool):
     if not no_header:
         print(f"# config: {json.dumps(config, sort_keys=True)}")
@@ -235,27 +262,26 @@ def cmd_estimate(args, cfg) -> int:
         payload = {"config": config, "naive_value": est.naive_value,
                    "correction": est.correction, "debiased_value": est.debiased_value,
                    "method": est.method}
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return 0
 
 
-def _emit(args, cfg, config: dict, summaries, default_out: str) -> int:
+def _emit(args, config: dict, summaries, outputs) -> int:
     """Print the config header and each method's ratios, write the summaries
-    (CSV unless --format says otherwise) to --out or ``default_out`` and the
-    SVG plot beside them, and say where."""
+    and the SVG plot to the ``_outputs`` paths, and say where."""
+    out, svg, fmt = outputs
     _print_header(config, args.no_header)
     for s in summaries:
         where = f" {s.axis}={s.axis_value!r}" if s.axis else ""
         for m in s.methods:
             print(f"{s.problem}{where} {m}: rmse_r = {s.rmse_r[m]!r}, bias_r = {s.bias_r[m]!r}")
-    out = args.out or default_out
-    fmt = args.format or cfg.get("format") or "csv"
     header = () if args.no_header else _header_lines(config)
-    emit_results(summaries, fmt, out, header_lines=header)
-    svg = os.path.splitext(out)[0] + ".svg"
-    emit_plot(summaries, svg)
+    with _writing(out):
+        emit_results(summaries, fmt, out, header_lines=header)
+    with _writing(svg):
+        emit_plot(summaries, svg)
     print(f"wrote {out} and {svg}")
     return 0
 
@@ -270,10 +296,11 @@ def cmd_bench(args, cfg) -> int:
     n = spec.resolve_n(_resolve(args, "n", cfg, int, None), params)
     k = _resolve(args, "k", cfg, int, spec.K)
     methods = _methods_for(args.method or cfg.get("method"), family)
+    outputs = _outputs(args, cfg, f"bench_{family}.csv")
     summary = run_experiment_spec(family, params, n, k, methods, trials, seed, workers=workers)
     config = {"problem": family, "n": n, "K": k, "R": trials, "seed": seed,
               "methods": methods, "params": params, "workers": workers}
-    return _emit(args, cfg, config, [summary], f"bench_{family}.csv")
+    return _emit(args, config, [summary], outputs)
 
 
 def cmd_sweep(args, cfg) -> int:
@@ -295,11 +322,12 @@ def cmd_sweep(args, cfg) -> int:
     if not values:
         raise ContractError("--values needs a comma-separated list")
     methods = _methods_for(args.method or cfg.get("method"), family)
+    outputs = _outputs(args, cfg, f"sweep_{family}_{args.axis}.csv")
     summaries = run_sweep(family, args.axis, values, fixed, trials, seed,
                           methods=methods, workers=workers)
     config = {"problem": family, "axis": args.axis, "values": values, "R": trials,
               "seed": seed, "methods": methods, "fixed": fixed, "workers": workers}
-    return _emit(args, cfg, config, summaries, f"sweep_{family}_{args.axis}.csv")
+    return _emit(args, config, summaries, outputs)
 
 
 def cmd_theory(args, cfg) -> int:
@@ -332,7 +360,7 @@ def cmd_theory(args, cfg) -> int:
         inst = generate_instance(args.problem, params, RandomStream(seed))
         config["params"] = params
         F = inst.objective
-        x_star = inst.truth_input.coords
+        x_star = inst.truth_input
     elif args.problem in FAMILIES:
         raise ContractError(f"theory subcommand supports Gaussian-noise problems, not {args.problem}")
     else:
@@ -410,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=None, help="bootstrap rounds")
         p.add_argument("--trials", type=int, default=None, help="number of trials R")
         p.add_argument("--method", default=None, help="shift|scale|cov|all or comma list")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
+        p.add_argument("--format", default=None, choices=FORMATS)
         p.add_argument("--workers", type=int, default=None, help="parallel workers")
         p.add_argument("--param", action="append", help="problem parameter key=value")
         common(p)

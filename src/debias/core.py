@@ -17,13 +17,14 @@ debiasing -F and negating gives identical results.
 
 Every estimate runs on a block of B inputs of one kind (``block_for``):
 ``EuclideanBlock`` (Euclidean sets of one shape) or ``EmpiricalBlock``
-(pairs of point clouds, resampled through F's paired ``fn_many``; a paired
-objective without it is refused before F is evaluated).  A block exposes
-``naive`` (F at each input's mean), ``mean(b)``, ``resample_values(plan,
-rngs)`` (F at each input's K resample means, input b resampling from
-``rngs[b]``) and ``covariance()``.  ``corrections`` is the method table over a block,
-``debiased`` combines a naive value with its correction, and ``why_not``
-says whether a method applies.  ``debias`` runs a block of one input.
+(pairs of point clouds, evaluated and resampled through F's paired
+``fn_many``; a paired objective without it is refused before F is
+evaluated).  A block exposes ``naive`` (F at each input's mean),
+``mean(b)``, ``resample_values(plan, rngs)`` (F at each input's K resample
+means, input b resampling from ``rngs[b]``) and ``covariance()``.
+``corrections`` is the method table over a block, ``debiased`` combines a
+naive value with its correction, and ``why_not`` says whether a method
+applies.  ``debias`` runs a block of one input.
 """
 
 from __future__ import annotations
@@ -35,15 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .objectives import DomainError, EvaluationError, Objective
-from .observations import (
-    ContractError,
-    EuclideanPoint,
-    ObservationSet,
-    WeightedEmpirical,
-    mean_observation,
-    mixture,
-    sample_means,
-)
+from .observations import ContractError, ObservationSet, mean_observation, mixture, sample_means
 from .resampling import RandomStream
 
 
@@ -76,7 +69,8 @@ class DebiasEstimate:
 
     ``debiased_value`` reconstructs exactly as ``naive_value + correction``
     for the shift and covariance methods and ``correction * naive_value``
-    for the scale method.
+    for the scale method.  ``mean_observation`` is the input's mean: a (d,)
+    array, or for a pair of clouds a pair of (points, weights) arrays.
     """
 
     naive_value: float
@@ -88,9 +82,10 @@ class DebiasEstimate:
 
 
 def bootstrap_means(cloud: ObservationSet, plan: BootstrapPlan,
-                    rng: RandomStream) -> list[WeightedEmpirical]:
-    """The K resample mixtures of a point cloud: the k-th puts on each point
-    its share of m draws with replacement, from its multinomial count vector.
+                    rng: RandomStream) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The K resample mixtures of a point cloud, as (points, weights) arrays:
+    the k-th puts on each point its share of m draws with replacement, from
+    its multinomial count vector.
 
     Deterministic given (set order, plan, rng state).
     """
@@ -130,14 +125,12 @@ class EuclideanBlock:
     def __init__(self, F: Objective, points: np.ndarray):
         self.F = F
         self.means = sample_means(points)
-        if not np.all(np.isfinite(self.means)):
-            raise ContractError("EuclideanPoint coordinates must be finite")
         F.check_domain(self.means)  # one check for all B means
         self.naive = [F.finite(F.fn(mean)) for mean in self.means]
         self.deviations = points - self.means[:, None]
 
-    def mean(self, b: int) -> EuclideanPoint:
-        return EuclideanPoint(self.means[b])
+    def mean(self, b: int) -> np.ndarray:
+        return self.means[b]
 
     def resample_values(self, plan: BootstrapPlan, rngs) -> np.ndarray:
         """(B, K) values of F at the resample means, set b resampling from
@@ -191,11 +184,11 @@ class EmpiricalBlock:
     """B pairs of point clouds, the inputs of a paired functional such as
     P7's W2^2.
 
-    Each pair's means, and F there, are computed once, when the block is
-    built.  The two clouds of a pair are resampled independently, cloud i
-    with its own size from ``rng.split(i)``, and F's paired ``fn_many``
-    evaluates all K resample pairs of an input from their coefficient rows
-    in one call.
+    F is evaluated only through its paired ``fn_many``: each pair's naive
+    value at one uniform coefficient row per cloud, when the block is built,
+    and all K resample pairs of an input from their coefficient rows in one
+    call.  The two clouds of a pair are resampled independently, cloud i with
+    its own size from ``rng.split(i)``.
     """
 
     def __init__(self, F: Objective, inputs):
@@ -203,11 +196,14 @@ class EmpiricalBlock:
         self.inputs = list(inputs)
         if not all(isinstance(obs, tuple) for obs in self.inputs):
             raise UnsupportedMethodError("empirical inputs must be pairs of point clouds")
-        self.means = [tuple(map(mean_observation, obs)) for obs in self.inputs]
-        self.naive = [F.evaluate(mean) for mean in self.means]
+        self.naive = [self._naive(obs) for obs in self.inputs]
+
+    def _naive(self, obs) -> float:
+        (value,) = self.F.fn_many(obs, [np.full((1, len(s)), 1.0 / len(s)) for s in obs])
+        return self.F.finite(value)
 
     def mean(self, b: int):
-        return self.means[b]
+        return tuple(map(mean_observation, self.inputs[b]))
 
     def resample_values(self, plan: BootstrapPlan, rngs) -> list[np.ndarray]:
         """The K values of F at the resample means of each input, input b

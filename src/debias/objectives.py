@@ -1,11 +1,10 @@
 """The Objective type: an evaluatable target function with optional
 derivative oracles, a sign constraint, and a domain predicate.
 
-The callables operate on unwrapped observation values: a coordinate vector
-for Euclidean observations, or for a paired functional a pair of
-:class:`~debias.observations.WeightedEmpirical` (the means or resamples of
-two point clouds).  ``evaluate`` takes care of unwrapping, domain checking,
-and finiteness checking.
+The callables take plain arrays: a (d,) coordinate vector for a Euclidean
+objective, or for a paired functional a pair of ``(points, weights)``
+mixtures (the means or resamples of two point clouds).  ``evaluate`` adds
+domain checking and finiteness checking.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .observations import ContractError, EuclideanPoint, WeightedEmpirical
+from .observations import ContractError
 
 
 class DomainError(ValueError):
@@ -27,26 +26,15 @@ class EvaluationError(ArithmeticError):
     """The objective produced a non-finite value."""
 
 
-def unwrap(obs):
-    """Strip observation wrappers down to the raw value the callables take."""
-    if isinstance(obs, EuclideanPoint):
-        return obs.coords
-    if isinstance(obs, WeightedEmpirical):
-        return obs
-    if isinstance(obs, tuple):
-        return tuple(unwrap(o) for o in obs)
-    return np.asarray(obs, dtype=float)
-
-
 @dataclass
 class Objective:
     """An estimation target F with whatever oracles the problem provides.
 
-    ``fn`` maps an unwrapped observation value to a float.  ``gradient``,
-    ``hessian`` and ``third_derivative`` (when present) map a coordinate
-    vector to the corresponding derivative array.  ``sign_constraint`` is
-    one of ``"none"``, ``"positive"``, ``"negative"``; the scaling method
-    requires a sign-definite objective.
+    ``fn`` maps an observation value to a float.  ``gradient``, ``hessian``
+    and ``third_derivative`` (when present) map a coordinate vector to the
+    corresponding derivative array.  ``sign_constraint`` is one of
+    ``"none"``, ``"positive"``, ``"negative"``; the scaling method requires a
+    sign-definite objective.
 
     For Euclidean objectives, ``fn_many`` maps a (K, d) array of points to
     the K values of ``fn`` (to rounding; it may sum in another order);
@@ -56,8 +44,8 @@ class Objective:
     returns an iterator over the K values of ``fn`` at the mixture pairs
     ``(mixture(clouds[0], coeffs[0][k]), mixture(clouds[1], coeffs[1][k]))``,
     bit for bit; an error in value k is raised by the k-th step, so the
-    caller can name the resample.  The bootstrap methods need it on point
-    clouds.
+    caller can name the resample.  F is evaluated on point clouds only
+    through it, at the means too (the uniform coefficient rows).
     ``domain_check`` is a function of the last axis: a (..., d) array in,
     one boolean per point out, so one call checks a whole batch and the
     same function checks a single point.
@@ -79,11 +67,10 @@ class Objective:
         if self.cov_denominator not in ("unbiased", "plugin"):
             raise ValueError(f"bad cov_denominator {self.cov_denominator!r}")
 
-    def evaluate(self, obs) -> float:
-        """F at one observation; raises DomainError / EvaluationError."""
-        value = unwrap(obs)
-        self.check_domain(value)
-        return self.finite(self.fn(value))
+    def evaluate(self, x) -> float:
+        """F at one observation value; raises DomainError / EvaluationError."""
+        self.check_domain(x)
+        return self.finite(self.fn(x))
 
     def check_domain(self, points) -> None:
         """Raise DomainError unless every point (along the last axis) is inside."""

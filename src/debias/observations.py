@@ -1,12 +1,13 @@
-"""Observation containers: Euclidean points, finitely supported
-distributions, and homogeneous sets of observations.
+"""Observation sets, their means and the mixtures of a point cloud, all as
+plain arrays.
 
 An observation is the averageable unit the estimators work on.  A set is
 one (n, d) array of points.  In a Euclidean set each point is an
 observation in R^d, averaged coordinatewise.  In an empirical set (a point
 cloud) each point is a Dirac delta, and the set averages as a mixture: the
-distribution that puts each point's coefficient on it.  Equal points are
-kept as separate atoms, not merged.
+distribution that puts each point's coefficient on it, held as its
+(points, weights) arrays.  Equal points are kept as separate atoms, not
+merged.  A Euclidean mean is a (d,) array.
 """
 
 from __future__ import annotations
@@ -21,81 +22,22 @@ class ContractError(ValueError):
     """An input violated a documented precondition."""
 
 
-class EuclideanPoint:
-    """A point in R^d with finite coordinates."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        c = np.atleast_1d(np.asarray(coords, dtype=float))
-        if c.ndim != 1:
-            raise ContractError(f"EuclideanPoint needs a 1-d vector, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ContractError("EuclideanPoint coordinates must be finite")
-        self.coords = c
-
-    @property
-    def dimension(self) -> int:
-        return self.coords.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, EuclideanPoint) and np.array_equal(self.coords, other.coords)
-
-    def __repr__(self):
-        return f"EuclideanPoint({self.coords!r})"
-
-
-class WeightedEmpirical:
-    """A finitely supported distribution sum_j w_j * delta_{s_j} on R^p: the
-    mean or a resample of a point cloud.
-
-    Weights are nonnegative and sum to 1 (within 1e-12).
-    """
-
-    __slots__ = ("support", "weights")
-
-    def __init__(self, support, weights):
-        s = np.atleast_2d(np.asarray(support, dtype=float))
-        if s.shape[0] == 0:
-            raise ContractError("WeightedEmpirical support must be nonempty")
-        if not np.all(np.isfinite(s)):
-            raise ContractError("WeightedEmpirical support points must be finite")
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (s.shape[0],):
-            raise ContractError("weights length must match number of support points")
-        if np.any(w < 0):
-            raise ContractError("WeightedEmpirical weights must be nonnegative")
-        if not abs(w.sum() - 1.0) <= 1e-12:  # NaN fails too
-            raise ContractError(f"WeightedEmpirical weights must sum to 1, got {w.sum()!r}")
-        self.support = s
-        self.weights = w
-
-    def __repr__(self):
-        return f"WeightedEmpirical({self.support.shape[0]} atoms in R^{self.support.shape[1]})"
-
-
-Observation = EuclideanPoint | WeightedEmpirical
-
-
 class ObservationSet:
     """A nonempty set of n observations of one dimension, stored as one
     (n, d) array ``points``, so means and bootstrap means reduce to matrix
     operations.  ``variant`` is ``"euclidean"`` (points in R^d) or
-    ``"empirical"`` (a cloud of Dirac points, see ``from_dirac_points``).
+    ``"empirical"`` (a cloud of Dirac points); build one with ``from_points``
+    or ``from_dirac_points``.
     """
 
-    def __init__(self, observations):
-        obs = list(observations)
-        if not all(isinstance(o, EuclideanPoint) for o in obs):
-            raise ContractError("ObservationSet takes EuclideanPoints; build a point cloud "
-                                "with from_dirac_points")
-        if len({o.dimension for o in obs}) > 1:
-            raise ContractError("ObservationSet must be homogeneous in dimension")
-        self._hold(np.stack([o.coords for o in obs]) if obs else np.empty((0, 0)), "euclidean")
-
-    def _hold(self, points, variant: str) -> None:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 0:
+    def __init__(self, points, variant: str):
+        try:
+            pts = np.atleast_2d(np.asarray(points, dtype=float))
+        except ValueError as exc:  # ragged rows, or not numbers
+            raise ContractError(f"observations must form an (n, d) array: {exc}") from exc
+        if pts.ndim != 2:
+            raise ContractError(f"observations must form an (n, d) array, got shape {pts.shape}")
+        if pts.size == 0:
             raise ContractError("ObservationSet must be nonempty")
         if not np.all(np.isfinite(pts)):
             raise ContractError("observation coordinates must be finite")
@@ -105,18 +47,14 @@ class ObservationSet:
 
     @classmethod
     def from_points(cls, points) -> "ObservationSet":
-        """Euclidean set from an (n, d) array without per-row wrapping."""
-        out = cls.__new__(cls)
-        out._hold(points, "euclidean")
-        return out
+        """Euclidean set: the n points of an (n, d) array in R^d."""
+        return cls(points, "euclidean")
 
     @classmethod
     def from_dirac_points(cls, points) -> "ObservationSet":
         """Empirical set: the point cloud of Dirac deltas at the given (n, p)
         sample points."""
-        out = cls.__new__(cls)
-        out._hold(points, "empirical")
-        return out
+        return cls(points, "empirical")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -155,24 +93,24 @@ def mixture_row(cloud: ObservationSet, coeffs) -> tuple[np.ndarray, np.ndarray]:
     return kept, w / total
 
 
-def mixture(cloud: ObservationSet, coeffs) -> WeightedEmpirical:
+def mixture(cloud: ObservationSet, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """The mixture sum_i coeffs_i * delta_{x_i} of a point cloud, renormalised
-    to sum to 1 (see ``mixture_row``)."""
+    to sum to 1 (see ``mixture_row``), as its (points, weights) arrays."""
     if cloud.variant != "empirical":
         raise ContractError("a mixture needs an empirical observation set")
     kept, w = mixture_row(cloud, coeffs)
-    return WeightedEmpirical(cloud.points[kept], w)
+    return cloud.points[kept], w
 
 
-def mean_observation(obs_set: ObservationSet) -> Observation:
+def mean_observation(obs_set: ObservationSet) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """The sample average of an observation set.
 
-    Euclidean sets average coordinatewise.  A point cloud averages as its
-    uniform mixture: weight 1/n on each of its n points.
+    A Euclidean set averages coordinatewise, to a (d,) array.  A point cloud
+    averages as its uniform mixture: weight 1/n on each of its n points.
     """
     n = len(obs_set)
     if obs_set.variant == "euclidean":
-        return EuclideanPoint(sample_means(obs_set.points[None])[0])
+        return sample_means(obs_set.points[None])[0]
     return mixture(obs_set, np.full(n, 1.0 / n))
 
 
@@ -181,6 +119,11 @@ def sample_means(points: np.ndarray) -> np.ndarray:
 
     Each set is averaged about its first point, so the mean is exact when all
     its observations coincide; a set's mean does not depend on the others.
+    Finite points whose mean overflows raise ContractError.
     """
     anchor = points[:, 0]
-    return anchor + (points - anchor[:, None]).mean(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = anchor + (points - anchor[:, None]).mean(axis=1)
+    if not np.all(np.isfinite(means)):
+        raise ContractError("observation mean is not finite")
+    return means

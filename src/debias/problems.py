@@ -25,7 +25,7 @@ from . import transport
 from .linalg import (cho_solve, cholesky_factor, cholesky_solve, cholesky_solve_each,
                      random_orthogonal, spd_with_condition)
 from .objectives import Objective
-from .observations import ContractError, EuclideanPoint, ObservationSet, mixture_row
+from .observations import ContractError, ObservationSet, mixture_row
 from .resampling import RandomStream
 
 # ---------------------------------------------------------------------------
@@ -200,11 +200,12 @@ def p6_entropy(d: int) -> Objective:
 
 def p7_wasserstein() -> Objective:
     """Squared 2-Wasserstein distance between a pair of weighted empirical
-    distributions, via the exact transport LP."""
+    distributions, each given as its (points, weights) arrays, via the exact
+    transport LP."""
 
     def fn(pair):
-        p, q = pair
-        return transport.transport_value(p.support, q.support, p.weights, q.weights)
+        (x, wx), (y, wy) = pair
+        return transport.transport_value(x, y, wx, wy)
 
     def fn_many(clouds, coeffs):
         # each resample pair's costs are a submatrix of the costs between the
@@ -249,13 +250,14 @@ def _gaussian(mean: np.ndarray, p: dict) -> NoiseModel:
 class ProblemInstance:
     """One concrete benchmark problem: objective, truth, and noise.
 
+    ``truth_input`` is the (d,) point F is estimated at (None for P7).
     ``params`` holds only the scalar configuration; generated matrices and
     vectors live in ``matrices``.
     """
 
     id: str
     objective: Objective
-    truth_input: object
+    truth_input: Optional[np.ndarray]
     truth_value: float
     noise: NoiseModel
     params: dict
@@ -305,8 +307,7 @@ def _positive(p: dict, name: str) -> float:
 
 
 def _euclidean(objective: Objective, noise: NoiseModel, x_star: np.ndarray, matrices: dict):
-    truth = EuclideanPoint(x_star)
-    return objective, noise, truth, objective.evaluate(truth), matrices
+    return objective, noise, x_star, objective.evaluate(x_star), matrices
 
 
 def _quadratic_form(objective):

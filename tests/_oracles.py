@@ -4,8 +4,7 @@ point-by-point reference mixture of a point cloud, a per-trial reference
 trial, a per-resample reference of P7's bootstrap values and trials, a
 transport plan's dual objective, a reader for the results CSV, the exact
 resample enumeration, sampled moment tensors, a finite-difference third
-derivative, the members of a Euclidean set and the negation of an
-objective."""
+derivative and the negation of an objective."""
 
 import dataclasses
 import math
@@ -29,9 +28,7 @@ from debias.linalg import FactorizationError, cholesky_solve
 from debias.objectives import Objective
 from debias.observations import (
     ContractError,
-    EuclideanPoint,
     ObservationSet,
-    WeightedEmpirical,
     mean_observation,
     mixture,
     stable_digest,
@@ -91,15 +88,16 @@ def random_symmetric_tensor3(d: int, stream: RandomStream) -> np.ndarray:
     return out / 6.0
 
 
-def mixture_reference(points, coeffs) -> WeightedEmpirical:
-    """sum_i coeffs_i * delta_{points_i}, built point by point: each point
-    of positive coefficient is its own atom, in order (equal points are not
-    merged), and the kept coefficients are renormalised to sum to 1."""
+def mixture_reference(points, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i coeffs_i * delta_{points_i} as (points, weights) arrays, built
+    point by point: each point of positive coefficient is its own atom, in
+    order (equal points are not merged), and the kept coefficients are
+    renormalised to sum to 1."""
     keep = [(p, c) for p, c in zip(points, coeffs) if c > 0]
     if not keep:
         raise ContractError("mixture has no mass")
     w = np.array([c for _, c in keep])
-    return WeightedEmpirical(np.stack([p for p, _ in keep]), w / w.sum())
+    return np.stack([p for p, _ in keep]), w / w.sum()
 
 
 def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
@@ -123,8 +121,10 @@ def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
 
 
 def wasserstein_reference(p, q) -> float:
-    """Squared W2 between two distributions, costs built from their supports."""
-    return transport_value(p.support, q.support, p.weights, q.weights)
+    """Squared W2 between two (points, weights) distributions, costs built
+    from their points."""
+    (x, wx), (y, wy) = p, q
+    return transport_value(x, y, wx, wy)
 
 
 def paired_coefficients_reference(sets, plan, stream) -> list[np.ndarray]:
@@ -204,11 +204,6 @@ def parse_results_csv(path: str) -> list[dict]:
     return rows
 
 
-def members(obs_set: ObservationSet) -> list:
-    """The observations of a Euclidean set, as EuclideanPoints."""
-    return list(map(EuclideanPoint, obs_set.points))
-
-
 def negated(F: Objective) -> Objective:
     """-F: its value, batch value and Hessian negated, its sign flipped."""
     def neg(f):
@@ -242,7 +237,7 @@ def resample_distribution(obs_set: ObservationSet, resample_size: Optional[int] 
     m_factorial = math.factorial(m)
     n_pow_m = n ** m
     if obs_set.variant == "euclidean":
-        center = mean_observation(obs_set).coords
+        center = mean_observation(obs_set)
         deviations = obs_set.points - center
     for counts in _compositions(m, n):
         coeff = m_factorial
@@ -251,7 +246,7 @@ def resample_distribution(obs_set: ObservationSet, resample_size: Optional[int] 
         weight = coeff / n_pow_m
         arr = np.asarray(counts, dtype=float)
         if obs_set.variant == "euclidean":
-            obs = EuclideanPoint(center + arr @ deviations / m)
+            obs = center + arr @ deviations / m
         else:
             obs = mixture(obs_set, arr / m)
         yield weight, obs

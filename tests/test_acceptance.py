@@ -59,9 +59,9 @@ def test_criterion_1_quadratic_resampling_identity():
                     pts = sub.normal((n, d))
                     A = sub.normal((d, d))
                     obs = ObservationSet.from_points(pts)
-                    xbar = mean_observation(obs).coords
+                    xbar = mean_observation(obs)
                     lhs = exact_resample_expectation(
-                        obs, lambda o: quadratic_form(A, o.coords - xbar), m)
+                        obs, lambda o: quadratic_form(A, o - xbar), m)
                     rhs = math.fsum(quadratic_form(A, p - xbar) for p in pts) / (n * m)
                     worst = max(worst, abs(lhs - rhs))
     crit.finish(worst < 1e-12, f"quadratic-form identity, worst |diff| = {worst:.2e}")
@@ -79,10 +79,10 @@ def test_criterion_2_third_order_resampling_identity():
                     pts = sub.normal((n, d))
                     T = random_symmetric_tensor3(d, sub)
                     obs = ObservationSet.from_points(pts)
-                    xbar = mean_observation(obs).coords
+                    xbar = mean_observation(obs)
 
                     def cubic(o):
-                        y = o.coords - xbar
+                        y = o - xbar
                         return float(np.einsum("abc,a,b,c->", T, y, y, y))
 
                     lhs = exact_resample_expectation(obs, cubic, m)
@@ -126,7 +126,7 @@ def test_criterion_4_miller_madow_equivalence():
         obs = ObservationSet.from_points(onehot)
         F = p6_entropy(d)
         est = covariance_debias(F, obs)
-        pbar = mean_observation(obs).coords
+        pbar = mean_observation(obs)
         expected = F.evaluate_batch(pbar[None, :])[0] + (d - 1) / (2 * n)
         worst = max(worst, abs(est.debiased_value - expected))
     crit.finish(worst < 1e-12, f"H(pbar) + (d-1)/2n identity, worst |diff| = {worst:.2e}")

@@ -97,6 +97,64 @@ def test_estimate_non_finite_function_file_exit_3(tmp_path, capsys, kind, files,
     assert captured.out == ""
 
 
+def run_cli(args):
+    """``debias`` in a fresh interpreter, whose warnings and tracebacks reach stderr."""
+    src = str(Path(debias.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "debias.cli", *args], capture_output=True,
+                          text=True, timeout=20, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_estimate_overflowing_mean_exit_3(tmp_path):
+    # finite rows whose mean overflows: exited 3 after a numpy RuntimeWarning,
+    # with a message about a point class rather than the mean
+    data = write(tmp_path / "big.csv", "# dim=1 variant=euclidean\n-1e308\n1e308\n")
+    A = write(tmp_path / "A.csv", "1\n")
+    done = run_cli(["estimate", data, "--function", f"quadratic:{A}"])
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "error: observation mean is not finite\n"
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["bench P1 --trials 4 --workers 1",
+                                     "sweep P1 --axis sigma --values 1 --trials 4 --workers 1",
+                                     "estimate"])
+def test_unwritable_out_exit_3(tmp_path, euclid_file, command):
+    # ran every trial, then exited 1 with a FileNotFoundError traceback
+    out = tmp_path / "missing" / "r.csv"
+    args = command.split()
+    if command == "estimate":
+        A = write(tmp_path / "A.csv", "1\n")
+        args += [euclid_file, "--function", f"quadratic:{A}"]
+    done = run_cli([*args, "--no-header", "--out", str(out)])
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", ["bench P1", "sweep P1 --axis sigma --values 1"])
+def test_svg_out_refused_before_trials(tmp_path, capsys, command):
+    # the plot overwrote the results, and the CLI printed "wrote r.svg and r.svg"
+    out = tmp_path / "r.svg"
+    rc = main([*command.split(), "--trials", "4", "--workers", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith(f"error: --out {out}: ")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["bench P1", "sweep P1 --axis sigma --values 1"])
+def test_config_format_checked_before_trials(tmp_path, capsys, command):
+    # --format is checked by argparse; the config's value was checked after
+    # every ratio line was printed
+    cfg = write(tmp_path / "f.cfg", "format=xml\n")
+    out = tmp_path / "r.csv"
+    rc = main([*command.split(), "--trials", "4", "--workers", "1", "--config", cfg,
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "error: unknown format 'xml'; use csv or json\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_estimate_unknown_method_exit_3(tmp_path, euclid_file, capsys):
     A = write(tmp_path / "A.csv", "1\n")
     rc = main(["estimate", euclid_file, "--function", f"quadratic:{A}", "--method", "bogus"])

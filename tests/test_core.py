@@ -78,10 +78,10 @@ def test_bootstrap_means_two_point_distribution():
 def test_bootstrap_means_dirac_weights():
     s = ObservationSet.from_dirac_points([[0.0], [1.0], [2.0]])
     means = bootstrap_means(s, BootstrapPlan(rounds=50), RandomStream(2))
-    for m in means:
-        assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    for _, weights in means:
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         # weights are multinomial counts over n=3 divided by n
-        scaled = m.weights * 3
+        scaled = weights * 3
         assert np.allclose(scaled, np.round(scaled), atol=1e-12)
 
 
@@ -380,8 +380,8 @@ def test_quadratic_resampling_identity():
         pts = rng.normal((n, d))
         A = rng.normal((d, d))
         obs = ObservationSet.from_points(pts)
-        xbar = mean_observation(obs).coords
-        lhs = exact_resample_expectation(obs, lambda o: quadratic_form(A, o.coords - xbar), m)
+        xbar = mean_observation(obs)
+        lhs = exact_resample_expectation(obs, lambda o: quadratic_form(A, o - xbar), m)
         rhs = math.fsum(quadratic_form(A, p - xbar) for p in pts) / (n * m)
         assert abs(lhs - rhs) < 1e-12
 
@@ -396,10 +396,10 @@ def test_third_order_resampling_identity():
         pts = rng.normal((n, d))
         T = random_symmetric_tensor3(d, rng)
         obs = ObservationSet.from_points(pts)
-        xbar = mean_observation(obs).coords
+        xbar = mean_observation(obs)
 
         def cubic(o):
-            y = o.coords - xbar
+            y = o - xbar
             return float(np.einsum("abc,a,b,c->", T, y, y, y))
 
         lhs = exact_resample_expectation(obs, cubic, m)
@@ -530,15 +530,15 @@ def test_paired_errors_name_the_resample(monkeypatch, failure):
 
 
 def answer_first_call(objective, value):
-    """The objective with its first ``fn`` call, the naive value at the
+    """The objective with its first ``fn_many`` call, the naive value at the
     means, answered by ``value``."""
     calls = []
 
-    def fn(pair):
-        calls.append(pair)
-        return value if len(calls) == 1 else objective.fn(pair)
+    def fn_many(clouds, coeffs):
+        calls.append(coeffs)
+        return [value] if len(calls) == 1 else objective.fn_many(clouds, coeffs)
 
-    return dataclasses.replace(objective, fn=fn)
+    return dataclasses.replace(objective, fn_many=fn_many)
 
 
 def test_paired_cost_overflow_names_the_resample():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from _oracles import kkt_solve, members
-from debias.core import BootstrapPlan, covariance_debias, shift_debias
+from _oracles import kkt_solve, paired_naive_reference
+from debias.core import BootstrapPlan, EmpiricalBlock, covariance_debias, shift_debias
 from debias.harness import run_sweep
 from debias.linalg import FactorizationError, cholesky_solve, spd_with_condition
 from debias.objectives import DomainError
@@ -76,7 +76,7 @@ def test_p3_examples():
     assert F.gradient(np.array([1.0])) == pytest.approx([0.0], abs=1e-12)
     assert not F.domain_check(np.array([1e-320]))
     with pytest.raises(DomainError):
-        F.evaluate(members(ObservationSet.from_points([[1e-320]]))[0])
+        F.evaluate(ObservationSet.from_points([[1e-320]]).points[0])
 
 
 def test_p3_requires_positive_coefficients():
@@ -115,7 +115,7 @@ def test_p6_examples():
     assert F.fn(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
     assert F.fn(np.array([0.5, 0.5, 0.0, 0.0])) == pytest.approx(math.log(2.0))
     with pytest.raises(DomainError):
-        F.evaluate(members(ObservationSet.from_points([[0.5, 0.5, 0.5, -0.5]]))[0])
+        F.evaluate(ObservationSet.from_points([[0.5, 0.5, 0.5, -0.5]]).points[0])
 
 
 def test_p7_examples():
@@ -130,6 +130,18 @@ def test_p7_examples():
     pa = ObservationSet.from_dirac_points(np.array([[0.0], [1.0]]))
     pb = ObservationSet.from_dirac_points(np.array([[1.0], [2.0]]))
     assert F.evaluate((mean_observation(pa), mean_observation(pb))) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("params, n", [({}, 10), ({"m_samples": 7}, 10), ({"d": 1}, 10),
+                                       ({"d": 32}, 10), ({}, 1)])
+def test_p7_naive_value_is_transport_value_at_uniform_mixtures(params, n):
+    # F is evaluated on point clouds only through fn_many, the naive value
+    # at one uniform coefficient row per cloud
+    for seed in range(4):
+        inst = generate_instance("P7", params, RandomStream(seed))
+        clouds = inst.sample_observations(n, RandomStream(seed).split(1))
+        (naive,) = EmpiricalBlock(inst.objective, [clouds]).naive
+        assert naive.hex() == paired_naive_reference(clouds).hex()
 
 
 def test_p7_duplicate_points_match_merged_cloud():
@@ -316,7 +328,7 @@ def test_generate_instance_defaults():
     assert inst.params["d"] == 20
     assert inst.params["kappa"] == 2.0
     assert inst.params["sigma"] == 1.0
-    assert np.linalg.norm(inst.truth_input.coords) ** 2 == pytest.approx(2.0)
+    assert np.linalg.norm(inst.truth_input) ** 2 == pytest.approx(2.0)
     assert inst.truth_value == pytest.approx(inst.objective.evaluate(inst.truth_input))
 
 
@@ -331,13 +343,13 @@ def test_generate_instance_deterministic():
     a = generate_instance("P4", {"d": 3}, RandomStream(15))
     b = generate_instance("P4", {"d": 3}, RandomStream(15))
     assert a.truth_value == b.truth_value
-    assert np.array_equal(a.truth_input.coords, b.truth_input.coords)
+    assert np.array_equal(a.truth_input, b.truth_input)
 
 
 def test_p1_sample_mean_correctness():
     inst = generate_instance("P1", {"d": 3}, RandomStream(16))
     obs = inst.sample_observations(100_000, RandomStream(17))
-    x_star = inst.truth_input.coords
+    x_star = inst.truth_input
     se = inst.params["sigma"] / math.sqrt(len(obs))
     assert np.all(np.abs(obs.points.mean(axis=0) - x_star) < 3 * se)
 
@@ -345,7 +357,7 @@ def test_p1_sample_mean_correctness():
 def test_p3_noise_mean_and_positivity():
     inst = generate_instance("P3", {"d": 4}, RandomStream(18))
     obs = inst.sample_observations(100_000, RandomStream(19))
-    x_star = inst.truth_input.coords
+    x_star = inst.truth_input
     assert np.all(obs.points > 0)
     se = x_star / math.sqrt(len(obs))  # exponential sd equals its mean
     assert np.all(np.abs(obs.points.mean(axis=0) - x_star) < 3 * se)
@@ -357,7 +369,7 @@ def test_p4_observations_spd_and_mean():
     d = 3
     for row in obs.points[:50]:
         np.linalg.cholesky(row.reshape(d, d))
-    a_star = inst.truth_input.coords
+    a_star = inst.truth_input
     U, lam = inst.matrices["U"], inst.matrices["lam"]
     assert np.array_equal((U * lam) @ U.T, a_star.reshape(d, d))
     # entry variance: sum_l (U_il lam_l U_jl)^2 / k
@@ -377,7 +389,7 @@ def test_p6_observations_one_hot():
 def test_p6_category_frequencies():
     inst = generate_instance("P6", {"d": 4, "alpha": 2.0}, RandomStream(24))
     obs = inst.sample_observations(100_000, RandomStream(25))
-    p_star = inst.truth_input.coords
+    p_star = inst.truth_input
     freq = obs.points.mean(axis=0)
     se = np.sqrt(p_star * (1 - p_star) / len(obs))
     assert np.all(np.abs(freq - p_star) < 3 * se + 1e-12)
@@ -416,7 +428,7 @@ def test_entropy_covariance_closed_form():
         n = 6 * d
         obs = inst.sample_observations(n, rng.split(100 + d))
         est = covariance_debias(inst.objective, obs)
-        pbar = mean_observation(obs).coords
+        pbar = mean_observation(obs)
         support = int(np.count_nonzero(pbar > 0))
         expected = (support - 1) / (2 * n)
         assert est.correction == pytest.approx(expected, abs=1e-12)
@@ -598,7 +610,7 @@ def test_seed0_instance_and_sample_digests(family):
     inst = generate_instance(family, {}, master.split(0))
     chunks = [repr(inst.truth_value).encode()]
     if inst.truth_input is not None:
-        chunks.append(inst.truth_input.coords.tobytes())
+        chunks.append(inst.truth_input.tobytes())
     for name in sorted(inst.matrices):
         chunks += [name.encode(), np.ascontiguousarray(inst.matrices[name]).tobytes()]
     sample = inst.sample_observations(5, master.split(1).split(0).split(0))

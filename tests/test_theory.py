@@ -203,7 +203,7 @@ def test_family_third_derivative_matches_finite_difference(family):
     for seed in range(3):
         inst = generate_instance(family, {"d": 3}, RandomStream(seed))
         F = inst.objective
-        x = inst.truth_input.coords + 0.1 * RandomStream(seed + 50).normal(3)
+        x = inst.truth_input + 0.1 * RandomStream(seed + 50).normal(3)
         T_true = F.third_derivative(x)
         scale = max(np.abs(T_true).max(), 1.0)
         assert np.abs(third_derivative_fd(F, x) - T_true).max() / scale < 1e-4
