@@ -34,6 +34,11 @@ from .transport import (IterationCapError, TransportError, TransportProblem,
 
 FORMATS = ("csv", "json")  # of bench and sweep results
 
+# the --config keys each subcommand reads
+_RUN_KEYS = ("seed", "trials", "workers", "n", "k", "method", "format")
+CONFIG_KEYS = {"estimate": ("seed", "k", "method"), "bench": _RUN_KEYS, "sweep": _RUN_KEYS,
+               "theory": ("seed",), "transport": ()}
+
 
 class CliParseError(Exception):
     """Bad input file contents (exit code 2)."""
@@ -126,6 +131,11 @@ def build_objective(spec: str, dim: int):
         A = _read_parameters(parts[1])
         if A.shape != (dim, dim):
             raise ContractError(f"matrix {parts[1]} is {A.shape}, data dimension is {dim}")
+        try:
+            np.linalg.cholesky((A + A.T) / 2)
+        except np.linalg.LinAlgError:
+            raise ContractError(f"matrix {parts[1]} is not positive definite; "
+                                f"{kind} needs an SPD matrix") from None
         return p1_quadratic(A) if kind == "quadratic" else p2_quartic(A)
     if kind == "rational":
         if len(parts) != 3:
@@ -140,7 +150,8 @@ def build_objective(spec: str, dim: int):
         "rational:b.csv:c.csv, or entropy")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, valid) -> dict:
+    """The key=value lines of ``path``; a key not in ``valid`` is refused."""
     cfg = {}
     try:
         with open(path) as fh:
@@ -150,8 +161,11 @@ def _load_config(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise CliParseError(f"{path}: line {lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                cfg[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in valid:
+                    raise CliParseError(f"{path}: line {lineno}: unknown key {key!r}; valid: "
+                                        f"{', '.join(valid) or 'none'}")
+                cfg[key] = value
     except OSError as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
     return cfg
@@ -467,7 +481,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config) if args.config else {}
+        cfg = _load_config(args.config, CONFIG_KEYS[args.subcommand]) if args.config else {}
         handler = {
             "estimate": cmd_estimate,
             "bench": cmd_bench,

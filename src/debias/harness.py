@@ -6,6 +6,9 @@ reports, per method,
     RMSE_r = sqrt(sum_t (F_debias - F*)^2) / sqrt(sum_t (F_naive - F*)^2)
     Bias_r = sum_t (F_debias - F*) / sum_t (F_naive - F*)
 
+and the paired mean of (F_debias - F*)^2 - (F_naive - F*)^2 with its
+standard error, all from the one reduce of the trial records.
+
 Trial t draws every random quantity from ``master.split(t)``, so records
 and summaries are a pure function of (config, master seed) regardless of
 which process runs a trial.  With W workers the trials are cut into W
@@ -51,7 +54,14 @@ class TrialRecord:
 
 @dataclass
 class ExperimentSummary:
-    """Per-method relative metrics plus the raw sums they derive from."""
+    """Per-method relative metrics plus the raw sums they derive from.
+
+    ``mse_diff[m]`` is the paired mean over trials of
+    (F_debias - F*)^2 - (F_naive - F*)^2, and ``mse_diff_se[m]`` its standard
+    error (ddof=1 standard deviation over sqrt(R); nan at R = 1), so a
+    negative ``mse_diff`` several SEs below 0 says method m strictly reduced
+    the squared error.  Neither is written to the result files.
+    """
 
     problem: str
     params: dict
@@ -66,6 +76,8 @@ class ExperimentSummary:
     debias_err_sum: dict[str, float]
     naive_sq_sum: float
     naive_err_sum: float
+    mse_diff: dict[str, float]
+    mse_diff_se: dict[str, float]
     axis: Optional[str] = None
     axis_value: Optional[float] = None
 
@@ -137,9 +149,10 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
 def _reduce_records(instance, n, plan, methods, R, seed, records) -> ExperimentSummary:
     truth = instance.truth_value
     naive_err = [rec.naive_value - truth for rec in records]
-    naive_sq_sum = math.fsum(e * e for e in naive_err)
+    naive_sq = [e * e for e in naive_err]
+    naive_sq_sum = math.fsum(naive_sq)
     naive_err_sum = math.fsum(naive_err)
-    rmse_r, bias_r, sq_sums, err_sums = {}, {}, {}, {}
+    rmse_r, bias_r, sq_sums, err_sums, mse_diff, mse_diff_se = {}, {}, {}, {}, {}, {}
     for m in methods:
         err = [rec.debiased[m] - truth for rec in records]
         sq = math.fsum(e * e for e in err)
@@ -148,6 +161,10 @@ def _reduce_records(instance, n, plan, methods, R, seed, records) -> ExperimentS
         err_sums[m] = es
         rmse_r[m] = math.sqrt(sq) / math.sqrt(naive_sq_sum) if naive_sq_sum > 0 else float("nan")
         bias_r[m] = es / naive_err_sum if naive_err_sum != 0 else float("nan")
+        diff = [e * e - s for e, s in zip(err, naive_sq)]
+        mse_diff[m] = mean = math.fsum(diff) / R
+        var = math.fsum((x - mean) ** 2 for x in diff) / (R - 1) if R > 1 else float("nan")
+        mse_diff_se[m] = math.sqrt(var / R)
     return ExperimentSummary(
         problem=instance.id,
         params={k: v for k, v in instance.params.items() if np.isscalar(v) or v is None},
@@ -162,20 +179,21 @@ def _reduce_records(instance, n, plan, methods, R, seed, records) -> ExperimentS
         debias_err_sum=err_sums,
         naive_sq_sum=naive_sq_sum,
         naive_err_sum=naive_err_sum,
+        mse_diff=mse_diff,
+        mse_diff_se=mse_diff_se,
     )
 
 
-def _trial_block(family, params, seed, exp_index, n, K, m_size, methods, t_lo, t_hi):
+def _trial_block(family, params, seed, exp_index, n, K, methods, t_lo, t_hi):
     """Worker entry: regenerate the instance and run trials t_lo..t_hi-1."""
     master = RandomStream(seed).split(exp_index)
     instance = generate_instance(family, params, master.split(0))
-    plan = BootstrapPlan(rounds=K, size=m_size)
+    plan = BootstrapPlan(rounds=K)
     return run_trials(instance, n, plan, methods, master.split(1), t_lo, t_hi)
 
 
 def run_experiment_spec(family: str, params: dict, n: int, K: int, methods, R: int,
-                        seed: int, exp_index: int = 0, workers: int = 1,
-                        m_size: Optional[int] = None) -> ExperimentSummary:
+                        seed: int, exp_index: int = 0, workers: int = 1) -> ExperimentSummary:
     """Experiment from a declarative spec; safe to parallelize because each
     child process regenerates the instance and draws trial t from the same
     lineage.
@@ -185,13 +203,13 @@ def run_experiment_spec(family: str, params: dict, n: int, K: int, methods, R: i
     """
     master = RandomStream(seed).split(exp_index)
     instance = generate_instance(family, params, master.split(0))
-    plan = BootstrapPlan(rounds=K, size=m_size)
+    plan = BootstrapPlan(rounds=K)
     if workers <= 1 or R < 4:
         records = run_trials(instance, n, plan, methods, master.split(1), 0, R)
     else:
         bounds = np.linspace(0, R, min(workers, R) + 1).astype(int).tolist()
         block = functools.partial(_trial_block, family, params, seed, exp_index, n, K,
-                                  m_size, list(methods))
+                                  list(methods))
         records = _run_blocks(block, bounds, functools.partial(
             run_trials, instance, n, plan, methods, master.split(1)))
     return _reduce_records(instance, n, plan, methods, R, seed, records)

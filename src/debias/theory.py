@@ -22,6 +22,11 @@ and the scale condition margin is
 The source derivation also admits a variant with sqrt(sigma2 sigma4) in the
 shift condition; both margins are reported (``margin_shift_alt``) and
 neither is asserted as the unique truth.
+
+This module is the math only.  Its Monte Carlo counterpart, the paired
+squared-error difference of a method against the naive estimate and its
+standard error, comes from the harness's reduce
+(``ExperimentSummary.mse_diff`` and ``mse_diff_se``).
 """
 
 from __future__ import annotations
@@ -32,11 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BootstrapPlan
-from .harness import run_trials
 from .objectives import Objective
 from .observations import ContractError
-from .resampling import RandomStream
 
 _MAX_M4_DIM = 20
 _PSD_SLOP = 1e-10
@@ -142,41 +144,3 @@ def sigma_set(F: Objective, x_star: np.ndarray, moments: MomentTensors, c_k: flo
         margin_shift_alt=margin_shift_alt,
         margin_scale=margin_scale,
     )
-
-
-@dataclass
-class MseComparison:
-    """Paired Monte Carlo comparison of one debiasing method vs naive."""
-
-    mse_naive: float
-    mse_debiased: float
-    paired_diff_mean: float
-    paired_diff_se: Optional[float]
-    trials: int
-
-
-def empirical_mse_comparison(instance, n: int, K: int, R: int,
-                             methods, stream: RandomStream) -> dict[str, MseComparison]:
-    """R paired trials of naive vs debiased squared error on fresh samples.
-
-    The trials are the harness's: trial t draws from split(stream, t), and
-    every method sees the same observation set within a trial, so the mean
-    paired difference (debiased sq.err - naive sq.err) and its standard
-    error make "debiasing strictly helps" a one-sided test.
-    """
-    records = run_trials(instance, n, BootstrapPlan(rounds=K), methods, stream, 0, R)
-    truth = instance.truth_value
-    naive_sq = np.array([(rec.naive_value - truth) ** 2 for rec in records])
-    out = {}
-    for m in methods:
-        deb_sq = np.array([(rec.debiased[m] - truth) ** 2 for rec in records])
-        diff = deb_sq - naive_sq
-        se = float(diff.std(ddof=1) / math.sqrt(R)) if R > 1 else None
-        out[m] = MseComparison(
-            mse_naive=float(naive_sq.mean()),
-            mse_debiased=float(deb_sq.mean()),
-            paired_diff_mean=float(diff.mean()),
-            paired_diff_se=se,
-            trials=R,
-        )
-    return out

@@ -178,6 +178,18 @@ def paired_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
                        fingerprint)
 
 
+def paired_mse_reference(records, method) -> tuple[float, float]:
+    """The mean paired difference of squared errors (debiased - naive) over
+    the records, and its standard error (nan for one record), with numpy."""
+    truth = records[0].truth_value
+    naive_sq = np.array([(rec.naive_value - truth) ** 2 for rec in records])
+    deb_sq = np.array([(rec.debiased[method] - truth) ** 2 for rec in records])
+    diff = deb_sq - naive_sq
+    R = len(records)
+    se = float(diff.std(ddof=1) / math.sqrt(R)) if R > 1 else math.nan
+    return float(diff.mean()), se
+
+
 def dual_value(plan, problem) -> float:
     """Dual objective u . supply + v . demand of a transport plan's potentials."""
     return float(plan.dual_row @ problem.supply + plan.dual_col @ problem.demand)

@@ -15,8 +15,8 @@ from _oracles import (
     random_symmetric_tensor3,
 )
 from debias.cli import main as cli_main
-from debias.core import covariance_debias
-from debias.harness import run_experiment_spec, run_sweep
+from debias.core import BootstrapPlan, covariance_debias
+from debias.harness import _reduce_records, run_experiment_spec, run_sweep, run_trials
 from debias.linalg import spd_with_condition
 from debias.observations import ObservationSet, mean_observation
 from debias.problems import (
@@ -28,7 +28,7 @@ from debias.problems import (
     p6_entropy,
 )
 from debias.resampling import RandomStream
-from debias.theory import empirical_mse_comparison, moments_gaussian, sigma_set
+from debias.theory import moments_gaussian, sigma_set
 from debias.transport import TransportProblem, brute_force_transport, solve_transport, squared_distance_cost
 
 
@@ -199,13 +199,13 @@ def test_criterion_7_shift_strictly_reduces_mse():
     F = p1_quadratic(np.eye(1))
     margin = sigma_set(F, np.zeros(1), moments_gaussian(1.0, 1), c_k=1.0).margin_shift
     inst = generate_instance("P1", {"d": 1, "xstar_norm2": 0.0, "sigma": 1.0}, RandomStream(108))
-    out = empirical_mse_comparison(inst, n=50, K=50, R=20_000,
-                                   methods=["shift"], stream=RandomStream(109))
-    cmp = out["shift"]
-    z = cmp.paired_diff_mean / cmp.paired_diff_se
-    ok = margin > 0 and cmp.paired_diff_mean < 0 and z <= -3.0
-    crit.finish(ok, f"analytic margin = {margin}, paired MSE diff = {cmp.paired_diff_mean:.3e} "
-                    f"(z = {z:.1f})")
+    plan = BootstrapPlan(rounds=50)
+    records = run_trials(inst, 50, plan, ["shift"], RandomStream(109), 0, 20_000)
+    s = _reduce_records(inst, 50, plan, ["shift"], 20_000, 109, records)
+    diff = s.mse_diff["shift"]
+    z = diff / s.mse_diff_se["shift"]
+    ok = margin > 0 and diff < 0 and z <= -3.0
+    crit.finish(ok, f"analytic margin = {margin}, paired MSE diff = {diff:.3e} (z = {z:.1f})")
 
 
 def test_criterion_8_quadratic_directional():

@@ -97,6 +97,28 @@ def test_estimate_non_finite_function_file_exit_3(tmp_path, capsys, kind, files,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "quartic"])
+@pytest.mark.parametrize("method", ["shift", "scale", "cov"])
+def test_estimate_indefinite_matrix_exit_3(tmp_path, capsys, kind, method):
+    # F = x'Ax with A = diag(1, -1) is neither convex nor positive, yet scale
+    # exited 0 with debiased 0.018 against naive 0.315
+    data = write(tmp_path / "obs.csv", "# dim=2 variant=euclidean\n1,0.2\n0.3,-0.5\n-0.2,0.4\n")
+    A = write(tmp_path / "A.csv", "1 0\n0 -1\n")
+    rc = main(["estimate", data, "--function", f"{kind}:{A}", "--method", method])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == (f"error: matrix {A} is not positive definite; "
+                            f"{kind} needs an SPD matrix\n")
+    assert captured.out == ""
+
+
+def test_estimate_asymmetric_matrix_with_spd_part_runs(tmp_path):
+    # x'Ax only sees the symmetric part (A + A')/2, which here is the identity
+    data = write(tmp_path / "obs.csv", "# dim=2 variant=euclidean\n1,0.2\n0.3,-0.5\n")
+    A = write(tmp_path / "A.csv", "1 3\n-3 1\n")
+    assert main(["estimate", data, "--function", f"quadratic:{A}", "--no-header"]) == 0
+
+
 def run_cli(args):
     """``debias`` in a fresh interpreter, whose warnings and tracebacks reach stderr."""
     src = str(Path(debias.__file__).resolve().parents[1])
@@ -153,6 +175,32 @@ def test_config_format_checked_before_trials(tmp_path, capsys, command):
     assert rc == 3
     assert captured.err == "error: unknown format 'xml'; use csv or json\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command, key, valid", [
+    ("bench P1", "trails", "seed, trials, workers, n, k, method, format"),
+    ("sweep P1 --axis sigma --values 1", "K", "seed, trials, workers, n, k, method, format"),
+    ("estimate", "trials", "seed, k, method"),
+    ("theory", "k", "seed"),
+    ("transport", "seed", "none"),
+], ids=["bench", "sweep", "estimate", "theory", "transport"])
+def test_unknown_config_key_exit_2(tmp_path, euclid_file, capsys, command, key, valid):
+    # bench ran its default 1000 trials and exited 0 with trails=3 in the file
+    cfg = write(tmp_path / "c.cfg", f"# run\nseed=3\n{key}=3\n")
+    args = command.split()
+    if command == "estimate":
+        args += [euclid_file, "--function", "quadratic:" + write(tmp_path / "A.csv", "1\n")]
+    if command == "transport":
+        args += ["--cost", write(tmp_path / "cost.csv", "0 1\n1 0\n")]
+        cfg = write(tmp_path / "c.cfg", f"{key}=3\n")
+    if command.split()[0] in ("bench", "sweep"):
+        args += ["--workers", "1", "--out", str(tmp_path / "r.csv")]
+    rc = main([*args, "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 2
+    line = 1 if command == "transport" else 3
+    assert captured.err == f"error: {cfg}: line {line}: unknown key {key!r}; valid: {valid}\n"
+    assert captured.out == "" and not (tmp_path / "r.csv").exists()
 
 
 def test_estimate_unknown_method_exit_3(tmp_path, euclid_file, capsys):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -15,7 +16,12 @@ import numpy as np
 import pytest
 
 import debias
-from _oracles import paired_trial_reference, parse_results_csv, run_trial_reference
+from _oracles import (
+    paired_mse_reference,
+    paired_trial_reference,
+    parse_results_csv,
+    run_trial_reference,
+)
 from debias import harness
 from debias.core import METHODS, BootstrapPlan, DegenerateDenominatorError
 from debias.harness import (
@@ -72,6 +78,34 @@ def test_hand_made_residuals_example():
     s = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 2, 0, recs)
     assert s.rmse_r["m"] == 1.0
     assert s.bias_r["m"] == 0.0
+
+
+def test_hand_made_paired_mse_difference():
+    # squared-error differences {0, -3, 1}: mean -2/3, sample variance 13/3
+    recs = make_records([1.0, -2.0, 0.0], [1.0, 1.0, 1.0])
+    s = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 3, 0, recs)
+    assert s.mse_diff["m"] == pytest.approx(-2 / 3, rel=1e-15)
+    assert s.mse_diff_se["m"] == pytest.approx(math.sqrt(13 / 9), rel=1e-15)
+    one = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 1, 0, recs[:1])
+    assert one.mse_diff["m"] == 0.0 and math.isnan(one.mse_diff_se["m"])
+
+
+@pytest.mark.parametrize("family,params,n,K,R,methods", [
+    ("P1", {"d": 3}, 10, 10, 200, ["shift", "scale", "cov"]),
+    ("P6", {"d": 4}, 8, 12, 60, ["shift", "scale", "cov"]),
+])
+def test_paired_mse_difference_matches_numpy(family, params, n, K, R, methods):
+    master = RandomStream(17).split(0)
+    instance = generate_instance(family, params, master.split(0))
+    plan = BootstrapPlan(rounds=K)
+    records = run_trials(instance, n, plan, methods, master.split(1), 0, R)
+    s = _reduce_records(instance, n, plan, methods, R, 17, records)
+    for m in methods:
+        mean, se = paired_mse_reference(records, m)
+        assert s.mse_diff[m] == pytest.approx(mean, rel=1e-12)
+        assert s.mse_diff_se[m] == pytest.approx(se, rel=1e-12)
+        assert s.mse_diff[m] * R == pytest.approx(s.debias_sq_sum[m] - s.naive_sq_sum,
+                                                  rel=1e-12)
 
 
 def test_raw_sum_reconstruction_bit_exact():
@@ -289,17 +323,28 @@ def test_default_workers_counts_usable_cpus(monkeypatch):
     assert harness.default_workers() == 1
 
 
+def sized_block(m_size, family, params, seed, exp_index, n, K, methods, t_lo, t_hi):
+    """``_trial_block`` with resamples of ``m_size`` points, so m != n."""
+    master = RandomStream(seed).split(exp_index)
+    instance = generate_instance(family, params, master.split(0))
+    return run_trials(instance, n, BootstrapPlan(rounds=K, size=m_size), methods,
+                      master.split(1), t_lo, t_hi)
+
+
 def check_worker_blocks(family, params, m_size, methods):
     """The records of two blocks run in a real process pool (--workers 2)
-    equal the in-process records (--workers 1)."""
+    equal the in-process records (--workers 1).  The pool runs
+    ``_trial_block``, or ``sized_block`` when ``m_size`` is given."""
     seed, exp_index, n, K, R = 21, 1, 5, 4, 6
     master = RandomStream(seed).split(exp_index)
     instance = generate_instance(family, params, master.split(0))
     local = run_trials(instance, n, BootstrapPlan(rounds=K, size=m_size), methods,
                        master.split(1), 0, R)
+    block = (_trial_block if m_size is None
+             else functools.partial(sized_block, m_size))
     with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-        halves = [pool.submit(_trial_block, family, params, seed, exp_index, n, K, m_size,
-                              methods, lo, hi) for lo, hi in ((0, R // 2), (R // 2, R))]
+        halves = [pool.submit(block, family, params, seed, exp_index, n, K, methods, lo, hi)
+                  for lo, hi in ((0, R // 2), (R // 2, R))]
         remote = [rec for half in halves for rec in half.result(timeout=120)]
     assert remote == local
     assert [rec.seed_path for rec in remote] == [master.split(1).split(t).path for t in range(R)]

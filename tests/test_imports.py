@@ -2,7 +2,8 @@
 and then only as ``import scipy`` plus its compiled LAPACK module
 ``scipy.linalg._flapack``: the ``scipy.linalg`` package stays unloaded, and
 a later ``import scipy.linalg`` reuses that module. multiprocessing is
-loaded only where trials run in child processes.
+loaded only where trials run in child processes. ``debias.theory`` loads
+none of the trial modules.
 
 Each case runs a fresh interpreter: this test process has all of these
 loaded already through other test modules.
@@ -129,3 +130,13 @@ def test_process_modules_load_only_for_parallel_trials():
               "harness.run_experiment_spec('P1', {'d': 2}, 4, 3, ['shift'], 4, seed=1, workers=2)\n"
               "print(loaded())\n")
     assert run_script(script).splitlines() == ["[]", "[]", "['multiprocessing']"]
+
+
+def test_theory_loads_no_trial_modules():
+    # theory is the math of the conditions; the Monte Carlo check of them is
+    # the harness's reduce, so importing theory runs through no trial code
+    script = ("import sys\n"
+              "import debias.theory\n"
+              "print([m for m in ('debias.harness', 'debias.core', 'debias.problems',\n"
+              "                   'debias.resampling') if m in sys.modules])\n")
+    assert run_script(script).splitlines() == ["[]"]

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from _oracles import moments_from_samples, third_derivative_fd
-from debias.harness import run_experiment_spec
+from debias.core import BootstrapPlan
+from debias.harness import _reduce_records, run_trials
 from debias.objectives import Objective
 from debias.observations import ContractError
 from debias.problems import generate_instance, p1_quadratic, p2_quartic
 from debias.resampling import RandomStream
 from debias.theory import (
     MomentTensors,
-    empirical_mse_comparison,
     moments_gaussian,
     sigma_set,
 )
@@ -210,34 +210,25 @@ def test_family_third_derivative_matches_finite_difference(family):
 
 
 # ---------------------------------------------------------------------------
-# empirical MSE comparison
+# paired MSE comparison, from the harness's reduce
 
 
-def test_mse_comparison_runs_harness_trials():
-    # same lineage as run_experiment_spec: instance on split(0), trials on split(1)
-    seed, exp_index, R, methods = 5, 2, 50, ["shift", "scale", "cov"]
-    summary = run_experiment_spec("P1", {"d": 2}, 8, 5, methods, R, seed, exp_index=exp_index)
-    master = RandomStream(seed).split(exp_index)
-    inst = generate_instance("P1", {"d": 2}, master.split(0))
-    out = empirical_mse_comparison(inst, n=8, K=5, R=R, methods=methods,
-                                   stream=RandomStream(seed).split(exp_index).split(1))
-    for m in methods:
-        assert out[m].mse_naive * R == pytest.approx(summary.naive_sq_sum, rel=1e-12)
-        assert out[m].mse_debiased * R == pytest.approx(summary.debias_sq_sum[m], rel=1e-12)
+def paired_mse(inst, n, K, R, methods, stream):
+    """The summary of R harness trials of ``inst`` on ``stream``."""
+    plan = BootstrapPlan(rounds=K)
+    records = run_trials(inst, n, plan, methods, stream, 0, R)
+    return _reduce_records(inst, n, plan, methods, R, 0, records)
 
 
 def test_single_trial_has_no_se():
     inst = generate_instance("P1", {"d": 2}, RandomStream(7))
-    out = empirical_mse_comparison(inst, n=8, K=5, R=1,
-                                   methods=["shift"], stream=RandomStream(8))
-    assert out["shift"].paired_diff_se is None
+    s = paired_mse(inst, n=8, K=5, R=1, methods=["shift"], stream=RandomStream(8))
+    assert math.isnan(s.mse_diff_se["shift"])
 
 
 def test_shift_reduces_mse_when_condition_holds():
     # scaled-down version of the MSE-reduction verification protocol
     inst = generate_instance("P1", {"d": 1, "xstar_norm2": 0.0, "sigma": 1.0}, RandomStream(9))
-    out = empirical_mse_comparison(inst, n=25, K=25, R=3000,
-                                   methods=["shift"], stream=RandomStream(10))
-    cmp = out["shift"]
-    assert cmp.paired_diff_mean < 0
-    assert cmp.paired_diff_mean < -3 * cmp.paired_diff_se
+    s = paired_mse(inst, n=25, K=25, R=3000, methods=["shift"], stream=RandomStream(10))
+    assert s.mse_diff["shift"] < 0
+    assert s.mse_diff["shift"] < -3 * s.mse_diff_se["shift"]
