@@ -16,7 +16,7 @@ All three apply unchanged to concave F: the algebra is sign-symmetric, so
 debiasing -F and negating gives identical results.
 
 Every estimate runs on a block of B inputs of one kind (``block_for``):
-``EuclideanBlock`` (Euclidean sets of one shape) or ``EmpiricalBlock``
+``EuclideanBlock`` (a (B, n, d) stack of Euclidean sets) or ``EmpiricalBlock``
 (pairs of point clouds, evaluated and resampled through F's paired
 ``fn_many``; a paired objective without it is refused before F is
 evaluated).  A block exposes ``naive`` (F at each input's mean),
@@ -100,7 +100,7 @@ def _resample_counts(n: int, plan: BootstrapPlan, rng: RandomStream) -> np.ndarr
     if n == 1:
         return np.full((plan.rounds, 1), m, dtype=np.int64)
     counts = rng.generator.multinomial(m, np.full(n, 1.0 / n), size=plan.rounds)
-    return counts.astype(np.int64)
+    return counts.astype(np.int64, copy=False)
 
 
 def _euclidean_resample_means(centers: np.ndarray, deviations: np.ndarray,
@@ -114,7 +114,8 @@ def _euclidean_resample_means(centers: np.ndarray, deviations: np.ndarray,
 
 
 class EuclideanBlock:
-    """B Euclidean observation sets of one shape, debiased together.
+    """B Euclidean observation sets of one shape, as one (B, n, d) stack,
+    debiased together.
 
     The means, the deviations and the resample means of all B sets are
     computed at once, and F is evaluated at the B*K resample means in one
@@ -224,10 +225,10 @@ def _is_euclidean(obs) -> bool:
 
 
 def block_for(F: Objective, inputs):
-    """The block for a list of inputs of one kind: Euclidean sets of one
-    shape, or pairs of point clouds."""
-    if _is_euclidean(inputs[0]):
-        return EuclideanBlock(F, np.stack([obs.points for obs in inputs]))
+    """The block for a (B, n, d) stack of Euclidean sets, or for a list of
+    pairs of point clouds."""
+    if isinstance(inputs, np.ndarray):
+        return EuclideanBlock(F, inputs)
     return EmpiricalBlock(F, inputs)
 
 
@@ -316,7 +317,7 @@ def debias(method: str, F: Objective, obs, plan: Optional[BootstrapPlan] = None,
         raise UnsupportedMethodError(reason)
     if rng is None and plan is not None:
         rng = RandomStream(0)
-    block = block_for(F, [obs])
+    block = block_for(F, obs.points[None] if _is_euclidean(obs) else [obs])
     (correction,), values = corrections(method, block, plan, [rng])
     naive = block.naive[0]
     return DebiasEstimate(naive, _TABLE[method][0], correction,

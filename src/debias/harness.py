@@ -31,7 +31,7 @@ import numpy as np
 from .core import BootstrapPlan, block_for, corrections, debiased, why_not
 # hooked by perfbench/spans.py
 from .core import covariance_debias, scale_debias, shift_debias  # noqa: F401
-from .observations import ContractError, stable_digest
+from .observations import ContractError, fingerprints, stable_digest
 from .observations import mean_observation  # noqa: F401  hooked by perfbench/spans.py
 from .problems import ProblemInstance, check_counts, generate_instance, get_family
 from .resampling import RandomStream
@@ -60,7 +60,8 @@ class ExperimentSummary:
     (F_debias - F*)^2 - (F_naive - F*)^2, and ``mse_diff_se[m]`` its standard
     error (ddof=1 standard deviation over sqrt(R); nan at R = 1), so a
     negative ``mse_diff`` several SEs below 0 says method m strictly reduced
-    the squared error.  Neither is written to the result files.
+    the squared error.  Both are in the JSON results and the SVG metadata,
+    not in the CSV.
     """
 
     problem: str
@@ -95,10 +96,11 @@ def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
 
 def _trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
             streams) -> list[TrialRecord]:
-    """The trials on ``streams`` as one block: the trial on stream s samples
-    its input from ``s.split(0)``, and each method j runs once over the
-    block, the trial on s resampling from ``s.split(1 + j)``."""
-    inputs = [instance.sample_observations(n, s.split(0)) for s in streams]
+    """The trials on ``streams`` as one block: one draw samples every
+    trial's input, the trial on stream s from ``s.split(0)``, and each method
+    j runs once over the block, the trial on s resampling from
+    ``s.split(1 + j)``."""
+    inputs = instance.noise.sample(n, [s.split(0) for s in streams])
     block = block_for(instance.objective, inputs)
     debiased_values = [{} for _ in streams]
     for j, m in enumerate(methods):
@@ -108,14 +110,17 @@ def _trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
             if not math.isfinite(trial[m]):
                 raise ContractError(f"trial {stream.path}: method {m} produced {trial[m]}")
     return [TrialRecord(stream.path[-1] if stream.path else 0, instance.truth_value, naive,
-                        trial, stream.path, _fingerprint(obs))
-            for naive, trial, stream, obs in zip(block.naive, debiased_values, streams, inputs)]
+                        trial, stream.path, fingerprint)
+            for naive, trial, stream, fingerprint in zip(block.naive, debiased_values, streams,
+                                                         _fingerprints(inputs))]
 
 
-def _fingerprint(obs) -> int:
-    if isinstance(obs, tuple):
-        return stable_digest(s.fingerprint().to_bytes(8, "big") for s in obs)
-    return obs.fingerprint()
+def _fingerprints(inputs) -> list[int]:
+    """Each trial's sample digest: a Euclidean set's, or the digest of the
+    two digests of a pair of clouds."""
+    if isinstance(inputs, np.ndarray):
+        return fingerprints(inputs)
+    return [stable_digest(s.fingerprint().to_bytes(8, "big") for s in pair) for pair in inputs]
 
 
 def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
@@ -364,6 +369,8 @@ def summary_dict(s: ExperimentSummary) -> dict:
         "debias_err_sum": s.debias_err_sum,
         "naive_sq_sum": s.naive_sq_sum,
         "naive_err_sum": s.naive_err_sum,
+        "mse_diff": s.mse_diff,
+        "mse_diff_se": s.mse_diff_se,
     }
 
 

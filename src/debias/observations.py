@@ -64,8 +64,14 @@ class ObservationSet:
         same in every process.  A cloud's digest covers each point's bytes
         followed by the bytes of its weight 1.0."""
         if self.variant == "euclidean":
-            return stable_digest([self.points.tobytes()])
+            return fingerprints(self.points[None])[0]
         return stable_digest([np.hstack([self.points, np.ones((len(self), 1))]).tobytes()])
+
+
+def fingerprints(points: np.ndarray) -> list[int]:
+    """The fingerprint of each Euclidean set of a (B, n, d) stack: the digest
+    of its points' bytes."""
+    return [stable_digest([row.tobytes()]) for row in points]
 
 
 def stable_digest(chunks) -> int:

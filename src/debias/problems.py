@@ -26,7 +26,7 @@ from .linalg import (cho_solve, cholesky_factor, cholesky_solve, cholesky_solve_
                      random_orthogonal, spd_with_condition)
 from .objectives import Objective
 from .observations import ContractError, ObservationSet, mixture_row
-from .resampling import RandomStream
+from .resampling import RandomStream, categorical_cdf, normals, uniforms
 
 # ---------------------------------------------------------------------------
 # objectives
@@ -228,22 +228,26 @@ def p7_wasserstein() -> Objective:
 
 @dataclass
 class NoiseModel:
-    """Draws n observations whose mean is the instance's truth input: one
-    Euclidean set, or a pair of empirical sets if ``paired`` (P7)."""
+    """Draws, for each of a block of B streams, n observations whose mean is
+    the instance's truth input: a (B, n, d) stack of Euclidean sets, or if
+    ``paired`` (P7) a list of B pairs of point clouds.  Set b is drawn from
+    ``streams[b]`` alone, with the bits a block of that stream alone gives."""
 
-    draw: Callable[[int, RandomStream], object]
+    draw: Callable[[int, list], object]
     paired: bool = False
 
-    def sample(self, n: int, stream: RandomStream):
+    def sample(self, n: int, streams):
         if n < 1:
             raise ContractError(f"need n >= 1 observations, got {n}")
-        return self.draw(n, stream)
+        sets = self.draw(n, streams)
+        if not self.paired and not np.all(np.isfinite(sets)):
+            raise ContractError("observation coordinates must be finite")
+        return sets
 
 
 def _gaussian(mean: np.ndarray, p: dict) -> NoiseModel:
     sigma = _positive(p, "sigma")
-    return NoiseModel(lambda n, s: ObservationSet.from_points(
-        mean + sigma * s.normal((n, mean.size))))
+    return NoiseModel(lambda n, streams: mean + sigma * normals(streams, (n, mean.size)))
 
 
 @dataclass
@@ -270,8 +274,10 @@ class ProblemInstance:
         return self.noise.paired
 
     def sample_observations(self, n: int, stream: RandomStream):
-        """n i.i.d. observations from the instance's noise model."""
-        return self.noise.sample(n, stream)
+        """n i.i.d. observations from the instance's noise model: the block
+        draw of one stream, as an ObservationSet (P7: a pair of them)."""
+        (obs,) = self.noise.sample(n, [stream])
+        return obs if self.paired else ObservationSet.from_points(obs)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +329,7 @@ def _build_p3(p, d, stream):
     c = p["c_norm"] * np.abs(_unit_vector(d, stream, positive=True))
     x_star = _truth_point(p, d, stream, positive=True)
     # coordinatewise exponential with mean x_star, by inverse CDF
-    noise = NoiseModel(lambda n, s: ObservationSet.from_points(
-        -np.log1p(-s.generator.random((n, d))) * x_star))
+    noise = NoiseModel(lambda n, streams: -np.log1p(-uniforms(streams, (n, d))) * x_star)
     return _euclidean(p3_rational(b, c), noise, x_star, {"b": b, "c": c})
 
 
@@ -339,10 +344,11 @@ def _build_p4(p, d, stream):
         lam[2:] = np.exp(stream.uniform(d - 2) * np.log(p["kappa"]))
     b = _unit_vector(d, stream)
 
-    def draw(n, s):  # U diag(lam * xi) U' with xi ~ Gamma(k, 1/k), mean U diag(lam) U'
-        xi = s.gamma(k, 1.0 / k, (n, d))
-        mats = np.einsum("ij,nj,kj->nik", U, xi * lam, U)
-        return ObservationSet.from_points(mats.reshape(n, d * d))
+    def draw(n, streams):  # U diag(lam * xi) U' with xi ~ Gamma(k, 1/k), mean U diag(lam) U'
+        # one einsum a trial: its summation order depends on the number of rows
+        mats = [np.einsum("ij,nj,kj->nik", U, s.gamma(k, 1.0 / k, (n, d)) * lam, U)
+                for s in streams]
+        return np.stack(mats).reshape(len(streams), n, d * d)
 
     a_star = ((U * lam) @ U.T).ravel()
     return _euclidean(p4_opt_value(b), NoiseModel(draw), a_star, {"b": b, "U": U, "lam": lam})
@@ -362,11 +368,13 @@ def _build_p5(p, d, stream):
 
 def _build_p6(p, d, stream):
     p_star = stream.dirichlet(_positive(p, "alpha"), d)
+    cdf = categorical_cdf(p_star)
 
-    def draw(n, s):
-        onehot = np.zeros((n, d))
-        onehot[np.arange(n), s.categorical(p_star, n)] = 1.0
-        return ObservationSet.from_points(onehot)
+    def draw(n, streams):  # one-hot categories, by inverse CDF
+        onehot = np.zeros((len(streams), n, d))
+        categories = np.searchsorted(cdf, uniforms(streams, (n,)), side="right")
+        np.put_along_axis(onehot, categories[..., None], 1.0, axis=-1)
+        return onehot
 
     return _euclidean(p6_entropy(d), NoiseModel(draw), p_star, {})
 
@@ -380,10 +388,10 @@ def _build_p7(p, d, stream):
     sigma = _positive(p, "sigma")
     m_samples = None if p["m_samples"] is None else int(_positive(p, "m_samples"))
 
-    def draw(n, s):  # n draws around mu1 and m_samples (default n) around mu2
-        xs = mu1 + sigma * s.normal((n, d))
-        ys = mu2 + sigma * s.normal((m_samples or n, d))
-        return ObservationSet.from_dirac_points(xs), ObservationSet.from_dirac_points(ys)
+    def draw(n, streams):  # n draws around mu1 and m_samples (default n) around mu2
+        return [(ObservationSet.from_dirac_points(mu1 + sigma * s.normal((n, d))),
+                 ObservationSet.from_dirac_points(mu2 + sigma * s.normal((m_samples or n, d))))
+                for s in streams]
 
     # W2^2 between the true isotropic Gaussians: ||mu1-mu2||^2 + d (s1-s2)^2
     truth_value = float(np.sum((mu1 - mu2) ** 2))

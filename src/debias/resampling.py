@@ -12,11 +12,17 @@ uniforms (``z0 = sqrt(-2 ln u1) cos(2 pi u2)``, ``z1 = sqrt(-2 ln u1)
 sin(2 pi u2)``) so each normal consumes a fixed number of uniforms.  Gamma
 variates use numpy's generator routine, which is rejection based; the draw
 sequence is still fully determined by the stream state.
+
+``uniforms`` and ``normals`` draw for a block of streams at once: each
+stream draws its own uniforms, and the transforms run once over the stack,
+so row b has the bits ``streams[b]`` alone gives (``RandomStream.normal`` is
+the block draw of one stream).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 
 import numpy as np
@@ -35,68 +41,92 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
+def _hash_constants(init: int, mult: int, start: int, count: int) -> tuple:
+    """The hash constant at steps start..start+count-1 of a SeedSequence hash:
+    it starts at ``init`` and each step multiplies it by ``mult`` mod 2**32."""
+    h, out = init * pow(mult, start, 1 << 32) & _M32, []
+    for _ in range(count):
+        out.append(h)
+        h = h * mult & _M32
+    return tuple(out)
+
+
+# A pool takes 16 hashing steps from its seed and 4 from each path word, and
+# a step's constants depend only on its number, so they are tabled: for
+# paths of up to 64 words and states of up to 8 words (a Philox key takes 4);
+# longer ones compute theirs.
+_POOL_STEPS = 16
+_A = _hash_constants(_INIT_A, _MULT_A, 0, _POOL_STEPS + 4 * 64 + 1)
+_B = _hash_constants(_INIT_B, _MULT_B, 0, 9)
+_U4, _U8 = np.dtype("<u4"), np.dtype("<u8")  # state words; a uint64 from each pair
+
+
 def _words(n: int) -> list[int]:
     """n's little-endian 32-bit words, as numpy splits an entropy integer."""
     return [n] if n <= _M32 else [n >> shift & _M32 for shift in range(0, n.bit_length(), 32)]
 
 
-def _mix_in(pool: list, h: int, w: int, skip: int = -1) -> int:
-    """Hash w into every pool word but ``pool[skip]``, in place, as numpy's
-    ``mix_entropy`` does; returns the hash constant after those steps."""
-    for dst in range(4):
-        if dst != skip:
-            v = w ^ h
-            h = h * _MULT_A & _M32
-            v = v * h & _M32
-            r = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _M32
-            pool[dst] = r ^ r >> 16
-    return h
-
-
 class SeedPool(ISeedSequence):
     """The pool of numpy's ``SeedSequence(seed, spawn_key=path)``: its four
-    mixer words and the hash constant after the steps taken so far.  numpy
-    mixes the path's words in one at a time, so a child's pool is its
-    parent's with the child's index mixed in (``absorb``)."""
+    mixer words and the number of hashing steps taken so far, which fixes
+    the hash constant of the next one.  numpy mixes the path's words in one
+    at a time, so a child's pool is its parent's with the child's index
+    mixed in (``absorb``)."""
 
-    def __init__(self, words: tuple, hash_const: int):
+    def __init__(self, words: tuple, steps: int):
         self.words = words
-        self.hash_const = hash_const
+        self.steps = steps
 
     @classmethod
     def of(cls, seed: int, path=()) -> "SeedPool":
         """The pool for an unsigned 64-bit seed and a path."""
-        pool, h = [], _INIT_A
-        for w in (_words(seed) + [0, 0, 0])[:4]:  # the seed's words, zero padded
-            v = w ^ h
-            h = h * _MULT_A & _M32
-            v = v * h & _M32
+        pool = []
+        for step, w in enumerate((_words(seed) + [0, 0, 0])[:4]):  # zero padded
+            v = (w ^ _A[step]) * _A[step + 1] & _M32
             pool.append(v ^ v >> 16)
+        step = 4
         for src in range(4):  # every pool word mixed into every other
-            h = _mix_in(pool, h, pool[src], skip=src)
-        return functools.reduce(SeedPool.absorb, path, cls(tuple(pool), h))
+            for dst in range(4):
+                if dst != src:
+                    v = (pool[src] ^ _A[step]) * _A[step + 1] & _M32
+                    r = _MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16) & _M32
+                    pool[dst] = r ^ r >> 16
+                    step += 1
+        return functools.reduce(SeedPool.absorb, path, cls(tuple(pool), _POOL_STEPS))
 
     def absorb(self, index: int) -> "SeedPool":
-        """The pool of the path one entry ``index`` longer."""
-        pool, h = list(self.words), self.hash_const
-        for w in _words(index):
-            h = _mix_in(pool, h, w)
-        return SeedPool(tuple(pool), h)
+        """The pool of the path one entry ``index`` longer: each of its words
+        hashed into each pool word in turn."""
+        if index > _M32:
+            return functools.reduce(SeedPool.absorb, _words(index), self)
+        x0, x1, x2, x3 = self.words
+        step = self.steps
+        h0, h1, h2, h3, h4 = (_A[step:step + 5] if step + 5 <= len(_A)
+                              else _hash_constants(_INIT_A, _MULT_A, step, 5))
+        v = (index ^ h0) * h1 & _M32
+        r0 = _MIX_L * x0 - _MIX_R * (v ^ v >> 16) & _M32
+        v = (index ^ h1) * h2 & _M32
+        r1 = _MIX_L * x1 - _MIX_R * (v ^ v >> 16) & _M32
+        v = (index ^ h2) * h3 & _M32
+        r2 = _MIX_L * x2 - _MIX_R * (v ^ v >> 16) & _M32
+        v = (index ^ h3) * h4 & _M32
+        r3 = _MIX_L * x3 - _MIX_R * (v ^ v >> 16) & _M32
+        return SeedPool((r0 ^ r0 >> 16, r1 ^ r1 >> 16, r2 ^ r2 >> 16, r3 ^ r3 >> 16), step + 4)
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         """``SeedSequence.generate_state``: n_words uint32 or uint64 words
         hashed from the cycled pool, a uint64 from each little-endian pair."""
-        wide = np.dtype(dtype) == np.uint64
+        wide = dtype is np.uint64 or np.dtype(dtype) == np.uint64  # Philox passes np.uint64
         if not wide and np.dtype(dtype) != np.uint32:
             raise ValueError("only support uint32 or uint64")
-        out, h = [], _INIT_B
-        for k in range(n_words << wide):
-            v = self.words[k & 3] ^ h
-            h = h * _MULT_B & _M32
-            v = v * h & _M32
+        count = n_words << wide
+        h = _B if count < len(_B) else _hash_constants(_INIT_B, _MULT_B, 0, count + 1)
+        words, out = self.words, []
+        for k in range(count):
+            v = (words[k & 3] ^ h[k]) * h[k + 1] & _M32
             out.append(v ^ v >> 16)
-        state = np.array(out, dtype="<u4")
-        return state.view("<u8") if wide else state
+        state = np.array(out, dtype=_U4)
+        return state.view(_U8) if wide else state
 
 
 def _index(i) -> int:
@@ -124,7 +154,7 @@ class RandomStream:
 
     def __init__(self, origin_seed: int, path: tuple[int, ...] = ()):
         self.origin_seed = int(origin_seed) & 0xFFFFFFFFFFFFFFFF
-        self.path = tuple(_index(p) for p in path)
+        self.path = tuple(map(_index, path))
         self._gen = self._pool = self._parent_pool = None  # built when first needed
 
     @property
@@ -157,16 +187,10 @@ class RandomStream:
 
     def normal(self, size=None) -> np.ndarray | float:
         """Standard normal draws via Box-Muller on Philox uniforms."""
-        scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
-        npairs = (n + 1) // 2
-        u = self.generator.random((2, npairs))
-        r = np.sqrt(-2.0 * np.log1p(-u[0]))  # 1-u in (0,1] avoids log(0)
-        theta = 2.0 * np.pi * u[1]
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        if scalar:
-            return float(z[0])
-        return z.reshape(size)
+        shape = (() if size is None else (int(size),) if isinstance(size, numbers.Integral)
+                 else tuple(size))
+        z = normals([self], shape)[0]
+        return float(z) if size is None else z
 
     def gamma(self, shape: float, scale: float, size=None) -> np.ndarray | float:
         """Gamma draws; ``shape=k, scale=1/k`` has mean 1."""
@@ -190,11 +214,42 @@ class RandomStream:
 
     def categorical(self, p: np.ndarray, size=None) -> np.ndarray | int:
         """Category indices distributed as ``p``, by inverse CDF on one uniform each."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 1 or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("categorical needs a probability vector summing to 1")
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
-        u = self.generator.random(size)
-        return np.searchsorted(cdf, u, side="right")
+        return np.searchsorted(categorical_cdf(p), self.generator.random(size), side="right")
 
+
+def uniforms(streams, shape: tuple) -> np.ndarray:
+    """(B, *shape) uniforms on [0, 1): row b is ``streams[b].uniform(shape)``."""
+    out = np.empty((len(streams), *shape))
+    for row, stream in zip(out, streams):
+        stream.generator.random(out=row)
+    return out
+
+
+def box_muller(u: np.ndarray, count: int) -> np.ndarray:
+    """Standard normals from pairs of uniforms, ``u[..., 0, :]`` giving the
+    radii and ``u[..., 1, :]`` the angles: the cosine variates, then the sine
+    ones, cut to the first ``count`` along the last axis.  Each element is a
+    function of its own pair, so a row gets the same bits in any stack."""
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0, :]))  # 1-u in (0,1] avoids log(0)
+    theta = 2.0 * np.pi * u[..., 1, :]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :count]
+
+
+def normals(streams, shape: tuple) -> np.ndarray:
+    """(B, *shape) standard normals: row b is ``streams[b].normal(shape)``,
+    each stream drawing its own uniforms, transformed as one stack."""
+    count = math.prod(shape)
+    z = box_muller(uniforms(streams, (2, (count + 1) // 2)), count)
+    return z.reshape(len(streams), *shape)
+
+
+def categorical_cdf(p) -> np.ndarray:
+    """The CDF of a probability vector, its last entry exactly 1: category
+    ``np.searchsorted(cdf, u, side="right")`` of a uniform u is distributed
+    as ``p``."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("categorical needs a probability vector summing to 1")
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0
+    return cdf

@@ -12,7 +12,7 @@ from _oracles import parse_results_csv
 from debias import cli, transport
 from debias.cli import CliParseError, main
 from debias.core import DegenerateDenominatorError, UnsupportedMethodError
-from debias.harness import run_sweep
+from debias.harness import run_experiment_spec, run_sweep
 from debias.linalg import FactorizationError
 from debias.objectives import DomainError, EvaluationError
 from debias.observations import ContractError
@@ -264,6 +264,32 @@ def test_bench_writes_csv_and_svg(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("problem,method")
     assert len(lines) == 1 + 3  # header + shift/scale/cov rows
+
+
+# `debias bench P1 --trials 6 --seed 7 --param d=2 --n 5 --k 4 --no-header`
+BENCH_P1_CSV = """\
+problem,method,axis,axis_value,n,K,R,seed,rmse_r,bias_r
+P1,shift,,,5,4,6,7,1.5868780551053976,2.2262257028330277
+P1,scale,,,5,4,6,7,1.5535730157512142,1.9846769778060707
+P1,cov,,,5,4,6,7,1.3869491747743476,1.7858969337248354
+"""
+
+
+def test_bench_json_and_svg_carry_paired_mse_difference(tmp_path):
+    # the paired MSE difference and its SE are in the JSON results and the
+    # SVG metadata; the CSV keeps its schema and its bytes
+    argv = ["bench", "P1", "--trials", "6", "--seed", "7", "--param", "d=2", "--n", "5",
+            "--k", "4", "--workers", "1", "--no-header"]
+    summary = run_experiment_spec("P1", {"d": 2}, 5, 4, FAMILIES["P1"].methods, 6, seed=7)
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "b.json")]) == 0
+    (result,) = json.loads((tmp_path / "b.json").read_text())["results"]
+    svg = (tmp_path / "b.svg").read_text()
+    (meta,) = json.loads(svg.split('<metadata id="debias-data">')[1].split("</metadata>")[0])
+    for written in (result, meta):
+        assert written["mse_diff"] == summary.mse_diff
+        assert written["mse_diff_se"] == summary.mse_diff_se
+    assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_text() == BENCH_P1_CSV
 
 
 def test_p6_n_rule_shared_by_sweep_and_bench(tmp_path):

@@ -436,11 +436,14 @@ def crafted_instance(family, params, sets, **objective_changes):
     """An instance whose trial t observes ``sets[t]``, with its objective's
     fields replaced by ``objective_changes``."""
     instance = generate_instance(family, params, RandomStream(0))
-    instance = dataclasses.replace(
-        instance, objective=dataclasses.replace(instance.objective, **objective_changes))
-    # trial t samples from split(t).split(0)
-    instance.sample_observations = lambda n, stream: observe(sets[stream.path[-2]])
-    return instance
+
+    def draw(n, streams):  # trial t samples from split(t).split(0)
+        observed = [observe(sets[s.path[-2]]) for s in streams]
+        return observed if instance.paired else np.stack([obs.points for obs in observed])
+
+    return dataclasses.replace(
+        instance, objective=dataclasses.replace(instance.objective, **objective_changes),
+        noise=NoiseModel(draw, instance.paired))
 
 
 def domain_below(limit):

@@ -3,7 +3,7 @@ and then only as ``import scipy`` plus its compiled LAPACK module
 ``scipy.linalg._flapack``: the ``scipy.linalg`` package stays unloaded, and
 a later ``import scipy.linalg`` reuses that module. multiprocessing is
 loaded only where trials run in child processes. ``debias.theory`` loads
-none of the trial modules.
+none of the trial modules. The benchmark's span hooks resolve and fire.
 
 Each case runs a fresh interpreter: this test process has all of these
 loaded already through other test modules.
@@ -18,6 +18,7 @@ from pathlib import Path
 import debias
 
 SRC = str(Path(debias.__file__).resolve().parents[1])
+SPANS = Path(SRC).parent / "perfbench" / "spans.py"
 
 SCRIPT = """
 import json, sys
@@ -140,3 +141,26 @@ def test_theory_loads_no_trial_modules():
               "print([m for m in ('debias.harness', 'debias.core', 'debias.problems',\n"
               "                   'debias.resampling') if m in sys.modules])\n")
     assert run_script(script).splitlines() == ["[]"]
+
+
+def test_benchmark_span_hooks_resolve_and_fire():
+    # perfbench/spans.py times a layer by replacing the attribute its caller
+    # looks up (HOOKS); a target that is gone drops the layer's metrics, and
+    # one the trials no longer call through reads 0 (sampling and stream
+    # set-up are the layers trial blocks batch)
+    script = ("import importlib.util, json\n"
+              f"spec = importlib.util.spec_from_file_location('spans', {str(SPANS)!r})\n"
+              "spans = importlib.util.module_from_spec(spec)\n"
+              "spec.loader.exec_module(spans)\n"
+              "tracer = spans.Tracer()\n"
+              "tracer.install()\n"
+              "from debias import harness\n"
+              "for family in ('P1', 'P3', 'P4', 'P6', 'P7'):\n"
+              "    harness.run_experiment_spec(family, {'d': 2}, 4, 3, ['shift'], 3, seed=1)\n"
+              "print(json.dumps([len(spans.HOOKS), sorted(tracer.missing),\n"
+              "                  sorted(set(tracer.names))]))\n")
+    hooks, missing, fired = json.loads(run_script(script).splitlines()[-1])
+    assert hooks > 0 and missing == []
+    assert {"problems.sample", "resampling.stream_init", "core.counts",
+            "core.resample_means", "objectives.evaluate_batch", "transport.solve",
+            "harness.reduce", "problems.generate"} <= set(fired)

@@ -24,7 +24,7 @@ from debias.problems import (
     p6_entropy,
     p7_wasserstein,
 )
-from debias.resampling import RandomStream
+from debias.resampling import RandomStream, normals
 
 
 def fd_gradient(F, x, h=1e-6):
@@ -620,6 +620,65 @@ def test_seed0_instance_and_sample_digests(family):
     else:
         arrays = [sample.points]
     assert (_digest(chunks), _digest(a.tobytes() for a in arrays)) == GOLDEN[family]
+
+
+def one_stream_draw(inst, n, s):
+    """A family's sample as each trial drew it alone, stream by stream: the
+    reference for the block draw."""
+    p, m, x = inst.params, inst.matrices, inst.truth_input
+    d = int(p["d"])
+    if inst.id in ("P1", "P2", "P5"):
+        return x + p["sigma"] * s.normal((n, x.size))
+    if inst.id == "P3":
+        return -np.log1p(-s.generator.random((n, d))) * x
+    if inst.id == "P4":
+        xi = s.gamma(p["k_shape"], 1.0 / p["k_shape"], (n, d))
+        return np.einsum("ij,nj,kj->nik", m["U"], xi * m["lam"], m["U"]).reshape(n, d * d)
+    if inst.id == "P6":
+        onehot = np.zeros((n, d))
+        onehot[np.arange(n), s.categorical(x, n)] = 1.0
+        return onehot
+    xs = np.zeros(d) + p["sigma"] * s.normal((n, d))
+    return xs, m["mu2"] + p["sigma"] * s.normal((p["m_samples"] or n, d))
+
+
+BLOCK_DRAWS = [(family, {}, FAMILIES[family].resolve_n(None, {})) for family in sorted(FAMILIES)]
+BLOCK_DRAWS += [("P1", {"d": 3}, 5), ("P7", {"d": 3, "m_samples": 4}, 5)]  # odd n * d
+
+
+@pytest.mark.parametrize("family,params,n", BLOCK_DRAWS)
+def test_block_draw_rows_are_one_stream_draws(family, params, n):
+    # every trial of a block draws its own uniforms, gammas or categories;
+    # the transforms over the stack give each row the bits it gets alone
+    inst = generate_instance(family, params, RandomStream(41).split(0))
+    root = RandomStream(41).split(1)
+
+    def streams(count):  # fresh streams: each draw advances a stream's state
+        return [root.split(t).split(0) for t in range(count)]
+
+    want = [one_stream_draw(inst, n, s) for s in streams(40)]
+    alone = [inst.sample_observations(n, s) for s in streams(40)]
+    for B in (1, 2, 3, 40):
+        block = inst.noise.sample(n, streams(B))
+        assert len(block) == B
+        for b in range(B):
+            if inst.paired:
+                for cloud, one, ref in zip(block[b], alone[b], want[b]):
+                    assert cloud.points.tobytes() == one.points.tobytes() == ref.tobytes()
+            else:
+                assert block[b].shape == want[b].shape
+                assert block[b].tobytes() == alone[b].points.tobytes() == want[b].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5, 3), (7,), (10, 20)])
+def test_normal_is_its_row_of_the_block_draw(shape):
+    def streams():
+        return [RandomStream(43, (t, 0)) for t in range(40)]
+
+    block = normals(streams(), shape)
+    assert block.shape == (40, *shape)
+    for row, s in zip(block, streams()):
+        assert np.asarray(s.normal(shape)).tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

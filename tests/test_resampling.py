@@ -73,6 +73,21 @@ def test_keys_are_seedsequence_keys(seed, path):
             assert state.tolist() == ref_seq.generate_state(n_words, dtype).tolist()
 
 
+def test_keys_past_the_hash_table_are_seedsequence_keys():
+    # the hash constants are tabled for paths of up to 64 words and states of
+    # up to 8 words; longer ones compute theirs
+    path = tuple(range(70)) + (2**64 + 3,)
+    ref = SeedSequence(11, spawn_key=path)
+    chain = RandomStream(11)
+    for i in path:
+        chain = chain.split(i)
+    for stream in (chain, RandomStream(11, path)):
+        assert repr(stream.generator.bit_generator.state) == repr(Philox(ref).state)
+        for n_words, dtype in [(9, np.uint32), (5, np.uint64)]:
+            assert (stream._seed_pool().generate_state(n_words, dtype).tolist()
+                    == ref.generate_state(n_words, dtype).tolist())
+
+
 def test_bad_index_rejected_promptly():
     # each raises at once; a word loop on a negative index would never end
     code = """
