@@ -89,17 +89,25 @@ def bootstrap_means(cloud: ObservationSet, plan: BootstrapPlan,
 
     Deterministic given (set order, plan, rng state).
     """
-    counts = _resample_counts(len(cloud), plan, rng)
+    counts = _resample_counts(_uniform(len(cloud)), plan, rng)
     m = counts.sum(axis=1)
     return [mixture(cloud, counts[k] / m[k]) for k in range(counts.shape[0])]
 
 
-def _resample_counts(n: int, plan: BootstrapPlan, rng: RandomStream) -> np.ndarray:
-    """(K, n) multinomial count matrix for the plan."""
+def _uniform(n: int) -> np.ndarray:
+    """The uniform category vector of n points that resampling draws from."""
+    return np.full(n, 1.0 / n)
+
+
+def _resample_counts(p: np.ndarray, plan: BootstrapPlan, rng: RandomStream) -> np.ndarray:
+    """(K, n) multinomial count matrix for the plan, over the n categories of
+    ``p = _uniform(n)``, which a block builds once for all its draws
+    (``multinomial`` only reads it)."""
+    n = len(p)
     m = plan.size if plan.size is not None else n
     if n == 1:
         return np.full((plan.rounds, 1), m, dtype=np.int64)
-    counts = rng.generator.multinomial(m, np.full(n, 1.0 / n), size=plan.rounds)
+    counts = rng.generator.multinomial(m, p, size=plan.rounds)
     return counts.astype(np.int64, copy=False)
 
 
@@ -129,6 +137,7 @@ class EuclideanBlock:
         F.check_domain(self.means)  # one check for all B means
         self.naive = [F.finite(F.fn(mean)) for mean in self.means]
         self.deviations = points - self.means[:, None]
+        self.uniform = _uniform(points.shape[1])
 
     def mean(self, b: int) -> np.ndarray:
         return self.means[b]
@@ -142,8 +151,7 @@ class EuclideanBlock:
         is the one its set alone would give.  Errors name the first bad row
         of the call, which for a block of one is the resample of that set.
         """
-        n = self.deviations.shape[1]
-        counts = np.stack([_resample_counts(n, plan, rng) for rng in rngs])
+        counts = np.stack([_resample_counts(self.uniform, plan, rng) for rng in rngs])
         points = _euclidean_resample_means(self.means, self.deviations, counts)
         sets, rounds, d = points.shape
         # numpy's einsum (fn_many of P1, P2, P5) sums a batch of one or two
@@ -198,6 +206,7 @@ class EmpiricalBlock:
         if not all(isinstance(obs, tuple) for obs in self.inputs):
             raise UnsupportedMethodError("empirical inputs must be pairs of point clouds")
         self.naive = [self._naive(obs) for obs in self.inputs]
+        self.uniform = {len(s): _uniform(len(s)) for obs in self.inputs for s in obs}
 
     def _naive(self, obs) -> float:
         (value,) = self.F.fn_many(obs, [np.full((1, len(s)), 1.0 / len(s)) for s in obs])
@@ -212,7 +221,8 @@ class EmpiricalBlock:
         return [self._values(obs, plan, rng) for obs, rng in zip(self.inputs, rngs)]
 
     def _values(self, obs, plan, rng) -> np.ndarray:
-        counts = [_resample_counts(len(s), plan, rng.split(i)) for i, s in enumerate(obs)]
+        counts = [_resample_counts(self.uniform[len(s)], plan, rng.split(i))
+                  for i, s in enumerate(obs)]
         coeffs = [c / c.sum(axis=1, keepdims=True) for c in counts]
         return _indexed(map(self.F.finite, self.F.fn_many(obs, coeffs)))
 

@@ -34,11 +34,12 @@ from .core import covariance_debias, scale_debias, shift_debias  # noqa: F401
 from .observations import ContractError, fingerprints, stable_digest
 from .observations import mean_observation  # noqa: F401  hooked by perfbench/spans.py
 from .problems import ProblemInstance, check_counts, generate_instance, get_family
-from .resampling import RandomStream
+from .resampling import RandomStream, block_streams
 
-# Trials run in blocks of at most this many resample count cells
-# (trials x K x n), which bounds the memory a block's arrays take.
-BLOCK_CELLS = 4096
+# Trials run in blocks of at most this many resample cells, trials x K x
+# max(n, d): a block's counts hold trials x K x n numbers and its resample
+# means trials x K x d, so this bounds the memory a block's arrays take.
+BLOCK_CELLS = 8192
 
 @dataclass
 class TrialRecord:
@@ -91,28 +92,30 @@ def method_applicable(method: str, instance: ProblemInstance) -> Optional[str]:
 def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
               methods, stream: RandomStream) -> TrialRecord:
     """One fresh observation set (or pair), all requested methods evaluated on it."""
-    return _trials(instance, n, plan, methods, [stream])[0]
+    return _trials(instance, n, plan, methods,
+                   [[stream.split(j)] for j in range(1 + len(methods))])[0]
 
 
 def _trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
             streams) -> list[TrialRecord]:
-    """The trials on ``streams`` as one block: one draw samples every
-    trial's input, the trial on stream s from ``s.split(0)``, and each method
-    j runs once over the block, the trial on s resampling from
-    ``s.split(1 + j)``."""
-    inputs = instance.noise.sample(n, [s.split(0) for s in streams])
+    """The trials of one block, ``streams[j][b]`` being trial b's stream
+    split(j): one draw samples every trial's input from its split(0), and
+    each method j runs once over the block, trial b resampling from
+    ``streams[1 + j][b]``."""
+    inputs = instance.noise.sample(n, streams[0])
     block = block_for(instance.objective, inputs)
-    debiased_values = [{} for _ in streams]
-    for j, m in enumerate(methods):
-        corr, _ = corrections(m, block, plan, [s.split(1 + j) for s in streams])
-        for trial, naive, c, stream in zip(debiased_values, block.naive, corr, streams):
+    paths = [s.path[:-1] for s in streams[0]]
+    debiased_values = [{} for _ in paths]
+    for m, rngs in zip(methods, streams[1:]):
+        corr, _ = corrections(m, block, plan, rngs)
+        for trial, naive, c, path in zip(debiased_values, block.naive, corr, paths):
             trial[m] = debiased(m, naive, c)
             if not math.isfinite(trial[m]):
-                raise ContractError(f"trial {stream.path}: method {m} produced {trial[m]}")
-    return [TrialRecord(stream.path[-1] if stream.path else 0, instance.truth_value, naive,
-                        trial, stream.path, fingerprint)
-            for naive, trial, stream, fingerprint in zip(block.naive, debiased_values, streams,
-                                                         _fingerprints(inputs))]
+                raise ContractError(f"trial {path}: method {m} produced {trial[m]}")
+    return [TrialRecord(path[-1] if path else 0, instance.truth_value, naive, trial, path,
+                        fingerprint)
+            for naive, trial, path, fingerprint in zip(block.naive, debiased_values, paths,
+                                                       _fingerprints(inputs))]
 
 
 def _fingerprints(inputs) -> list[int]:
@@ -128,9 +131,11 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
     """Trials lo..hi-1 in order, trial t on root.split(t).
 
     The methods are checked against the instance once, before any trial runs.
-    Trials run in blocks of at most ``BLOCK_CELLS`` count cells; a block that
-    raises runs again trial by trial, so the error is the one of the first
-    failing trial, in method order.  No record depends on the block size.
+    Trials run in blocks of at most ``BLOCK_CELLS`` resample cells, on the
+    streams ``block_streams`` keys at once for the block; a block that
+    raises runs again trial by trial, on lone streams, so the error is the
+    one of the first failing trial, in method order.  No record depends on
+    the block size.
     """
     if hi <= lo:
         raise ContractError(f"R must be >= 1, got {hi - lo}")
@@ -140,14 +145,17 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
         reason = method_applicable(m, instance)
         if reason:
             raise ContractError(f"{instance.id}: {reason}")
-    size = max(1, BLOCK_CELLS // (plan.rounds * n))
+    width = n if instance.truth_input is None else max(n, instance.truth_input.size)
+    size = max(1, BLOCK_CELLS // (plan.rounds * width))
     records = []
     for start in range(lo, hi, size):
-        streams = [root.split(t) for t in range(start, min(start + size, hi))]
-        try:
-            records += _trials(instance, n, plan, methods, streams)
+        end = min(start + size, hi)
+        try:  # block keys stop at trial 2**32 - 1; later trials run one at a time
+            records += _trials(instance, n, plan, methods,
+                               block_streams(root, start, end, 1 + len(methods)))
         except (ValueError, ArithmeticError):  # every error class a trial raises
-            records += [run_trial(instance, n, plan, methods, s) for s in streams]
+            records += [run_trial(instance, n, plan, methods, root.split(t))
+                        for t in range(start, end)]
     return records
 
 

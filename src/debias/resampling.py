@@ -17,6 +17,12 @@ sequence is still fully determined by the stream state.
 stream draws its own uniforms, and the transforms run once over the stack,
 so row b has the bits ``streams[b]`` alone gives (``RandomStream.normal`` is
 the block draw of one stream).
+
+``block_streams`` makes the streams of a block of trials at once: their keys
+come from one elementwise pass of the key hash (``SeedPool.block_keys``),
+and they draw in turn from one Philox, re-pointed to a stream's key, counter
+0 and an empty buffer when it first draws.  That is the state
+``Philox(SeedSequence)`` starts in, so every draw keeps its bits.
 """
 
 from __future__ import annotations
@@ -59,6 +65,10 @@ _POOL_STEPS = 16
 _A = _hash_constants(_INIT_A, _MULT_A, 0, _POOL_STEPS + 4 * 64 + 1)
 _B = _hash_constants(_INIT_B, _MULT_B, 0, 9)
 _U4, _U8 = np.dtype("<u4"), np.dtype("<u8")  # state words; a uint64 from each pair
+# the same constants as np.uint32 arrays and scalars for ``block_keys``, so
+# that no operand is a Python int (no value-based promotion under numpy 1.x)
+_A32, _B32 = np.array(_A, np.uint32), np.array(_B, np.uint32)
+_MIX_L32, _MIX_R32, _SHIFT32 = np.uint32(_MIX_L), np.uint32(_MIX_R), np.uint32(16)
 
 
 def _words(n: int) -> list[int]:
@@ -128,6 +138,34 @@ class SeedPool(ISeedSequence):
         state = np.array(out, dtype=_U4)
         return state.view(_U8) if wide else state
 
+    def block_keys(self, lo: int, hi: int, stages: int) -> np.ndarray:
+        """(hi - lo, stages, 2) uint64 Philox keys: entry [t - lo, j] is
+        ``SeedSequence(seed, spawn_key=path + (t, j)).generate_state(2,
+        np.uint64)``, this pool's ``absorb(t).absorb(j).generate_state(2,
+        np.uint64)`` computed elementwise in uint32 arithmetic, which wraps
+        mod 2**32 on arrays.  Trial indices must be below 2**32 (one word)."""
+        if not 0 <= lo < hi <= 1 << 32:
+            raise ContractError(f"block keys need 0 <= lo < hi <= 2**32, got {lo}..{hi}")
+        step = self.steps
+        h = (_A32[step:step + 9] if step + 9 <= len(_A32)
+             else np.array(_hash_constants(_INIT_A, _MULT_A, step, 9), np.uint32))
+        words = np.array(self.words, np.uint32)[:, None]
+        words = _absorb_each(words, h[:5], np.arange(lo, hi, dtype=np.uint32))
+        words = _absorb_each(words[..., None], h[4:], np.arange(stages, dtype=np.uint32))
+        v = (words ^ _B32[:4, None, None]) * _B32[1:5, None, None]
+        v ^= v >> _SHIFT32
+        return np.ascontiguousarray(np.moveaxis(v, 0, -1), dtype=_U4).view(_U8)
+
+
+def _absorb_each(words: np.ndarray, h: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``SeedPool.absorb`` of each one-word index into pool words (4, ...) at
+    the hash constants h (5,): the result has the pool's leading axes and then
+    index's axis."""
+    h = h.reshape((5,) + (1,) * (words.ndim - 1))
+    v = (index ^ h[:4]) * h[1:]
+    r = _MIX_L32 * words - _MIX_R32 * (v ^ v >> _SHIFT32)
+    return r ^ r >> _SHIFT32
+
 
 def _index(i) -> int:
     if isinstance(i, (int, numbers.Integral)) and i >= 0:  # int first: the fast check
@@ -150,17 +188,26 @@ class RandomStream:
         empty path; ``s.split(i)`` appends ``i``.
     """
 
-    __slots__ = ("origin_seed", "path", "_gen", "_pool", "_parent_pool")
+    __slots__ = ("origin_seed", "path", "_gen", "_pool", "_parent_pool", "_block", "_key")
 
     def __init__(self, origin_seed: int, path: tuple[int, ...] = ()):
         self.origin_seed = int(origin_seed) & 0xFFFFFFFFFFFFFFFF
         self.path = tuple(map(_index, path))
         self._gen = self._pool = self._parent_pool = None  # built when first needed
+        self._block = self._key = None  # a lone stream: its own Philox
 
     @property
     def generator(self) -> Generator:
+        """The stream's generator: its own, or for a stream of a block the
+        block's one generator, re-pointed to this stream's key when it first
+        draws.  A block stream that another stream has since displaced
+        raises rather than draw from that stream's position."""
         if self._gen is None:
-            self._gen = Generator(Philox(self._seed_pool()))
+            self._gen = (Generator(Philox(self._seed_pool())) if self._block is None
+                         else self._block.point(self))
+        elif self._block is not None and self._block.owner is not self:
+            raise RuntimeError(f"{self!r} cannot draw again: its block's generator has "
+                               f"moved on to {self._block.owner!r}")
         return self._gen
 
     def _seed_pool(self) -> SeedPool:
@@ -215,6 +262,49 @@ class RandomStream:
     def categorical(self, p: np.ndarray, size=None) -> np.ndarray | int:
         """Category indices distributed as ``p``, by inverse CDF on one uniform each."""
         return np.searchsorted(categorical_cdf(p), self.generator.random(size), side="right")
+
+
+class _BlockGenerator:
+    """One Philox generator that the streams of a block draw from in turn."""
+
+    __slots__ = ("generator", "state", "owner")
+
+    def __init__(self, seed: ISeedSequence):
+        self.generator = Generator(Philox(seed))  # re-pointed before any stream draws
+        zeros = (0, 0, 0, 0)
+        self.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.owner = None
+
+    def point(self, stream: RandomStream) -> Generator:
+        """The generator, at the state ``Philox(SeedSequence)`` starts in for
+        the stream's key: counter 0, an empty buffer, no cached uint32."""
+        self.state["state"]["key"] = stream._key
+        self.generator.bit_generator.state = self.state
+        self.owner = stream
+        return self.generator
+
+
+def block_streams(root: RandomStream, lo: int, hi: int, stages: int) -> list[list[RandomStream]]:
+    """The streams ``root.split(t).split(j)`` for trials t in lo..hi-1 and
+    stages j < stages, as ``streams[j][t - lo]``: keyed in one pass of
+    ``SeedPool.block_keys``, and drawing from one re-pointed Philox, so each
+    draws what the lone stream of its path draws.  A stream that is split
+    derives its pool when it is."""
+    pool = root._seed_pool()
+    keys = pool.block_keys(lo, hi, stages).tolist()
+    block, new, seed = _BlockGenerator(pool), RandomStream.__new__, root.origin_seed
+    out = []
+    for j in range(stages):
+        stage = []
+        for t, trial_keys in zip(range(lo, hi), keys):
+            stream = new(RandomStream)
+            stream.origin_seed, stream.path = seed, root.path + (t, j)
+            stream._gen = stream._pool = stream._parent_pool = None
+            stream._block, stream._key = block, trial_keys[j]
+            stage.append(stream)
+        out.append(stage)
+    return out
 
 
 def uniforms(streams, shape: tuple) -> np.ndarray:

@@ -19,6 +19,7 @@ from debias.core import (
     UnsupportedMethodError,
     _is_euclidean,
     _resample_counts,
+    _uniform,
     debias,
     debiased,
     why_not,
@@ -133,7 +134,7 @@ def paired_coefficients_reference(sets, plan, stream) -> list[np.ndarray]:
     divided by its total."""
     out = []
     for i, s in enumerate(sets):
-        counts = _resample_counts(len(s), plan, stream.split(i))
+        counts = _resample_counts(_uniform(len(s)), plan, stream.split(i))
         m = counts.sum(axis=1)
         out.append(np.stack([counts[k] / m[k] for k in range(plan.rounds)]))
     return out

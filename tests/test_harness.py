@@ -386,8 +386,9 @@ def block_sizes(monkeypatch):
     sizes = []
     inner = harness._trials
 
-    def spy(instance, n, plan, methods, streams):
-        sizes.append(len(streams))
+    def spy(instance, n, plan, methods, streams):  # streams[j][b]: trial b's split(j)
+        assert len(streams) == 1 + len(methods)
+        sizes.append(len(streams[0]))
         return inner(instance, n, plan, methods, streams)
 
     monkeypatch.setattr(harness, "_trials", spy)
@@ -406,6 +407,10 @@ def block_sizes(monkeypatch):
     ("P6", {"d": 4}, 8, 5, 11, ["shift", "scale", "cov"]),
     ("P7", {"d": 2}, 5, 6, None, ["shift", "scale"]),
     ("P7", {"d": 3, "m_samples": 4}, 3, 5, 6, ["scale", "shift"]),
+    # 3000 cells a trial: the default BLOCK_CELLS cuts R = 7 into 2 + 2 + 2 + 1
+    ("P2", {"d": 2}, 50, 60, None, ["shift", "scale", "cov"]),
+    # a 3x3 matrix point: 9 coordinates against n = 5, so a trial is K x 9 cells
+    ("P4", {"d": 3}, 5, 4, None, ["shift", "scale"]),
 ])
 def test_block_size_does_not_change_records(monkeypatch, family, params, n, K, m_size, methods):
     R = 7
@@ -418,11 +423,34 @@ def test_block_size_does_not_change_records(monkeypatch, family, params, n, K, m
     assert record_bits([run_trial(instance, n, plan, methods, root.split(t))
                         for t in range(R)]) == want
     sizes = block_sizes(monkeypatch)
-    for trials in (1, 2, 3, R):
+    assert harness.BLOCK_CELLS == 8192
+    # a trial's resample cells: K x n counts or K x d resample means
+    width = K * max(n, 0 if instance.truth_input is None else instance.truth_input.size)
+    for cells in (width, 2 * width, 3 * width, R * width, 8192):
+        trials = min(R, cells // width)
         sizes.clear()
-        monkeypatch.setattr(harness, "BLOCK_CELLS", trials * K * n)
+        monkeypatch.setattr(harness, "BLOCK_CELLS", cells)
         assert record_bits(run_trials(instance, n, plan, methods, root, 0, R)) == want
         assert sizes == [trials] * (R // trials) + [R % trials] * (R % trials > 0)
+    # blocks that start past trial 0: 2..4 and 5..6
+    sizes.clear()
+    monkeypatch.setattr(harness, "BLOCK_CELLS", 3 * width)
+    assert record_bits(run_trials(instance, n, plan, methods, root, 2, R)) == want[2:]
+    assert sizes == [3, 2]
+
+
+def test_trials_past_one_word_indices_run_one_at_a_time(monkeypatch):
+    # block keys cover trial indices below 2**32; a block past them runs on
+    # lone streams, trial by trial, with the same records
+    instance = generate_instance("P1", {"d": 2}, RandomStream(0))
+    plan, methods, lo = BootstrapPlan(rounds=3), ["shift", "scale", "cov"], 2**32 - 2
+    root = RandomStream(4).split(1)
+    want = record_bits([run_trial_reference(instance, 4, plan, methods, root.split(t))
+                        for t in range(lo, lo + 4)])
+    sizes = block_sizes(monkeypatch)
+    monkeypatch.setattr(harness, "BLOCK_CELLS", 2 * 3 * 4)
+    assert record_bits(run_trials(instance, 4, plan, methods, root, lo, lo + 4)) == want
+    assert sizes == [2, 1, 1]
 
 
 def observe(points):

@@ -147,7 +147,8 @@ def test_benchmark_span_hooks_resolve_and_fire():
     # perfbench/spans.py times a layer by replacing the attribute its caller
     # looks up (HOOKS); a target that is gone drops the layer's metrics, and
     # one the trials no longer call through reads 0 (sampling and stream
-    # set-up are the layers trial blocks batch)
+    # set-up are the layers trial blocks batch).  Stream set-up fires once
+    # per stream that draws: a P1 trial's sample, shift and scale streams
     script = ("import importlib.util, json\n"
               f"spec = importlib.util.spec_from_file_location('spans', {str(SPANS)!r})\n"
               "spans = importlib.util.module_from_spec(spec)\n"
@@ -155,12 +156,21 @@ def test_benchmark_span_hooks_resolve_and_fire():
               "tracer = spans.Tracer()\n"
               "tracer.install()\n"
               "from debias import harness\n"
+              "from debias.core import BootstrapPlan\n"
+              "from debias.problems import generate_instance\n"
+              "from debias.resampling import RandomStream\n"
               "for family in ('P1', 'P3', 'P4', 'P6', 'P7'):\n"
               "    harness.run_experiment_spec(family, {'d': 2}, 4, 3, ['shift'], 3, seed=1)\n"
+              "instance = generate_instance('P1', {'d': 2}, RandomStream(2))\n"
+              "before = tracer.names.count('resampling.stream_init')\n"
+              "harness.run_trials(instance, 4, BootstrapPlan(rounds=3),\n"
+              "                   ['shift', 'scale', 'cov'], RandomStream(2).split(1), 0, 5)\n"
+              "inits = tracer.names.count('resampling.stream_init') - before\n"
               "print(json.dumps([len(spans.HOOKS), sorted(tracer.missing),\n"
-              "                  sorted(set(tracer.names))]))\n")
-    hooks, missing, fired = json.loads(run_script(script).splitlines()[-1])
+              "                  sorted(set(tracer.names)), inits]))\n")
+    hooks, missing, fired, inits = json.loads(run_script(script).splitlines()[-1])
     assert hooks > 0 and missing == []
+    assert inits == 3 * 5
     assert {"problems.sample", "resampling.stream_init", "core.counts",
             "core.resample_means", "objectives.evaluate_batch", "transport.solve",
             "harness.reduce", "problems.generate"} <= set(fired)

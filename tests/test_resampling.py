@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from numpy.random import Philox, SeedSequence
 
 import debias
-from debias.core import BootstrapPlan, _resample_counts
+from debias.core import BootstrapPlan, _resample_counts, _uniform
 from debias.observations import ContractError, ObservationSet
-from debias.resampling import RandomStream
+from debias.resampling import RandomStream, block_streams
 
 # first uniforms of (seed 42, path (3, 7)); the Philox/SeedSequence scheme is
 # platform independent, so these are frozen as a portability contract
@@ -88,6 +88,59 @@ def test_keys_past_the_hash_table_are_seedsequence_keys():
                     == ref.generate_state(n_words, dtype).tolist())
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**64 - 1) | st.sampled_from([2**32, 2**32 + 1, 2**64 - 1]),
+       prefix=st.lists(st.integers(0, 2**40) | st.integers(0, 3), max_size=3),
+       lo=st.integers(0, 5) | st.integers(0, 2**32 - 6), trials=st.integers(1, 5),
+       stages=st.integers(1, 4))
+def test_block_streams_are_seedsequence_streams(seed, prefix, lo, trials, stages):
+    # oracle: numpy's own SeedSequence and Philox for every (trial, stage) path
+    root = RandomStream(seed, tuple(prefix))
+    hi = lo + trials
+    keys = root._seed_pool().block_keys(lo, hi, stages)
+    assert keys.shape == (trials, stages, 2) and keys.dtype == np.uint64
+    streams = block_streams(root, lo, hi, stages)
+    drawn = []
+    for t in range(lo, hi):
+        for j in range(stages):
+            ref = SeedSequence(seed, spawn_key=tuple(prefix) + (t, j))
+            assert keys[t - lo, j].tolist() == ref.generate_state(2, np.uint64).tolist()
+            stream = streams[j][t - lo]
+            assert stream.path == tuple(prefix) + (t, j)
+            assert repr(stream.generator.bit_generator.state) == repr(Philox(ref).state)
+            want = np.random.Generator(Philox(ref)).random(3)
+            assert stream.uniform(3).tolist() == want.tolist()
+            drawn.append(stream)
+    # every stream but the last to draw has been displaced from the block's
+    # generator
+    for stream in drawn[:-1]:
+        with pytest.raises(RuntimeError, match="moved on"):
+            stream.uniform()
+    drawn[-1].uniform()
+
+
+def test_block_stream_splits_and_consecutive_draws():
+    # a stream keeps the generator while it draws; a split child is a lone
+    # stream of the child's path; the first draw of another stream displaces it
+    a, b = block_streams(RandomStream(8, (2,)), 4, 6, 2)[1]
+    want = RandomStream(8, (2, 4, 1)).uniform(5).tolist()
+    assert a.uniform(2).tolist() + a.uniform(3).tolist() == want
+    child = a.split(3)
+    assert child.normal(4).tolist() == RandomStream(8, (2, 4, 1, 3)).normal(4).tolist()
+    assert a.uniform().hex() == RandomStream(8, (2, 4, 1)).uniform(6)[5].hex()
+    b.uniform()
+    with pytest.raises(RuntimeError, match="moved on"):
+        a.generator
+
+
+def test_block_keys_need_one_word_trial_indices():
+    pool = RandomStream(1)._seed_pool()
+    assert pool.block_keys(2**32 - 1, 2**32, 1).shape == (1, 1, 2)
+    for lo, hi in [(2**32 - 1, 2**32 + 1), (3, 3), (-1, 2)]:
+        with pytest.raises(ContractError):
+            pool.block_keys(lo, hi, 1)
+
+
 def test_bad_index_rejected_promptly():
     # each raises at once; a word loop on a negative index would never end
     code = """
@@ -111,12 +164,12 @@ for make in (lambda: RandomStream(0).split(-1), lambda: RandomStream(0).split(1.
 
 
 def test_draw_counts_single_category():
-    assert _resample_counts(1, BootstrapPlan(rounds=2, size=5), RandomStream(0)).tolist() == [
-        [5], [5]]
+    counts = _resample_counts(_uniform(1), BootstrapPlan(rounds=2, size=5), RandomStream(0))
+    assert counts.tolist() == [[5], [5]]
 
 
 def test_draw_counts_sum_invariant():
-    counts = _resample_counts(6, BootstrapPlan(rounds=200, size=11), RandomStream(4))
+    counts = _resample_counts(_uniform(6), BootstrapPlan(rounds=200, size=11), RandomStream(4))
     assert counts.shape == (200, 6)
     assert np.all(counts.sum(axis=1) == 11)
     assert np.all(counts >= 0)
@@ -125,7 +178,7 @@ def test_draw_counts_sum_invariant():
 def test_draw_counts_moments():
     # n=4, m=8: each slot has mean 2; 1e5 draws, 3 sigma band
     draws = 100_000
-    counts = _resample_counts(4, BootstrapPlan(rounds=draws, size=8), RandomStream(5))
+    counts = _resample_counts(_uniform(4), BootstrapPlan(rounds=draws, size=8), RandomStream(5))
     total = counts.mean(axis=0)
     se = np.sqrt(8 * 0.25 * 0.75 / draws)
     assert np.all(np.abs(total - 2.0) < 3 * se)
@@ -134,7 +187,8 @@ def test_draw_counts_moments():
 def test_draw_counts_marginal_chisquare():
     # marginal of slot 0 is Binomial(8, 1/4); chi-square GOF at 1e-3
     draws = 100_000
-    counts = _resample_counts(4, BootstrapPlan(rounds=draws, size=8), RandomStream(6))[:, 0]
+    plan = BootstrapPlan(rounds=draws, size=8)
+    counts = _resample_counts(_uniform(4), plan, RandomStream(6))[:, 0]
     observed = np.bincount(counts, minlength=9).astype(float)
     expected = scipy.stats.binom.pmf(np.arange(9), 8, 0.25) * draws
     # merge the sparse tail so expected counts stay above 5

@@ -1,6 +1,8 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
 
 from _oracles import dual_value
 from _reference_simplex import _transport_simplex_impl as reference_simplex
@@ -118,12 +120,27 @@ def test_cost_submatrices_equal_their_own_costs():
             assert cost[r][:, c].tobytes() == squared_distance_cost(x[r], y[c]).tobytes()
 
 
-def test_metric_sanity():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(5, 3))
-    assert transport_value(x, x) == pytest.approx(0.0, abs=1e-12)
-    y = rng.normal(size=(5, 3))
-    assert transport_value(x, y) == pytest.approx(transport_value(y, x), abs=1e-9)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 8),
+       d=st.integers(1, 4))
+def test_metric_sanity(seed, m, n, d):
+    # W2^2 of a cloud to itself is exactly 0; swapping the clouds transposes
+    # the problem, which the simplex pivots through in another order, so the
+    # value is symmetric to rounding, not bit for bit
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(m, d)), rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2)
+    assert transport_value(x, x) == 0.0
+    assert transport_value(x, y) == pytest.approx(transport_value(y, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 30, 50])
+def test_one_d_value_is_sorted_matching(n):
+    # in 1-d the optimal coupling of two equal-size uniform clouds matches
+    # them in sorted order (brute_force_transport stops at n = 7)
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=n), rng.normal(1.0, 2.0, size=n)
+    want = np.mean((np.sort(x) - np.sort(y)) ** 2)
+    assert transport_value(x[:, None], y[:, None]) == pytest.approx(want, rel=1e-12)
 
 
 def test_unbalanced_rejected():
