@@ -314,6 +314,22 @@ def test_jensen_direction_exact_shift():
         assert est.correction <= 1e-13
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(n=st.integers(2, 4), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_exact_shift_is_plugin_covariance_for_quadratic(n, d, seed):
+    # F = x'Ax: the exact shift correction at m = n is
+    # -(1/n^2) sum_i ||x_i - xbar||^2_A, the cov correction with q = n.  The
+    # oracle sums differences F(xbar) - F(xt) that cancel when the spread is
+    # small against the mean, so its rounding scales with F(xbar) too
+    inst = generate_instance("P1", {"d": d}, RandomStream(seed))
+    s = inst.sample_observations(n, RandomStream(seed).split(1))
+    F = inst.objective
+    exact = exact_expectation_debias(F, s, "shift")
+    cov = covariance_debias(dataclasses.replace(F, cov_denominator="plugin"), s).correction
+    assert math.isclose(exact.correction, cov, rel_tol=1e-12,
+                        abs_tol=1e-12 * abs(exact.naive_value))
+
+
 @pytest.mark.parametrize("family", ["P1", "P2", "P3", "P4", "P5", "P6"])
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(d=st.integers(2, 4), n=st.integers(2, 9), K=st.integers(1, 12),

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -10,10 +5,9 @@ import scipy.stats
 from hypothesis import given, settings
 from numpy.random import Philox, SeedSequence
 
-import debias
 from debias.core import BootstrapPlan, _resample_counts, _uniform
 from debias.observations import ContractError, ObservationSet
-from debias.resampling import RandomStream, block_streams
+from debias.resampling import RandomStream, block_keys, block_streams
 
 # first uniforms of (seed 42, path (3, 7)); the Philox/SeedSequence scheme is
 # platform independent, so these are frozen as a portability contract
@@ -66,38 +60,37 @@ def test_keys_are_seedsequence_keys(seed, path):
         bits = stream.generator.bit_generator
         assert repr(bits.state) == repr(ref.state)
         assert stream.uniform(8).tolist() == np.random.Generator(Philox(ref_seq)).random(8).tolist()
-        pool = stream._seed_pool()
-        for n_words, dtype in [(1, np.uint32), (5, np.uint32), (2, np.uint64), (7, np.uint64)]:
-            state = pool.generate_state(n_words, dtype)
-            assert state.dtype == dtype
-            assert state.tolist() == ref_seq.generate_state(n_words, dtype).tolist()
 
 
-def test_keys_past_the_hash_table_are_seedsequence_keys():
-    # the hash constants are tabled for paths of up to 64 words and states of
-    # up to 8 words; longer ones compute theirs
-    path = tuple(range(70)) + (2**64 + 3,)
-    ref = SeedSequence(11, spawn_key=path)
-    chain = RandomStream(11)
-    for i in path:
-        chain = chain.split(i)
-    for stream in (chain, RandomStream(11, path)):
-        assert repr(stream.generator.bit_generator.state) == repr(Philox(ref).state)
-        for n_words, dtype in [(9, np.uint32), (5, np.uint64)]:
-            assert (stream._seed_pool().generate_state(n_words, dtype).tolist()
-                    == ref.generate_state(n_words, dtype).tolist())
+def test_block_keys_under_a_long_path_are_seedsequence_keys():
+    # the hash step of a block's keys counts the root path's 32-bit words:
+    # 70 one-word entries and a three-word one
+    prefix = tuple(range(70)) + (2**64 + 3,)
+    root = RandomStream(11, prefix)
+    keys = block_keys(root._seed_sequence(), 5, 8, 3)
+    for t in range(5, 8):
+        for j in range(3):
+            ref = SeedSequence(11, spawn_key=prefix + (t, j))
+            assert keys[t - 5, j].tolist() == ref.generate_state(2, np.uint64).tolist()
+    assert (repr(root.split(6).split(2).generator.bit_generator.state)
+            == repr(Philox(SeedSequence(11, spawn_key=prefix + (6, 2))).state))
+
+
+# path entries at and around the 32-bit word boundaries, where an entry's
+# word count, and with it the hash step of its block's keys, changes
+_WORD_EDGES = st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**64 - 1) | st.sampled_from([2**32, 2**32 + 1, 2**64 - 1]),
-       prefix=st.lists(st.integers(0, 2**40) | st.integers(0, 3), max_size=3),
+       prefix=st.lists(st.integers(0, 2**70) | _WORD_EDGES | st.integers(0, 3), max_size=3),
        lo=st.integers(0, 5) | st.integers(0, 2**32 - 6), trials=st.integers(1, 5),
        stages=st.integers(1, 4))
 def test_block_streams_are_seedsequence_streams(seed, prefix, lo, trials, stages):
     # oracle: numpy's own SeedSequence and Philox for every (trial, stage) path
     root = RandomStream(seed, tuple(prefix))
     hi = lo + trials
-    keys = root._seed_pool().block_keys(lo, hi, stages)
+    keys = block_keys(root._seed_sequence(), lo, hi, stages)
     assert keys.shape == (trials, stages, 2) and keys.dtype == np.uint64
     streams = block_streams(root, lo, hi, stages)
     drawn = []
@@ -134,30 +127,20 @@ def test_block_stream_splits_and_consecutive_draws():
 
 
 def test_block_keys_need_one_word_trial_indices():
-    pool = RandomStream(1)._seed_pool()
-    assert pool.block_keys(2**32 - 1, 2**32, 1).shape == (1, 1, 2)
+    seq = RandomStream(1)._seed_sequence()
+    assert block_keys(seq, 2**32 - 1, 2**32, 1).shape == (1, 1, 2)
     for lo, hi in [(2**32 - 1, 2**32 + 1), (3, 3), (-1, 2)]:
         with pytest.raises(ContractError):
-            pool.block_keys(lo, hi, 1)
+            block_keys(seq, lo, hi, 1)
 
 
 def test_bad_index_rejected_promptly():
-    # each raises at once; a word loop on a negative index would never end
-    code = """
-from debias.observations import ContractError
-from debias.resampling import RandomStream
-for make in (lambda: RandomStream(0).split(-1), lambda: RandomStream(0).split(1.5),
-             lambda: RandomStream(0, (-2,))):
-    try:
-        make()
-    except ContractError:
-        continue
-    raise SystemExit("accepted")
-"""
-    src = str(Path(debias.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=20, env=dict(os.environ, PYTHONPATH=src))
-    assert done.returncode == 0, done.stderr
+    # each raises ContractError at once: numpy's SeedSequence would refuse
+    # these only at the stream's first draw, and with ValueError or TypeError
+    for make in (lambda: RandomStream(0).split(-1), lambda: RandomStream(0).split(1.5),
+                 lambda: RandomStream(0, (-2,))):
+        with pytest.raises(ContractError):
+            make()
 
 
 # the multinomial resample counts every bootstrap draws (core._resample_counts)
