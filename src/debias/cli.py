@@ -44,26 +44,35 @@ class CliParseError(Exception):
     """Bad input file contents (exit code 2)."""
 
 
-def _read_matrix(path: str) -> np.ndarray:
+def _lines(path: str):
+    """(line number, text) of each line of ``path`` that is neither blank
+    nor a ``#`` comment, stripped."""
     try:
         with open(path) as fh:
-            rows = []
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    rows.append([float(tok) for tok in line.replace(",", " ").split()])
-                except ValueError as exc:
-                    raise CliParseError(f"{path}: line {lineno}: {exc}") from exc
-    except OSError as exc:
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_matrix(path: str, width=None) -> np.ndarray:
+    """Rows of numbers separated by commas or spaces; every row has
+    ``width`` values, by default the first row's count."""
+    rows = []
+    for lineno, line in _lines(path):
+        try:
+            row = [float(tok) for tok in line.replace(",", " ").split()]
+        except ValueError as exc:
+            raise CliParseError(f"{path}: line {lineno}: {exc}") from exc
+        if width is None:
+            width = len(row)
+        if len(row) != width:
+            raise CliParseError(f"{path}: line {lineno}: expected {width} values, got {len(row)}")
+        rows.append(row)
     if not rows:
         raise CliParseError(f"{path}: no numeric rows")
-    width = len(rows[0])
-    for i, r in enumerate(rows, 1):
-        if len(r) != width:
-            raise CliParseError(f"{path}: row {i} has {len(r)} fields, expected {width}")
     return np.asarray(rows)
 
 
@@ -83,13 +92,12 @@ def read_observations(path: str) -> ObservationSet:
     then one observation per row (d comma-separated floats)."""
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
+            first = fh.readline()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
-    if not lines or not lines[0].startswith("#"):
+    if not first.startswith("#"):
         raise CliParseError(f"{path}: line 1: expected header '# dim=<d> variant=<...>'")
-    header = lines[0].lstrip("#").split()
-    fields = dict(tok.split("=", 1) for tok in header if "=" in tok)
+    fields = dict(tok.split("=", 1) for tok in first.lstrip("#").split() if "=" in tok)
     if "dim" not in fields or "variant" not in fields:
         raise CliParseError(f"{path}: line 1: header must carry dim= and variant=")
     try:
@@ -102,20 +110,7 @@ def read_observations(path: str) -> ObservationSet:
                             "functional inputs come from the built-in generators")
     if variant != "euclidean":
         raise CliParseError(f"{path}: line 1: unknown variant {variant!r}")
-    points = []
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip() or line.startswith("#"):
-            continue
-        toks = [t for t in line.replace(",", " ").split() if t]
-        if len(toks) != dim:
-            raise CliParseError(f"{path}: line {lineno}: expected {dim} values, got {len(toks)}")
-        try:
-            points.append([float(t) for t in toks])
-        except ValueError as exc:
-            raise CliParseError(f"{path}: line {lineno}: {exc}") from exc
-    if not points:
-        raise CliParseError(f"{path}: no observation rows")
-    return ObservationSet.from_points(np.asarray(points))
+    return ObservationSet.from_points(_read_matrix(path, dim))
 
 
 def build_objective(spec: str, dim: int):
@@ -153,21 +148,14 @@ def build_objective(spec: str, dim: int):
 def _load_config(path: str, valid) -> dict:
     """The key=value lines of ``path``; a key not in ``valid`` is refused."""
     cfg = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CliParseError(f"{path}: line {lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in valid:
-                    raise CliParseError(f"{path}: line {lineno}: unknown key {key!r}; valid: "
-                                        f"{', '.join(valid) or 'none'}")
-                cfg[key] = value
-    except OSError as exc:
-        raise CliParseError(f"cannot read {path}: {exc}") from exc
+    for lineno, line in _lines(path):
+        if "=" not in line:
+            raise CliParseError(f"{path}: line {lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in valid:
+            raise CliParseError(f"{path}: line {lineno}: unknown key {key!r}; valid: "
+                                f"{', '.join(valid) or 'none'}")
+        cfg[key] = value
     return cfg
 
 

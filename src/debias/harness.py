@@ -23,7 +23,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,9 +53,10 @@ class TrialRecord:
     fingerprint: int
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentSummary:
-    """Per-method relative metrics plus the raw sums they derive from.
+    """Per-method relative metrics plus the raw sums they derive from, with
+    the fields in the key order of the JSON results and SVG metadata.
 
     ``mse_diff[m]`` is the paired mean over trials of
     (F_debias - F*)^2 - (F_naive - F*)^2, and ``mse_diff_se[m]`` its standard
@@ -67,6 +68,8 @@ class ExperimentSummary:
 
     problem: str
     params: dict
+    axis: Optional[str] = None
+    axis_value: Optional[float] = None
     n: int
     K: int
     R: int
@@ -80,8 +83,6 @@ class ExperimentSummary:
     naive_err_sum: float
     mse_diff: dict[str, float]
     mse_diff_se: dict[str, float]
-    axis: Optional[str] = None
-    axis_value: Optional[float] = None
 
 
 def method_applicable(method: str, instance: ProblemInstance) -> Optional[str]:
@@ -361,25 +362,7 @@ def emit_results(summaries, fmt: str, path: str, header_lines=()) -> None:
 
 
 def summary_dict(s: ExperimentSummary) -> dict:
-    return {
-        "problem": s.problem,
-        "params": s.params,
-        "axis": s.axis,
-        "axis_value": s.axis_value,
-        "n": s.n,
-        "K": s.K,
-        "R": s.R,
-        "seed": s.seed,
-        "methods": s.methods,
-        "rmse_r": s.rmse_r,
-        "bias_r": s.bias_r,
-        "debias_sq_sum": s.debias_sq_sum,
-        "debias_err_sum": s.debias_err_sum,
-        "naive_sq_sum": s.naive_sq_sum,
-        "naive_err_sum": s.naive_err_sum,
-        "mse_diff": s.mse_diff,
-        "mse_diff_se": s.mse_diff_se,
-    }
+    return asdict(s)
 
 
 _SVG_W, _SVG_H, _SVG_PAD = 420, 300, 45

@@ -1,14 +1,13 @@
 """Small dense linear algebra used by the benchmark problem generators:
-Cholesky factors and SPD solves (one matrix, or each of a stack), and random
-orthogonal / conditioned-SPD matrix generation.
+SPD solves (one matrix, or each of a stack), and random orthogonal /
+conditioned-SPD matrix generation.
 
 This is the one module that uses scipy, and it does so on first use: only
-the SPD solves of P4 and P5 need it. It calls LAPACK's ``dpotrf``,
-``dpotrs`` and ``dposv`` through scipy's compiled wrapper module
+the SPD solves of P4 and P5 need it. Every solve is one call of LAPACK's
+``dposv`` (a Cholesky factorisation of the lower triangle, then the two
+triangular solves) through scipy's compiled wrapper module
 ``scipy.linalg._flapack``, loaded without importing the ``scipy.linalg``
-package, with the arguments and checks of scipy's
-``cho_factor(A, lower=True)`` and ``cho_solve``, so the results are theirs
-bit for bit.
+package.
 """
 
 from __future__ import annotations
@@ -70,48 +69,29 @@ def _check_factorization(info: int, routine: str) -> None:
                          f'on entry to "{routine}".')
 
 
-def cholesky_factor(A: np.ndarray):
-    """Cholesky factor of an SPD matrix as ``scipy.linalg.cho_factor(A,
-    lower=True)`` gives it: ``(c, True)``, the factor in c's lower triangle
-    and A's upper triangle left as given."""
+def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for SPD A; b is a vector or a matrix of right-hand
+    sides, and x is returned as ``dposv`` leaves it (Fortran order for a
+    matrix)."""
     A = _finite(A)
+    b = _finite(b)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square 2-D matrix, got shape {A.shape}")
-    c, info = _lapack().dpotrf(A, lower=1, clean=0)
-    _check_factorization(info, "POTRF")
-    return c, True
-
-
-def cho_solve(factor, b) -> np.ndarray:
-    """Solve A x = b given ``factor = cholesky_factor(A)``; b is a vector or
-    a matrix of right-hand sides, as for ``scipy.linalg.cho_solve``."""
-    c, lower = factor
-    b = _finite(b)
-    c = _finite(c)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("The factored matrix c is not square.")
-    if c.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
-    x, info = _lapack().dpotrs(c, b, lower=lower)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
+        raise ValueError(f"incompatible dimensions ({A.shape} and {b.shape})")
+    c, x, info = _lapack().dposv(A, b, lower=1)
+    _check_factorization(info, "POSV")
+    _finite(c)
     return x
-
-
-def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for SPD A."""
-    return cho_solve(cholesky_factor(A), b)
 
 
 def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A_k x_k = b for each SPD matrix of a (K, d, d) stack; (K, d) out.
 
-    Row k is bit-identical to ``cholesky_solve(mats[k], b)``: one LAPACK
-    ``dposv`` per matrix, which is ``dpotrf`` (lower, upper triangle left as
-    given) followed by ``dpotrs``, the routines ``cholesky_factor`` and
-    ``cho_solve`` call. The stack raises what ``cholesky_solve`` raises for
-    its first failing row, in that path's order: a non-finite matrix, then a
-    failed factorisation, then a non-finite factor.
+    Row k is bit-identical to ``cholesky_solve(mats[k], b)``: the same one
+    ``dposv`` call per matrix. The stack raises what ``cholesky_solve``
+    raises for its first failing row, in that path's order: a non-finite
+    matrix, then a failed factorisation, then a non-finite factor.
     """
     dposv = _lapack().dposv
     mats = np.asarray(mats, dtype=float)

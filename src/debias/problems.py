@@ -22,8 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import transport
-from .linalg import (cho_solve, cholesky_factor, cholesky_solve, cholesky_solve_each,
-                     random_orthogonal, spd_with_condition)
+from .linalg import cholesky_solve, cholesky_solve_each, random_orthogonal, spd_with_condition
 from .objectives import Objective
 from .observations import ContractError, ObservationSet, mixture_row
 from .resampling import RandomStream, categorical_cdf, normals, uniforms
@@ -135,18 +134,17 @@ def p4_opt_value(b: np.ndarray) -> Objective:
 def p5_constraint_value(B: np.ndarray, A: np.ndarray) -> Objective:
     """F(b) = min {x' B x : A x = b} = b' (A B^-1 A')^-1 b.
 
-    The Schur complement is factored once, so evaluations and the analytic
-    derivatives share one solve path.
+    A lone evaluation solves with the Schur complement A B^-1 A'; the
+    batched values and the analytic derivatives use its symmetrised inverse.
     """
     B = np.asarray(B, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     schur = A @ cholesky_solve(B, A.T)
-    factor = cholesky_factor(schur)
-    M = cho_solve(factor, np.eye(A.shape[0]))
+    M = cholesky_solve(schur, np.eye(A.shape[0]))
     M = (M + M.T) / 2.0
 
     return Objective(
-        fn=lambda bv: float(bv @ cho_solve(factor, bv)),
+        fn=lambda bv: float(bv @ cholesky_solve(schur, bv)),
         fn_many=lambda X: np.einsum("ki,ij,kj->k", X, M, X),
         gradient=lambda bv: 2.0 * (M @ bv),
         hessian=lambda bv: 2.0 * M,
@@ -272,12 +270,6 @@ class ProblemInstance:
         """True if an observation is a pair of empirical sets (P7), False if
         it is one Euclidean set (P1-P6)."""
         return self.noise.paired
-
-    def sample_observations(self, n: int, stream: RandomStream):
-        """n i.i.d. observations from the instance's noise model: the block
-        draw of one stream, as an ObservationSet (P7: a pair of them)."""
-        (obs,) = self.noise.sample(n, [stream])
-        return obs if self.paired else ObservationSet.from_points(obs)
 
 
 # ---------------------------------------------------------------------------

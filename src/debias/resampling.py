@@ -185,10 +185,6 @@ class RandomStream:
         raise ContractError(f"dirichlet alpha={alpha} is too small: all {DIRICHLET_DRAWS} "
                             f"draws of {d} gammas underflowed to 0")
 
-    def categorical(self, p: np.ndarray, size=None) -> np.ndarray | int:
-        """Category indices distributed as ``p``, by inverse CDF on one uniform each."""
-        return np.searchsorted(categorical_cdf(p), self.generator.random(size), side="right")
-
 
 class _BlockGenerator:
     """One Philox generator that the streams of a block draw from in turn."""

@@ -1,6 +1,7 @@
 """Test-only helpers: a quadratic form, an independent KKT solve for P5's
-equality-constrained minimum, a random symmetric third-order tensor, a
-point-by-point reference mixture of a point cloud, a per-trial reference
+equality-constrained minimum, one stream's draw of an instance's
+observations, inverse-CDF categorical draws, a random symmetric third-order
+tensor, a point-by-point reference mixture of a point cloud, a per-trial reference
 trial, a per-resample reference of P7's bootstrap values and trials, a
 transport plan's dual objective, a reader for the results CSV, the exact
 resample enumeration, sampled moment tensors, a finite-difference third
@@ -34,7 +35,7 @@ from debias.observations import (
     mixture,
     stable_digest,
 )
-from debias.resampling import RandomStream
+from debias.resampling import RandomStream, categorical_cdf
 from debias.theory import _MAX_M4_DIM, MomentTensors
 from debias.transport import transport_value
 
@@ -80,6 +81,18 @@ def kkt_solve(B: np.ndarray, A: np.ndarray, b: np.ndarray):
     return x, value
 
 
+def sample_observations(instance, n: int, stream: RandomStream):
+    """n i.i.d. observations from the instance's noise model: the block
+    draw of one stream, as an ObservationSet (P7: a pair of them)."""
+    (obs,) = instance.noise.sample(n, [stream])
+    return obs if instance.paired else ObservationSet.from_points(obs)
+
+
+def categorical(stream: RandomStream, p, size=None):
+    """Category indices distributed as ``p``, by inverse CDF on one uniform each."""
+    return np.searchsorted(categorical_cdf(p), stream.generator.random(size), side="right")
+
+
 def random_symmetric_tensor3(d: int, stream: RandomStream) -> np.ndarray:
     """Random rank-3 tensor symmetrized over all index permutations."""
     T = stream.normal((d, d, d))
@@ -105,7 +118,7 @@ def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
     """One trial on its own: its set (or pair of sets) from split(0), then
     each method's public single-input estimator ``debias`` on split(1 + j),
     in method order."""
-    obs = instance.sample_observations(n, stream.split(0))
+    obs = sample_observations(instance, n, stream.split(0))
     paired = isinstance(obs, tuple)
     naive = instance.objective.evaluate(tuple(map(mean_observation, obs)) if paired
                                         else mean_observation(obs))
@@ -167,7 +180,7 @@ def paired_debiased_reference(method, naive, values) -> float:
 def paired_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
     """One P7 trial resample by resample: the pair from split(0), then each
     method's bootstrap values from split(1 + j), in method order."""
-    sets = instance.sample_observations(n, stream.split(0))
+    sets = sample_observations(instance, n, stream.split(0))
     naive = paired_naive_reference(sets)
     debiased = {}
     for j, m in enumerate(methods):

@@ -9,10 +9,12 @@ import time
 import numpy as np
 
 from _oracles import (
+    categorical,
     dual_value,
     exact_resample_expectation,
     quadratic_form,
     random_symmetric_tensor3,
+    sample_observations,
 )
 from debias.cli import main as cli_main
 from debias.core import BootstrapPlan, covariance_debias
@@ -102,7 +104,7 @@ def test_criterion_3_covariance_quadratic_unbiasedness():
     naive_res = np.empty(R)
     deb_res = np.empty(R)
     for t in range(R):
-        obs = inst.sample_observations(n, rng.split(t))
+        obs = sample_observations(inst, n, rng.split(t))
         est = covariance_debias(inst.objective, obs)
         naive_res[t] = est.naive_value - truth
         deb_res[t] = est.debiased_value - truth
@@ -120,7 +122,7 @@ def test_criterion_4_miller_madow_equivalence():
     for d in range(2, 11):
         n = 4 * d
         # force full support: one observation per category, the rest random
-        idx = np.concatenate([np.arange(d), rng.split(d).categorical(np.full(d, 1.0 / d), n - d)])
+        idx = np.concatenate([np.arange(d), categorical(rng.split(d), np.full(d, 1.0 / d), n - d)])
         onehot = np.zeros((n, d))
         onehot[np.arange(n), idx] = 1.0
         obs = ObservationSet.from_points(onehot)

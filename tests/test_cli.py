@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,45 @@ def test_estimate_missing_header_exit_2(tmp_path, capsys):
     data = write(tmp_path / "noheader.csv", "1.0,2.0\n")
     rc = main(["estimate", data, "--function", "entropy"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# dim=0 variant=euclidean\n1.0\n", "line 2: expected 0 values, got 1"),
+    ("# dim=2 variant=euclidean\n\n# no rows\n", "no numeric rows"),
+    ("# dim=2 variant=euclidean\n1.0,x\n", "line 2: could not convert"),
+], ids=["dim 0", "no rows", "bad value"])
+def test_estimate_bad_rows_exit_2(tmp_path, capsys, text, message):
+    data = write(tmp_path / "obs.csv", text)
+    rc = main(["estimate", data, "--function", "entropy"])
+    assert rc == 2
+    assert f"{data}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{f}", "--function", "entropy"],
+    ["estimate", "{ok}", "--function", "quadratic:{f}"],
+    ["transport", "--cost", "{f}"],
+    ["bench", "P1", "--config", "{f}"],
+])
+def test_undecodable_file_exit_2(tmp_path, capsys, argv):
+    # exited 1 with a UnicodeDecodeError traceback under a UTF-8 locale
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"# dim=1 variant=euclidean\n\xff\xfe\n")
+    ok = write(tmp_path / "ok.csv", "# dim=1 variant=euclidean\n1.0\n")
+    rc = main([a.format(f=bad, ok=ok) for a in argv])
+    assert rc == 2
+    assert f"{bad}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--cost", "--supply"])
+def test_transport_ragged_matrix_exit_2(tmp_path, capsys, option):
+    files = {"--cost": write(tmp_path / "c.csv", "0 1\n1 0\n"),
+             "--supply": write(tmp_path / "s.csv", "0.5\n0.5\n"),
+             "--demand": write(tmp_path / "d.csv", "0.5\n0.5\n")}
+    files[option] = write(tmp_path / "ragged.csv", "# ragged\n0.5, 0.25\n\n0.25\n")
+    rc = main(["transport", *[x for kv in files.items() for x in kv], "--no-header"])
+    assert rc == 2
+    assert f"{files[option]}: line 4: expected 2 values, got 1" in capsys.readouterr().err
 
 
 def test_estimate_unknown_function_exit_3(tmp_path, euclid_file):
@@ -371,15 +411,36 @@ def test_sweep_p5_kappa(tmp_path):
     ("sweep P6 --axis alpha --values 1e999", "alpha"),
     ("sweep P6 --axis n_ratio --values inf", "n_ratio"),  # exit 1 with a traceback
 ])
-def test_bad_parameter_exit_3(tmp_path, argv, name):
-    src = str(Path(debias.__file__).resolve().parents[1])
-    args = [*argv.split(), "--trials", "8", "--workers", "2", "--no-header",
+def test_bad_parameter_exit_3(tmp_path, capfd, argv, name):
+    # capfd also sees the stderr of forked trial children
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(bad_parameter_args(argv, tmp_path))
+    err = capfd.readouterr().err
+    assert rc == 3, err
+    assert [str(w.message) for w in caught] == []
+    assert_names_bad_parameter(err, name)
+
+
+def bad_parameter_args(argv, tmp_path):
+    return [*argv.split(), "--trials", "8", "--workers", "2", "--no-header",
             "--out", str(tmp_path / "o.csv")]
-    done = subprocess.run([sys.executable, "-m", "debias.cli", *args], capture_output=True,
-                          text=True, timeout=10, env=dict(os.environ, PYTHONPATH=src))
+
+
+def assert_names_bad_parameter(err, name):
+    assert "Traceback" not in err and "Warning" not in err
+    assert f"{name}=" in err or f"{name} must" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("bench P6 --param alpha=1e-300", "alpha"),
+    ("sweep P6 --axis n_ratio --values inf", "n_ratio"),
+])
+def test_bad_parameter_exit_3_from_python_m(tmp_path, argv, name):
+    # the exit path of ``python -m debias.cli``, in a fresh interpreter
+    done = run_cli(bad_parameter_args(argv, tmp_path))
     assert done.returncode == 3, done.stderr
-    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
-    assert f"{name}=" in done.stderr or f"{name} must" in done.stderr
+    assert_names_bad_parameter(done.stderr, name)
 
 
 @pytest.mark.parametrize("command", ["bench P1", "sweep P1 --axis sigma --values 1"])

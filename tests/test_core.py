@@ -16,6 +16,7 @@ from _oracles import (
     paired_values_reference,
     quadratic_form,
     random_symmetric_tensor3,
+    sample_observations,
 )
 from debias import transport
 from debias.core import (
@@ -233,7 +234,7 @@ def test_diagonal_hessian_covariance_keeps_full_contraction_bits(family, n):
     for seed in range(6):
         inst = generate_instance(family, {}, RandomStream(seed))
         F = inst.objective
-        sets = [inst.sample_observations(n, RandomStream(seed * 10 + b)).points for b in range(3)]
+        sets = [sample_observations(inst, n, RandomStream(seed * 10 + b)).points for b in range(3)]
         sets.append(np.tile(sets[0][0], (n, 1)))  # degenerate: every deviation is 0
         block = EuclideanBlock(F, np.stack(sets))
         q = n - 1 if F.cov_denominator == "unbiased" else n
@@ -322,7 +323,7 @@ def test_exact_shift_is_plugin_covariance_for_quadratic(n, d, seed):
     # oracle sums differences F(xbar) - F(xt) that cancel when the spread is
     # small against the mean, so its rounding scales with F(xbar) too
     inst = generate_instance("P1", {"d": d}, RandomStream(seed))
-    s = inst.sample_observations(n, RandomStream(seed).split(1))
+    s = sample_observations(inst, n, RandomStream(seed).split(1))
     F = inst.objective
     exact = exact_expectation_debias(F, s, "shift")
     cov = covariance_debias(dataclasses.replace(F, cov_denominator="plugin"), s).correction
@@ -338,7 +339,7 @@ def test_negated_objective_negates_estimates(family, d, n, K, seed):
     # sign symmetry: debiasing -F gives exactly the negated naive and debiased
     # values, negated shift and cov corrections and the same scale factor
     inst = generate_instance(family, {"d": d}, RandomStream(seed))
-    obs = inst.sample_observations(n, RandomStream(seed).split(1))
+    obs = sample_observations(inst, n, RandomStream(seed).split(1))
     plan = BootstrapPlan(rounds=K)
     for method in FAMILIES[family].methods:
         try:
@@ -373,7 +374,7 @@ def test_degenerate_set_corrections_per_family(family):
     for seed in range(5):
         inst = generate_instance(family, {}, RandomStream(seed))
         F = inst.objective
-        point = inst.sample_observations(1, RandomStream(seed + 100)).points[0]
+        point = sample_observations(inst, 1, RandomStream(seed + 100)).points[0]
         s = ObservationSet.from_points(np.tile(point, (8, 1)))
         plan = BootstrapPlan(rounds=5)
         shift = shift_debias(F, s, plan, RandomStream(1))

@@ -36,6 +36,7 @@ from debias.harness import (
     run_sweep,
     run_trial,
     run_trials,
+    summary_dict,
 )
 from debias.objectives import DomainError, EvaluationError
 from debias.observations import ContractError, ObservationSet
@@ -627,6 +628,24 @@ def test_json_format(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["results"][0]["problem"] == "P1"
     assert payload["results"][0]["rmse_r"]["shift"] == summaries[0].rmse_r["shift"]
+
+
+SUMMARY_KEYS = ["problem", "params", "axis", "axis_value", "n", "K", "R", "seed", "methods",
+                "rmse_r", "bias_r", "debias_sq_sum", "debias_err_sum", "naive_sq_sum",
+                "naive_err_sum", "mse_diff", "mse_diff_se"]
+
+
+def test_summary_key_order_in_json_and_svg(tmp_path):
+    # the key order is part of the output bytes
+    summaries = run_sweep("P1", "sigma", [1.0], {"d": 2}, R=5, seed=5, methods=["shift"])
+    assert list(summary_dict(summaries[0])) == SUMMARY_KEYS
+    emit_results(summaries, "json", tmp_path / "out.json")
+    emit_plot(summaries, tmp_path / "out.svg")
+    meta = (tmp_path / "out.svg").read_text().split('<metadata id="debias-data">')[1]
+    table = json.loads(meta.split("</metadata>")[0])
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert list(payload["results"][0]) == list(table[0]) == SUMMARY_KEYS
+    assert payload["results"][0] == table[0] == summary_dict(summaries[0])
 
 
 def test_csv_schema_header(tmp_path):

@@ -77,7 +77,7 @@ def test_spd_families_load_scipy(tmp_path):
 def test_later_scipy_linalg_import_reuses_lapack_module(tmp_path):
     script = ("import sys, numpy as np\n"
               "from debias import cli\n"
-              "from debias.linalg import cho_solve, cholesky_factor\n"
+              "from debias.linalg import cholesky_solve\n"
               f"assert cli.main({bench('P4', 1, tmp_path)!r}) == 0\n"
               f"assert cli.main({bench('P5', 1, tmp_path)!r}) == 0\n"
               "assert 'scipy.linalg' not in sys.modules\n"
@@ -86,14 +86,14 @@ def test_later_scipy_linalg_import_reuses_lapack_module(tmp_path):
               "G = rng.normal(size=(7, 7))\n"
               "A = G @ G.T + np.eye(7) + np.triu(G, 1)\n"
               "b = rng.normal(size=7)\n"
-              "c, lower = cholesky_factor(A)\n"
-              "x = cho_solve((c, lower), b)\n"
+              "x = cholesky_solve(A, b)\n"
+              "X = cholesky_solve(A, G)\n"
               "import scipy.linalg\n"
               "from scipy.linalg import _flapack, lapack\n"
-              "assert _flapack is flapack and lapack.dpotrf is flapack.dpotrf\n"
+              "assert _flapack is flapack and lapack.dposv is flapack.dposv\n"
               "ref = scipy.linalg.cho_factor(A, lower=True)\n"
-              "assert np.array_equal(c, ref[0])\n"
               "assert np.array_equal(x, scipy.linalg.cho_solve(ref, b))\n"
+              "assert np.array_equal(X, scipy.linalg.cho_solve(ref, G))\n"
               "print('same bits')\n")
     assert run_script(script).splitlines()[-1] == "same bits"
 
@@ -107,12 +107,12 @@ def test_non_spd_exits_4_on_first_scipy_use(tmp_path):
     assert loaded == ["scipy", "scipy.linalg._flapack"]
 
 
-def test_cholesky_factor_raises_factorization_error_on_first_use():
+def test_cholesky_solve_raises_factorization_error_on_first_use():
     script = ("import sys, numpy as np\n"
-              "from debias.linalg import FactorizationError, cholesky_factor\n"
+              "from debias.linalg import FactorizationError, cholesky_solve\n"
               "assert 'scipy' not in sys.modules\n"
               "try:\n"
-              "    cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))\n"
+              "    cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))\n"
               "except FactorizationError as exc:\n"
               "    print(exc)\n")
     assert "not positive definite" in run_script(script)

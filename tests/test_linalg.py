@@ -7,8 +7,8 @@ import scipy.linalg
 
 from _oracles import kkt_solve, quadratic_form, random_symmetric_tensor3
 from debias import linalg
-from debias.linalg import (FactorizationError, cho_solve, cholesky_factor, cholesky_solve,
-                           random_orthogonal, spd_with_condition)
+from debias.linalg import (FactorizationError, cholesky_solve, random_orthogonal,
+                           spd_with_condition)
 from debias.observations import ContractError
 from debias.resampling import RandomStream
 
@@ -68,25 +68,37 @@ def test_cholesky_rejects_indefinite():
 
 
 # ---------------------------------------------------------------------------
-# cholesky_factor / cho_solve: scipy's cho_factor(lower=True) / cho_solve
+# cholesky_solve against scipy's cho_factor(lower=True) / cho_solve
+
+
+def scipy_solve(A, b):
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_factor_and_solve_match_scipy_bit_for_bit(d):
     rng = np.random.default_rng(100 + d)
     spd = random_spd(rng, d)
-    # only the lower triangle is factored; the upper one is left as given
+    # only the lower triangle is factored; the upper one is ignored
     lopsided = spd + np.triu(rng.normal(size=(d, d)), 1)
     for A in (spd, spd_with_condition(d, 1e6, RandomStream(d)), lopsided):
-        c, lower = cholesky_factor(A)
-        ref_c, ref_lower = scipy.linalg.cho_factor(A, lower=True)
-        assert lower is ref_lower is True
-        assert np.array_equal(c, ref_c)
-        assert np.array_equal(np.triu(c, 1), np.triu(A, 1))
         for b in (rng.normal(size=d), rng.normal(size=(d, 3))):
-            x = cho_solve((c, lower), b)
+            x = cholesky_solve(A, b)
             assert x.shape == b.shape
-            assert np.array_equal(x, scipy.linalg.cho_solve((ref_c, ref_lower), b))
+            assert np.array_equal(x, scipy_solve(A, b))
+
+
+@pytest.mark.parametrize("p, d", [(1, 1), (3, 1), (4, 3), (7, 5), (12, 7), (20, 10), (40, 20)])
+def test_schur_complement_matches_scipy_bit_for_bit(p, d):
+    # P5's A B^-1 A': the right-hand side A.T is Fortran-ordered, and the
+    # product takes the bits of the solution's memory order as well
+    rng = np.random.default_rng(200 + p)
+    for _ in range(20):
+        B = random_spd(rng, p)
+        A = rng.normal(size=(d, p))
+        x = cholesky_solve(B, A.T)
+        assert x.flags.f_contiguous
+        assert np.array_equal(A @ x, A @ scipy_solve(B, A.T))
 
 
 NAN = np.array([[1.0, np.nan], [0.0, 1.0]])
@@ -103,13 +115,14 @@ INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
     (INDEFINITE, FactorizationError, np.linalg.LinAlgError),
 ])
 def test_factor_errors_match_scipy(A, ours, scipys):
+    b = np.ones(len(A))
     with pytest.raises(ValueError) as got:
-        cholesky_factor(A)
+        cholesky_solve(A, b)
     with pytest.raises(ValueError) as ref:
         scipy.linalg.cho_factor(A, lower=True)
     assert (type(got.value), type(ref.value)) == (ours, scipys)
     if ours is FactorizationError:
-        assert "not positive definite" in str(got.value)
+        assert "2-th leading minor of the array is not positive definite" in str(got.value)
 
 
 @pytest.mark.parametrize("c, b", [
@@ -120,11 +133,24 @@ def test_factor_errors_match_scipy(A, ours, scipys):
 ])
 def test_cho_solve_errors_match_scipy(c, b):
     with pytest.raises(ValueError) as got:
-        cho_solve((c, True), b)
+        cholesky_solve(c, b)
     with pytest.raises(ValueError) as ref:
         scipy.linalg.cho_solve((c, True), b)
     assert type(got.value) is type(ref.value) is ValueError
-    assert str(got.value) == str(ref.value)
+
+
+def test_cholesky_solve_error_messages():
+    cases = [
+        (np.eye(2), np.array([1.0, np.nan]), "array must not contain infs or NaNs"),
+        (INF, np.ones(2), "array must not contain infs or NaNs"),
+        (np.ones((2, 3)), np.ones(2), "expected a square 2-D matrix, got shape (2, 3)"),
+        (np.eye(2), np.ones(3), "incompatible dimensions ((2, 2) and (3,))"),
+        (np.eye(2), np.ones((2, 2, 1)), "incompatible dimensions ((2, 2) and (2, 2, 1))"),
+    ]
+    for A, b, message in cases:
+        with pytest.raises(ValueError) as got:
+            cholesky_solve(A, b)
+        assert str(got.value) == message
 
 
 def test_missing_lapack_module_names_the_scipy_version(monkeypatch):
@@ -136,7 +162,7 @@ def test_missing_lapack_module_names_the_scipy_version(monkeypatch):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     monkeypatch.setattr(linalg, "PathFinder", NoModules)
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no compiled LAPACK"):
-        cholesky_factor(np.eye(2))
+        cholesky_solve(np.eye(2), np.ones(2))
 
 
 # ---------------------------------------------------------------------------

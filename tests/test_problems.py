@@ -5,9 +5,10 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 
-from _oracles import kkt_solve, paired_naive_reference
+from _oracles import categorical, kkt_solve, paired_naive_reference, sample_observations
 from debias.core import BootstrapPlan, EmpiricalBlock, covariance_debias, shift_debias
 from debias.harness import run_sweep
 from debias.linalg import FactorizationError, cholesky_solve, spd_with_condition
@@ -139,7 +140,7 @@ def test_p7_naive_value_is_transport_value_at_uniform_mixtures(params, n):
     # at one uniform coefficient row per cloud
     for seed in range(4):
         inst = generate_instance("P7", params, RandomStream(seed))
-        clouds = inst.sample_observations(n, RandomStream(seed).split(1))
+        clouds = sample_observations(inst, n, RandomStream(seed).split(1))
         (naive,) = EmpiricalBlock(inst.objective, [clouds]).naive
         assert naive.hex() == paired_naive_reference(clouds).hex()
 
@@ -348,7 +349,7 @@ def test_generate_instance_deterministic():
 
 def test_p1_sample_mean_correctness():
     inst = generate_instance("P1", {"d": 3}, RandomStream(16))
-    obs = inst.sample_observations(100_000, RandomStream(17))
+    obs = sample_observations(inst, 100_000, RandomStream(17))
     x_star = inst.truth_input
     se = inst.params["sigma"] / math.sqrt(len(obs))
     assert np.all(np.abs(obs.points.mean(axis=0) - x_star) < 3 * se)
@@ -356,7 +357,7 @@ def test_p1_sample_mean_correctness():
 
 def test_p3_noise_mean_and_positivity():
     inst = generate_instance("P3", {"d": 4}, RandomStream(18))
-    obs = inst.sample_observations(100_000, RandomStream(19))
+    obs = sample_observations(inst, 100_000, RandomStream(19))
     x_star = inst.truth_input
     assert np.all(obs.points > 0)
     se = x_star / math.sqrt(len(obs))  # exponential sd equals its mean
@@ -365,7 +366,7 @@ def test_p3_noise_mean_and_positivity():
 
 def test_p4_observations_spd_and_mean():
     inst = generate_instance("P4", {"d": 3, "k_shape": 1.0}, RandomStream(20))
-    obs = inst.sample_observations(10_000, RandomStream(21))
+    obs = sample_observations(inst, 10_000, RandomStream(21))
     d = 3
     for row in obs.points[:50]:
         np.linalg.cholesky(row.reshape(d, d))
@@ -381,14 +382,14 @@ def test_p4_observations_spd_and_mean():
 
 def test_p6_observations_one_hot():
     inst = generate_instance("P6", {"d": 5}, RandomStream(22))
-    obs = inst.sample_observations(200, RandomStream(23))
+    obs = sample_observations(inst, 200, RandomStream(23))
     assert np.all(np.isin(obs.points, (0.0, 1.0)))
     assert np.all(obs.points.sum(axis=1) == 1.0)
 
 
 def test_p6_category_frequencies():
     inst = generate_instance("P6", {"d": 4, "alpha": 2.0}, RandomStream(24))
-    obs = inst.sample_observations(100_000, RandomStream(25))
+    obs = sample_observations(inst, 100_000, RandomStream(25))
     p_star = inst.truth_input
     freq = obs.points.mean(axis=0)
     se = np.sqrt(p_star * (1 - p_star) / len(obs))
@@ -397,12 +398,12 @@ def test_p6_category_frequencies():
 
 def test_p7_sampling_shapes_and_truth():
     inst = generate_instance("P7", {"d": 4, "mu2_norm": 1.5}, RandomStream(26))
-    pair = inst.sample_observations(7, RandomStream(27))
+    pair = sample_observations(inst, 7, RandomStream(27))
     assert isinstance(pair, tuple) and len(pair) == 2
     assert len(pair[0]) == 7 and len(pair[1]) == 7  # m defaults to n
     assert inst.truth_value == pytest.approx(1.5**2)
     inst2 = generate_instance("P7", {"d": 4, "m_samples": 12}, RandomStream(26))
-    pair2 = inst2.sample_observations(7, RandomStream(27))
+    pair2 = sample_observations(inst2, 7, RandomStream(27))
     assert len(pair2[1]) == 12
 
 
@@ -426,7 +427,7 @@ def test_entropy_covariance_closed_form():
     for d in range(2, 11):
         inst = generate_instance("P6", {"d": d, "alpha": 1.0}, rng.split(d))
         n = 6 * d
-        obs = inst.sample_observations(n, rng.split(100 + d))
+        obs = sample_observations(inst, n, rng.split(100 + d))
         est = covariance_debias(inst.objective, obs)
         pbar = mean_observation(obs)
         support = int(np.count_nonzero(pbar > 0))
@@ -446,7 +447,7 @@ def test_entropy_covariance_zero_support_coordinates():
 
 def test_p2_shift_runs_end_to_end():
     inst = generate_instance("P2", {"d": 3}, RandomStream(29))
-    obs = inst.sample_observations(10, RandomStream(30))
+    obs = sample_observations(inst, 10, RandomStream(30))
     est = shift_debias(inst.objective, obs, BootstrapPlan(rounds=10), RandomStream(31))
     assert math.isfinite(est.debiased_value)
 
@@ -456,7 +457,15 @@ def test_p2_shift_runs_end_to_end():
 
 
 def _p4_reference(b, aflat):
-    """P4's value through the scipy ``cho_factor``/``cho_solve`` path."""
+    """P4's value through scipy's own ``cho_factor(lower=True)``/``cho_solve``."""
+    d = b.size
+    A = aflat.reshape(d, d)
+    factor = scipy.linalg.cho_factor((A + A.T) / 2.0, lower=True)
+    return -0.5 * float(b @ scipy.linalg.cho_solve(factor, b))
+
+
+def _p4_lone(b, aflat):
+    """P4's value through the package's one-matrix solve."""
     d = b.size
     A = aflat.reshape(d, d)
     return -0.5 * float(b @ cholesky_solve((A + A.T) / 2.0, b))
@@ -497,8 +506,8 @@ def test_p4_fn_many_rejects_bad_rows():
     for first, second in ((nonfinite, non_spd), (non_spd, nonfinite)):
         X = np.tile(np.eye(3).ravel(), (6, 1))
         X[2], X[4] = first, second
-        # the stack fails as the reference path fails on its first bad row
-        expected = _raised(_p4_reference, b, X[2])
+        # the stack fails as the one-matrix solve fails on its first bad row
+        expected = _raised(_p4_lone, b, X[2])
         if first is nonfinite:
             assert expected == (ValueError, "array must not contain infs or NaNs")
         else:
@@ -506,7 +515,7 @@ def test_p4_fn_many_rejects_bad_rows():
         assert _raised(F.fn_many, X) == expected
         assert _raised(F.evaluate_batch, X) == expected
         assert _raised(F.fn_many, X[2:3]) == expected
-        assert _raised(F.fn_many, X[3:]) == _raised(_p4_reference, b, X[4])
+        assert _raised(F.fn_many, X[3:]) == _raised(_p4_lone, b, X[4])
 
 
 def _p3_row_check(b, c, x):
@@ -576,7 +585,7 @@ def test_euclidean_presets_evaluate_whole_batches(family):
     inst = generate_instance(family, {}, RandomStream(50))
     F = inst.objective
     assert F.fn_many is not None
-    X = inst.sample_observations(12, RandomStream(51)).points
+    X = sample_observations(inst, 12, RandomStream(51)).points
     values = F.evaluate_batch(X)
     assert values.shape == (12,)
     assert np.allclose(values, [F.fn(x) for x in X], rtol=1e-12, atol=0.0)
@@ -613,7 +622,7 @@ def test_seed0_instance_and_sample_digests(family):
         chunks.append(inst.truth_input.tobytes())
     for name in sorted(inst.matrices):
         chunks += [name.encode(), np.ascontiguousarray(inst.matrices[name]).tobytes()]
-    sample = inst.sample_observations(5, master.split(1).split(0).split(0))
+    sample = sample_observations(inst, 5, master.split(1).split(0).split(0))
     if inst.paired:
         # each point's bytes, then the bytes of its weight 1.0
         arrays = [np.hstack([s.points, np.ones((len(s), 1))]) for s in sample]
@@ -636,7 +645,7 @@ def one_stream_draw(inst, n, s):
         return np.einsum("ij,nj,kj->nik", m["U"], xi * m["lam"], m["U"]).reshape(n, d * d)
     if inst.id == "P6":
         onehot = np.zeros((n, d))
-        onehot[np.arange(n), s.categorical(x, n)] = 1.0
+        onehot[np.arange(n), categorical(s, x, n)] = 1.0
         return onehot
     xs = np.zeros(d) + p["sigma"] * s.normal((n, d))
     return xs, m["mu2"] + p["sigma"] * s.normal((p["m_samples"] or n, d))
@@ -657,7 +666,7 @@ def test_block_draw_rows_are_one_stream_draws(family, params, n):
         return [root.split(t).split(0) for t in range(count)]
 
     want = [one_stream_draw(inst, n, s) for s in streams(40)]
-    alone = [inst.sample_observations(n, s) for s in streams(40)]
+    alone = [sample_observations(inst, n, s) for s in streams(40)]
     for B in (1, 2, 3, 40):
         block = inst.noise.sample(n, streams(B))
         assert len(block) == B
