@@ -17,7 +17,7 @@ debiasing -F and negating gives identical results.
 
 Every estimate runs on a block of B inputs of one kind (``block_for``):
 ``EuclideanBlock`` (a (B, n, d) stack of Euclidean sets) or ``EmpiricalBlock``
-(pairs of point clouds, evaluated and resampled through F's paired
+(pairs of (n_i, d) point clouds, evaluated and resampled through F's paired
 ``fn_many``; a paired objective without it is refused before F is
 evaluated).  A block exposes ``naive`` (F at each input's mean),
 ``mean(b)``, ``resample_values(plan, rngs)`` (F at each input's K resample
@@ -36,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .objectives import DomainError, EvaluationError, Objective
-from .observations import ContractError, ObservationSet, mean_observation, mixture, sample_means
+from .observations import ContractError, ObservationSet, mixture, sample_means
+from .observations import mean_observation  # noqa: F401  hooked by perfbench/spans.py
 from .resampling import RandomStream
 
 
@@ -81,17 +82,17 @@ class DebiasEstimate:
     bootstrap_values: Optional[list[float]] = None
 
 
-def bootstrap_means(cloud: ObservationSet, plan: BootstrapPlan,
+def bootstrap_means(points: np.ndarray, plan: BootstrapPlan,
                     rng: RandomStream) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The K resample mixtures of a point cloud, as (points, weights) arrays:
-    the k-th puts on each point its share of m draws with replacement, from
-    its multinomial count vector.
+    """The K resample mixtures of a point cloud's (n, d) points, as
+    (points, weights) arrays: the k-th puts on each point its share of m
+    draws with replacement, from its multinomial count vector.
 
-    Deterministic given (set order, plan, rng state).
+    Deterministic given (point order, plan, rng state).
     """
-    counts = _resample_counts(_uniform(len(cloud)), plan, rng)
+    counts = _resample_counts(_uniform(len(points)), plan, rng)
     m = counts.sum(axis=1)
-    return [mixture(cloud, counts[k] / m[k]) for k in range(counts.shape[0])]
+    return [mixture(points, counts[k] / m[k]) for k in range(counts.shape[0])]
 
 
 def _uniform(n: int) -> np.ndarray:
@@ -190,8 +191,8 @@ class EuclideanBlock:
 
 
 class EmpiricalBlock:
-    """B pairs of point clouds, the inputs of a paired functional such as
-    P7's W2^2.
+    """B pairs of (n_i, d) point clouds, the inputs of a paired functional
+    such as P7's W2^2.
 
     F is evaluated only through its paired ``fn_many``: each pair's naive
     value at one uniform coefficient row per cloud, when the block is built,
@@ -203,8 +204,6 @@ class EmpiricalBlock:
     def __init__(self, F: Objective, inputs):
         self.F = F
         self.inputs = list(inputs)
-        if not all(isinstance(obs, tuple) for obs in self.inputs):
-            raise UnsupportedMethodError("empirical inputs must be pairs of point clouds")
         self.naive = [self._naive(obs) for obs in self.inputs]
         self.uniform = {len(s): _uniform(len(s)) for obs in self.inputs for s in obs}
 
@@ -213,7 +212,8 @@ class EmpiricalBlock:
         return self.F.finite(value)
 
     def mean(self, b: int):
-        return tuple(map(mean_observation, self.inputs[b]))
+        """The uniform mixtures of input b's two clouds."""
+        return tuple(mixture(s, self.uniform[len(s)]) for s in self.inputs[b])
 
     def resample_values(self, plan: BootstrapPlan, rngs) -> list[np.ndarray]:
         """The K values of F at the resample means of each input, input b
@@ -230,13 +230,17 @@ class EmpiricalBlock:
         raise UnsupportedMethodError("covariance needs Euclidean observations")
 
 
-def _is_euclidean(obs) -> bool:
-    return isinstance(obs, ObservationSet) and obs.variant == "euclidean"
+def _pair_points(obs) -> tuple:
+    """The points of a paired input, a tuple of two ObservationSets."""
+    if not (isinstance(obs, tuple) and len(obs) == 2
+            and all(isinstance(s, ObservationSet) for s in obs)):
+        raise UnsupportedMethodError("empirical inputs must be pairs of point clouds")
+    return tuple(s.points for s in obs)
 
 
 def block_for(F: Objective, inputs):
     """The block for a (B, n, d) stack of Euclidean sets, or for a list of
-    pairs of point clouds."""
+    pairs of (n_i, d) point clouds."""
     if isinstance(inputs, np.ndarray):
         return EuclideanBlock(F, inputs)
     return EmpiricalBlock(F, inputs)
@@ -284,6 +288,9 @@ def why_not(method: str, F: Objective, euclidean: bool) -> Optional[str]:
     False, empirical) inputs, else the reason it does not."""
     if method not in _TABLE:
         return f"unknown method {method!r}; valid: {', '.join(METHODS)}"
+    if F.paired == euclidean:
+        return ("a paired objective's inputs are pairs of point clouds" if F.paired
+                else "pairs of point clouds need a paired objective")
     if method == "scale" and F.sign_constraint not in ("positive", "negative"):
         return "scale needs a sign-definite objective"
     if method == "cov":
@@ -315,19 +322,20 @@ def debiased(method: str, naive: float, correction: float) -> float:
 
 def debias(method: str, F: Objective, obs, plan: Optional[BootstrapPlan] = None,
            rng: Optional[RandomStream] = None) -> DebiasEstimate:
-    """Debias F at the mean of one input, an ObservationSet or a tuple of
-    them (P7), with "shift", "scale" or "cov", as a block of one.
+    """Debias F at the mean of one input, an ObservationSet or a tuple of two
+    of them (P7), with "shift", "scale" or "cov", as a block of one.
 
     The bootstrap methods need ``plan`` and resample from ``rng`` (default
     ``RandomStream(0)``).  A method ``why_not`` rules out raises
     UnsupportedMethodError before F is evaluated.
     """
-    reason = why_not(method, F, _is_euclidean(obs))
+    euclidean = isinstance(obs, ObservationSet)
+    reason = why_not(method, F, euclidean)
     if reason:
         raise UnsupportedMethodError(reason)
     if rng is None and plan is not None:
         rng = RandomStream(0)
-    block = block_for(F, obs.points[None] if _is_euclidean(obs) else [obs])
+    block = block_for(F, obs.points[None] if euclidean else [_pair_points(obs)])
     (correction,), values = corrections(method, block, plan, [rng])
     naive = block.naive[0]
     return DebiasEstimate(naive, _TABLE[method][0], correction,
@@ -342,7 +350,7 @@ def shift_debias(F: Objective, obs, plan: BootstrapPlan, rng=None) -> DebiasEsti
 
 def scale_debias(F: Objective, obs, plan: BootstrapPlan, rng=None) -> DebiasEstimate:
     """Multiplicative bootstrap debiasing for sign-definite F; s_hat and
-    s_hat * F(xbar) are invariant under F -> -F."""
+    s_hat * F(xbar) are unchanged under F -> -F."""
     return debias("scale", F, obs, plan, rng)
 
 

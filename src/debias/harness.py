@@ -124,7 +124,12 @@ def _fingerprints(inputs) -> list[int]:
     two digests of a pair of clouds."""
     if isinstance(inputs, np.ndarray):
         return fingerprints(inputs)
-    return [stable_digest(s.fingerprint().to_bytes(8, "big") for s in pair) for pair in inputs]
+    return [stable_digest(_cloud_digest(s).to_bytes(8, "big") for s in pair) for pair in inputs]
+
+
+def _cloud_digest(points: np.ndarray) -> int:
+    """A cloud's digest: its points' bytes, each point followed by its weight 1.0."""
+    return stable_digest([np.hstack([points, np.ones((len(points), 1))]).tobytes()])
 
 
 def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,

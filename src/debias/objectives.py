@@ -39,9 +39,11 @@ class Objective:
     For Euclidean objectives, ``fn_many`` maps a (K, d) array of points to
     the K values of ``fn`` (to rounding; it may sum in another order);
     without it ``evaluate_batch`` falls back to calling ``fn`` row by row.
-    For paired empirical objectives, ``fn_many(clouds, coeffs)`` takes a
-    pair of point clouds and a pair of (K, n_i) coefficient matrices and
-    returns an iterator over the K values of ``fn`` at the mixture pairs
+    A ``paired`` objective is a functional of a pair of point clouds (P7),
+    and its input is a tuple of two sets.  Its ``fn_many(clouds, coeffs)``
+    takes a pair of (n_i, d) point clouds and a pair of (K, n_i) coefficient
+    matrices and returns an iterator over the K values of ``fn`` at the
+    mixture pairs
     ``(mixture(clouds[0], coeffs[0][k]), mixture(clouds[1], coeffs[1][k]))``,
     bit for bit; an error in value k is raised by the k-th step, so the
     caller can name the resample.  F is evaluated on point clouds only
@@ -58,6 +60,7 @@ class Objective:
     sign_constraint: str = "none"
     domain_check: Optional[Callable] = None
     fn_many: Optional[Callable] = None
+    paired: bool = False
     cov_denominator: str = "unbiased"
     name: str = ""
 

@@ -2,12 +2,12 @@
 plain arrays.
 
 An observation is the averageable unit the estimators work on.  A set is
-one (n, d) array of points.  In a Euclidean set each point is an
-observation in R^d, averaged coordinatewise.  In an empirical set (a point
-cloud) each point is a Dirac delta, and the set averages as a mixture: the
+one (n, d) array of points, each an observation in R^d, and its mean is the
+coordinatewise (d,) average.  A paired input (P7) is a tuple of two sets,
+each a point cloud of Dirac deltas.  A cloud averages as a mixture: the
 distribution that puts each point's coefficient on it, held as its
 (points, weights) arrays.  Equal points are kept as separate atoms, not
-merged.  A Euclidean mean is a (d,) array.
+merged.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ class ContractError(ValueError):
 
 class ObservationSet:
     """A nonempty set of n observations of one dimension, stored as one
-    (n, d) array ``points``, so means and bootstrap means reduce to matrix
-    operations.  ``variant`` is ``"euclidean"`` (points in R^d) or
-    ``"empirical"`` (a cloud of Dirac points); build one with ``from_points``
-    or ``from_dirac_points``.
+    validated (n, d) array ``points`` of finite coordinates, so means and
+    bootstrap means reduce to matrix operations.  Build one with
+    ``from_points``.
     """
 
-    def __init__(self, points, variant: str):
+    def __init__(self, points):
         try:
             pts = np.atleast_2d(np.asarray(points, dtype=float))
         except ValueError as exc:  # ragged rows, or not numbers
@@ -41,31 +40,16 @@ class ObservationSet:
             raise ContractError("ObservationSet must be nonempty")
         if not np.all(np.isfinite(pts)):
             raise ContractError("observation coordinates must be finite")
-        self.variant = variant
         self.points = pts
         self.dimension = pts.shape[1]
 
     @classmethod
     def from_points(cls, points) -> "ObservationSet":
-        """Euclidean set: the n points of an (n, d) array in R^d."""
-        return cls(points, "euclidean")
-
-    @classmethod
-    def from_dirac_points(cls, points) -> "ObservationSet":
-        """Empirical set: the point cloud of Dirac deltas at the given (n, p)
-        sample points."""
-        return cls(points, "empirical")
+        """The set of the n points of an (n, d) array."""
+        return cls(points)
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def fingerprint(self) -> int:
-        """Digest of the raw data, used to assert paired trial designs; the
-        same in every process.  A cloud's digest covers each point's bytes
-        followed by the bytes of its weight 1.0."""
-        if self.variant == "euclidean":
-            return fingerprints(self.points[None])[0]
-        return stable_digest([np.hstack([self.points, np.ones((len(self), 1))]).tobytes()])
 
 
 def fingerprints(points: np.ndarray) -> list[int]:
@@ -82,12 +66,12 @@ def stable_digest(chunks) -> int:
     return int.from_bytes(hashlib.blake2b(b"".join(chunks), digest_size=8).digest(), "big")
 
 
-def mixture_row(cloud: ObservationSet, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """The row rule of every mixture of a point cloud: the indices of the
-    points whose coefficient is positive, in order, and those coefficients
-    divided by their sum.  Equal points are not merged."""
+def mixture_row(points: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The row rule of every mixture of a point cloud's (n, d) points: the
+    indices of the points whose coefficient is positive, in order, and those
+    coefficients divided by their sum.  Equal points are not merged."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (len(cloud),):
+    if coeffs.shape != (len(points),):
         raise ContractError(f"need one coefficient per observation, got shape {coeffs.shape}")
     kept = (coeffs > 0).nonzero()[0]
     if kept.size == 0:
@@ -99,25 +83,18 @@ def mixture_row(cloud: ObservationSet, coeffs) -> tuple[np.ndarray, np.ndarray]:
     return kept, w / total
 
 
-def mixture(cloud: ObservationSet, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """The mixture sum_i coeffs_i * delta_{x_i} of a point cloud, renormalised
-    to sum to 1 (see ``mixture_row``), as its (points, weights) arrays."""
-    if cloud.variant != "empirical":
-        raise ContractError("a mixture needs an empirical observation set")
-    kept, w = mixture_row(cloud, coeffs)
-    return cloud.points[kept], w
+def mixture(points: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture sum_i coeffs_i * delta_{x_i} of a point cloud's (n, d)
+    points, renormalised to sum to 1 (see ``mixture_row``), as its
+    (points, weights) arrays."""
+    points = np.asarray(points, dtype=float)
+    kept, w = mixture_row(points, coeffs)
+    return points[kept], w
 
 
-def mean_observation(obs_set: ObservationSet) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """The sample average of an observation set.
-
-    A Euclidean set averages coordinatewise, to a (d,) array.  A point cloud
-    averages as its uniform mixture: weight 1/n on each of its n points.
-    """
-    n = len(obs_set)
-    if obs_set.variant == "euclidean":
-        return sample_means(obs_set.points[None])[0]
-    return mixture(obs_set, np.full(n, 1.0 / n))
+def mean_observation(obs_set: ObservationSet) -> np.ndarray:
+    """The sample average of an observation set: its coordinatewise (d,) mean."""
+    return sample_means(obs_set.points[None])[0]
 
 
 def sample_means(points: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from . import transport
 from .linalg import cholesky_solve, cholesky_solve_each, random_orthogonal, spd_with_condition
 from .objectives import Objective
-from .observations import ContractError, ObservationSet, mixture_row
+from .observations import ContractError, mixture_row
 from .resampling import RandomStream, categorical_cdf, normals, uniforms
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def p7_wasserstein() -> Objective:
         # each resample pair's costs are a submatrix of the costs between the
         # two clouds, so those are computed and checked once; if the check
         # fails, each pair's own costs are checked as fn checks them
-        cost = transport.squared_distance_cost(clouds[0].points, clouds[1].points)
+        cost = transport.squared_distance_cost(*clouds)
         problem = (transport.TransportProblem
                    if np.all(np.isfinite(cost)) and not np.any(cost < 0)
                    else transport.TransportProblem.build)
@@ -217,7 +217,8 @@ def p7_wasserstein() -> Objective:
             (ix, wx), (iy, wy) = mixture_row(clouds[0], cx), mixture_row(clouds[1], cy)
             yield transport.solve_transport(problem(cost[ix][:, iy], wx, wy)).value
 
-    return Objective(fn=fn, fn_many=fn_many, sign_constraint="positive", name="wasserstein_sq")
+    return Objective(fn=fn, fn_many=fn_many, paired=True, sign_constraint="positive",
+                     name="wasserstein_sq")
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +228,20 @@ def p7_wasserstein() -> Objective:
 @dataclass
 class NoiseModel:
     """Draws, for each of a block of B streams, n observations whose mean is
-    the instance's truth input: a (B, n, d) stack of Euclidean sets, or if
-    ``paired`` (P7) a list of B pairs of point clouds.  Set b is drawn from
-    ``streams[b]`` alone, with the bits a block of that stream alone gives."""
+    the instance's truth input: a (B, n, d) stack of Euclidean sets, or for
+    a paired objective (P7) a list of B pairs of (n_i, d) point clouds.  Set
+    b is drawn from ``streams[b]`` alone, with the bits a block of that
+    stream alone gives; ``sample`` refuses a non-finite coordinate in any
+    draw."""
 
     draw: Callable[[int, list], object]
-    paired: bool = False
 
     def sample(self, n: int, streams):
         if n < 1:
             raise ContractError(f"need n >= 1 observations, got {n}")
         sets = self.draw(n, streams)
-        if not self.paired and not np.all(np.isfinite(sets)):
+        clouds = [sets] if isinstance(sets, np.ndarray) else [c for pair in sets for c in pair]
+        if not all(np.isfinite(points).all() for points in clouds):
             raise ContractError("observation coordinates must be finite")
         return sets
 
@@ -269,7 +272,7 @@ class ProblemInstance:
     def paired(self) -> bool:
         """True if an observation is a pair of empirical sets (P7), False if
         it is one Euclidean set (P1-P6)."""
-        return self.noise.paired
+        return self.objective.paired
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +289,7 @@ def _unit_vector(d: int, stream: RandomStream, positive: bool = False) -> np.nda
 
 
 def _truth_point(p: dict, d: int, stream: RandomStream, positive: bool = False) -> np.ndarray:
-    if not p["xstar_norm2"] >= 0:
-        raise ContractError(f"xstar_norm2 must be >= 0, got {p['xstar_norm2']}")
-    return math.sqrt(p["xstar_norm2"]) * _unit_vector(d, stream, positive)
+    return math.sqrt(_nonnegative(p, "xstar_norm2")) * _unit_vector(d, stream, positive)
 
 
 def check_counts(p: dict, names) -> None:
@@ -301,6 +302,12 @@ def check_counts(p: dict, names) -> None:
 def _positive(p: dict, name: str) -> float:
     if not p[name] > 0:
         raise ContractError(f"{name} must be > 0, got {p[name]}")
+    return float(p[name])
+
+
+def _nonnegative(p: dict, name: str) -> float:
+    if not p[name] >= 0:
+        raise ContractError(f"{name} must be >= 0, got {p[name]}")
     return float(p[name])
 
 
@@ -318,7 +325,7 @@ def _quadratic_form(objective):
 
 def _build_p3(p, d, stream):
     b = np.abs(_unit_vector(d, stream, positive=True))
-    c = p["c_norm"] * np.abs(_unit_vector(d, stream, positive=True))
+    c = _positive(p, "c_norm") * np.abs(_unit_vector(d, stream, positive=True))
     x_star = _truth_point(p, d, stream, positive=True)
     # coordinatewise exponential with mean x_star, by inverse CDF
     noise = NoiseModel(lambda n, streams: -np.log1p(-uniforms(streams, (n, d))) * x_star)
@@ -347,7 +354,8 @@ def _build_p4(p, d, stream):
 
 
 def _build_p5(p, d, stream):
-    p_dim = int(p["p_dim"]) if p["p_dim"] else max(d + 1, round(d / _positive(p, "ratio_dp")))
+    p_dim = (int(p["p_dim"]) if p["p_dim"] is not None
+             else max(d + 1, round(d / _positive(p, "ratio_dp"))))
     if d > p_dim:
         raise ContractError(f"P5 needs d <= p_dim, got d={d}, p_dim={p_dim}")
     p["p_dim"] = p_dim  # the instance's params record the p_dim it used
@@ -376,18 +384,17 @@ def _build_p7(p, d, stream):
         raise ContractError("P7 is capped at d <= 32; the distance is not "
                             "meaningfully estimable from small samples beyond that")
     mu1 = np.zeros(d)
-    mu2 = p["mu2_norm"] * _unit_vector(d, stream)
+    mu2 = _nonnegative(p, "mu2_norm") * _unit_vector(d, stream)
     sigma = _positive(p, "sigma")
     m_samples = None if p["m_samples"] is None else int(_positive(p, "m_samples"))
 
     def draw(n, streams):  # n draws around mu1 and m_samples (default n) around mu2
-        return [(ObservationSet.from_dirac_points(mu1 + sigma * s.normal((n, d))),
-                 ObservationSet.from_dirac_points(mu2 + sigma * s.normal((m_samples or n, d))))
+        return [(mu1 + sigma * s.normal((n, d)), mu2 + sigma * s.normal((m_samples or n, d)))
                 for s in streams]
 
     # W2^2 between the true isotropic Gaussians: ||mu1-mu2||^2 + d (s1-s2)^2
     truth_value = float(np.sum((mu1 - mu2) ** 2))
-    return p7_wasserstein(), NoiseModel(draw, paired=True), None, truth_value, {"mu2": mu2}
+    return p7_wasserstein(), NoiseModel(draw), None, truth_value, {"mu2": mu2}
 
 
 @dataclass(frozen=True)

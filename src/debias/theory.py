@@ -19,7 +19,7 @@ and the scale condition margin is
     margin_scale = sigma2^2/4 - (sigma1/C_K + sqrt(sigma1 sigma4')
                    - sigma3 - 4 sigma1 sigma2 / F* + 3 sigma1^2 / F*^2).
 
-The source derivation also admits a variant with sqrt(sigma2 sigma4) in the
+The source derivation also admits a form with sqrt(sigma2 sigma4) in the
 shift condition; both margins are reported (``margin_shift_alt``) and
 neither is asserted as the unique truth.
 

@@ -4,8 +4,8 @@ observations, inverse-CDF categorical draws, a random symmetric third-order
 tensor, a point-by-point reference mixture of a point cloud, a per-trial reference
 trial, a per-resample reference of P7's bootstrap values and trials, a
 transport plan's dual objective, a reader for the results CSV, the exact
-resample enumeration, sampled moment tensors, a finite-difference third
-derivative and the negation of an objective."""
+resample enumeration, the jackknife, sampled moment tensors, a
+finite-difference third derivative and the negation of an objective."""
 
 import dataclasses
 import math
@@ -18,14 +18,13 @@ from debias.core import (
     DebiasEstimate,
     DegenerateDenominatorError,
     UnsupportedMethodError,
-    _is_euclidean,
     _resample_counts,
     _uniform,
     debias,
     debiased,
     why_not,
 )
-from debias.harness import CSV_COLUMNS, TrialRecord
+from debias.harness import CSV_COLUMNS, TrialRecord, _fingerprints
 from debias.linalg import FactorizationError, cholesky_solve
 from debias.objectives import Objective
 from debias.observations import (
@@ -33,7 +32,6 @@ from debias.observations import (
     ObservationSet,
     mean_observation,
     mixture,
-    stable_digest,
 )
 from debias.resampling import RandomStream, categorical_cdf
 from debias.theory import _MAX_M4_DIM, MomentTensors
@@ -83,9 +81,11 @@ def kkt_solve(B: np.ndarray, A: np.ndarray, b: np.ndarray):
 
 def sample_observations(instance, n: int, stream: RandomStream):
     """n i.i.d. observations from the instance's noise model: the block
-    draw of one stream, as an ObservationSet (P7: a pair of them)."""
+    draw of one stream, as an ObservationSet (P7: a tuple of two)."""
     (obs,) = instance.noise.sample(n, [stream])
-    return obs if instance.paired else ObservationSet.from_points(obs)
+    if instance.paired:
+        return tuple(map(ObservationSet.from_points, obs))
+    return ObservationSet.from_points(obs)
 
 
 def categorical(stream: RandomStream, p, size=None):
@@ -120,7 +120,7 @@ def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
     in method order."""
     obs = sample_observations(instance, n, stream.split(0))
     paired = isinstance(obs, tuple)
-    naive = instance.objective.evaluate(tuple(map(mean_observation, obs)) if paired
+    naive = instance.objective.evaluate(tuple(uniform_mixture(s.points) for s in obs) if paired
                                         else mean_observation(obs))
     debiased = {}
     for j, m in enumerate(methods):
@@ -128,10 +128,15 @@ def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
         if not math.isfinite(value):
             raise ContractError(f"trial {stream.path}: method {m} produced {value}")
         debiased[m] = value
-    fingerprint = (stable_digest(s.fingerprint().to_bytes(8, "big") for s in obs) if paired
-                   else obs.fingerprint())
+    fingerprint = _fingerprints([tuple(s.points for s in obs)] if paired
+                                else obs.points[None])[0]
     return TrialRecord(stream.path[-1], instance.truth_value, naive, debiased, stream.path,
                        fingerprint)
+
+
+def uniform_mixture(points) -> tuple[np.ndarray, np.ndarray]:
+    """A cloud's mean: the mixture of weight 1/n on each of its n points."""
+    return mixture(points, np.full(len(points), 1.0 / len(points)))
 
 
 def wasserstein_reference(p, q) -> float:
@@ -141,30 +146,30 @@ def wasserstein_reference(p, q) -> float:
     return transport_value(x, y, wx, wy)
 
 
-def paired_coefficients_reference(sets, plan, stream) -> list[np.ndarray]:
-    """The (K, n_i) resample coefficients of each cloud of a pair: cloud i
-    draws its counts from ``stream.split(i)``, and row k is count vector k
-    divided by its total."""
+def paired_coefficients_reference(clouds, plan, stream) -> list[np.ndarray]:
+    """The (K, n_i) resample coefficients of each of a pair of (n_i, d) point
+    clouds: cloud i draws its counts from ``stream.split(i)``, and row k is
+    count vector k divided by its total."""
     out = []
-    for i, s in enumerate(sets):
-        counts = _resample_counts(_uniform(len(s)), plan, stream.split(i))
+    for i, points in enumerate(clouds):
+        counts = _resample_counts(_uniform(len(points)), plan, stream.split(i))
         m = counts.sum(axis=1)
         out.append(np.stack([counts[k] / m[k] for k in range(plan.rounds)]))
     return out
 
 
-def paired_values_reference(sets, coeffs):
-    """W2^2 at each resample pair of a pair of clouds, one at a time: each
-    resample is built on its own with ``mixture_reference`` and solved from
-    its own cost matrix."""
+def paired_values_reference(clouds, coeffs):
+    """W2^2 at each resample pair of a pair of (n_i, d) point clouds, one at
+    a time: each resample is built on its own with ``mixture_reference`` and
+    solved from its own cost matrix."""
     for cx, cy in zip(*coeffs):
-        yield wasserstein_reference(mixture_reference(sets[0].points, cx),
-                                    mixture_reference(sets[1].points, cy))
+        yield wasserstein_reference(mixture_reference(clouds[0], cx),
+                                    mixture_reference(clouds[1], cy))
 
 
-def paired_naive_reference(sets) -> float:
-    """W2^2 between the uniform mixtures of the two sets."""
-    p, q = (mixture_reference(s.points, np.full(len(s), 1.0 / len(s))) for s in sets)
+def paired_naive_reference(clouds) -> float:
+    """W2^2 between the uniform mixtures of the two clouds."""
+    p, q = (mixture_reference(c, np.full(len(c), 1.0 / len(c))) for c in clouds)
     return wasserstein_reference(p, q)
 
 
@@ -180,14 +185,14 @@ def paired_debiased_reference(method, naive, values) -> float:
 def paired_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
     """One P7 trial resample by resample: the pair from split(0), then each
     method's bootstrap values from split(1 + j), in method order."""
-    sets = sample_observations(instance, n, stream.split(0))
-    naive = paired_naive_reference(sets)
+    clouds = tuple(s.points for s in sample_observations(instance, n, stream.split(0)))
+    naive = paired_naive_reference(clouds)
     debiased = {}
     for j, m in enumerate(methods):
-        coeffs = paired_coefficients_reference(sets, plan, stream.split(1 + j))
-        values = np.array(list(paired_values_reference(sets, coeffs)))
+        coeffs = paired_coefficients_reference(clouds, plan, stream.split(1 + j))
+        values = np.array(list(paired_values_reference(clouds, coeffs)))
         debiased[m] = paired_debiased_reference(m, naive, values)
-    fingerprint = stable_digest(s.fingerprint().to_bytes(8, "big") for s in sets)
+    fingerprint = _fingerprints([clouds])[0]
     return TrialRecord(stream.path[-1], instance.truth_value, naive, debiased, stream.path,
                        fingerprint)
 
@@ -262,20 +267,14 @@ def resample_distribution(obs_set: ObservationSet, resample_size: Optional[int] 
         raise ContractError(f"exact enumeration needs n^m <= 1e6, got {n}^{m}")
     m_factorial = math.factorial(m)
     n_pow_m = n ** m
-    if obs_set.variant == "euclidean":
-        center = mean_observation(obs_set)
-        deviations = obs_set.points - center
+    center = mean_observation(obs_set)
+    deviations = obs_set.points - center
     for counts in _compositions(m, n):
         coeff = m_factorial
         for k in counts:
             coeff //= math.factorial(k)  # exact: multinomial coefficients are integers
         weight = coeff / n_pow_m
-        arr = np.asarray(counts, dtype=float)
-        if obs_set.variant == "euclidean":
-            obs = center + arr @ deviations / m
-        else:
-            obs = mixture(obs_set, arr / m)
-        yield weight, obs
+        yield weight, center + np.asarray(counts, dtype=float) @ deviations / m
 
 
 def exact_resample_expectation(obs_set: ObservationSet, statistic, resample_size: Optional[int] = None) -> float:
@@ -292,7 +291,7 @@ def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str,
     """
     if mode not in ("shift", "scale"):
         raise ContractError(f"mode must be 'shift' or 'scale', got {mode!r}")
-    reason = why_not(mode, F, _is_euclidean(obs_set))
+    reason = why_not(mode, F, isinstance(obs_set, ObservationSet))
     if reason:
         raise UnsupportedMethodError(reason)
     mean = mean_observation(obs_set)
@@ -307,6 +306,16 @@ def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str,
         correction = math.fsum(w * (naive * v) for w, v in terms) / ef2
     return DebiasEstimate(naive, _TABLE[mode][0], correction,
                           debiased(mode, naive, correction), mean)
+
+
+def jackknife_value(F: Objective, obs_set: ObservationSet) -> float:
+    """The jackknife's bias-corrected value n F(xbar) - (n - 1) mean_i F(xbar_(-i)),
+    each leave-one-out mean the plain average of the other n - 1 points; it
+    draws no random numbers (Quenouille 1956)."""
+    points = obs_set.points
+    n = len(points)
+    loo = [F.evaluate(np.delete(points, i, axis=0).mean(axis=0)) for i in range(n)]
+    return n * F.evaluate(mean_observation(obs_set)) - (n - 1) * math.fsum(loo) / n
 
 
 def moments_from_samples(samples: np.ndarray, center: np.ndarray) -> MomentTensors:

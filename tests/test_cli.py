@@ -404,6 +404,10 @@ def test_sweep_p5_kappa(tmp_path):
     ("bench P2 --param sigma=-1", "sigma"),  # ran as sigma = 1 in distribution
     ("bench P5 --param sigma=0", "sigma"),
     ("bench P7 --param sigma=-1", "sigma"),
+    ("bench P5 --param p_dim=0", "p_dim"),  # ran the default p_dim
+    ("sweep P5 --axis p_dim --values 0,20", "p_dim"),
+    ("bench P3 --param c_norm=0", "c_norm"),  # refused without naming c_norm
+    ("bench P7 --param mu2_norm=-1", "mu2_norm"),  # ran with the mean mirrored
     # non-finite values: exit 4 after numpy RuntimeWarnings
     ("bench P1 --param kappa=1e999", "kappa"),
     ("sweep P1 --axis kappa --values nan", "kappa"),

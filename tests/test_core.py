@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from _oracles import (
     exact_expectation_debias,
     exact_resample_expectation,
+    jackknife_value,
     negated,
     paired_coefficients_reference,
     paired_debiased_reference,
@@ -32,7 +33,8 @@ from debias.core import (
 )
 from debias.objectives import DomainError, EvaluationError, Objective
 from debias.observations import ContractError, ObservationSet, mean_observation
-from debias.problems import FAMILIES, generate_instance, p1_quadratic, p7_wasserstein
+from debias.problems import (FAMILIES, generate_instance, p1_quadratic, p6_entropy,
+                             p7_wasserstein)
 from debias.resampling import RandomStream
 from debias.transport import IterationCapError, TransportError
 
@@ -77,8 +79,8 @@ def test_bootstrap_means_two_point_distribution():
 
 
 def test_bootstrap_means_dirac_weights():
-    s = ObservationSet.from_dirac_points([[0.0], [1.0], [2.0]])
-    means = bootstrap_means(s, BootstrapPlan(rounds=50), RandomStream(2))
+    means = bootstrap_means(np.array([[0.0], [1.0], [2.0]]), BootstrapPlan(rounds=50),
+                            RandomStream(2))
     for _, weights in means:
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         # weights are multinomial counts over n=3 divided by n
@@ -331,6 +333,37 @@ def test_exact_shift_is_plugin_covariance_for_quadratic(n, d, seed):
                         abs_tol=1e-12 * abs(exact.naive_value))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n=st.integers(2, 11), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_jackknife_is_unbiased_covariance_for_quadratic(n, d, seed):
+    # F = x'Ax: n F(xbar) - (n - 1) mean_i F(xbar_(-i)) is F(xbar) less
+    # tr(A S)/n, S the unbiased sample covariance, which is the cov debiased
+    # value (q = n - 1).  The leave-one-out values cancel against F(xbar), so
+    # the rounding floor scales with |F(xbar)|
+    inst = generate_instance("P1", {"d": d}, RandomStream(seed))
+    s = sample_observations(inst, n, RandomStream(seed).split(1))
+    cov = covariance_debias(inst.objective, s)
+    assert math.isclose(jackknife_value(inst.objective, s), cov.debiased_value, rel_tol=0,
+                        abs_tol=1e-12 * max(1.0, abs(cov.naive_value)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(d=st.integers(2, 12), data=st.data(), extra=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_entropy_covariance_is_miller_madow_on_every_support(d, data, extra, seed):
+    # P6: the cov correction of a one-hot set that occupies s of its d
+    # categories is Miller-Madow's (s - 1)/(2n), whatever s is
+    s = data.draw(st.integers(1, d), label="support")
+    n = s + extra
+    rng = np.random.default_rng(seed)
+    occupied = rng.permutation(d)[:s]
+    categories = np.concatenate([occupied, rng.choice(occupied, n - s)])
+    onehot = np.zeros((n, d))
+    onehot[np.arange(n), categories] = 1.0
+    est = covariance_debias(p6_entropy(d), ObservationSet.from_points(onehot))
+    assert abs(est.correction - (s - 1) / (2 * n)) <= 1e-15
+
+
 @pytest.mark.parametrize("family", ["P1", "P2", "P3", "P4", "P5", "P6"])
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(d=st.integers(2, 4), n=st.integers(2, 9), K=st.integers(1, 12),
@@ -453,9 +486,9 @@ def crafted_pair(far):
     with ``far``, also a point whose squared distances to the other cloud
     overflow to inf."""
     tail = [[1e200, 0.0]] if far else []
-    xs = ObservationSet.from_dirac_points(
+    xs = ObservationSet.from_points(
         [[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [2.0, -1.0], [-0.0, 0.0]] + tail)
-    ys = ObservationSet.from_dirac_points([[1.0, 1.0], [0.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
+    ys = ObservationSet.from_points([[1.0, 1.0], [0.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
     return xs, ys
 
 
@@ -482,14 +515,15 @@ def test_paired_resamples_match_per_resample_reference(far, size):
     # pair's costs are checked on their own: pairs without the far point give
     # the reference's bits, and the first one holding it fails as it does
     sets = crafted_pair(far)
+    clouds = tuple(s.points for s in sets)
     plan = BootstrapPlan(rounds=40, size=size)
-    coeffs = paired_coefficients_reference(sets, plan, RandomStream(21))
-    want = outcomes(paired_values_reference(sets, coeffs))
-    assert outcomes(p7_wasserstein().fn_many(sets, coeffs)) == want
+    coeffs = paired_coefficients_reference(clouds, plan, RandomStream(21))
+    want = outcomes(paired_values_reference(clouds, coeffs))
+    assert outcomes(p7_wasserstein().fn_many(clouds, coeffs)) == want
     if far:
         assert want[-1] == "costs must be finite and nonnegative" and len(want) > 1
         return
-    naive = paired_naive_reference(sets)
+    naive = paired_naive_reference(clouds)
     values = np.array([float.fromhex(v) for v in want])
     for method, estimator in (("shift", shift_debias), ("scale", scale_debias)):
         est = estimator(p7_wasserstein(), sets, plan, RandomStream(21))
@@ -510,9 +544,18 @@ def test_paired_objective_without_fn_many_is_refused():
     for method in ("shift", "scale", "cov"):
         with pytest.raises(UnsupportedMethodError):
             debias(method, F, (xs, ys), BootstrapPlan(rounds=5))
-    # a point cloud on its own is no input of a paired functional
-    with pytest.raises(UnsupportedMethodError, match="pairs of point clouds"):
-        shift_debias(p7_wasserstein(), xs, BootstrapPlan(rounds=5))
+    # a paired input is a tuple of two ObservationSets: a point cloud on its
+    # own, its bare points, a list of the two sets, or three sets are refused
+    for obs in (xs, xs.points, [xs, ys], (xs, ys, xs)):
+        with pytest.raises(UnsupportedMethodError):
+            shift_debias(F, obs, BootstrapPlan(rounds=5))
+        with pytest.raises(UnsupportedMethodError, match="pairs of point clouds"):
+            shift_debias(p7_wasserstein(), obs, BootstrapPlan(rounds=5))
+    # and a pair is no input of a Euclidean objective
+    G = dataclasses.replace(p1_quadratic(np.eye(2)), fn=fn)
+    for method in ("shift", "scale", "cov"):
+        with pytest.raises(UnsupportedMethodError):
+            debias(method, G, (xs, ys), BootstrapPlan(rounds=5))
     assert calls == []
 
 
@@ -561,8 +604,8 @@ def answer_first_call(objective, value):
 def test_paired_cost_overflow_names_the_resample():
     # a point whose squared distances overflow: given a naive value, the
     # bootstrap fails at the first resample that holds it
-    xs = ObservationSet.from_dirac_points([[0.0]] * 5 + [[1e200]])
-    ys = ObservationSet.from_dirac_points([[1.0], [2.0]])
+    xs = ObservationSet.from_points([[0.0]] * 5 + [[1e200]])
+    ys = ObservationSet.from_points([[1.0], [2.0]])
     with pytest.raises(TransportError) as info:
         shift_debias(answer_first_call(p7_wasserstein(), 1.0), (xs, ys),
                      BootstrapPlan(rounds=20), RandomStream(2))

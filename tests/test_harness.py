@@ -39,7 +39,7 @@ from debias.harness import (
     summary_dict,
 )
 from debias.objectives import DomainError, EvaluationError
-from debias.observations import ContractError, ObservationSet
+from debias.observations import ContractError
 from debias.problems import FAMILIES, NoiseModel, generate_instance
 from debias.resampling import RandomStream
 
@@ -140,12 +140,12 @@ def test_fingerprints_stable_across_processes():
     # hash() of bytes changes with PYTHONHASHSEED; the fingerprints must not
     script = (
         "from debias.core import BootstrapPlan\n"
-        "from debias.harness import run_trial\n"
-        "from debias.observations import ObservationSet\n"
+        "import numpy as np\n"
+        "from debias.harness import _fingerprints, run_trial\n"
         "from debias.problems import generate_instance\n"
         "from debias.resampling import RandomStream\n"
-        "print(ObservationSet.from_points([[1.0, 2.0], [3.0, 4.5]]).fingerprint())\n"
-        "print(ObservationSet.from_dirac_points([[0.5], [1.5]]).fingerprint())\n"
+        "print(_fingerprints(np.array([[[1.0, 2.0], [3.0, 4.5]]]))[0])\n"
+        "print(_fingerprints([(np.array([[0.5], [1.5]]), np.array([[2.0]]))])[0])\n"
         "inst = generate_instance('P7', {'d': 2}, RandomStream(1))\n"
         "print(run_trial(inst, 4, BootstrapPlan(rounds=3), ['shift'], RandomStream(2)).fingerprint)\n"
     )
@@ -454,25 +454,20 @@ def test_trials_past_one_word_indices_run_one_at_a_time(monkeypatch):
     assert sizes == [2, 1, 1]
 
 
-def observe(points):
-    """A Euclidean set of the points, or a pair of Dirac sets of a pair."""
-    if isinstance(points, tuple):
-        return tuple(ObservationSet.from_dirac_points(p) for p in points)
-    return ObservationSet.from_points(points)
-
-
 def crafted_instance(family, params, sets, **objective_changes):
     """An instance whose trial t observes ``sets[t]``, with its objective's
     fields replaced by ``objective_changes``."""
     instance = generate_instance(family, params, RandomStream(0))
 
     def draw(n, streams):  # trial t samples from split(t).split(0)
-        observed = [observe(sets[s.path[-2]]) for s in streams]
-        return observed if instance.paired else np.stack([obs.points for obs in observed])
+        observed = [sets[s.path[-2]] for s in streams]
+        if instance.paired:
+            return [tuple(np.asarray(c, dtype=float) for c in pair) for pair in observed]
+        return np.array(observed, dtype=float)
 
     return dataclasses.replace(
         instance, objective=dataclasses.replace(instance.objective, **objective_changes),
-        noise=NoiseModel(draw, instance.paired))
+        noise=NoiseModel(draw))
 
 
 def domain_below(limit):
@@ -517,9 +512,8 @@ ERROR_CASES = {
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_block_errors_match_per_trial_loop(monkeypatch, case):
     family, sets, changes, error = ERROR_CASES[case]
-    first = observe(sets[0])
-    first = first[0] if isinstance(first, tuple) else first
-    instance = crafted_instance(family, {"d": first.dimension}, sets, **changes)
+    first = np.asarray(sets[0][0] if family == "P7" else sets[0])
+    instance = crafted_instance(family, {"d": first.shape[1]}, sets, **changes)
     n, K, R = len(first), 20, len(sets)
     plan = BootstrapPlan(rounds=K)
     methods = [m for m in METHODS if method_applicable(m, instance) is None]

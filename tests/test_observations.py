@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import mixture_reference
+from debias.harness import _fingerprints
 from debias.observations import (
     ContractError,
     ObservationSet,
@@ -25,10 +26,10 @@ def test_mean_single_observation_is_identity():
 
 
 def test_mean_dirac_counting():
-    # equal points stay separate atoms of weight 1/n each
+    # a cloud averages as its uniform mixture: equal points stay separate
+    # atoms of weight 1/n each
     a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    s = ObservationSet.from_dirac_points([a, b, a])
-    support, weights = mean_observation(s)
+    support, weights = mixture(np.stack([a, b, a]), np.full(3, 1 / 3))
     assert support.tobytes() == np.stack([a, b, a]).tobytes()
     assert weights.tolist() == [1 / 3] * 3
 
@@ -41,30 +42,24 @@ def test_mean_matches_plain_average_on_random_sets():
         assert np.allclose(got, pts.mean(axis=0), rtol=0, atol=1e-14)
 
 
-_CONSTRUCTORS = (ObservationSet.from_points, ObservationSet.from_dirac_points)
-
-
 def test_heterogeneous_set_rejected():
-    for build in _CONSTRUCTORS:
-        with pytest.raises(ContractError, match="an \\(n, d\\) array"):
-            build([[1.0], [1.0, 2.0]])  # ragged
-        with pytest.raises(ContractError, match="an \\(n, d\\) array"):
-            build(np.zeros((2, 2, 2)))
+    with pytest.raises(ContractError, match="an \\(n, d\\) array"):
+        ObservationSet.from_points([[1.0], [1.0, 2.0]])  # ragged
+    with pytest.raises(ContractError, match="an \\(n, d\\) array"):
+        ObservationSet.from_points(np.zeros((2, 2, 2)))
 
 
 def test_empty_set_rejected():
-    for build in _CONSTRUCTORS:
-        for empty in ([], [[]], np.empty((0, 3))):
-            with pytest.raises(ContractError, match="nonempty"):
-                build(empty)
+    for empty in ([], [[]], np.empty((0, 3))):
+        with pytest.raises(ContractError, match="nonempty"):
+            ObservationSet.from_points(empty)
 
 
 def test_euclidean_point_requires_finite():
-    for build in _CONSTRUCTORS:
-        with pytest.raises(ContractError, match="finite"):
-            build([[np.nan]])
-        with pytest.raises(ContractError, match="finite"):
-            build([[np.inf, 0.0]])
+    with pytest.raises(ContractError, match="finite"):
+        ObservationSet.from_points([[np.nan]])
+    with pytest.raises(ContractError, match="finite"):
+        ObservationSet.from_points([[np.inf, 0.0]])
 
 
 def test_overflowing_mean_refused_without_warning():
@@ -77,8 +72,7 @@ def test_overflowing_mean_refused_without_warning():
 
 def test_mixture_keeps_duplicates():
     points = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
-    support, weights = mixture(ObservationSet.from_dirac_points(points),
-                               np.array([0.5, 0.25, 0.25]))
+    support, weights = mixture(points, np.array([0.5, 0.25, 0.25]))
     assert support.tobytes() == points.tobytes()
     assert weights.tolist() == [0.5, 0.25, 0.25]
 
@@ -108,19 +102,18 @@ def _mixture_cases():
 
 def test_mixture_matches_per_row_merge():
     for points, coeffs in _mixture_cases():
-        got = mixture(ObservationSet.from_dirac_points(points), coeffs)
+        got = mixture(points, coeffs)
         assert _same_distribution(got, mixture_reference(points, coeffs))
 
 
 def test_mixture_keeps_signed_zero_atoms_apart():
-    s = ObservationSet.from_dirac_points([[0.0], [-0.0]])
-    support, _ = mixture(s, np.array([0.5, 0.5]))
+    support, _ = mixture(np.array([[0.0], [-0.0]]), np.array([0.5, 0.5]))
     assert support.shape == (2, 1)
     assert np.signbit(support[:, 0]).tolist() == [False, True]
 
 
 def test_mixture_contracts():
-    s = ObservationSet.from_dirac_points([[1.0], [2.0]])
+    s = np.array([[1.0], [2.0]])
     with pytest.raises(ContractError, match="no mass"):
         mixture(s, np.array([0.0, 0.0]))
     with pytest.raises(ContractError, match="one coefficient per observation"):
@@ -129,22 +122,22 @@ def test_mixture_contracts():
         mixture(s, np.ones((2, 2)) / 2)
     with pytest.raises(ContractError, match="coefficients must be finite"):
         mixture(s, np.array([np.inf, 1.0]))
-    with pytest.raises(ContractError):
-        mixture(ObservationSet.from_points([[1.0], [2.0]]), np.array([0.5, 0.5]))
 
 
 def test_fingerprint_detects_changes():
     s1 = ObservationSet.from_points([[1.0], [2.0]])
     s2 = ObservationSet.from_points([[1.0], [2.0]])
     s3 = ObservationSet.from_points([[1.0], [2.5]])
-    assert s1.fingerprint() == s2.fingerprint()
-    assert s1.fingerprint() != s3.fingerprint()
-    # a cloud's digest: each point's bytes, then the bytes of its weight 1.0
+    digests = _fingerprints(np.stack([s1.points, s2.points, s3.points]))
+    assert digests[0] == digests[1]
+    assert digests[0] != digests[2]
+    # a pair's digest is the digest of its clouds' digests, and a cloud's
+    # covers each point's bytes, then the bytes of its weight 1.0
     points = np.array([[0.5, -0.0], [1.5, 2.0]])
     one = np.array([1.0]).tobytes()
-    want = stable_digest(part for p in points for part in (p.tobytes(), one))
-    assert ObservationSet.from_dirac_points(points).fingerprint() == want
-    assert ObservationSet.from_points(points).fingerprint() != want
+    cloud = stable_digest(part for p in points for part in (p.tobytes(), one))
+    assert _fingerprints([(points, points)]) == [stable_digest([cloud.to_bytes(8, "big")] * 2)]
+    assert _fingerprints(points[None]) != [cloud]
 
 
 def test_observation_accessors():

@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
-from _oracles import categorical, kkt_solve, paired_naive_reference, sample_observations
+from _oracles import (categorical, kkt_solve, paired_naive_reference, sample_observations,
+                      uniform_mixture)
 from debias.core import BootstrapPlan, EmpiricalBlock, covariance_debias, shift_debias
 from debias.harness import run_sweep
 from debias.linalg import FactorizationError, cholesky_solve, spd_with_condition
@@ -121,16 +122,15 @@ def test_p6_examples():
 
 def test_p7_examples():
     F = p7_wasserstein()
-    s = ObservationSet.from_dirac_points(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    same = (mean_observation(s), mean_observation(s))
-    assert F.evaluate(same) == pytest.approx(0.0, abs=1e-12)
-    a = ObservationSet.from_dirac_points(np.array([[0.0, 0.0]]))
-    b = ObservationSet.from_dirac_points(np.array([[3.0, 4.0]]))
-    assert F.evaluate((mean_observation(a), mean_observation(b))) == pytest.approx(25.0)
+    s = uniform_mixture(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert F.evaluate((s, s)) == pytest.approx(0.0, abs=1e-12)
+    a = uniform_mixture(np.array([[0.0, 0.0]]))
+    b = uniform_mixture(np.array([[3.0, 4.0]]))
+    assert F.evaluate((a, b)) == pytest.approx(25.0)
     # 1-D uniform {0,1} vs {1,2}
-    pa = ObservationSet.from_dirac_points(np.array([[0.0], [1.0]]))
-    pb = ObservationSet.from_dirac_points(np.array([[1.0], [2.0]]))
-    assert F.evaluate((mean_observation(pa), mean_observation(pb))) == pytest.approx(1.0)
+    pa = uniform_mixture(np.array([[0.0], [1.0]]))
+    pb = uniform_mixture(np.array([[1.0], [2.0]]))
+    assert F.evaluate((pa, pb)) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("params, n", [({}, 10), ({"m_samples": 7}, 10), ({"d": 1}, 10),
@@ -140,7 +140,7 @@ def test_p7_naive_value_is_transport_value_at_uniform_mixtures(params, n):
     # at one uniform coefficient row per cloud
     for seed in range(4):
         inst = generate_instance("P7", params, RandomStream(seed))
-        clouds = sample_observations(inst, n, RandomStream(seed).split(1))
+        (clouds,) = inst.noise.sample(n, [RandomStream(seed).split(1)])
         (naive,) = EmpiricalBlock(inst.objective, [clouds]).naive
         assert naive.hex() == paired_naive_reference(clouds).hex()
 
@@ -161,10 +161,10 @@ def test_p7_duplicate_points_match_merged_cloud():
 
     for _ in range(20):
         ix, iy = rng.integers(0, 4, 9), rng.integers(0, 3, 7)
-        clouds = tuple(map(ObservationSet.from_dirac_points, (pool_x[ix], pool_y[iy])))
+        clouds = (pool_x[ix], pool_y[iy])
         counts = [rng.integers(0, 3, (2, n)) + np.eye(1, n) for n in (9, 7)]
         coeffs = [c / c.sum(axis=1, keepdims=True) for c in counts]
-        got = [F.evaluate(tuple(map(mean_observation, clouds))), *F.fn_many(clouds, coeffs)]
+        got = [F.evaluate(tuple(map(uniform_mixture, clouds))), *F.fn_many(clouds, coeffs)]
         rows = zip(got, [np.ones(9), *coeffs[0]], [np.ones(7), *coeffs[1]])
         for value, rx, ry in rows:
             (sx, wx), (sy, wy) = merged(pool_x, ix, rx), merged(pool_y, iy, ry)
@@ -673,7 +673,7 @@ def test_block_draw_rows_are_one_stream_draws(family, params, n):
         for b in range(B):
             if inst.paired:
                 for cloud, one, ref in zip(block[b], alone[b], want[b]):
-                    assert cloud.points.tobytes() == one.points.tobytes() == ref.tobytes()
+                    assert cloud.tobytes() == one.points.tobytes() == ref.tobytes()
             else:
                 assert block[b].shape == want[b].shape
                 assert block[b].tobytes() == alone[b].points.tobytes() == want[b].tobytes()
