@@ -34,11 +34,6 @@ from .transport import (IterationCapError, TransportError, TransportProblem,
 
 FORMATS = ("csv", "json")  # of bench and sweep results
 
-# the --config keys each subcommand reads
-_RUN_KEYS = ("seed", "trials", "workers", "n", "k", "method", "format")
-CONFIG_KEYS = {"estimate": ("seed", "k", "method"), "bench": _RUN_KEYS, "sweep": _RUN_KEYS,
-               "theory": ("seed",), "transport": ()}
-
 
 class CliParseError(Exception):
     """Bad input file contents (exit code 2)."""
@@ -348,6 +343,8 @@ def cmd_theory(args, cfg) -> int:
         if d < 1:
             raise ContractError(f"d must be >= 1, got {d}")
         config["xstar"] = 0.0 if args.xstar is None else args.xstar
+        if not np.isfinite(config["xstar"]):
+            raise ContractError(f"--xstar must be finite, got {config['xstar']}")
         F = p1_quadratic(np.eye(d))
         x_star = np.full(d, config["xstar"])
     elif args.problem in ("P1", "P2", "P5"):
@@ -415,7 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Convexity-bias correction toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, out_default=True):
+    def common(p, handler, config_keys, out_default=True):
+        """The options every subcommand takes, its handler and the --config
+        keys it reads."""
+        p.set_defaults(handler=handler, config_keys=config_keys)
         p.add_argument("--seed", type=int, default=None, help="master seed (env DEBIAS_SEED as fallback)")
         p.add_argument("--config", default=None, help="key=value config file; flags override it")
         p.add_argument("--no-header", action="store_true", help="suppress config/timestamp headers")
@@ -428,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quadratic:A.csv | quartic:A.csv | rational:b.csv:c.csv | entropy")
     p.add_argument("--method", default=None, help="shift | scale | cov")
     p.add_argument("--k", type=int, default=None, help="bootstrap rounds")
-    common(p)
+    common(p, cmd_estimate, ("seed", "k", "method"))
 
-    for name in ("bench", "sweep"):
+    for name, handler in (("bench", cmd_bench), ("sweep", cmd_sweep)):
         p = sub.add_parser(name, help=f"run a benchmark {name}")
         p.add_argument("problem", help="P1..P7")
         if name == "sweep":
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None, choices=FORMATS)
         p.add_argument("--workers", type=int, default=None, help="parallel workers")
         p.add_argument("--param", action="append", help="problem parameter key=value")
-        common(p)
+        common(p, handler, ("seed", "trials", "workers", "n", "k", "method", "format"))
 
     p = sub.add_parser("theory", help="sigma quantities and condition margins")
     p.add_argument("--problem", default="quad1d", help="quad1d | quad | P1 | P2 | P5")
@@ -453,14 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ck", type=float, default=1.0, help="the ratio C_K = K/n")
     p.add_argument("--d", type=int, default=None, help="dimension for quad (default 1)")
     p.add_argument("--param", action="append", help="problem parameter key=value")
-    common(p, out_default=False)
+    common(p, cmd_theory, ("seed",), out_default=False)
 
     p = sub.add_parser("transport", help="solve a transport LP from a cost CSV")
     p.add_argument("--cost", required=True)
     p.add_argument("--supply", default=None)
     p.add_argument("--demand", default=None)
     p.add_argument("--brute-force", action="store_true", help="also print the oracle value")
-    common(p, out_default=False)
+    common(p, cmd_transport, (), out_default=False)
 
     return parser
 
@@ -469,15 +469,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config, CONFIG_KEYS[args.subcommand]) if args.config else {}
-        handler = {
-            "estimate": cmd_estimate,
-            "bench": cmd_bench,
-            "sweep": cmd_sweep,
-            "theory": cmd_theory,
-            "transport": cmd_transport,
-        }[args.subcommand]
-        return handler(args, cfg)
+        cfg = _load_config(args.config, args.config_keys) if args.config else {}
+        return args.handler(args, cfg)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

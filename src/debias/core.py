@@ -103,11 +103,9 @@ def _uniform(n: int) -> np.ndarray:
 def _resample_counts(p: np.ndarray, plan: BootstrapPlan, rng: RandomStream) -> np.ndarray:
     """(K, n) multinomial count matrix for the plan, over the n categories of
     ``p = _uniform(n)``, which a block builds once for all its draws
-    (``multinomial`` only reads it)."""
-    n = len(p)
-    m = plan.size if plan.size is not None else n
-    if n == 1:
-        return np.full((plan.rounds, 1), m, dtype=np.int64)
+    (``multinomial`` only reads it).  Over one category every row is m, and
+    ``multinomial`` draws nothing from the stream to say so."""
+    m = plan.size if plan.size is not None else len(p)
     counts = rng.generator.multinomial(m, p, size=plan.rounds)
     return counts.astype(np.int64, copy=False)
 

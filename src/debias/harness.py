@@ -15,11 +15,15 @@ which process runs a trial.  With W workers the trials are cut into W
 blocks: the calling process runs the last block on the instance it already
 holds, and W - 1 child processes run the others, each on an instance it
 regenerates.  Records, summaries and CSV bytes do not depend on W.
+
+A record carries its sample's fingerprint, a BLAKE2b digest of the sample's
+bytes; this module owns that digest format.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -31,7 +35,7 @@ import numpy as np
 from .core import BootstrapPlan, block_for, corrections, debiased, why_not
 # hooked by perfbench/spans.py
 from .core import covariance_debias, scale_debias, shift_debias  # noqa: F401
-from .observations import ContractError, fingerprints, stable_digest
+from .observations import ContractError
 from .observations import mean_observation  # noqa: F401  hooked by perfbench/spans.py
 from .problems import ProblemInstance, check_counts, generate_instance, get_family
 from .resampling import RandomStream, block_streams
@@ -43,10 +47,10 @@ BLOCK_CELLS = 8192
 
 @dataclass
 class TrialRecord:
-    """One trial: naive and per-method debiased values on a shared sample."""
+    """One trial: naive and per-method debiased values on a shared sample.
+    In an experiment, its trial index is ``seed_path[-1]``; its truth is
+    the instance's."""
 
-    trial_index: int
-    truth_value: float
     naive_value: float
     debiased: dict[str, float]
     seed_path: tuple
@@ -87,7 +91,7 @@ class ExperimentSummary:
 
 def method_applicable(method: str, instance: ProblemInstance) -> Optional[str]:
     """None if the method applies to this instance, else the reason it doesn't."""
-    return why_not(method, instance.objective, not instance.paired)
+    return why_not(method, instance.objective, not instance.objective.paired)
 
 
 def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
@@ -113,23 +117,29 @@ def _trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
             trial[m] = debiased(m, naive, c)
             if not math.isfinite(trial[m]):
                 raise ContractError(f"trial {path}: method {m} produced {trial[m]}")
-    return [TrialRecord(path[-1] if path else 0, instance.truth_value, naive, trial, path,
-                        fingerprint)
+    return [TrialRecord(naive, trial, path, fingerprint)
             for naive, trial, path, fingerprint in zip(block.naive, debiased_values, paths,
                                                        _fingerprints(inputs))]
 
 
 def _fingerprints(inputs) -> list[int]:
-    """Each trial's sample digest: a Euclidean set's, or the digest of the
-    two digests of a pair of clouds."""
+    """Each trial's sample digest: for a (B, n, d) stack of Euclidean sets,
+    the digest of each set's points' bytes; for pairs of clouds, the digest
+    of the two clouds' digests."""
     if isinstance(inputs, np.ndarray):
-        return fingerprints(inputs)
-    return [stable_digest(_cloud_digest(s).to_bytes(8, "big") for s in pair) for pair in inputs]
+        return [_stable_digest([points.tobytes()]) for points in inputs]
+    return [_stable_digest(_cloud_digest(s).to_bytes(8, "big") for s in pair) for pair in inputs]
 
 
 def _cloud_digest(points: np.ndarray) -> int:
     """A cloud's digest: its points' bytes, each point followed by its weight 1.0."""
-    return stable_digest([np.hstack([points, np.ones((len(points), 1))]).tobytes()])
+    return _stable_digest([np.hstack([points, np.ones((len(points), 1))]).tobytes()])
+
+
+def _stable_digest(chunks) -> int:
+    """64-bit BLAKE2b digest of a sequence of byte strings, as an int; unlike
+    ``hash()``, it does not depend on the process's hash seed."""
+    return int.from_bytes(hashlib.blake2b(b"".join(chunks), digest_size=8).digest(), "big")
 
 
 def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
@@ -151,7 +161,7 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
         reason = method_applicable(m, instance)
         if reason:
             raise ContractError(f"{instance.id}: {reason}")
-    width = n if instance.truth_input is None else max(n, instance.truth_input.size)
+    width = n if instance.objective.paired else max(n, instance.truth_input.size)
     size = max(1, BLOCK_CELLS // (plan.rounds * width))
     records = []
     for start in range(lo, hi, size):
@@ -165,7 +175,9 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
     return records
 
 
-def _reduce_records(instance, n, plan, methods, R, seed, records) -> ExperimentSummary:
+def _reduce_records(instance, n, plan, methods, seed, records) -> ExperimentSummary:
+    """The summary of an experiment's records, one a trial (R of them)."""
+    R = len(records)
     truth = instance.truth_value
     naive_err = [rec.naive_value - truth for rec in records]
     naive_sq = [e * e for e in naive_err]
@@ -203,35 +215,36 @@ def _reduce_records(instance, n, plan, methods, R, seed, records) -> ExperimentS
     )
 
 
-def _trial_block(family, params, seed, exp_index, n, K, methods, t_lo, t_hi):
-    """Worker entry: regenerate the instance and run trials t_lo..t_hi-1."""
+def _lineage(family, params, seed, exp_index, K):
+    """An experiment's instance, plan and trial root: with master the
+    stream of path (exp_index,) under ``seed``, the instance comes from
+    master.split(0) and trial t from master.split(1).split(t)."""
     master = RandomStream(seed).split(exp_index)
     instance = generate_instance(family, params, master.split(0))
-    plan = BootstrapPlan(rounds=K)
-    return run_trials(instance, n, plan, methods, master.split(1), t_lo, t_hi)
+    return instance, BootstrapPlan(rounds=K), master.split(1)
+
+
+def _trial_block(family, params, seed, exp_index, n, K, methods, t_lo, t_hi):
+    """Worker entry: regenerate the instance and run trials t_lo..t_hi-1."""
+    instance, plan, root = _lineage(family, params, seed, exp_index, K)
+    return run_trials(instance, n, plan, methods, root, t_lo, t_hi)
 
 
 def run_experiment_spec(family: str, params: dict, n: int, K: int, methods, R: int,
                         seed: int, exp_index: int = 0, workers: int = 1) -> ExperimentSummary:
-    """Experiment from a declarative spec; safe to parallelize because each
-    child process regenerates the instance and draws trial t from the same
-    lineage.
-
-    Lineage: master = RandomStream(seed).split(exp_index); the instance comes
-    from master.split(0) and trial t from master.split(1).split(t).
-    """
-    master = RandomStream(seed).split(exp_index)
-    instance = generate_instance(family, params, master.split(0))
-    plan = BootstrapPlan(rounds=K)
+    """Experiment from a declarative spec (lineage: ``_lineage``); safe to
+    parallelize because each child process regenerates the instance and
+    draws trial t from the same lineage."""
+    instance, plan, root = _lineage(family, params, seed, exp_index, K)
     if workers <= 1 or R < 4:
-        records = run_trials(instance, n, plan, methods, master.split(1), 0, R)
+        records = run_trials(instance, n, plan, methods, root, 0, R)
     else:
         bounds = np.linspace(0, R, min(workers, R) + 1).astype(int).tolist()
         block = functools.partial(_trial_block, family, params, seed, exp_index, n, K,
                                   list(methods))
         records = _run_blocks(block, bounds, functools.partial(
-            run_trials, instance, n, plan, methods, master.split(1)))
-    return _reduce_records(instance, n, plan, methods, R, seed, records)
+            run_trials, instance, n, plan, methods, root))
+    return _reduce_records(instance, n, plan, methods, seed, records)
 
 
 def _run_blocks(block, bounds, own_block) -> list[TrialRecord]:

@@ -7,12 +7,12 @@ coordinatewise (d,) average.  A paired input (P7) is a tuple of two sets,
 each a point cloud of Dirac deltas.  A cloud averages as a mixture: the
 distribution that puts each point's coefficient on it, held as its
 (points, weights) arrays.  Equal points are kept as separate atoms, not
-merged.
+merged.  A sample's digest is not an observation's concern: the harness
+fingerprints its trials' samples.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -50,20 +50,6 @@ class ObservationSet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-def fingerprints(points: np.ndarray) -> list[int]:
-    """The fingerprint of each Euclidean set of a (B, n, d) stack: the digest
-    of its points' bytes."""
-    return [stable_digest([row.tobytes()]) for row in points]
-
-
-def stable_digest(chunks) -> int:
-    """64-bit BLAKE2b digest of a sequence of byte strings, as an int.
-
-    Unlike ``hash()``, it does not depend on the process's hash seed.
-    """
-    return int.from_bytes(hashlib.blake2b(b"".join(chunks), digest_size=8).digest(), "big")
 
 
 def mixture_row(points: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:

@@ -268,12 +268,6 @@ class ProblemInstance:
     params: dict
     matrices: dict = field(default_factory=dict)
 
-    @property
-    def paired(self) -> bool:
-        """True if an observation is a pair of empirical sets (P7), False if
-        it is one Euclidean set (P1-P6)."""
-        return self.objective.paired
-
 
 # ---------------------------------------------------------------------------
 # the families: each builder draws its matrices and truth from the stream and
@@ -289,7 +283,10 @@ def _unit_vector(d: int, stream: RandomStream, positive: bool = False) -> np.nda
 
 
 def _truth_point(p: dict, d: int, stream: RandomStream, positive: bool = False) -> np.ndarray:
-    return math.sqrt(_nonnegative(p, "xstar_norm2")) * _unit_vector(d, stream, positive)
+    """x* of squared norm ``xstar_norm2``; with ``positive``, inside the open
+    positive orthant, which the origin is not, so there it must be > 0."""
+    norm2 = _positive(p, "xstar_norm2") if positive else _nonnegative(p, "xstar_norm2")
+    return math.sqrt(norm2) * _unit_vector(d, stream, positive)
 
 
 def check_counts(p: dict, names) -> None:

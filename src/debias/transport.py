@@ -42,6 +42,8 @@ class TransportProblem:
         demand = np.full(n, 1.0 / n) if demand is None else np.asarray(demand, dtype=float)
         if supply.shape != (m,) or demand.shape != (n,):
             raise TransportError("marginal lengths must match the cost matrix")
+        if not (np.all(np.isfinite(supply)) and np.all(np.isfinite(demand))):
+            raise TransportError("marginal weights must be finite")
         if np.any(supply < 0) or np.any(demand < 0):
             raise TransportError("marginal weights must be nonnegative")
         if abs(supply.sum() - 1.0) > 1e-10 or abs(demand.sum() - 1.0) > 1e-10:

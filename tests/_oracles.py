@@ -1,11 +1,13 @@
 """Test-only helpers: a quadratic form, an independent KKT solve for P5's
-equality-constrained minimum, one stream's draw of an instance's
-observations, inverse-CDF categorical draws, a random symmetric third-order
-tensor, a point-by-point reference mixture of a point cloud, a per-trial reference
-trial, a per-resample reference of P7's bootstrap values and trials, a
-transport plan's dual objective, a reader for the results CSV, the exact
-resample enumeration, the jackknife, sampled moment tensors, a
-finite-difference third derivative and the negation of an objective."""
+equality-constrained minimum, stacked iterative oracles for P4's and P5's
+optimal values, finite-difference gradients and Hessians, one stream's draw
+of an instance's observations, inverse-CDF categorical draws, a random
+symmetric third-order tensor, a point-by-point reference mixture of a point
+cloud, a per-trial reference trial, a per-resample reference of P7's
+bootstrap values and trials, a transport plan's dual objective, a reader for
+the results CSV, the exact resample enumeration, the jackknife, sampled
+moment tensors, a finite-difference third derivative and the negation of an
+objective."""
 
 import dataclasses
 import math
@@ -79,11 +81,59 @@ def kkt_solve(B: np.ndarray, A: np.ndarray, b: np.ndarray):
     return x, value
 
 
+def gradient_descent_values(As, bs, steps, iters: int) -> np.ndarray:
+    """P4's oracle: for each instance i, min_x .5 x'A_i x + b_i'x after
+    ``iters`` gradient steps of length ``steps[i]`` from x = 0.  The
+    instances of one dimension iterate as one stack."""
+    dims = np.array([len(b) for b in bs])
+    values = np.empty(len(bs))
+    for d in np.unique(dims):
+        idx = np.flatnonzero(dims == d)
+        A, b = np.stack([As[i] for i in idx]), np.stack([bs[i] for i in idx])
+        step = np.asarray(steps, dtype=float)[idx, None]
+        x = np.zeros_like(b)
+        for _ in range(iters):
+            x = x - step * (np.einsum("nij,nj->ni", A, x) + b)
+        values[idx] = 0.5 * np.einsum("ni,nij,nj->n", x, A, x) + np.einsum("ni,ni->n", b, x)
+    return values
+
+
+def projected_gradient_values(Bs, As, bs, steps, iters: int) -> np.ndarray:
+    """P5's oracle: for each instance i, min x'B_i x s.t. A_i x = b_i after
+    ``iters`` projected gradient steps of length ``steps[i]`` from the
+    least-norm feasible point.  All instances iterate as one stack, padded
+    to the largest p: B_i with an identity block and A_i with zero columns,
+    so the padded coordinates of x start at 0 and stay 0."""
+    p = max(len(B) for B in Bs)
+    B_pad = np.tile(np.eye(p), (len(Bs), 1, 1))
+    proj, x = np.empty_like(B_pad), np.zeros((len(Bs), p))
+    for i, (B, A, b) in enumerate(zip(Bs, As, bs)):
+        A_pad = np.hstack([A, np.zeros((len(A), p - len(B)))])
+        B_pad[i, :len(B), :len(B)] = B
+        x[i, :len(B)] = np.linalg.lstsq(A, b, rcond=None)[0]
+        proj[i] = np.eye(p) - A_pad.T @ np.linalg.solve(A @ A.T, A_pad)
+    step = np.asarray(steps, dtype=float)[:, None]
+    for _ in range(iters):
+        x = x - step * np.einsum("nij,nj->ni", proj, 2.0 * np.einsum("nij,nj->ni", B_pad, x))
+    return np.einsum("ni,nij,nj->n", x, B_pad, x)
+
+
+def fd_derivatives(F: Objective, x: np.ndarray, h: float = 1e-6):
+    """Central differences at x, step h along each axis: of ``F.fn``, the
+    gradient, and of ``F.gradient``, the Hessian, column i the difference
+    along axis i (not symmetrised)."""
+    up, down = x + h * np.eye(x.size), x - h * np.eye(x.size)
+    g = np.array([F.fn(u) - F.fn(v) for u, v in zip(up, down)]) / (2 * h)
+    H = np.stack([np.asarray(F.gradient(u)) - np.asarray(F.gradient(v))
+                  for u, v in zip(up, down)], axis=1) / (2 * h)
+    return g, H
+
+
 def sample_observations(instance, n: int, stream: RandomStream):
     """n i.i.d. observations from the instance's noise model: the block
     draw of one stream, as an ObservationSet (P7: a tuple of two)."""
     (obs,) = instance.noise.sample(n, [stream])
-    if instance.paired:
+    if instance.objective.paired:
         return tuple(map(ObservationSet.from_points, obs))
     return ObservationSet.from_points(obs)
 
@@ -130,8 +180,7 @@ def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
         debiased[m] = value
     fingerprint = _fingerprints([tuple(s.points for s in obs)] if paired
                                 else obs.points[None])[0]
-    return TrialRecord(stream.path[-1], instance.truth_value, naive, debiased, stream.path,
-                       fingerprint)
+    return TrialRecord(naive, debiased, stream.path, fingerprint)
 
 
 def uniform_mixture(points) -> tuple[np.ndarray, np.ndarray]:
@@ -193,14 +242,13 @@ def paired_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
         values = np.array(list(paired_values_reference(clouds, coeffs)))
         debiased[m] = paired_debiased_reference(m, naive, values)
     fingerprint = _fingerprints([clouds])[0]
-    return TrialRecord(stream.path[-1], instance.truth_value, naive, debiased, stream.path,
-                       fingerprint)
+    return TrialRecord(naive, debiased, stream.path, fingerprint)
 
 
-def paired_mse_reference(records, method) -> tuple[float, float]:
+def paired_mse_reference(records, method, truth) -> tuple[float, float]:
     """The mean paired difference of squared errors (debiased - naive) over
-    the records, and its standard error (nan for one record), with numpy."""
-    truth = records[0].truth_value
+    the records of an instance of value ``truth``, and its standard error
+    (nan for one record), with numpy."""
     naive_sq = np.array([(rec.naive_value - truth) ** 2 for rec in records])
     deb_sq = np.array([(rec.debiased[method] - truth) ** 2 for rec in records])
     diff = deb_sq - naive_sq

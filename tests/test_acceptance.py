@@ -12,6 +12,9 @@ from _oracles import (
     categorical,
     dual_value,
     exact_resample_expectation,
+    fd_derivatives,
+    gradient_descent_values,
+    projected_gradient_values,
     quadratic_form,
     random_symmetric_tensor3,
 )
@@ -25,6 +28,7 @@ from debias.problems import (
     p1_quadratic,
     p2_quartic,
     p3_rational,
+    p4_opt_value,
     p5_constraint_value,
     p6_entropy,
 )
@@ -155,45 +159,21 @@ def test_criterion_5_transport_oracle_equivalence():
                     f"worst duality gap = {worst_gap:.2e}")
 
 
-def _gradient_descent_p4_value(A, b, iters=4000):
-    x = np.zeros(b.size)
-    step = 0.9 / np.linalg.eigvalsh(A).max()
-    for _ in range(iters):
-        x = x - step * (A @ x + b)
-    return 0.5 * x @ A @ x + b @ x
-
-
-def _projected_gradient_p5_value(B, A, b, iters=8000):
-    x = np.linalg.lstsq(A, b, rcond=None)[0]
-    P = np.eye(B.shape[0]) - A.T @ np.linalg.solve(A @ A.T, A)
-    step = 0.9 / (2.0 * np.linalg.eigvalsh(B).max())
-    for _ in range(iters):
-        x = x - step * (P @ (2.0 * B @ x))
-    return float(x @ B @ x)
-
-
 def test_criterion_6_closed_forms_vs_iterative():
     crit = Criterion(6, budget=30.0)
     rng = RandomStream(107)
-    worst = 0.0
-    for i in range(100):
-        d = 2 + i % 9  # 2..10
-        A = spd_with_condition(d, 1.0 + (i % 7), rng.split(i))
-        b = rng.split(1000 + i).normal(d)
-        from debias.problems import p4_opt_value
-
-        closed = p4_opt_value(b).fn(A.ravel())
-        iterative = _gradient_descent_p4_value(A, b)
-        worst = max(worst, abs(closed - iterative) / max(abs(iterative), 1e-12))
-    for i in range(100):
-        d = 2 + i % 9
-        p = d + 1 + i % 5
-        B = spd_with_condition(p, 2.0, rng.split(2000 + i))
-        A = rng.split(3000 + i).normal((d, p))
-        b = rng.split(4000 + i).normal(d)
-        closed = p5_constraint_value(B, A).fn(b)
-        iterative = _projected_gradient_p5_value(B, A, b)
-        worst = max(worst, abs(closed - iterative) / max(abs(iterative), 1e-12))
+    As = [spd_with_condition(2 + i % 9, 1.0 + (i % 7), rng.split(i)) for i in range(100)]
+    bs = [rng.split(1000 + i).normal(len(A)) for i, A in enumerate(As)]  # d = 2..10
+    closed = [p4_opt_value(b).fn(A.ravel()) for A, b in zip(As, bs)]
+    steps = [0.9 / np.linalg.eigvalsh(A).max() for A in As]
+    iterative = list(gradient_descent_values(As, bs, steps, iters=4000))
+    Bs = [spd_with_condition(2 + i % 9 + 1 + i % 5, 2.0, rng.split(2000 + i)) for i in range(100)]
+    As = [rng.split(3000 + i).normal((2 + i % 9, len(B))) for i, B in enumerate(Bs)]
+    bs = [rng.split(4000 + i).normal(len(A)) for i, A in enumerate(As)]
+    closed += [p5_constraint_value(B, A).fn(b) for B, A, b in zip(Bs, As, bs)]
+    steps = [0.9 / (2.0 * np.linalg.eigvalsh(B).max()) for B in Bs]
+    iterative += list(projected_gradient_values(Bs, As, bs, steps, iters=8000))
+    worst = max(abs(c - it) / max(abs(it), 1e-12) for c, it in zip(closed, iterative))
     crit.finish(worst < 1e-6, f"P4/P5 closed forms vs iterative, worst rel err = {worst:.2e}")
 
 
@@ -205,7 +185,7 @@ def test_criterion_7_shift_strictly_reduces_mse():
     inst = generate_instance("P1", {"d": 1, "xstar_norm2": 0.0, "sigma": 1.0}, RandomStream(108))
     plan = BootstrapPlan(rounds=50)
     records = run_trials(inst, 50, plan, ["shift"], RandomStream(109), 0, 20_000)
-    s = _reduce_records(inst, 50, plan, ["shift"], 20_000, 109, records)
+    s = _reduce_records(inst, 50, plan, ["shift"], 109, records)
     diff = s.mse_diff["shift"]
     z = diff / s.mse_diff_se["shift"]
     ok = margin > 0 and diff < 0 and z <= -3.0
@@ -270,15 +250,7 @@ def test_criterion_12_derivative_checks():
         worst_g, worst_h = 0.0, 0.0
         for _ in range(20):
             x = draw(rng)
-            h = 1e-6
-            g_fd = np.empty(x.size)
-            H_fd = np.empty((x.size, x.size))
-            for i in range(x.size):
-                e = np.zeros(x.size)
-                e[i] = h
-                g_fd[i] = (F.fn(x + e) - F.fn(x - e)) / (2 * h)
-                H_fd[:, i] = (np.asarray(F.gradient(x + e))
-                              - np.asarray(F.gradient(x - e))) / (2 * h)
+            g_fd, H_fd = fd_derivatives(F, x)
             scale_g = max(np.abs(g_fd).max(), 1e-9)
             scale_h = max(np.abs(H_fd).max(), 1e-9)
             worst_g = max(worst_g, np.abs(np.asarray(F.gradient(x)) - g_fd).max() / scale_g)

@@ -389,6 +389,8 @@ def test_sweep_p5_kappa(tmp_path):
     ("bench P6 --param alpha=1e-300", "alpha"),  # every gamma draw underflows to 0
     ("bench P1 --param xstar_norm2=-1", "xstar_norm2"),
     ("bench P3 --param xstar_norm2=-1", "xstar_norm2"),
+    ("bench P3 --param xstar_norm2=0", "xstar_norm2"),  # exit 4: x* = 0 is off P3's domain
+    ("sweep P3 --axis xstar_norm2 --values 2,0", "xstar_norm2"),
     ("bench P3 --param d=0", "d"),
     ("bench P5 --param d=0", "d"),
     ("bench P7 --param d=0", "d"),
@@ -538,6 +540,16 @@ def test_theory_bad_noise_exit_3(capsys, problem, argv, name):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("xstar", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("problem", ["quad", "quad1d"])
+def test_theory_non_finite_xstar_exit_3(capsys, problem, xstar):
+    # exited 4 with "numeric failure: quadratic: non-finite value"
+    assert main(["theory", "--problem", problem, f"--xstar={xstar}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --xstar must be finite, got {float(xstar)}\n"
+    assert captured.out == ""
+
+
 def test_transport_single_cell(tmp_path, capsys):
     cost = write(tmp_path / "c.csv", "4.25\n")
     rc = main(["transport", "--cost", cost, "--no-header"])
@@ -580,6 +592,20 @@ def test_transport_brute_force_preconditions_exit_3(tmp_path, capsys, rows):
     assert main(["transport", "--cost", cost, "--brute-force"]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: brute force needs")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cost, supply, demand", [
+    ("0 1\n1 0\n1 1\n", "0.5\n0.5\nnan\n", "0.5\n0.5\n"),  # printed value = 0.75, exit 0
+    ("0 1\n1 0\n", "0.5\n0.5\n", "nan\n1\n"),
+])
+def test_transport_non_finite_marginal_exit_3(tmp_path, capsys, cost, supply, demand):
+    # a nan weight was taken as 0
+    cost = write(tmp_path / "c.csv", cost)
+    sup, dem = write(tmp_path / "s.csv", supply), write(tmp_path / "d.csv", demand)
+    assert main(["transport", "--cost", cost, "--supply", sup, "--demand", dem]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: marginal weights must be finite\n"
     assert captured.out == ""
 
 

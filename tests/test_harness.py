@@ -50,7 +50,7 @@ def stub_instance(truth=0.0):
 
 def make_records(naive_residuals, debias_residuals, truth=0.0):
     return [
-        TrialRecord(t, truth, truth + nr, {"m": truth + dr}, (t,), 0)
+        TrialRecord(truth + nr, {"m": truth + dr}, (t,), 0)
         for t, (nr, dr) in enumerate(zip(naive_residuals, debias_residuals))
     ]
 
@@ -61,14 +61,14 @@ def make_records(naive_residuals, debias_residuals, truth=0.0):
 
 def test_identity_debias_gives_unit_ratios():
     recs = make_records([1.0, -2.0, 0.5], [1.0, -2.0, 0.5])
-    s = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 3, 0, recs)
+    s = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 0, recs)
     assert s.rmse_r["m"] == 1.0
     assert s.bias_r["m"] == 1.0
 
 
 def test_oracle_debias_gives_zero_ratios():
     recs = make_records([1.0, -2.0, 0.5], [0.0, 0.0, 0.0])
-    s = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 3, 0, recs)
+    s = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 0, recs)
     assert s.rmse_r["m"] == 0.0
     assert s.bias_r["m"] == 0.0
 
@@ -76,7 +76,7 @@ def test_oracle_debias_gives_zero_ratios():
 def test_hand_made_residuals_example():
     # naive residuals {1, 1}, debias {1, -1}: RMSE_r = 1, Bias_r = 0
     recs = make_records([1.0, 1.0], [1.0, -1.0])
-    s = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 2, 0, recs)
+    s = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 0, recs)
     assert s.rmse_r["m"] == 1.0
     assert s.bias_r["m"] == 0.0
 
@@ -84,10 +84,10 @@ def test_hand_made_residuals_example():
 def test_hand_made_paired_mse_difference():
     # squared-error differences {0, -3, 1}: mean -2/3, sample variance 13/3
     recs = make_records([1.0, -2.0, 0.0], [1.0, 1.0, 1.0])
-    s = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 3, 0, recs)
+    s = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 0, recs)
     assert s.mse_diff["m"] == pytest.approx(-2 / 3, rel=1e-15)
     assert s.mse_diff_se["m"] == pytest.approx(math.sqrt(13 / 9), rel=1e-15)
-    one = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 1, 0, recs[:1])
+    one = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 0, recs[:1])
     assert one.mse_diff["m"] == 0.0 and math.isnan(one.mse_diff_se["m"])
 
 
@@ -100,9 +100,9 @@ def test_paired_mse_difference_matches_numpy(family, params, n, K, R, methods):
     instance = generate_instance(family, params, master.split(0))
     plan = BootstrapPlan(rounds=K)
     records = run_trials(instance, n, plan, methods, master.split(1), 0, R)
-    s = _reduce_records(instance, n, plan, methods, R, 17, records)
+    s = _reduce_records(instance, n, plan, methods, 17, records)
     for m in methods:
-        mean, se = paired_mse_reference(records, m)
+        mean, se = paired_mse_reference(records, m, instance.truth_value)
         assert s.mse_diff[m] == pytest.approx(mean, rel=1e-12)
         assert s.mse_diff_se[m] == pytest.approx(se, rel=1e-12)
         assert s.mse_diff[m] * R == pytest.approx(s.debias_sq_sum[m] - s.naive_sq_sum,
@@ -377,8 +377,8 @@ def test_worker_blocks_match_for_each_euclidean_family(family, params, m_size, m
 
 def record_bits(records):
     """Records with every float as its hex string, so -0.0 != 0.0."""
-    return [(r.trial_index, r.truth_value.hex(), r.naive_value.hex(),
-             {m: v.hex() for m, v in r.debiased.items()}, r.seed_path, r.fingerprint)
+    return [(r.naive_value.hex(), {m: v.hex() for m, v in r.debiased.items()}, r.seed_path,
+             r.fingerprint)
             for r in records]
 
 
@@ -461,7 +461,7 @@ def crafted_instance(family, params, sets, **objective_changes):
 
     def draw(n, streams):  # trial t samples from split(t).split(0)
         observed = [sets[s.path[-2]] for s in streams]
-        if instance.paired:
+        if instance.objective.paired:
             return [tuple(np.asarray(c, dtype=float) for c in pair) for pair in observed]
         return np.array(observed, dtype=float)
 

@@ -5,7 +5,7 @@ import pytest
 import scipy
 import scipy.linalg
 
-from _oracles import kkt_solve, quadratic_form, random_symmetric_tensor3
+from _oracles import kkt_solve, projected_gradient_values, quadratic_form, random_symmetric_tensor3
 from debias import linalg
 from debias.linalg import (FactorizationError, cholesky_solve, random_orthogonal,
                            spd_with_condition)
@@ -184,25 +184,18 @@ def test_kkt_line_example():
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
-def projected_gradient_value(B, A, b, iters=4000):
-    """Independent iterative oracle for min x'Bx s.t. Ax = b."""
-    x = np.linalg.lstsq(A, b, rcond=None)[0]
-    P = np.eye(B.shape[0]) - A.T @ np.linalg.solve(A @ A.T, A)
-    step = 1.0 / (2.0 * dominant_eigenvalue(B))
-    for _ in range(iters):
-        x = x - step * (P @ (2.0 * B @ x))
-    return float(x @ B @ x)
-
-
 def test_kkt_matches_projected_gradient():
     rng = np.random.default_rng(3)
+    Bs, As, bs = [], [], []
     for _ in range(10):
-        B = random_spd(rng, 6)
-        A = rng.normal(size=(3, 6))
-        b = rng.normal(size=3)
+        Bs.append(random_spd(rng, 6))
+        As.append(rng.normal(size=(3, 6)))
+        bs.append(rng.normal(size=3))
+    steps = [1.0 / (2.0 * dominant_eigenvalue(B)) for B in Bs]
+    oracle = projected_gradient_values(Bs, As, bs, steps, iters=4000)
+    for B, A, b, want in zip(Bs, As, bs, oracle):
         _, value = kkt_solve(B, A, b)
-        oracle = projected_gradient_value(B, A, b)
-        assert value == pytest.approx(oracle, rel=1e-6)
+        assert value == pytest.approx(want, rel=1e-6)
 
 
 def test_kkt_optimality_against_feasible_perturbations():

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from _oracles import mixture_reference
-from debias.harness import _fingerprints
-from debias.observations import (
-    ContractError,
-    ObservationSet,
-    mean_observation,
-    mixture,
-    stable_digest,
-)
+from debias.harness import _fingerprints, _stable_digest
+from debias.observations import ContractError, ObservationSet, mean_observation, mixture
 
 
 def test_mean_euclidean_pair():
@@ -135,8 +129,8 @@ def test_fingerprint_detects_changes():
     # covers each point's bytes, then the bytes of its weight 1.0
     points = np.array([[0.5, -0.0], [1.5, 2.0]])
     one = np.array([1.0]).tobytes()
-    cloud = stable_digest(part for p in points for part in (p.tobytes(), one))
-    assert _fingerprints([(points, points)]) == [stable_digest([cloud.to_bytes(8, "big")] * 2)]
+    cloud = _stable_digest(part for p in points for part in (p.tobytes(), one))
+    assert _fingerprints([(points, points)]) == [_stable_digest([cloud.to_bytes(8, "big")] * 2)]
     assert _fingerprints(points[None]) != [cloud]
 
 

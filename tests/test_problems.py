@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
-from _oracles import (categorical, kkt_solve, paired_naive_reference, sample_observations,
-                      uniform_mixture)
+from _oracles import (categorical, fd_derivatives, gradient_descent_values, kkt_solve,
+                      paired_naive_reference, sample_observations, uniform_mixture)
 from debias.core import BootstrapPlan, EmpiricalBlock, covariance_debias, shift_debias
 from debias.harness import run_sweep
 from debias.linalg import FactorizationError, cholesky_solve, spd_with_condition
@@ -29,24 +29,6 @@ from debias.problems import (
 from debias.resampling import RandomStream, normals
 
 
-def fd_gradient(F, x, h=1e-6):
-    g = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        g[i] = (F.fn(x + e) - F.fn(x - e)) / (2 * h)
-    return g
-
-
-def fd_hessian(F, x, h=1e-6):
-    H = np.empty((x.size, x.size))
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        H[:, i] = (np.asarray(F.gradient(x + e)) - np.asarray(F.gradient(x - e))) / (2 * h)
-    return (H + H.T) / 2
-
-
 def rel_err(a, b):
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return np.abs(a - b).max() / scale
@@ -62,7 +44,8 @@ def test_p1_examples():
     F2 = p1_quadratic(np.diag([1.0, 2.0]))
     assert F2.fn(np.array([1.0, 1.0])) == pytest.approx(3.0)
     assert F2.gradient(np.array([1.0, 1.0])) == pytest.approx([2.0, 4.0])
-    assert rel_err(F2.gradient(np.array([1.0, 1.0])), fd_gradient(F2, np.array([1.0, 1.0]))) < 1e-6
+    assert rel_err(F2.gradient(np.array([1.0, 1.0])),
+                   fd_derivatives(F2, np.array([1.0, 1.0]))[0]) < 1e-6
 
 
 def test_p2_examples():
@@ -179,8 +162,9 @@ def _check_derivatives(F, draw_point, n_points=20, grad_tol=1e-5, hess_tol=1e-5)
     rng = np.random.default_rng(42)
     for _ in range(n_points):
         x = draw_point(rng)
-        assert rel_err(np.asarray(F.gradient(x)), fd_gradient(F, x)) < grad_tol
-        assert rel_err(np.asarray(F.hessian(x)), fd_hessian(F, x)) < hess_tol
+        g, H = fd_derivatives(F, x)
+        assert rel_err(np.asarray(F.gradient(x)), g) < grad_tol
+        assert rel_err(np.asarray(F.hessian(x)), (H + H.T) / 2) < hess_tol
 
 
 def test_p1_derivatives():
@@ -298,19 +282,16 @@ def test_convexity_p7_mixtures():
 def test_p4_matches_gradient_descent():
     # inner problem min .5 x'Ax + b'x solved iteratively
     rng = np.random.default_rng(13)
+    As, bs = [], []
     for _ in range(10):
         d = int(rng.integers(2, 6))
         G = rng.normal(size=(d, d))
-        A = G @ G.T + np.eye(d)
-        b = rng.normal(size=d)
-        F = p4_opt_value(b)
-        closed = F.fn(A.ravel())
-        x = np.zeros(d)
-        step = 1.0 / (np.linalg.eigvalsh(A).max())
-        for _ in range(3000):
-            x = x - step * (A @ x + b)
-        iterative = 0.5 * x @ A @ x + b @ x
-        assert closed == pytest.approx(iterative, rel=1e-6, abs=1e-9)
+        As.append(G @ G.T + np.eye(d))
+        bs.append(rng.normal(size=d))
+    steps = [1.0 / (np.linalg.eigvalsh(A).max()) for A in As]
+    iterative = gradient_descent_values(As, bs, steps, iters=3000)
+    for A, b, want in zip(As, bs, iterative):
+        assert p4_opt_value(b).fn(A.ravel()) == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
 def test_p4_rejects_non_spd():
@@ -623,7 +604,7 @@ def test_seed0_instance_and_sample_digests(family):
     for name in sorted(inst.matrices):
         chunks += [name.encode(), np.ascontiguousarray(inst.matrices[name]).tobytes()]
     sample = sample_observations(inst, 5, master.split(1).split(0).split(0))
-    if inst.paired:
+    if inst.objective.paired:
         # each point's bytes, then the bytes of its weight 1.0
         arrays = [np.hstack([s.points, np.ones((len(s), 1))]) for s in sample]
     else:
@@ -671,7 +652,7 @@ def test_block_draw_rows_are_one_stream_draws(family, params, n):
         block = inst.noise.sample(n, streams(B))
         assert len(block) == B
         for b in range(B):
-            if inst.paired:
+            if inst.objective.paired:
                 for cloud, one, ref in zip(block[b], alone[b], want[b]):
                     assert cloud.tobytes() == one.points.tobytes() == ref.tobytes()
             else:

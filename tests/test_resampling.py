@@ -148,8 +148,11 @@ def test_bad_index_rejected_promptly():
 
 
 def test_draw_counts_single_category():
-    counts = _resample_counts(_uniform(1), BootstrapPlan(rounds=2, size=5), RandomStream(0))
-    assert counts.tolist() == [[5], [5]]
+    # every row is m, and multinomial draws nothing: the stream's next draw is its first
+    stream = RandomStream(0)
+    counts = _resample_counts(_uniform(1), BootstrapPlan(rounds=2, size=5), stream)
+    assert counts.tolist() == [[5], [5]] and counts.dtype == np.int64
+    assert stream.uniform(3).tobytes() == RandomStream(0).uniform(3).tobytes()
 
 
 def test_draw_counts_sum_invariant():

@@ -217,7 +217,7 @@ def paired_mse(inst, n, K, R, methods, stream):
     """The summary of R harness trials of ``inst`` on ``stream``."""
     plan = BootstrapPlan(rounds=K)
     records = run_trials(inst, n, plan, methods, stream, 0, R)
-    return _reduce_records(inst, n, plan, methods, R, 0, records)
+    return _reduce_records(inst, n, plan, methods, 0, records)
 
 
 def test_single_trial_has_no_se():

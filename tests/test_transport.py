@@ -150,6 +150,15 @@ def test_unbalanced_rejected():
         TransportProblem.build(np.ones((2, 2)), np.array([-0.1, 1.1]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("supply, demand", [
+    ([np.nan, 1.0], [0.5, 0.5]),  # solved to 1.0
+    ([0.5, 0.5], [0.5, np.nan]),
+])
+def test_non_finite_marginals_rejected(supply, demand):
+    with pytest.raises(TransportError, match="marginal weights must be finite"):
+        TransportProblem.build(np.ones((2, 2)), np.array(supply), np.array(demand))
+
+
 def test_zero_weight_rows_pruned():
     cost = np.array([[5.0, 1.0], [1.0, 5.0], [9.0, 9.0]])
     supply = np.array([0.5, 0.5, 0.0])
