@@ -11,10 +11,11 @@ standard error, all from the one reduce of the trial records.
 
 Trial t draws every random quantity from ``master.split(t)``, so records
 and summaries are a pure function of (config, master seed) regardless of
-which process runs a trial.  With W workers the trials are cut into W
-blocks: the calling process runs the last block on the instance it already
-holds, and W - 1 child processes run the others, each on an instance it
-regenerates.  Records, summaries and CSV bytes do not depend on W.
+which process runs a trial.  The trials are cut into one block, or into W
+blocks with W workers and R >= 4: the calling process runs the first block
+on the instance it already holds, and one child process per later block
+runs it on an instance it regenerates.  Records, summaries and CSV bytes do
+not depend on W.
 
 A record carries its sample's fingerprint, a BLAKE2b digest of the sample's
 bytes; this module owns that digest format.
@@ -236,42 +237,35 @@ def run_experiment_spec(family: str, params: dict, n: int, K: int, methods, R: i
     parallelize because each child process regenerates the instance and
     draws trial t from the same lineage."""
     instance, plan, root = _lineage(family, params, seed, exp_index, K)
-    if workers <= 1 or R < 4:
-        records = run_trials(instance, n, plan, methods, root, 0, R)
-    else:
-        bounds = np.linspace(0, R, min(workers, R) + 1).astype(int).tolist()
-        block = functools.partial(_trial_block, family, params, seed, exp_index, n, K,
-                                  list(methods))
-        records = _run_blocks(block, bounds, functools.partial(
-            run_trials, instance, n, plan, methods, root))
+    blocks = 1 if workers <= 1 or R < 4 else min(workers, R)
+    bounds = np.linspace(0, R, blocks + 1).astype(int).tolist()
+    block = functools.partial(_trial_block, family, params, seed, exp_index, n, K,
+                              list(methods))
+    records = _run_blocks(block, bounds, functools.partial(
+        run_trials, instance, n, plan, methods, root))
     return _reduce_records(instance, n, plan, methods, seed, records)
 
 
 def _run_blocks(block, bounds, own_block) -> list[TrialRecord]:
     """The records of trial blocks bounds[i]..bounds[i+1]-1, in order.
 
-    This process runs the last block with ``own_block(lo, hi)`` while one
-    child process per other block runs ``block(lo, hi)`` and sends back its
-    records.  The error raised is the first failing block's, in block order,
-    so an error in this process's block waits for the children's outcomes.
-    A child that exits without sending raises ``ChildProcessError``.  Every
-    child is joined; one whose outcome was not received is terminated first.
+    This process runs the first block with ``own_block(lo, hi)`` while one
+    child process per later block runs ``block(lo, hi)`` and sends back its
+    records; ``multiprocessing`` is imported only to start a child.  The
+    error raised is the first failing block's, in block order.  A child that
+    exits without sending raises ``ChildProcessError``.  Every child is
+    joined; one whose outcome was not received is terminated first.
     """
-    import multiprocessing
-
     children, received = [], 0
     try:
-        for lo, hi in zip(bounds[:-2], bounds[1:-1]):
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            import multiprocessing
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(target=_send_block, args=(sender, block, lo, hi))
             child.start()
             sender.close()
             children.append((child, receiver, lo, hi))
-        try:
-            own = (True, own_block(bounds[-2], bounds[-1]))
-        except Exception as exc:  # an earlier block's error wins over this one
-            own = (False, exc)
-        records = []
+        records = own_block(bounds[0], bounds[1])
         for child, receiver, lo, hi in children:
             try:
                 ok, result = receiver.recv()
@@ -284,10 +278,7 @@ def _run_blocks(block, bounds, own_block) -> list[TrialRecord]:
             if not ok:
                 raise result
             records += result
-        ok, result = own
-        if not ok:
-            raise result
-        return records + result
+        return records
     finally:
         for child, _, _, _ in children[received:]:
             child.terminate()

@@ -7,7 +7,8 @@ the SPD solves of P4 and P5 need it. Every solve is one call of LAPACK's
 ``dposv`` (a Cholesky factorisation of the lower triangle, then the two
 triangular solves) through scipy's compiled wrapper module
 ``scipy.linalg._flapack``, loaded without importing the ``scipy.linalg``
-package.
+package. A stack's matrices are factored in place, in one Fortran-ordered
+working copy of the stack.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A_k x_k = b for each SPD matrix of a (K, d, d) stack; (K, d) out.
 
     Row k is bit-identical to ``cholesky_solve(mats[k], b)``: the same one
-    ``dposv`` call per matrix. The stack raises what ``cholesky_solve``
+    ``dposv`` call per matrix, on the same values, factored in place in its
+    Fortran-ordered working copy. The stack raises what ``cholesky_solve``
     raises for its first failing row, in that path's order: a non-finite
     matrix, then a failed factorisation, then a non-finite factor.
     """
@@ -101,15 +103,15 @@ def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
     _finite(b)
     finite = np.isfinite(mats).all(axis=(1, 2))
     stop = len(mats) if finite.all() else int(np.argmin(finite))
-    factors = np.empty((stop, b.size, b.size))
+    work = mats[:stop].swapaxes(1, 2).copy().swapaxes(1, 2)
     out = np.empty((len(mats), b.size))
     for k in range(stop):
-        factors[k], out[k], info = dposv(mats[k], b, lower=1)
+        _, out[k], info = dposv(work[k], b, lower=1, overwrite_a=1)
         if info:
             break
     else:
         k, info = stop, 0
-    _finite(factors[:k])
+    _finite(work[:k])
     _check_factorization(info, "POSV")
     if k < len(mats):
         raise ValueError("array must not contain infs or NaNs")

@@ -246,7 +246,7 @@ def test_criterion_12_derivative_checks():
     crit = Criterion(12, budget=5.0)
     rng = np.random.default_rng(113)
 
-    def max_rel(F, draw, hess_tol):
+    def max_rel(F, draw):
         worst_g, worst_h = 0.0, 0.0
         for _ in range(20):
             x = draw(rng)
@@ -258,14 +258,18 @@ def test_criterion_12_derivative_checks():
         return worst_g, worst_h
 
     A4 = spd_with_condition(4, 3.0, RandomStream(114))
-    worst = []
-    worst.append(max_rel(p1_quadratic(A4), lambda r: r.normal(size=4), 1e-5) + (1e-5, 1e-5))
-    worst.append(max_rel(p2_quartic(A4), lambda r: r.normal(size=4), 1e-4) + (1e-5, 1e-4))
-    worst.append(max_rel(p3_rational(np.array([0.5, 1.0, 2.0]), np.array([1.0, 0.5, 0.25])),
-                         lambda r: r.uniform(0.5, 3.0, size=3), 1e-5) + (1e-5, 1e-5))
     B = spd_with_condition(6, 2.0, RandomStream(115))
     A = np.random.default_rng(116).normal(size=(3, 6))
-    worst.append(max_rel(p5_constraint_value(B, A), lambda r: r.normal(size=3), 1e-5)
-                 + (1e-5, 1e-5))
-    ok = all(g < gt and h < ht for g, h, gt, ht in worst)
-    crit.finish(ok, "max rel errs " + ", ".join(f"g={g:.1e}/h={h:.1e}" for g, h, _, _ in worst))
+    # each family's objective, its draw of a point, and its gradient and
+    # Hessian tolerances
+    families = [
+        (p1_quadratic(A4), lambda r: r.normal(size=4), 1e-5, 1e-5),
+        (p2_quartic(A4), lambda r: r.normal(size=4), 1e-5, 1e-4),
+        (p3_rational(np.array([0.5, 1.0, 2.0]), np.array([1.0, 0.5, 0.25])),
+         lambda r: r.uniform(0.5, 3.0, size=3), 1e-5, 1e-5),
+        (p5_constraint_value(B, A), lambda r: r.normal(size=3), 1e-5, 1e-5),
+    ]
+    worst = [max_rel(F, draw) for F, draw, _, _ in families]
+    ok = all(g < g_tol and h < h_tol
+             for (g, h), (_, _, g_tol, h_tol) in zip(worst, families))
+    crit.finish(ok, "max rel errs " + ", ".join(f"g={g:.1e}/h={h:.1e}" for g, h in worst))

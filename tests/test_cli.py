@@ -121,6 +121,23 @@ def test_estimate_unknown_function_exit_3(tmp_path, euclid_file):
     assert main(["estimate", euclid_file, "--function", "mystery"]) == 3
 
 
+@pytest.mark.parametrize("vectors, message", [
+    (["1 1\n"], "rational spec needs two vector files: rational:b.csv:c.csv"),
+    (["1 1\n", "1 1\n", "1 1\n"],
+     "rational spec needs two vector files: rational:b.csv:c.csv"),
+    (["1 1 1\n", "1 1\n"], "rational vectors must have length 2"),
+    (["1 1\n", "1\n"], "rational vectors must have length 2"),
+])
+def test_estimate_bad_rational_spec_exit_3(tmp_path, capsys, vectors, message):
+    data = write(tmp_path / "obs.csv", "# dim=2 variant=euclidean\n1,2\n2,1\n")
+    paths = [write(tmp_path / f"v{i}.csv", text) for i, text in enumerate(vectors)]
+    rc = main(["estimate", data, "--function", ":".join(["rational", *paths])])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("kind, files, bad", [
     ("quadratic", ["1 0\n0 nan\n"], 0),
     ("quartic", ["1 -inf\n0 1\n"], 0),
@@ -606,6 +623,16 @@ def test_transport_non_finite_marginal_exit_3(tmp_path, capsys, cost, supply, de
     assert main(["transport", "--cost", cost, "--supply", sup, "--demand", dem]) == 3
     captured = capsys.readouterr()
     assert captured.err == "error: marginal weights must be finite\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option", ["--supply", "--demand"])
+def test_transport_one_marginal_exit_3(tmp_path, capsys, option):
+    cost = write(tmp_path / "c.csv", "0 1\n1 0\n")
+    marginal = write(tmp_path / "m.csv", "0.5\n0.5\n")
+    assert main(["transport", "--cost", cost, option, marginal]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: --supply and --demand must be given together\n"
     assert captured.out == ""
 
 

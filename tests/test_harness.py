@@ -287,10 +287,10 @@ needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 
 
 @needs_fork
-@pytest.mark.parametrize("workers,first,last", [(2, 0, 5), (3, 4, 7)])
+@pytest.mark.parametrize("workers,first,last", [(2, 6, 11), (3, 4, 7)])
 def test_child_exit_without_records_raises(monkeypatch, workers, first, last):
     # the blocks of R = 12 are 0..5 | 6..11 at 2 workers and
-    # 0..3 | 4..7 | 8..11 at 3; the caller runs the last one itself
+    # 0..3 | 4..7 | 8..11 at 3; the caller runs the first one itself
     inner = harness._trial_block
 
     def dies(*args):
@@ -535,15 +535,15 @@ ZERO, FAR = [[0.0]] * 4, [[0.0]] * 3 + [[8.0]]
 
 @needs_fork
 @pytest.mark.parametrize("failing,error", [
-    ({1: ZERO}, DegenerateDenominatorError),  # a child's block
-    ({5: FAR}, DomainError),  # the caller's block
-    ({1: ZERO, 5: FAR}, DegenerateDenominatorError),  # the child's error wins
+    ({1: ZERO}, DegenerateDenominatorError),  # the caller's block
+    ({5: FAR}, DomainError),  # a child's block
+    ({1: ZERO, 5: FAR}, DegenerateDenominatorError),  # the caller's error wins
     ({1: FAR, 5: ZERO}, DomainError),
-    ({3: ZERO, 5: FAR}, DegenerateDenominatorError),  # the second child's at 3 workers
+    ({3: ZERO, 5: FAR}, DegenerateDenominatorError),  # the first child's at 3 workers
 ])
 def test_worker_errors_match_one_worker(monkeypatch, failing, error):
     # R = 6 runs as 0..2 | 3..5 at 2 workers and 0..1 | 2..3 | 4..5 at 3,
-    # the caller running the last block; ZERO fails in scale, FAR in shift
+    # the caller running the first block; ZERO fails in scale, FAR in shift
     sets = [failing.get(t, FINE) for t in range(6)]
     instance = crafted_instance("P1", {"d": 1}, sets, **domain_below(3.0))
     monkeypatch.setattr(harness, "generate_instance", lambda *args: instance)
@@ -596,8 +596,22 @@ def test_sweep_p6_n_resolution():
 
 
 def test_emit_results_empty_rejected(tmp_path):
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^emit_results needs at least one summary$"):
         emit_results([], "csv", tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_emit_results_unknown_format_rejected(tmp_path):
+    summaries = run_sweep("P1", "sigma", [1.0], {"d": 2}, R=2, seed=6, methods=["shift"])
+    with pytest.raises(ContractError, match="^unknown format 'xml'$"):
+        emit_results(summaries, "xml", tmp_path / "x.xml")
+    assert not (tmp_path / "x.xml").exists()
+
+
+def test_emit_plot_empty_rejected(tmp_path):
+    with pytest.raises(ContractError, match="^emit_plot needs at least one summary$"):
+        emit_plot([], tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

@@ -88,6 +88,21 @@ def test_factor_and_solve_match_scipy_bit_for_bit(d):
             assert np.array_equal(x, scipy_solve(A, b))
 
 
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_solve_each_factors_a_copy_row_by_row(d):
+    # the stack is factored in place in a working copy; its caller's stack,
+    # lower and upper triangles alike, is left as it was
+    rng = np.random.default_rng(200 + d)
+    mats = np.stack([random_spd(rng, d) + np.triu(rng.normal(size=(d, d)), 1)
+                     for _ in range(5)])
+    b, before = rng.normal(size=d), mats.copy()
+    # C order, and each matrix in Fortran order, the layout dposv overwrites
+    for stack in (mats, mats.swapaxes(1, 2).copy().swapaxes(1, 2)):
+        out = linalg.cholesky_solve_each(stack, b)
+        assert np.array_equal(stack, before)
+        assert np.array_equal(out, [cholesky_solve(A, b) for A in before])
+
+
 @pytest.mark.parametrize("p, d", [(1, 1), (3, 1), (4, 3), (7, 5), (12, 7), (20, 10), (40, 20)])
 def test_schur_complement_matches_scipy_bit_for_bit(p, d):
     # P5's A B^-1 A': the right-hand side A.T is Fortran-ordered, and the

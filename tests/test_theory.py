@@ -196,14 +196,16 @@ def test_third_derivative_finite_difference_matches_p2():
         assert np.abs(T_fd - T_true).max() / scale < 1e-4
 
 
-@pytest.mark.parametrize("family", ["P1", "P2", "P5"])
+@pytest.mark.parametrize("family", ["P1", "P2", "P3", "P5"])
 def test_family_third_derivative_matches_finite_difference(family):
     # every objective sigma_set is given in the CLI (quad, quad1d, P1, P2,
-    # P5) brings an analytic third derivative; check it against the FD oracle
+    # P5), and P3, bring an analytic third derivative; check it against the
+    # FD oracle, at points inside P3's positive orthant
     for seed in range(3):
         inst = generate_instance(family, {"d": 3}, RandomStream(seed))
         F = inst.objective
-        x = inst.truth_input + 0.1 * RandomStream(seed + 50).normal(3)
+        z = 0.1 * RandomStream(seed + 50).normal(3)
+        x = inst.truth_input * np.exp(z) if family == "P3" else inst.truth_input + z
         T_true = F.third_derivative(x)
         scale = max(np.abs(T_true).max(), 1.0)
         assert np.abs(third_derivative_fd(F, x) - T_true).max() / scale < 1e-4

@@ -151,6 +151,16 @@ def test_unbalanced_rejected():
 
 
 @pytest.mark.parametrize("supply, demand", [
+    ([0.5, 0.5, 0.0], [0.5, 0.5]),
+    ([0.5, 0.5], [1.0]),
+    ([[0.5, 0.5]], [0.5, 0.5]),
+])
+def test_marginal_lengths_must_match_cost(supply, demand):
+    with pytest.raises(TransportError, match="^marginal lengths must match the cost matrix$"):
+        TransportProblem.build(np.ones((2, 2)), np.array(supply), np.array(demand))
+
+
+@pytest.mark.parametrize("supply, demand", [
     ([np.nan, 1.0], [0.5, 0.5]),  # solved to 1.0
     ([0.5, 0.5], [0.5, np.nan]),
 ])
