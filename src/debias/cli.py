@@ -154,32 +154,28 @@ def _load_config(path: str, valid) -> dict:
     return cfg
 
 
-def _resolve(args, key, cfg, cast, fallback):
-    """flag > config file > environment (seed only) > default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
+def _settle(args) -> None:
+    """Give each setting of the subcommand that no flag set its value from
+    the --config file, else (the seed only) from DEBIAS_SEED, else its
+    declared default; a value from the file or the environment is read with
+    its flag's type.  Workers below 1 are refused."""
+    cfg = _load_config(args.config, args.settings) if args.config else {}
+    for key, (cast, default) in args.settings.items():
+        if getattr(args, key) is not None:
+            continue
+        if key in cfg:
+            source, text = f"config key {key}", cfg[key]
+        elif key == "seed" and "DEBIAS_SEED" in os.environ:
+            source, text = "DEBIAS_SEED", os.environ["DEBIAS_SEED"]
+        else:
+            setattr(args, key, default)
+            continue
         try:
-            return cast(cfg[key])
+            setattr(args, key, cast(text))
         except ValueError as exc:
-            raise CliParseError(f"config key {key}: {exc}") from exc
-    if key == "seed":
-        env = os.environ.get("DEBIAS_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError as exc:
-                raise CliParseError(f"DEBIAS_SEED: {exc}") from exc
-    return fallback
-
-
-def _resolve_workers(args, cfg) -> int:
-    """``--workers`` or the config's ``workers``, else one a CPU; below 1 is refused."""
-    workers = _resolve(args, "workers", cfg, int, default_workers())
-    if workers < 1:
-        raise ContractError(f"workers must be >= 1, got {workers}")
-    return workers
+            raise CliParseError(f"{source}: {exc}") from exc
+    if "workers" in args.settings and args.workers < 1:
+        raise ContractError(f"workers must be >= 1, got {args.workers}")
 
 
 def _parse_param(tokens) -> dict:
@@ -196,7 +192,7 @@ def _parse_param(tokens) -> dict:
 
 
 def _methods_for(arg: str, family: str):
-    if arg in (None, "all"):
+    if arg == "all":
         return list(get_family(family).methods)
     out = [tok.strip() for tok in arg.split(",")]
     for tok in out:
@@ -219,18 +215,17 @@ def _writing(path: str):
         raise ContractError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _outputs(args, cfg, default_out: str):
-    """The results path, the SVG path beside it and the results format,
-    checked before any trial runs."""
+def _outputs(args, default_out: str):
+    """The results path and the SVG path beside it, checked with the
+    results format before any trial runs."""
     out = args.out or default_out
     svg = os.path.splitext(out)[0] + ".svg"
     if svg == out:
         raise ContractError(f"--out {out}: the SVG plot is written to the .svg path beside "
                             "the results, so the results need another extension")
-    fmt = args.format or cfg.get("format") or "csv"
-    if fmt not in FORMATS:
-        raise ContractError(f"unknown format {fmt!r}; use {' or '.join(FORMATS)}")
-    return out, svg, fmt
+    if args.format not in FORMATS:
+        raise ContractError(f"unknown format {args.format!r}; use {' or '.join(FORMATS)}")
+    return out, svg
 
 
 def _print_header(config: dict, no_header: bool):
@@ -242,15 +237,12 @@ def _print_header(config: dict, no_header: bool):
 # subcommands
 
 
-def cmd_estimate(args, cfg) -> int:
-    seed = _resolve(args, "seed", cfg, int, 0)
-    k = _resolve(args, "k", cfg, int, 100)
+def cmd_estimate(args) -> int:
     obs = read_observations(args.data)
     F = build_objective(args.function, obs.dimension)
-    method = args.method or cfg.get("method") or "shift"
-    est = debias(method, F, obs, BootstrapPlan(rounds=k), RandomStream(seed))
-    config = {"data": args.data, "function": args.function, "method": method,
-              "k": k, "seed": seed, "n": len(obs)}
+    est = debias(args.method, F, obs, BootstrapPlan(rounds=args.k), RandomStream(args.seed))
+    config = {"data": args.data, "function": args.function, "method": args.method,
+              "k": args.k, "seed": args.seed, "n": len(obs)}
     _print_header(config, args.no_header)
     print(f"naive_value = {est.naive_value!r}")
     print(f"correction = {est.correction!r}")
@@ -268,7 +260,7 @@ def cmd_estimate(args, cfg) -> int:
 def _emit(args, config: dict, summaries, outputs) -> int:
     """Print the config header and each method's ratios, write the summaries
     and the SVG plot to the ``_outputs`` paths, and say where."""
-    out, svg, fmt = outputs
+    out, svg = outputs
     _print_header(config, args.no_header)
     for s in summaries:
         where = f" {s.axis}={s.axis_value!r}" if s.axis else ""
@@ -276,62 +268,54 @@ def _emit(args, config: dict, summaries, outputs) -> int:
             print(f"{s.problem}{where} {m}: rmse_r = {s.rmse_r[m]!r}, bias_r = {s.bias_r[m]!r}")
     header = () if args.no_header else _header_lines(config)
     with _writing(out):
-        emit_results(summaries, fmt, out, header_lines=header)
+        emit_results(summaries, args.format, out, header_lines=header)
     with _writing(svg):
         emit_plot(summaries, svg)
     print(f"wrote {out} and {svg}")
     return 0
 
 
-def cmd_bench(args, cfg) -> int:
+def cmd_bench(args) -> int:
     family = args.problem
     spec = get_family(family)
-    seed = _resolve(args, "seed", cfg, int, 0)
-    trials = _resolve(args, "trials", cfg, int, 1000)
-    workers = _resolve_workers(args, cfg)
     params = _parse_param(args.param)
-    n = spec.resolve_n(_resolve(args, "n", cfg, int, None), params)
-    k = _resolve(args, "k", cfg, int, spec.K)
-    methods = _methods_for(args.method or cfg.get("method"), family)
-    outputs = _outputs(args, cfg, f"bench_{family}.csv")
-    summary = run_experiment_spec(family, params, n, k, methods, trials, seed, workers=workers)
-    config = {"problem": family, "n": n, "K": k, "R": trials, "seed": seed,
-              "methods": methods, "params": params, "workers": workers}
+    n = spec.resolve_n(args.n, params)
+    k = spec.K if args.k is None else args.k
+    methods = _methods_for(args.method, family)
+    outputs = _outputs(args, f"bench_{family}.csv")
+    summary = run_experiment_spec(family, params, n, k, methods, args.trials, args.seed,
+                                  workers=args.workers)
+    config = {"problem": family, "n": n, "K": k, "R": args.trials, "seed": args.seed,
+              "methods": methods, "params": params, "workers": args.workers}
     return _emit(args, config, [summary], outputs)
 
 
-def cmd_sweep(args, cfg) -> int:
+def cmd_sweep(args) -> int:
     family = args.problem
-    seed = _resolve(args, "seed", cfg, int, 0)
-    trials = _resolve(args, "trials", cfg, int, 200)
-    workers = _resolve_workers(args, cfg)
     fixed = _parse_param(args.param)
-    n = _resolve(args, "n", cfg, int, None)
-    k = _resolve(args, "k", cfg, int, None)
-    if n is not None:
-        fixed["n"] = n
-    if k is not None:
-        fixed["K"] = k
+    if args.n is not None:
+        fixed["n"] = args.n
+    if args.k is not None:
+        fixed["K"] = args.k
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ContractError(f"--values: {exc}")
     if not values:
         raise ContractError("--values needs a comma-separated list")
-    methods = _methods_for(args.method or cfg.get("method"), family)
-    outputs = _outputs(args, cfg, f"sweep_{family}_{args.axis}.csv")
-    summaries = run_sweep(family, args.axis, values, fixed, trials, seed,
-                          methods=methods, workers=workers)
-    config = {"problem": family, "axis": args.axis, "values": values, "R": trials,
-              "seed": seed, "methods": methods, "fixed": fixed, "workers": workers}
+    methods = _methods_for(args.method, family)
+    outputs = _outputs(args, f"sweep_{family}_{args.axis}.csv")
+    summaries = run_sweep(family, args.axis, values, fixed, args.trials, args.seed,
+                          methods=methods, workers=args.workers)
+    config = {"problem": family, "axis": args.axis, "values": values, "R": args.trials,
+              "seed": args.seed, "methods": methods, "fixed": fixed, "workers": args.workers}
     return _emit(args, config, summaries, outputs)
 
 
-def cmd_theory(args, cfg) -> int:
+def cmd_theory(args) -> int:
     """Sigmas and margins of x'x at x* = (xstar, ..., xstar) in d dimensions
     (quad; quad1d is d = 1), or of a Gaussian-noise family's instance at its
     truth, whose dimension is a family parameter (``--param d=...``)."""
-    seed = _resolve(args, "seed", cfg, int, 0)
     config = {"problem": args.problem}
     if args.problem in ("quad1d", "quad"):
         if args.param:
@@ -356,7 +340,7 @@ def cmd_theory(args, cfg) -> int:
         if "sigma" in params:
             raise ContractError(f"--param sigma does not apply to {args.problem} here; set the "
                                 "noise level with --sigma")
-        inst = generate_instance(args.problem, params, RandomStream(seed))
+        inst = generate_instance(args.problem, params, RandomStream(args.seed))
         config["params"] = params
         F = inst.objective
         x_star = inst.truth_input
@@ -380,7 +364,7 @@ def cmd_theory(args, cfg) -> int:
     return 0
 
 
-def cmd_transport(args, cfg) -> int:
+def cmd_transport(args) -> int:
     cost = _read_matrix(args.cost)
     supply = demand = None
     if args.supply or args.demand:
@@ -412,15 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Convexity-bias correction toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, handler, config_keys, out_default=True):
-        """The options every subcommand takes, its handler and the --config
-        keys it reads."""
-        p.set_defaults(handler=handler, config_keys=config_keys)
+    def common(p, handler, settings, out_default=True):
+        """The options every subcommand takes and its handler.  ``settings``
+        maps each key its --config file may set, in the order the keys are
+        listed, to the value it takes when nothing sets it (see ``_settle``)."""
         p.add_argument("--seed", type=int, default=None, help="master seed (env DEBIAS_SEED as fallback)")
         p.add_argument("--config", default=None, help="key=value config file; flags override it")
         p.add_argument("--no-header", action="store_true", help="suppress config/timestamp headers")
         if out_default:
             p.add_argument("--out", default=None, help="output path")
+        types = {action.dest: action.type or str for action in p._actions}
+        p.set_defaults(handler=handler,
+                       settings={key: (types[key], value) for key, value in settings.items()})
 
     p = sub.add_parser("estimate", help="debias one data file")
     p.add_argument("data", help="observation CSV (header: # dim=<d> variant=euclidean)")
@@ -428,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quadratic:A.csv | quartic:A.csv | rational:b.csv:c.csv | entropy")
     p.add_argument("--method", default=None, help="shift | scale | cov")
     p.add_argument("--k", type=int, default=None, help="bootstrap rounds")
-    common(p, cmd_estimate, ("seed", "k", "method"))
+    common(p, cmd_estimate, {"seed": 0, "k": 100, "method": "shift"})
 
     for name, handler in (("bench", cmd_bench), ("sweep", cmd_sweep)):
         p = sub.add_parser(name, help=f"run a benchmark {name}")
@@ -443,7 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None, choices=FORMATS)
         p.add_argument("--workers", type=int, default=None, help="parallel workers")
         p.add_argument("--param", action="append", help="problem parameter key=value")
-        common(p, handler, ("seed", "trials", "workers", "n", "k", "method", "format"))
+        # n and K of None: the family's preset; method all: the family's methods
+        common(p, handler, {"seed": 0, "trials": 1000 if name == "bench" else 200,
+                            "workers": default_workers(), "n": None, "k": None,
+                            "method": "all", "format": "csv"})
 
     p = sub.add_parser("theory", help="sigma quantities and condition margins")
     p.add_argument("--problem", default="quad1d", help="quad1d | quad | P1 | P2 | P5")
@@ -453,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ck", type=float, default=1.0, help="the ratio C_K = K/n")
     p.add_argument("--d", type=int, default=None, help="dimension for quad (default 1)")
     p.add_argument("--param", action="append", help="problem parameter key=value")
-    common(p, cmd_theory, ("seed",), out_default=False)
+    common(p, cmd_theory, {"seed": 0}, out_default=False)
 
     p = sub.add_parser("transport", help="solve a transport LP from a cost CSV")
     p.add_argument("--cost", required=True)
     p.add_argument("--supply", default=None)
     p.add_argument("--demand", default=None)
     p.add_argument("--brute-force", action="store_true", help="also print the oracle value")
-    common(p, cmd_transport, (), out_default=False)
+    common(p, cmd_transport, {}, out_default=False)
 
     return parser
 
@@ -469,8 +459,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.config_keys) if args.config else {}
-        return args.handler(args, cfg)
+        _settle(args)
+        return args.handler(args)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,7 +38,7 @@ from .core import BootstrapPlan, block_for, corrections, debiased, why_not
 from .core import covariance_debias, scale_debias, shift_debias  # noqa: F401
 from .observations import ContractError
 from .observations import mean_observation  # noqa: F401  hooked by perfbench/spans.py
-from .problems import ProblemInstance, check_counts, generate_instance, get_family
+from .problems import ProblemInstance, check_counts, generate_instance, get_family, named
 from .resampling import RandomStream, block_streams
 
 # Trials run in blocks of at most this many resample cells, trials x K x
@@ -177,26 +177,42 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
 
 
 def _reduce_records(instance, n, plan, methods, seed, records) -> ExperimentSummary:
-    """The summary of an experiment's records, one a trial (R of them)."""
+    """The summary of an experiment's records, one a trial (R of them).
+
+    Naive errors whose sums are 0 leave the ratios 0/0, and errors too large
+    to square, sum or take the variance of in floats leave them inf or nan;
+    either is refused, naming the experiment."""
     R = len(records)
+    experiment = f"{instance.id} at {named({'n': n, 'K': plan.rounds, **instance.params})}"
     truth = instance.truth_value
     naive_err = [rec.naive_value - truth for rec in records]
     naive_sq = [e * e for e in naive_err]
     naive_sq_sum = math.fsum(naive_sq)
     naive_err_sum = math.fsum(naive_err)
+    if naive_sq_sum == 0 or naive_err_sum == 0:
+        raise ContractError(f"{experiment}: the naive errors sum to 0, so every ratio is 0/0")
     rmse_r, bias_r, sq_sums, err_sums, mse_diff, mse_diff_se = {}, {}, {}, {}, {}, {}
-    for m in methods:
-        err = [rec.debiased[m] - truth for rec in records]
-        sq = math.fsum(e * e for e in err)
-        es = math.fsum(err)
-        sq_sums[m] = sq
-        err_sums[m] = es
-        rmse_r[m] = math.sqrt(sq) / math.sqrt(naive_sq_sum) if naive_sq_sum > 0 else float("nan")
-        bias_r[m] = es / naive_err_sum if naive_err_sum != 0 else float("nan")
-        diff = [e * e - s for e, s in zip(err, naive_sq)]
-        mse_diff[m] = mean = math.fsum(diff) / R
-        var = math.fsum((x - mean) ** 2 for x in diff) / (R - 1) if R > 1 else float("nan")
-        mse_diff_se[m] = math.sqrt(var / R)
+    try:
+        for m in methods:
+            err = [rec.debiased[m] - truth for rec in records]
+            sq = math.fsum(e * e for e in err)
+            es = math.fsum(err)
+            sq_sums[m] = sq
+            err_sums[m] = es
+            rmse_r[m] = math.sqrt(sq) / math.sqrt(naive_sq_sum)
+            bias_r[m] = es / naive_err_sum
+            diff = [e * e - s for e, s in zip(err, naive_sq)]
+            mse_diff[m] = mean = math.fsum(diff) / R
+            var = math.fsum((x - mean) ** 2 for x in diff) / (R - 1) if R > 1 else float("nan")
+            mse_diff_se[m] = math.sqrt(var / R)
+        finite = all(map(math.isfinite, [
+            naive_sq_sum, naive_err_sum, *sq_sums.values(), *err_sums.values(),
+            *rmse_r.values(), *bias_r.values(), *mse_diff.values(),
+            *(mse_diff_se.values() if R > 1 else ())]))
+    except (OverflowError, ValueError):  # fsum raises on inf + -inf too
+        finite = False
+    if not finite:
+        raise ContractError(f"{experiment}: the errors overflow float64 when squared or summed")
     return ExperimentSummary(
         problem=instance.id,
         params={k: v for k, v in instance.params.items() if np.isscalar(v) or v is None},

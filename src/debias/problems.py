@@ -23,7 +23,7 @@ import numpy as np
 
 from . import transport
 from .linalg import cholesky_solve, cholesky_solve_each, random_orthogonal, spd_with_condition
-from .objectives import Objective
+from .objectives import EvaluationError, Objective
 from .observations import ContractError, mixture_row
 from .resampling import RandomStream, categorical_cdf, normals, uniforms
 
@@ -62,8 +62,15 @@ def p2_quartic(A: np.ndarray) -> Objective:
             + A[None, :, :] * g[:, None, None]
         )
 
+    def fn(x):
+        q = float(x @ A @ x)
+        try:
+            return q ** 2
+        except OverflowError:  # a Python float's square raises where numpy's is inf
+            return math.inf
+
     return Objective(
-        fn=lambda x: float(x @ A @ x) ** 2,
+        fn=fn,
         fn_many=lambda X: np.einsum("ki,ij,kj->k", X, A, X) ** 2,
         gradient=lambda x: 4.0 * (x @ A @ x) * (A @ x),
         hessian=hessian,
@@ -87,17 +94,24 @@ def p3_rational(b: np.ndarray, c: np.ndarray) -> Objective:
         with np.errstate(over="ignore", divide="ignore"):
             return np.all(X > 0.0, axis=-1) & np.all(np.isfinite(c / X), axis=-1)
 
+    def hessian(x):
+        with np.errstate(over="ignore"):  # where x^3 overflows, 2c / x^3 is 0
+            return np.diag(2.0 * c / x**3)
+
     def third(x):
         T = np.zeros((b.size,) * 3)
         idx = np.arange(b.size)
         T[idx, idx, idx] = -6.0 * c / x**4
         return T
 
+    def fn_many(X):
+        return np.sum(b * X + c / X, axis=1)
+
     return Objective(
-        fn=lambda x: float(np.sum(b * x + c / x)),
-        fn_many=lambda X: np.sum(b * X + c / X, axis=1),
+        fn=lambda x: fn_many([x])[0],
+        fn_many=fn_many,
         gradient=lambda x: b - c / x**2,
-        hessian=lambda x: np.diag(2.0 * c / x**3),
+        hessian=hessian,
         third_derivative=third,
         sign_constraint="positive",
         domain_check=in_domain,
@@ -308,15 +322,27 @@ def _nonnegative(p: dict, name: str) -> float:
     return float(p[name])
 
 
-def _euclidean(objective: Objective, noise: NoiseModel, x_star: np.ndarray, matrices: dict):
-    return objective, noise, x_star, objective.evaluate(x_star), matrices
+def named(params: dict) -> str:
+    """``name=value`` of each parameter, to name them in a message."""
+    return ", ".join(f"{name}={value!r}" for name, value in params.items())
+
+
+def _euclidean(p: dict, objective: Objective, noise: NoiseModel, x_star: np.ndarray,
+               matrices: dict):
+    """A Euclidean family's build; parameters that leave the truth value
+    F(x*) non-finite are refused, naming them."""
+    try:
+        truth_value = objective.evaluate(x_star)
+    except EvaluationError:
+        raise ContractError(f"F(x*) is not finite at {named(p)}") from None
+    return objective, noise, x_star, truth_value, matrices
 
 
 def _quadratic_form(objective):
     def build(p, d, stream):
         A = spd_with_condition(d, p["kappa"], stream)
         x_star = _truth_point(p, d, stream)
-        return _euclidean(objective(A), _gaussian(x_star, p), x_star, {"A": A})
+        return _euclidean(p, objective(A), _gaussian(x_star, p), x_star, {"A": A})
     return build
 
 
@@ -326,7 +352,7 @@ def _build_p3(p, d, stream):
     x_star = _truth_point(p, d, stream, positive=True)
     # coordinatewise exponential with mean x_star, by inverse CDF
     noise = NoiseModel(lambda n, streams: -np.log1p(-uniforms(streams, (n, d))) * x_star)
-    return _euclidean(p3_rational(b, c), noise, x_star, {"b": b, "c": c})
+    return _euclidean(p, p3_rational(b, c), noise, x_star, {"b": b, "c": c})
 
 
 def _build_p4(p, d, stream):
@@ -347,19 +373,24 @@ def _build_p4(p, d, stream):
         return np.stack(mats).reshape(len(streams), n, d * d)
 
     a_star = ((U * lam) @ U.T).ravel()
-    return _euclidean(p4_opt_value(b), NoiseModel(draw), a_star, {"b": b, "U": U, "lam": lam})
+    return _euclidean(p, p4_opt_value(b), NoiseModel(draw), a_star, {"b": b, "U": U, "lam": lam})
 
 
 def _build_p5(p, d, stream):
-    p_dim = (int(p["p_dim"]) if p["p_dim"] is not None
-             else max(d + 1, round(d / _positive(p, "ratio_dp"))))
+    if p["p_dim"] is None:
+        ratio = d / _positive(p, "ratio_dp")
+        if not math.isfinite(ratio):
+            raise ContractError(f"ratio_dp must leave d / ratio_dp finite, got {p['ratio_dp']}")
+        p_dim = max(d + 1, round(ratio))
+    else:
+        p_dim = int(p["p_dim"])
     if d > p_dim:
         raise ContractError(f"P5 needs d <= p_dim, got d={d}, p_dim={p_dim}")
     p["p_dim"] = p_dim  # the instance's params record the p_dim it used
     B = spd_with_condition(p_dim, p["kappa"], stream)
     A = stream.normal((d, p_dim))
     b_star = _unit_vector(d, stream)
-    return _euclidean(p5_constraint_value(B, A), _gaussian(b_star, p), b_star,
+    return _euclidean(p, p5_constraint_value(B, A), _gaussian(b_star, p), b_star,
                       {"B": B, "A": A})
 
 
@@ -373,7 +404,7 @@ def _build_p6(p, d, stream):
         np.put_along_axis(onehot, categories[..., None], 1.0, axis=-1)
         return onehot
 
-    return _euclidean(p6_entropy(d), NoiseModel(draw), p_star, {})
+    return _euclidean(p, p6_entropy(d), NoiseModel(draw), p_star, {})
 
 
 def _build_p7(p, d, stream):

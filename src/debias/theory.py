@@ -75,9 +75,13 @@ def moments_gaussian(sigma: float, d: int) -> MomentTensors:
         raise ContractError(f"sigma must be finite and > 0, got {sigma}")
     if d > _MAX_M4_DIM:
         raise ContractError(f"moment tensors limited to d <= {_MAX_M4_DIM}, got d={d}")
+    try:
+        var, var_sq = sigma**2, sigma**4
+    except OverflowError:
+        raise ContractError(f"sigma must have a finite fourth power, got {sigma}") from None
     eye = np.eye(d)
-    m2 = sigma**2 * eye
-    m4 = sigma**4 * (
+    m2 = var * eye
+    m4 = var_sq * (
         np.einsum("ab,cd->abcd", eye, eye)
         + np.einsum("ac,bd->abcd", eye, eye)
         + np.einsum("ad,bc->abcd", eye, eye)
@@ -115,14 +119,18 @@ def sigma_set(F: Objective, x_star: np.ndarray, moments: MomentTensors, c_k: flo
     sigma4 = _nonnegative(float(np.einsum("ab,cd,abcd->", H, H, m4)), "sigma4")
 
     f_star = F.evaluate(x_star)
-    margin_shift = sigma2**2 / 4.0 - (sigma1 / c_k + math.sqrt(sigma1 * sigma4) - sigma3)
-    margin_shift_alt = sigma2**2 / 4.0 - (sigma1 / c_k + math.sqrt(sigma2 * sigma4) - sigma3)
+    sigma1_ck = sigma1 / c_k
+    if not math.isfinite(sigma1_ck):
+        raise ContractError(f"c_k must leave sigma1 / c_k finite, got {c_k} "
+                            f"with sigma1 = {sigma1}")
+    margin_shift = sigma2**2 / 4.0 - (sigma1_ck + math.sqrt(sigma1 * sigma4) - sigma3)
+    margin_shift_alt = sigma2**2 / 4.0 - (sigma1_ck + math.sqrt(sigma2 * sigma4) - sigma3)
 
     if F.sign_constraint == "positive" and f_star > 0:
         Ap = H + 2.0 * np.outer(g, g) / f_star
         sigma4_prime = _nonnegative(float(np.einsum("ab,cd,abcd->", Ap, Ap, m4)), "sigma4_prime")
         margin_scale = sigma2**2 / 4.0 - (
-            sigma1 / c_k
+            sigma1_ck
             + math.sqrt(sigma1 * sigma4_prime)
             - sigma3
             - 4.0 * sigma1 * sigma2 / f_star

@@ -13,7 +13,7 @@ from _oracles import parse_results_csv
 from debias import cli, transport
 from debias.cli import CliParseError, main
 from debias.core import DegenerateDenominatorError, UnsupportedMethodError
-from debias.harness import run_experiment_spec, run_sweep
+from debias.harness import default_workers, run_experiment_spec, run_sweep
 from debias.linalg import FactorizationError
 from debias.objectives import DomainError, EvaluationError
 from debias.observations import ContractError
@@ -433,6 +433,17 @@ def test_sweep_p5_kappa(tmp_path):
     ("sweep P1 --axis kappa --values inf", "kappa"),
     ("sweep P6 --axis alpha --values 1e999", "alpha"),
     ("sweep P6 --axis n_ratio --values inf", "n_ratio"),  # exit 1 with a traceback
+    # exit 1 with an OverflowError traceback
+    ("bench P5 --param ratio_dp=1e-308", "ratio_dp"),  # round(d / ratio_dp) of inf
+    ("bench P2 --param kappa=1e300", "kappa"),  # the truth value's square
+    ("bench P2 --param xstar_norm2=1e300", "xstar_norm2"),
+    ("bench P3 --param xstar_norm2=1e300", "xstar_norm2"),  # the squared-error variance
+    # exit 0 with nan ratios: every naive error underflows to 0
+    ("bench P1 --param sigma=1e-308", "sigma"),
+    ("bench P2 --param sigma=1e-308", "sigma"),
+    ("bench P5 --param sigma=1e-308", "sigma"),
+    ("bench P7 --param sigma=1e-308 --seed 1", "sigma"),
+    ("sweep P1 --axis sigma --values 1,1e-308", "sigma"),
 ])
 def test_bad_parameter_exit_3(tmp_path, capfd, argv, name):
     # capfd also sees the stderr of forked trial children
@@ -554,6 +565,25 @@ def test_theory_bad_noise_exit_3(capsys, problem, argv, name):
     assert main(["theory", "--problem", problem, *argv]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {name} must be finite and > 0, got ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    # exit 1 with an OverflowError traceback from sigma**2
+    (["--sigma", "1e300"], "sigma must have a finite fourth power, got 1e+300"),
+    (["--problem", "quad", "--sigma", "1e300"], "sigma must have a finite fourth power"),
+    (["--problem", "P1", "--sigma", "1e300"], "sigma must have a finite fourth power"),
+    (["--problem", "P2", "--ck", "1e-308"], "c_k must leave sigma1 / c_k finite, got 1e-308"),
+])
+def test_theory_overflow_exit_3(capsys, argv, message):
+    # printed margins of -inf at exit 0 for the --ck case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["theory", *argv])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    assert captured.err.startswith(f"error: {message}") and "Traceback" not in captured.err
     assert captured.out == ""
 
 
@@ -682,7 +712,7 @@ def test_iteration_cap_exit_codes(tmp_path, capsys, monkeypatch, command, supply
     (TransportError, 3),
 ])
 def test_exit_code_per_error_class(monkeypatch, capsys, error, code):
-    def fail(args, cfg):
+    def fail(args):
         raise error("boom")
 
     monkeypatch.setattr(cli, "cmd_theory", fail)
@@ -722,6 +752,114 @@ def test_config_file_and_flag_override(tmp_path, euclid_file, capsys):
                "--method", "shift", "--config", cfg, "--seed", "6", "--no-header"])
     override_out = capsys.readouterr().out
     assert override_out != cfg_out
+
+
+# Every key a --config file may set, per subcommand, with a value to give as
+# a flag, one to give in the file, and the value a run uses when nothing sets
+# it; DEBIAS_SEED, read for the seed alone, is 9 wherever it is set.
+SETTINGS = [
+    ("estimate", "seed", 5, 6, 0),
+    ("estimate", "k", 7, 8, 100),
+    ("estimate", "method", "scale", "cov", "shift"),
+    ("theory", "seed", 5, 6, 0),
+    *[(command, key, flag, config, default)
+      for command, trials, preset in (("bench", 1000, 10), ("sweep", 200, None))
+      for key, flag, config, default in [
+          ("seed", 5, 6, 0),
+          ("trials", 5, 6, trials),
+          ("workers", 2, 3, default_workers()),
+          ("n", 3, 4, preset),
+          ("k", 3, 4, preset),
+          ("method", "scale", "cov", "shift,scale,cov"),
+          ("format", "csv", "json", "csv"),
+      ]],
+]
+
+
+@pytest.mark.parametrize("argv", [["estimate", "obs.csv", "--function", "entropy"],
+                                  ["bench", "P1"], ["sweep", "P1", "--axis", "d", "--values", "2"],
+                                  ["theory"], ["transport", "--cost", "c.csv"]])
+def test_settings_lists_every_settable_key(argv):
+    declared = cli.build_parser().parse_args(argv).settings
+    assert [key for command, key, *_ in SETTINGS if command == argv[0]] == list(declared)
+
+
+def _used(command, key, stdout, out):
+    """The value a run used for ``key``: its results file's format, or what
+    its header's config records (a sweep's n and K among the fixed axes)."""
+    if key == "format":
+        return "json" if out.read_text().startswith("{") else "csv"
+    config = json.loads(stdout.splitlines()[0].removeprefix("# config: "))
+    if command == "estimate":
+        return config[key]
+    field = {"trials": "R", "k": "K", "method": "methods"}.get(key, key)
+    if command == "sweep" and key in ("n", "k"):
+        return config["fixed"].get(field)
+    return ",".join(config[field]) if key == "method" else config[field]
+
+
+@pytest.mark.parametrize("given", ["nothing", "DEBIAS_SEED", "config", "flag"])
+@pytest.mark.parametrize("command, key, flag, config, default", SETTINGS,
+                         ids=[f"{c}-{k}" for c, k, *_ in SETTINGS])
+def test_setting_precedence(tmp_path, euclid_file, capsys, monkeypatch,
+                            command, key, flag, config, default, given):
+    # flag > config file > DEBIAS_SEED (seed only) > the declared default
+    out = tmp_path / "r.out"
+    fast = {"trials": 4, "workers": 1} if command in ("bench", "sweep") else {}
+    argv = {
+        "estimate": [euclid_file, "--function", "quadratic:" + write(tmp_path / "A.csv", "1\n")],
+        "theory": ["--problem", "P1", "--param", "d=2"],
+        "bench": ["P1", "--param", "d=2", "--out", str(out)],
+        "sweep": ["P1", "--axis", "sigma", "--values", "1", "--param", "d=2", "--out", str(out)],
+    }[command]
+    argv = [command, *argv, *(f"--{k}={v}" for k, v in fast.items() if k != key)]
+    if given in ("config", "flag"):
+        argv += ["--config", write(tmp_path / "c.cfg", f"{key}={config}\n")]
+    if given == "flag":
+        argv += [f"--{key}={flag}"]
+    expected = {"nothing": default, "DEBIAS_SEED": 9 if key == "seed" else default,
+                "config": config, "flag": flag}[given]
+
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    monkeypatch.delenv("DEBIAS_SEED", raising=False)
+    if command == "theory":  # its header has no seed: it must print a --seed run's sigmas
+        reference = run(["theory", "--problem", "P1", "--param", "d=2", f"--seed={expected}"])
+    if given != "nothing":
+        monkeypatch.setenv("DEBIAS_SEED", "9")
+    stdout = run(argv)
+    if command == "theory":
+        assert stdout == reference
+    else:
+        assert _used(command, key, stdout, out) == expected
+
+
+@pytest.mark.parametrize("command, option, key", [
+    ("estimate", "flag", "method"),
+    ("estimate", "config", "method"),
+    ("bench P1", "flag", "method"),
+    ("bench P1", "config", "method"),
+    ("bench P1", "config", "format"),  # an empty --format is not among argparse's choices
+    ("sweep P1 --axis sigma --values 1", "config", "method"),
+    ("sweep P1 --axis sigma --values 1", "config", "format"),
+])
+def test_empty_method_or_format_exit_3(tmp_path, euclid_file, capsys, command, option, key):
+    # an empty value meant the default, as if none had been given
+    argv = command.split()
+    if command == "estimate":
+        argv += [euclid_file, "--function", "quadratic:" + write(tmp_path / "A.csv", "1\n")]
+    else:
+        argv += ["--trials", "4", "--workers", "1", "--out", str(tmp_path / "r.csv")]
+    if option == "flag":
+        argv += [f"--{key}="]
+    else:
+        argv += ["--config", write(tmp_path / "e.cfg", f"{key}=\n")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: unknown {key} ''")
+    assert captured.out == "" and not (tmp_path / "r.csv").exists()
 
 
 def test_header_contains_config(tmp_path, euclid_file, capsys):

@@ -91,6 +91,19 @@ def test_hand_made_paired_mse_difference():
     assert one.mse_diff["m"] == 0.0 and math.isnan(one.mse_diff_se["m"])
 
 
+@pytest.mark.parametrize("naive, debiased, message", [
+    ([0.0, 0.0], [1.0, 1.0], "the naive errors sum to 0"),  # rmse_r and bias_r were nan
+    ([1.0, -1.0], [1.0, 1.0], "the naive errors sum to 0"),  # bias_r was nan
+    ([1e-170, 1e-170], [1.0, 1.0], "the naive errors sum to 0"),  # squares underflow to 0
+    ([1e160, 1.0], [1.0, 1.0], "the errors overflow"),  # a naive square is inf
+    ([1e100, 1.0], [1.0, 1.0], "the errors overflow"),  # the variance raised OverflowError
+])
+def test_undefined_ratios_refused_naming_the_experiment(naive, debiased, message):
+    recs = make_records(naive, debiased)
+    with pytest.raises(ContractError, match=f"^S at n=5, K=3: {message}"):
+        _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 0, recs)
+
+
 @pytest.mark.parametrize("family,params,n,K,R,methods", [
     ("P1", {"d": 3}, 10, 10, 200, ["shift", "scale", "cov"]),
     ("P6", {"d": 4}, 8, 12, 60, ["shift", "scale", "cov"]),

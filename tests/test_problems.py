@@ -575,6 +575,17 @@ def test_euclidean_presets_evaluate_whole_batches(family):
         assert inside.shape == (12,) and inside.dtype == bool
 
 
+@pytest.mark.parametrize("family", ["P3", "P4"])
+def test_fn_is_the_one_row_batch_call(family):
+    inst = generate_instance(family, {}, RandomStream(52))
+    F = inst.objective
+    for x in sample_observations(inst, 50, RandomStream(53)).points:
+        assert F.fn(x) == F.fn_many(x[None])[0]
+        if family == "P3":  # the bits of P3's former scalar sum
+            b, c = inst.matrices["b"], inst.matrices["c"]
+            assert F.fn(x) == float(np.sum(b * x + c / x))
+
+
 # BLAKE2b digests of each family's seed-0 instance (truth value, truth input,
 # matrices by name) and of its first trial's n = 5 sample, on the lineage
 # run_experiment_spec uses.  Any change to the order or the arithmetic of the
