@@ -148,8 +148,8 @@ def _load_config(path: str, valid) -> dict:
             raise CliParseError(f"{path}: line {lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in valid:
-            raise CliParseError(f"{path}: line {lineno}: unknown key {key!r}; valid: "
-                                f"{', '.join(valid) or 'none'}")
+            raise CliParseError(f"{path}: line {lineno}: unknown key {key!r}; "
+                                f"valid: {', '.join(valid)}")
         cfg[key] = value
     return cfg
 
@@ -159,7 +159,7 @@ def _settle(args) -> None:
     the --config file, else (the seed only) from DEBIAS_SEED, else its
     declared default; a value from the file or the environment is read with
     its flag's type.  Workers below 1 are refused."""
-    cfg = _load_config(args.config, args.settings) if args.config else {}
+    cfg = _load_config(args.config, args.settings) if vars(args).get("config") else {}
     for key, (cast, default) in args.settings.items():
         if getattr(args, key) is not None:
             continue
@@ -244,13 +244,11 @@ def cmd_estimate(args) -> int:
     config = {"data": args.data, "function": args.function, "method": args.method,
               "k": args.k, "seed": args.seed, "n": len(obs)}
     _print_header(config, args.no_header)
-    print(f"naive_value = {est.naive_value!r}")
-    print(f"correction = {est.correction!r}")
-    print(f"debiased_value = {est.debiased_value!r}")
+    values = {key: getattr(est, key) for key in ("naive_value", "correction", "debiased_value")}
+    for key, value in values.items():
+        print(f"{key} = {value!r}")
     if args.out:
-        payload = {"config": config, "naive_value": est.naive_value,
-                   "correction": est.correction, "debiased_value": est.debiased_value,
-                   "method": est.method}
+        payload = {"config": config, **values, "method": est.method}
         with _writing(args.out), open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -348,19 +346,20 @@ def cmd_theory(args) -> int:
         raise ContractError(f"theory subcommand supports Gaussian-noise problems, not {args.problem}")
     else:
         raise ContractError(f"unknown theory problem {args.problem!r}; use quad1d, quad, P1, P2, or P5")
-    moments = moments_gaussian(args.sigma, x_star.size)
-    ss = sigma_set(F, x_star, moments, args.ck)
+    with np.errstate(over="raise", invalid="raise"):
+        try:  # an overflow raises (numpy's, or Python's from ``**``) or leaves an inf
+            ss = vars(sigma_set(F, x_star, moments_gaussian(args.sigma, x_star.size), args.ck))
+            finite = np.isfinite([v for v in ss.values() if v is not None]).all()
+        except (OverflowError, FloatingPointError):
+            finite = False
+    if not finite:
+        raise ContractError(f"--sigma {args.sigma!r} at --ck {args.ck!r} leaves a sigma "
+                            "or a margin outside float64")
     config.update(sigma=args.sigma, ck=args.ck, d=int(x_star.size))
     _print_header(config, args.no_header)
-    print(f"sigma1 = {ss.sigma1!r}")
-    print(f"sigma2 = {ss.sigma2!r}")
-    print(f"sigma3 = {ss.sigma3!r}")
-    print(f"sigma4 = {ss.sigma4!r}")
-    print(f"sigma4_prime = {ss.sigma4_prime!r}")
-    print(f"f_star = {ss.f_star!r}")
-    print(f"margin_shift = {ss.margin_shift!r}")
-    print(f"margin_shift_alt = {ss.margin_shift_alt!r}")
-    print(f"margin_scale = {ss.margin_scale!r}")
+    for key, value in ss.items():  # SigmaSet's fields in order, but its input c_k
+        if key != "c_k":
+            print(f"{key} = {value!r}")
     return 0
 
 
@@ -399,9 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, handler, settings, out_default=True):
         """The options every subcommand takes and its handler.  ``settings``
         maps each key its --config file may set, in the order the keys are
-        listed, to the value it takes when nothing sets it (see ``_settle``)."""
-        p.add_argument("--seed", type=int, default=None, help="master seed (env DEBIAS_SEED as fallback)")
-        p.add_argument("--config", default=None, help="key=value config file; flags override it")
+        listed, to the value it takes when nothing sets it (see ``_settle``);
+        --seed is taken only with a seed setting, --config only with any."""
+        if "seed" in settings:
+            p.add_argument("--seed", type=int, default=None, help="master seed (env DEBIAS_SEED as fallback)")
+        if settings:
+            p.add_argument("--config", default=None, help="key=value config file; flags override it")
         p.add_argument("--no-header", action="store_true", help="suppress config/timestamp headers")
         if out_default:
             p.add_argument("--out", default=None, help="output path")

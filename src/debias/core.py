@@ -4,7 +4,8 @@ A convex F evaluated at a noisy sample average carries systematic positive
 bias (Jensen's inequality).  Three corrections are provided:
 
 * **shift**: additive, ``c_hat = F(xbar) - mean_k F(xtilde_k)`` over K
-  bootstrap resample means; debiased value ``F(xbar) + c_hat``.
+  bootstrap resample means, each of n draws from the input's n points (a
+  cloud's own n_i); debiased value ``F(xbar) + c_hat``.
 * **scale**: multiplicative, for sign-definite F,
   ``s_hat = F(xbar) * sum_k F(xtilde_k) / sum_k F(xtilde_k)^2``;
   debiased value ``s_hat * F(xbar)``.
@@ -51,17 +52,14 @@ class DegenerateDenominatorError(EvaluationError):
 
 @dataclass(frozen=True)
 class BootstrapPlan:
-    """Resampling plan: K rounds of resamples of size m (default m = n).
-    The draws come from the stream passed with the plan, not from the plan."""
+    """K resamples, each of the input's own n points (a P7 cloud's own n_i),
+    drawn from the stream passed with the plan, not from the plan."""
 
     rounds: int
-    size: Optional[int] = None
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ContractError(f"rounds must be >= 1, got {self.rounds}")
-        if self.size is not None and self.size < 1:
-            raise ContractError(f"size must be >= 1, got {self.size}")
 
 
 @dataclass
@@ -85,14 +83,13 @@ class DebiasEstimate:
 def bootstrap_means(points: np.ndarray, plan: BootstrapPlan,
                     rng: RandomStream) -> list[tuple[np.ndarray, np.ndarray]]:
     """The K resample mixtures of a point cloud's (n, d) points, as
-    (points, weights) arrays: the k-th puts on each point its share of m
+    (points, weights) arrays: the k-th puts on each point its share of n
     draws with replacement, from its multinomial count vector.
 
     Deterministic given (point order, plan, rng state).
     """
     counts = _resample_counts(_uniform(len(points)), plan, rng)
-    m = counts.sum(axis=1)
-    return [mixture(points, counts[k] / m[k]) for k in range(counts.shape[0])]
+    return [mixture(points, row / len(points)) for row in counts]
 
 
 def _uniform(n: int) -> np.ndarray:
@@ -101,12 +98,11 @@ def _uniform(n: int) -> np.ndarray:
 
 
 def _resample_counts(p: np.ndarray, plan: BootstrapPlan, rng: RandomStream) -> np.ndarray:
-    """(K, n) multinomial count matrix for the plan, over the n categories of
-    ``p = _uniform(n)``, which a block builds once for all its draws
-    (``multinomial`` only reads it).  Over one category every row is m, and
-    ``multinomial`` draws nothing from the stream to say so."""
-    m = plan.size if plan.size is not None else len(p)
-    counts = rng.generator.multinomial(m, p, size=plan.rounds)
+    """(K, n) multinomial count matrix for the plan: n draws over the n
+    categories of ``p = _uniform(n)``, which a block builds once for all its
+    draws (``multinomial`` only reads it).  Over one category every row is
+    1, and ``multinomial`` draws nothing from the stream to say so."""
+    counts = rng.generator.multinomial(len(p), p, size=plan.rounds)
     return counts.astype(np.int64, copy=False)
 
 
@@ -116,8 +112,7 @@ def _euclidean_resample_means(centers: np.ndarray, deviations: np.ndarray,
     deviations from those means (B, n, d) and their counts (B, K, n)."""
     # centered form: a set of identical observations yields means bit-equal
     # to the sample mean for every count vector
-    m = counts.sum(axis=-1, keepdims=True)
-    return centers[:, None] + (counts @ deviations) / m
+    return centers[:, None] + (counts @ deviations) / counts.shape[-1]
 
 
 class EuclideanBlock:
@@ -195,8 +190,8 @@ class EmpiricalBlock:
     F is evaluated only through its paired ``fn_many``: each pair's naive
     value at one uniform coefficient row per cloud, when the block is built,
     and all K resample pairs of an input from their coefficient rows in one
-    call.  The two clouds of a pair are resampled independently, cloud i with
-    its own size from ``rng.split(i)``.
+    call.  The two clouds of a pair are resampled independently, cloud i of
+    n_i points with n_i draws from ``rng.split(i)``.
     """
 
     def __init__(self, F: Objective, inputs):
@@ -219,9 +214,8 @@ class EmpiricalBlock:
         return [self._values(obs, plan, rng) for obs, rng in zip(self.inputs, rngs)]
 
     def _values(self, obs, plan, rng) -> np.ndarray:
-        counts = [_resample_counts(self.uniform[len(s)], plan, rng.split(i))
+        coeffs = [_resample_counts(self.uniform[len(s)], plan, rng.split(i)) / len(s)
                   for i, s in enumerate(obs)]
-        coeffs = [c / c.sum(axis=1, keepdims=True) for c in counts]
         return _indexed(map(self.F.finite, self.F.fn_many(obs, coeffs)))
 
     def covariance(self) -> list[float]:
@@ -264,12 +258,14 @@ def _shift_correction(naive: float, values) -> float:
 
 
 def _scale_correction(naive: float, values) -> float:
-    denom = math.fsum((values * values).tolist())
+    # per-term Python float products: numpy's bits without its overflow
+    # warning.  On a degenerate set s is exactly 1 where fn and fn_many sum
+    # alike, and within a few ulps of 1 where they do not
+    values = values.tolist()
+    denom = math.fsum([v * v for v in values])
     if denom < 1e-300:
         raise DegenerateDenominatorError("sum of squared bootstrap values vanished")
-    # per-term products: on a degenerate set s is exactly 1 where fn and
-    # fn_many sum alike, and within a few ulps of 1 where they do not
-    return math.fsum((naive * values).tolist()) / denom
+    return math.fsum([naive * v for v in values]) / denom
 
 
 # method -> (DebiasEstimate.method, correction from (naive, K bootstrap values))

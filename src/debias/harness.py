@@ -117,7 +117,8 @@ def _trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
         for trial, naive, c, path in zip(debiased_values, block.naive, corr, paths):
             trial[m] = debiased(m, naive, c)
             if not math.isfinite(trial[m]):
-                raise ContractError(f"trial {path}: method {m} produced {trial[m]}")
+                raise ContractError(f"{instance.id} at {named(instance.params)}: trial {path}: "
+                                    f"method {m} produced {trial[m]}")
     return [TrialRecord(naive, trial, path, fingerprint)
             for naive, trial, path, fingerprint in zip(block.naive, debiased_values, paths,
                                                        _fingerprints(inputs))]

@@ -11,7 +11,6 @@ objective."""
 
 import dataclasses
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from debias.observations import (
     mean_observation,
     mixture,
 )
+from debias.problems import named
 from debias.resampling import RandomStream, categorical_cdf
 from debias.theory import _MAX_M4_DIM, MomentTensors
 from debias.transport import transport_value
@@ -176,7 +176,8 @@ def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
     for j, m in enumerate(methods):
         value = debias(m, instance.objective, obs, plan, stream.split(1 + j)).debiased_value
         if not math.isfinite(value):
-            raise ContractError(f"trial {stream.path}: method {m} produced {value}")
+            raise ContractError(f"{instance.id} at {named(instance.params)}: "
+                                f"trial {stream.path}: method {m} produced {value}")
         debiased[m] = value
     fingerprint = _fingerprints([tuple(s.points for s in obs)] if paired
                                 else obs.points[None])[0]
@@ -198,12 +199,12 @@ def wasserstein_reference(p, q) -> float:
 def paired_coefficients_reference(clouds, plan, stream) -> list[np.ndarray]:
     """The (K, n_i) resample coefficients of each of a pair of (n_i, d) point
     clouds: cloud i draws its counts from ``stream.split(i)``, and row k is
-    count vector k divided by its total."""
+    count vector k divided by n_i, its total."""
     out = []
     for i, points in enumerate(clouds):
-        counts = _resample_counts(_uniform(len(points)), plan, stream.split(i))
-        m = counts.sum(axis=1)
-        out.append(np.stack([counts[k] / m[k] for k in range(plan.rounds)]))
+        n = len(points)
+        counts = _resample_counts(_uniform(n), plan, stream.split(i))
+        out.append(np.stack([counts[k] / n for k in range(plan.rounds)]))
     return out
 
 
@@ -302,36 +303,35 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def resample_distribution(obs_set: ObservationSet, resample_size: Optional[int] = None):
-    """Yield (probability, mean observation) over all size-m resamples.
+def resample_distribution(obs_set: ObservationSet):
+    """Yield (probability, mean observation) over all resamples of the set's
+    n points.
 
-    There are n^m equally likely index draws; draws sharing a count vector
+    There are n^n equally likely index draws; draws sharing a count vector
     share a mean, so the enumeration runs over count vectors weighted by
-    multinomial coefficients.  Guarded to n^m <= 1e6.
+    multinomial coefficients.  Guarded to n^n <= 1e6.
     """
     n = len(obs_set)
-    m = resample_size if resample_size is not None else n
-    if n ** m > 1_000_000:
-        raise ContractError(f"exact enumeration needs n^m <= 1e6, got {n}^{m}")
-    m_factorial = math.factorial(m)
-    n_pow_m = n ** m
+    if n ** n > 1_000_000:
+        raise ContractError(f"exact enumeration needs n^n <= 1e6, got {n}^{n}")
+    n_factorial = math.factorial(n)
+    n_pow_n = n ** n
     center = mean_observation(obs_set)
     deviations = obs_set.points - center
-    for counts in _compositions(m, n):
-        coeff = m_factorial
+    for counts in _compositions(n, n):
+        coeff = n_factorial
         for k in counts:
             coeff //= math.factorial(k)  # exact: multinomial coefficients are integers
-        weight = coeff / n_pow_m
-        yield weight, center + np.asarray(counts, dtype=float) @ deviations / m
+        weight = coeff / n_pow_n
+        yield weight, center + np.asarray(counts, dtype=float) @ deviations / n
 
 
-def exact_resample_expectation(obs_set: ObservationSet, statistic, resample_size: Optional[int] = None) -> float:
+def exact_resample_expectation(obs_set: ObservationSet, statistic) -> float:
     """E[statistic(resample mean)] by exact enumeration."""
-    return math.fsum(w * statistic(obs) for w, obs in resample_distribution(obs_set, resample_size))
+    return math.fsum(w * statistic(obs) for w, obs in resample_distribution(obs_set))
 
 
-def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str,
-                             resample_size: Optional[int] = None) -> DebiasEstimate:
+def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str) -> DebiasEstimate:
     """Bootstrap debiasing with the K-average replaced by the exact expectation.
 
     Deterministic; serves as the oracle for the randomized estimators in the
@@ -344,7 +344,7 @@ def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str,
         raise UnsupportedMethodError(reason)
     mean = mean_observation(obs_set)
     naive = F.evaluate(mean)
-    terms = [(w, F.evaluate(obs)) for w, obs in resample_distribution(obs_set, resample_size)]
+    terms = [(w, F.evaluate(obs)) for w, obs in resample_distribution(obs_set)]
     if mode == "shift":
         correction = math.fsum(w * (naive - v) for w, v in terms)
     else:

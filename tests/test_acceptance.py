@@ -56,19 +56,17 @@ def test_criterion_1_quadratic_resampling_identity():
     crit = Criterion(1, budget=1.0)
     rng = RandomStream(101)
     worst = 0.0
-    for n in (2, 3):
-        for m in (2, 3):
-            for d in (1, 2, 3):
-                for rep in range(50):
-                    sub = rng.split(n * 1000 + m * 100 + d * 10).split(rep)
-                    pts = sub.normal((n, d))
-                    A = sub.normal((d, d))
-                    obs = ObservationSet.from_points(pts)
-                    xbar = mean_observation(obs)
-                    lhs = exact_resample_expectation(
-                        obs, lambda o: quadratic_form(A, o - xbar), m)
-                    rhs = math.fsum(quadratic_form(A, p - xbar) for p in pts) / (n * m)
-                    worst = max(worst, abs(lhs - rhs))
+    for n in (2, 3, 4):
+        for d in (1, 2, 3):
+            for rep in range(50):
+                sub = rng.split(n * 1000 + d * 10).split(rep)
+                pts = sub.normal((n, d))
+                A = sub.normal((d, d))
+                obs = ObservationSet.from_points(pts)
+                xbar = mean_observation(obs)
+                lhs = exact_resample_expectation(obs, lambda o: quadratic_form(A, o - xbar))
+                rhs = math.fsum(quadratic_form(A, p - xbar) for p in pts) / (n * n)
+                worst = max(worst, abs(lhs - rhs))
     crit.finish(worst < 1e-12, f"quadratic-form identity, worst |diff| = {worst:.2e}")
 
 
@@ -76,25 +74,24 @@ def test_criterion_2_third_order_resampling_identity():
     crit = Criterion(2, budget=1.0)
     rng = RandomStream(102)
     worst = 0.0
-    for n in (2, 3):
-        for m in (2, 3):
-            for d in (1, 2, 3):
-                for rep in range(50):
-                    sub = rng.split(n * 1000 + m * 100 + d * 10).split(rep)
-                    pts = sub.normal((n, d))
-                    T = random_symmetric_tensor3(d, sub)
-                    obs = ObservationSet.from_points(pts)
-                    xbar = mean_observation(obs)
+    for n in (2, 3, 4):
+        for d in (1, 2, 3):
+            for rep in range(50):
+                sub = rng.split(n * 1000 + d * 10).split(rep)
+                pts = sub.normal((n, d))
+                T = random_symmetric_tensor3(d, sub)
+                obs = ObservationSet.from_points(pts)
+                xbar = mean_observation(obs)
 
-                    def cubic(o):
-                        y = o - xbar
-                        return float(np.einsum("abc,a,b,c->", T, y, y, y))
+                def cubic(o):
+                    y = o - xbar
+                    return float(np.einsum("abc,a,b,c->", T, y, y, y))
 
-                    lhs = exact_resample_expectation(obs, cubic, m)
-                    rhs = math.fsum(
-                        float(np.einsum("abc,a,b,c->", T, p - xbar, p - xbar, p - xbar))
-                        for p in pts) / (m * m * n)
-                    worst = max(worst, abs(lhs - rhs))
+                lhs = exact_resample_expectation(obs, cubic)
+                rhs = math.fsum(
+                    float(np.einsum("abc,a,b,c->", T, p - xbar, p - xbar, p - xbar))
+                    for p in pts) / (n * n * n)
+                worst = max(worst, abs(lhs - rhs))
     crit.finish(worst < 1e-12, f"third-order identity, worst |diff| = {worst:.2e}")
 
 

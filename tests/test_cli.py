@@ -239,7 +239,7 @@ def test_config_format_checked_before_trials(tmp_path, capsys, command):
     ("sweep P1 --axis sigma --values 1", "K", "seed, trials, workers, n, k, method, format"),
     ("estimate", "trials", "seed, k, method"),
     ("theory", "k", "seed"),
-    ("transport", "seed", "none"),
+    ("transport", "seed", None),
 ], ids=["bench", "sweep", "estimate", "theory", "transport"])
 def test_unknown_config_key_exit_2(tmp_path, euclid_file, capsys, command, key, valid):
     # bench ran its default 1000 trials and exited 0 with trails=3 in the file
@@ -248,15 +248,21 @@ def test_unknown_config_key_exit_2(tmp_path, euclid_file, capsys, command, key, 
     if command == "estimate":
         args += [euclid_file, "--function", "quadratic:" + write(tmp_path / "A.csv", "1\n")]
     if command == "transport":
+        # it declares no setting, so argparse refuses --config and --seed
+        # (both were taken, and the seed ignored)
         args += ["--cost", write(tmp_path / "cost.csv", "0 1\n1 0\n")]
-        cfg = write(tmp_path / "c.cfg", f"{key}=3\n")
+        for flag in (["--config", cfg], ["--seed", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*args, *flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        return
     if command.split()[0] in ("bench", "sweep"):
         args += ["--workers", "1", "--out", str(tmp_path / "r.csv")]
     rc = main([*args, "--config", cfg])
     captured = capsys.readouterr()
     assert rc == 2
-    line = 1 if command == "transport" else 3
-    assert captured.err == f"error: {cfg}: line {line}: unknown key {key!r}; valid: {valid}\n"
+    assert captured.err == f"error: {cfg}: line 3: unknown key {key!r}; valid: {valid}\n"
     assert captured.out == "" and not (tmp_path / "r.csv").exists()
 
 
@@ -444,6 +450,9 @@ def test_sweep_p5_kappa(tmp_path):
     ("bench P5 --param sigma=1e-308", "sigma"),
     ("bench P7 --param sigma=1e-308 --seed 1", "sigma"),
     ("sweep P1 --axis sigma --values 1,1e-308", "sigma"),
+    # exit 3 after numpy overflow warnings from the scale correction's products
+    ("bench P1 --param kappa=1e300", "kappa"),
+    ("bench P3 --param c_norm=1e200", "c_norm"),
 ])
 def test_bad_parameter_exit_3(tmp_path, capfd, argv, name):
     # capfd also sees the stderr of forked trial children
@@ -574,6 +583,10 @@ def test_theory_bad_noise_exit_3(capsys, problem, argv, name):
     (["--problem", "quad", "--sigma", "1e300"], "sigma must have a finite fourth power"),
     (["--problem", "P1", "--sigma", "1e300"], "sigma must have a finite fourth power"),
     (["--problem", "P2", "--ck", "1e-308"], "c_k must leave sigma1 / c_k finite, got 1e-308"),
+    # exit 0 printing margin_shift_alt = -inf
+    (["--sigma", "1e60"], "--sigma 1e+60 at --ck 1.0 leaves a sigma or a margin outside float64"),
+    # exit 1 with an OverflowError traceback from sigma2**2
+    (["--sigma", "1e77"], "--sigma 1e+77 at --ck 1.0 leaves a sigma or a margin outside float64"),
 ])
 def test_theory_overflow_exit_3(capsys, argv, message):
     # printed margins of -inf at exit 0 for the --ck case

@@ -33,8 +33,8 @@ from debias.core import (
 )
 from debias.objectives import DomainError, EvaluationError, Objective
 from debias.observations import ContractError, ObservationSet, mean_observation
-from debias.problems import (FAMILIES, generate_instance, p1_quadratic, p6_entropy,
-                             p7_wasserstein)
+from debias.problems import (FAMILIES, generate_instance, p1_quadratic, p2_quartic,
+                             p3_rational, p6_entropy, p7_wasserstein)
 from debias.resampling import RandomStream
 from debias.transport import IterationCapError, TransportError
 
@@ -68,9 +68,9 @@ def test_bootstrap_means_single_atom():
 
 
 def test_bootstrap_means_two_point_distribution():
-    # resample means of {0, 2} with m=2 hit {0, 1, 2} w.p. {1/4, 1/2, 1/4}
+    # resample means of {0, 2} hit {0, 1, 2} w.p. {1/4, 1/2, 1/4}
     K = 4000
-    vals = resample_means([[0.0], [2.0]], BootstrapPlan(rounds=K, size=2), RandomStream(1))[:, 0]
+    vals = resample_means([[0.0], [2.0]], BootstrapPlan(rounds=K), RandomStream(1))[:, 0]
     assert set(np.unique(vals)) <= {0.0, 1.0, 2.0}
     for target, prob in ((0.0, 0.25), (1.0, 0.5), (2.0, 0.25)):
         freq = np.mean(vals == target)
@@ -252,7 +252,7 @@ def test_diagonal_hessian_covariance_keeps_full_contraction_bits(family, n):
 def test_exact_size_guard():
     s = ObservationSet.from_points(np.random.default_rng(10).normal(size=(30, 1)))
     with pytest.raises(ContractError):
-        exact_expectation_debias(quad1d(), s, "shift", resample_size=30)
+        exact_expectation_debias(quad1d(), s, "shift")
 
 
 def test_exact_mode_validation():
@@ -272,13 +272,16 @@ def test_bootstrap_converges_to_exact():
     assert abs(est.correction - exact) < 4 * se
 
 
-def test_bootstrap_consistency_over_seeds():
-    # spec protocol: 200 seeds, K = 10_000, n = 5, d = 2 quadratic
+@pytest.mark.parametrize("family", ["P1", "P2", "P3"])
+def test_bootstrap_consistency_over_seeds(family):
+    # spec protocol: 200 seeds, K = 10_000, n = 5, d = 2; the mean shift
+    # correction is unbiased for the exact one.  P3's set lies in its orthant
     rng = RandomStream(12)
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
-    F = p1_quadratic(A)
+    F = {"P1": p1_quadratic(A), "P2": p2_quartic(A),
+         "P3": p3_rational(np.array([1.0, 2.0]), np.array([0.5, 1.5]))}[family]
     pts = rng.normal((5, 2))
-    s = ObservationSet.from_points(pts)
+    s = ObservationSet.from_points(np.abs(pts) + 0.5 if family == "P3" else pts)
     exact = exact_expectation_debias(F, s, "shift").correction
     draws = np.array([
         shift_debias(F, s, BootstrapPlan(rounds=10_000), rng.split(t)).correction
@@ -320,7 +323,7 @@ def test_jensen_direction_exact_shift():
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(n=st.integers(2, 4), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_exact_shift_is_plugin_covariance_for_quadratic(n, d, seed):
-    # F = x'Ax: the exact shift correction at m = n is
+    # F = x'Ax: the exact shift correction is
     # -(1/n^2) sum_i ||x_i - xbar||^2_A, the cov correction with q = n.  The
     # oracle sums differences F(xbar) - F(xt) that cancel when the spread is
     # small against the mean, so its rounding scales with F(xbar) too
@@ -391,7 +394,7 @@ def test_degenerate_set_fixed_point():
     F = quad1d()
     for val in (0.1, 1 / 3, 0.7):
         s = ObservationSet.from_points([[val]] * 5)
-        plan = BootstrapPlan(rounds=30, size=7)
+        plan = BootstrapPlan(rounds=30)
         assert shift_debias(F, s, plan, RandomStream(1)).correction == 0.0
         assert scale_debias(F, s, plan, RandomStream(1)).correction == 1.0
         assert covariance_debias(F, s).correction == 0.0
@@ -421,27 +424,25 @@ def test_degenerate_set_corrections_per_family(family):
 
 
 def test_quadratic_resampling_identity():
-    # E ||xt - xbar||^2_A == (1/(n m)) sum_i ||x_i - xbar||^2_A, any matrix A
+    # E ||xt - xbar||^2_A == (1/n^2) sum_i ||x_i - xbar||^2_A, any matrix A
     rng = RandomStream(15)
     for _ in range(25):
-        n = int(rng.generator.integers(2, 4))
-        m = int(rng.generator.integers(2, 4))
+        n = int(rng.generator.integers(2, 5))
         d = int(rng.generator.integers(1, 4))
         pts = rng.normal((n, d))
         A = rng.normal((d, d))
         obs = ObservationSet.from_points(pts)
         xbar = mean_observation(obs)
-        lhs = exact_resample_expectation(obs, lambda o: quadratic_form(A, o - xbar), m)
-        rhs = math.fsum(quadratic_form(A, p - xbar) for p in pts) / (n * m)
+        lhs = exact_resample_expectation(obs, lambda o: quadratic_form(A, o - xbar))
+        rhs = math.fsum(quadratic_form(A, p - xbar) for p in pts) / (n * n)
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_third_order_resampling_identity():
-    # E T[(xt - xbar)]^3 == (1/(m^2 n)) sum_i T[(x_i - xbar)]^3
+    # E T[(xt - xbar)]^3 == (1/n^3) sum_i T[(x_i - xbar)]^3
     rng = RandomStream(16)
     for _ in range(25):
-        n = int(rng.generator.integers(2, 4))
-        m = int(rng.generator.integers(2, 4))
+        n = int(rng.generator.integers(2, 5))
         d = int(rng.generator.integers(1, 4))
         pts = rng.normal((n, d))
         T = random_symmetric_tensor3(d, rng)
@@ -452,10 +453,10 @@ def test_third_order_resampling_identity():
             y = o - xbar
             return float(np.einsum("abc,a,b,c->", T, y, y, y))
 
-        lhs = exact_resample_expectation(obs, cubic, m)
+        lhs = exact_resample_expectation(obs, cubic)
         rhs = math.fsum(
             float(np.einsum("abc,a,b,c->", T, p - xbar, p - xbar, p - xbar)) for p in pts
-        ) / (m * m * n)
+        ) / (n * n * n)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -508,15 +509,14 @@ def outcomes(values):
     return out
 
 
-@pytest.mark.parametrize("size", [None, 4])
 @pytest.mark.parametrize("far", [False, True])
-def test_paired_resamples_match_per_resample_reference(far, size):
+def test_paired_resamples_match_per_resample_reference(far):
     # with ``far`` the costs between the clouds overflow, so each resample
     # pair's costs are checked on their own: pairs without the far point give
     # the reference's bits, and the first one holding it fails as it does
     sets = crafted_pair(far)
     clouds = tuple(s.points for s in sets)
-    plan = BootstrapPlan(rounds=40, size=size)
+    plan = BootstrapPlan(rounds=40)
     coeffs = paired_coefficients_reference(clouds, plan, RandomStream(21))
     want = outcomes(paired_values_reference(clouds, coeffs))
     assert outcomes(p7_wasserstein().fn_many(clouds, coeffs)) == want
@@ -639,5 +639,5 @@ def test_nonfinite_value_aborts():
 def test_plan_validation():
     with pytest.raises(ContractError):
         BootstrapPlan(rounds=0)
-    with pytest.raises(ContractError):
-        BootstrapPlan(rounds=5, size=0)
+    # a resample has the input's own n points: the plan sets only K
+    assert [f.name for f in dataclasses.fields(BootstrapPlan)] == ["rounds"]

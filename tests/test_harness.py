@@ -1,6 +1,5 @@
 import concurrent.futures
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -208,17 +207,17 @@ def test_p7_trial_runs():
     assert set(rec.debiased) == {"shift", "scale"}
 
 
-@pytest.mark.parametrize("params, n, K, m_size", [
-    ({}, 10, 50, None),  # the preset
-    ({"m_samples": 7}, 10, 50, None),
-    ({"d": 1}, 10, 50, None),
-    ({"d": 32}, 10, 50, None),
-    ({"d": 2, "m_samples": 4}, 3, 5, 6),
+@pytest.mark.parametrize("params, n, K", [
+    ({}, 10, 50),  # the preset
+    ({"m_samples": 7}, 10, 50),
+    ({"d": 1}, 10, 50),
+    ({"d": 32}, 10, 50),
+    ({"d": 2, "m_samples": 4}, 3, 5),
 ])
-def test_p7_records_match_per_resample_reference(params, n, K, m_size):
+def test_p7_records_match_per_resample_reference(params, n, K):
     # the batched resamples give the records of the mixture-per-resample loop
     instance = generate_instance("P7", params, RandomStream(5).split(0))
-    plan = BootstrapPlan(rounds=K, size=m_size)
+    plan = BootstrapPlan(rounds=K)
     root = RandomStream(5).split(1)
     got = run_trials(instance, n, plan, ["shift", "scale"], root, 0, 3)
     want = [paired_trial_reference(instance, n, plan, ["shift", "scale"], root.split(t))
@@ -337,27 +336,16 @@ def test_default_workers_counts_usable_cpus(monkeypatch):
     assert harness.default_workers() == 1
 
 
-def sized_block(m_size, family, params, seed, exp_index, n, K, methods, t_lo, t_hi):
-    """``_trial_block`` with resamples of ``m_size`` points, so m != n."""
-    master = RandomStream(seed).split(exp_index)
-    instance = generate_instance(family, params, master.split(0))
-    return run_trials(instance, n, BootstrapPlan(rounds=K, size=m_size), methods,
-                      master.split(1), t_lo, t_hi)
-
-
-def check_worker_blocks(family, params, m_size, methods):
+def check_worker_blocks(family, params, methods):
     """The records of two blocks run in a real process pool (--workers 2)
-    equal the in-process records (--workers 1).  The pool runs
-    ``_trial_block``, or ``sized_block`` when ``m_size`` is given."""
+    by ``_trial_block`` equal the in-process records (--workers 1)."""
     seed, exp_index, n, K, R = 21, 1, 5, 4, 6
     master = RandomStream(seed).split(exp_index)
     instance = generate_instance(family, params, master.split(0))
-    local = run_trials(instance, n, BootstrapPlan(rounds=K, size=m_size), methods,
-                       master.split(1), 0, R)
-    block = (_trial_block if m_size is None
-             else functools.partial(sized_block, m_size))
+    local = run_trials(instance, n, BootstrapPlan(rounds=K), methods, master.split(1), 0, R)
     with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-        halves = [pool.submit(block, family, params, seed, exp_index, n, K, methods, lo, hi)
+        halves = [pool.submit(_trial_block, family, params, seed, exp_index, n, K, methods,
+                              lo, hi)
                   for lo, hi in ((0, R // 2), (R // 2, R))]
         remote = [rec for half in halves for rec in half.result(timeout=120)]
     assert remote == local
@@ -370,18 +358,18 @@ def check_worker_blocks(family, params, m_size, methods):
     ("P7", {"d": 2}, ["shift", "scale"]),
 ])
 def test_worker_blocks_carry_lineage(family, params, methods):
-    check_worker_blocks(family, params, None, methods)
+    check_worker_blocks(family, params, methods)
 
 
-@pytest.mark.parametrize("family,params,m_size,methods", [
-    ("P2", {"d": 2}, 3, ["shift", "scale", "cov"]),
-    ("P3", {"d": 4}, None, ["shift", "scale", "cov"]),
-    ("P4", {"d": 2}, 8, ["shift", "scale"]),
-    ("P5", {"d": 3}, None, ["shift", "scale"]),
-    ("P6", {"d": 4}, 7, ["shift", "scale", "cov"]),
+@pytest.mark.parametrize("family,params,methods", [
+    ("P2", {"d": 2}, ["shift", "scale", "cov"]),
+    ("P3", {"d": 4}, ["shift", "scale", "cov"]),
+    ("P4", {"d": 2}, ["shift", "scale"]),
+    ("P5", {"d": 3}, ["shift", "scale"]),
+    ("P6", {"d": 4}, ["shift", "scale", "cov"]),
 ])
-def test_worker_blocks_match_for_each_euclidean_family(family, params, m_size, methods):
-    check_worker_blocks(family, params, m_size, methods)
+def test_worker_blocks_match_for_each_euclidean_family(family, params, methods):
+    check_worker_blocks(family, params, methods)
 
 
 # ---------------------------------------------------------------------------
@@ -409,28 +397,28 @@ def block_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("family,params,n,K,m_size,methods", [
-    ("P1", {"d": 3}, 6, 5, None, ["shift", "scale", "cov"]),
-    ("P1", {"d": 2}, 1, 3, 2, ["shift", "scale"]),
-    ("P2", {"d": 2}, 5, 4, 3, ["shift", "scale", "cov"]),
-    ("P3", {"d": 4}, 7, 6, None, ["shift", "scale", "cov"]),
-    ("P3", {"d": 1}, 4, 3, 9, ["shift", "scale", "cov"]),
-    ("P4", {"d": 2}, 5, 5, 8, ["shift", "scale"]),
-    ("P5", {"d": 2}, 6, 2, None, ["shift", "scale"]),
-    ("P5", {"d": 3}, 4, 7, 5, ["shift", "scale"]),
-    ("P6", {"d": 4}, 8, 5, 11, ["shift", "scale", "cov"]),
-    ("P7", {"d": 2}, 5, 6, None, ["shift", "scale"]),
-    ("P7", {"d": 3, "m_samples": 4}, 3, 5, 6, ["scale", "shift"]),
+@pytest.mark.parametrize("family,params,n,K,methods", [
+    ("P1", {"d": 3}, 6, 5, ["shift", "scale", "cov"]),
+    ("P1", {"d": 2}, 1, 3, ["shift", "scale"]),
+    ("P2", {"d": 2}, 5, 4, ["shift", "scale", "cov"]),
+    ("P3", {"d": 4}, 7, 6, ["shift", "scale", "cov"]),
+    ("P3", {"d": 1}, 4, 3, ["shift", "scale", "cov"]),
+    ("P4", {"d": 2}, 5, 5, ["shift", "scale"]),
+    ("P5", {"d": 2}, 6, 2, ["shift", "scale"]),
+    ("P5", {"d": 3}, 4, 7, ["shift", "scale"]),
+    ("P6", {"d": 4}, 8, 5, ["shift", "scale", "cov"]),
+    ("P7", {"d": 2}, 5, 6, ["shift", "scale"]),
+    ("P7", {"d": 3, "m_samples": 4}, 3, 5, ["scale", "shift"]),
     # 3000 cells a trial: the default BLOCK_CELLS cuts R = 7 into 2 + 2 + 2 + 1
-    ("P2", {"d": 2}, 50, 60, None, ["shift", "scale", "cov"]),
+    ("P2", {"d": 2}, 50, 60, ["shift", "scale", "cov"]),
     # a 3x3 matrix point: 9 coordinates against n = 5, so a trial is K x 9 cells
-    ("P4", {"d": 3}, 5, 4, None, ["shift", "scale"]),
+    ("P4", {"d": 3}, 5, 4, ["shift", "scale"]),
 ])
-def test_block_size_does_not_change_records(monkeypatch, family, params, n, K, m_size, methods):
+def test_block_size_does_not_change_records(monkeypatch, family, params, n, K, methods):
     R = 7
     master = RandomStream(31).split(2)
     instance = generate_instance(family, params, master.split(0))
-    plan = BootstrapPlan(rounds=K, size=m_size)
+    plan = BootstrapPlan(rounds=K)
     root = master.split(1)
     want = record_bits([run_trial_reference(instance, n, plan, methods, root.split(t))
                         for t in range(R)])

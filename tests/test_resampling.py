@@ -148,36 +148,36 @@ def test_bad_index_rejected_promptly():
 
 
 def test_draw_counts_single_category():
-    # every row is m, and multinomial draws nothing: the stream's next draw is its first
+    # every row is 1, and multinomial draws nothing: the stream's next draw is its first
     stream = RandomStream(0)
-    counts = _resample_counts(_uniform(1), BootstrapPlan(rounds=2, size=5), stream)
-    assert counts.tolist() == [[5], [5]] and counts.dtype == np.int64
+    counts = _resample_counts(_uniform(1), BootstrapPlan(rounds=2), stream)
+    assert counts.tolist() == [[1], [1]] and counts.dtype == np.int64
     assert stream.uniform(3).tobytes() == RandomStream(0).uniform(3).tobytes()
 
 
 def test_draw_counts_sum_invariant():
-    counts = _resample_counts(_uniform(6), BootstrapPlan(rounds=200, size=11), RandomStream(4))
+    counts = _resample_counts(_uniform(6), BootstrapPlan(rounds=200), RandomStream(4))
     assert counts.shape == (200, 6)
-    assert np.all(counts.sum(axis=1) == 11)
+    assert np.all(counts.sum(axis=1) == 6)
     assert np.all(counts >= 0)
 
 
 def test_draw_counts_moments():
-    # n=4, m=8: each slot has mean 2; 1e5 draws, 3 sigma band
+    # n = 8 draws over 8 slots: each slot has mean 1; 1e5 draws, 3 sigma band
     draws = 100_000
-    counts = _resample_counts(_uniform(4), BootstrapPlan(rounds=draws, size=8), RandomStream(5))
+    counts = _resample_counts(_uniform(8), BootstrapPlan(rounds=draws), RandomStream(5))
     total = counts.mean(axis=0)
-    se = np.sqrt(8 * 0.25 * 0.75 / draws)
-    assert np.all(np.abs(total - 2.0) < 3 * se)
+    se = np.sqrt(8 * 0.125 * 0.875 / draws)
+    assert np.all(np.abs(total - 1.0) < 3 * se)
 
 
 def test_draw_counts_marginal_chisquare():
-    # marginal of slot 0 is Binomial(8, 1/4); chi-square GOF at 1e-3
+    # n = 8: the marginal of slot 0 is Binomial(8, 1/8); chi-square GOF at 1e-3
     draws = 100_000
-    plan = BootstrapPlan(rounds=draws, size=8)
-    counts = _resample_counts(_uniform(4), plan, RandomStream(6))[:, 0]
+    plan = BootstrapPlan(rounds=draws)
+    counts = _resample_counts(_uniform(8), plan, RandomStream(6))[:, 0]
     observed = np.bincount(counts, minlength=9).astype(float)
-    expected = scipy.stats.binom.pmf(np.arange(9), 8, 0.25) * draws
+    expected = scipy.stats.binom.pmf(np.arange(9), 8, 0.125) * draws
     # merge the sparse tail so expected counts stay above 5
     keep = expected >= 5
     observed = np.append(observed[keep], observed[~keep].sum())
@@ -187,11 +187,11 @@ def test_draw_counts_marginal_chisquare():
 
 
 def test_draw_counts_validates():
-    # a resample of an empty set, and a resample of size 0, are refused
+    # a resample of an empty set, and a plan of no resamples, are refused
     with pytest.raises(ContractError):
         ObservationSet.from_points(np.empty((0, 3)))
     with pytest.raises(ContractError):
-        BootstrapPlan(rounds=3, size=0)
+        BootstrapPlan(rounds=0)
 
 
 def test_normal_moments():
