@@ -482,13 +482,14 @@ def test_quadratic_unbiasedness_smoke():
 # paired resamples (P7)
 
 
-def crafted_pair(far):
+def crafted_pair(far, kept=None):
     """Two point clouds with a duplicate point and a -0.0 point beside 0.0;
     with ``far``, also a point whose squared distances to the other cloud
-    overflow to inf."""
+    overflow to inf.  With ``kept``, the first cloud keeps only its last
+    ``kept`` points before the far one."""
     tail = [[1e200, 0.0]] if far else []
-    xs = ObservationSet.from_points(
-        [[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [2.0, -1.0], [-0.0, 0.0]] + tail)
+    head = [[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [2.0, -1.0], [-0.0, 0.0]]
+    xs = ObservationSet.from_points(head[-kept:] + tail if kept else head + tail)
     ys = ObservationSet.from_points([[1.0, 1.0], [0.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
     return xs, ys
 
@@ -509,12 +510,16 @@ def outcomes(values):
     return out
 
 
+@pytest.mark.parametrize("kept", [None, 4])
 @pytest.mark.parametrize("far", [False, True])
-def test_paired_resamples_match_per_resample_reference(far):
-    # with ``far`` the costs between the clouds overflow, so each resample
-    # pair's costs are checked on their own: pairs without the far point give
-    # the reference's bits, and the first one holding it fails as it does
-    sets = crafted_pair(far)
+def test_paired_resamples_match_per_resample_reference(far, kept):
+    # each cloud is resampled at its own size: 5 points against 4, or, with
+    # ``kept`` = 4, 4 against 4.  With ``far`` the costs between the clouds
+    # overflow, so each resample pair's costs are checked on their own: pairs
+    # without the far point give the reference's bits, and the first one
+    # holding it fails as it does
+    sets = crafted_pair(far, kept)
+    assert [len(s.points) for s in sets] == [(kept or 5) + far, 4]
     clouds = tuple(s.points for s in sets)
     plan = BootstrapPlan(rounds=40)
     coeffs = paired_coefficients_reference(clouds, plan, RandomStream(21))
