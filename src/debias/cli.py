@@ -3,6 +3,8 @@
 Subcommands: ``estimate`` (debias a data file), ``bench`` (run a benchmark
 preset), ``sweep`` (parameter sweep), ``theory`` (sigma quantities and
 condition margins), ``transport`` (solve a transport LP from a cost matrix).
+A problem parameter is given with ``--param`` (bench, sweep and theory
+alike), and a run setting with its flag or its key in the ``--config`` file.
 
 Exit codes: 0 success, 2 input parse error, 3 configuration error,
 4 numeric failure.
@@ -14,6 +16,7 @@ import argparse
 import contextlib
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -24,7 +27,7 @@ from .harness import default_workers, emit_plot, emit_results, run_experiment_sp
 from .linalg import FactorizationError
 from .objectives import DomainError, EvaluationError
 from .observations import ContractError, ObservationSet
-from .problems import (FAMILIES, generate_instance, get_family, p1_quadratic, p2_quartic,
+from .problems import (check_counts, generate_instance, get_family, p1_quadratic, p2_quartic,
                        p3_rational, p6_entropy)
 from .resampling import RandomStream
 from .theory import moments_gaussian, sigma_set
@@ -33,6 +36,8 @@ from .transport import (IterationCapError, TransportError, TransportProblem,
 
 
 FORMATS = ("csv", "json")  # of bench and sweep results
+# theory's own problem, x'x at x* = (xstar, ..., xstar), and its parameters
+QUAD = {"d": 1, "xstar": 0.0, "sigma": 1.0}
 
 
 class CliParseError(Exception):
@@ -156,38 +161,37 @@ def _load_config(path: str, valid) -> dict:
 
 def _settle(args) -> None:
     """Give each setting of the subcommand that no flag set its value from
-    the --config file, else (the seed only) from DEBIAS_SEED, else its
-    declared default; a value from the file or the environment is read with
-    its flag's type.  Workers below 1 are refused."""
+    the --config file, read with its flag's type, else its declared
+    default.  Workers below 1 are refused."""
     cfg = _load_config(args.config, args.settings) if vars(args).get("config") else {}
     for key, (cast, default) in args.settings.items():
         if getattr(args, key) is not None:
             continue
-        if key in cfg:
-            source, text = f"config key {key}", cfg[key]
-        elif key == "seed" and "DEBIAS_SEED" in os.environ:
-            source, text = "DEBIAS_SEED", os.environ["DEBIAS_SEED"]
-        else:
+        if key not in cfg:
             setattr(args, key, default)
             continue
         try:
-            setattr(args, key, cast(text))
+            setattr(args, key, cast(cfg[key]))
         except ValueError as exc:
-            raise CliParseError(f"{source}: {exc}") from exc
+            raise CliParseError(f"config key {key}: {exc}") from exc
     if "workers" in args.settings and args.workers < 1:
         raise ContractError(f"workers must be >= 1, got {args.workers}")
 
 
 def _parse_param(tokens) -> dict:
+    """Each key=value token's value: an int if int() reads one, else a float (nan, inf too)."""
     out = {}
     for tok in tokens or ():
         if "=" not in tok:
             raise ContractError(f"--param needs key=value, got {tok!r}")
         key, value = tok.split("=", 1)
         try:
-            out[key] = float(value) if "." in value or "e" in value.lower() else int(value)
+            out[key] = int(value)
         except ValueError:
-            raise ContractError(f"--param {key}: cannot parse {value!r} as a number")
+            try:
+                out[key] = float(value)
+            except ValueError:
+                raise ContractError(f"--param {key}: cannot parse {value!r} as a number") from None
     return out
 
 
@@ -291,6 +295,8 @@ def cmd_bench(args) -> int:
 def cmd_sweep(args) -> int:
     family = args.problem
     fixed = _parse_param(args.param)
+    for key in sorted({"n", "K"} & set(fixed)):  # axes, not family parameters
+        raise ContractError(f"--param {key}={fixed[key]!r}: set n and K with --n, --k or --axis")
     if args.n is not None:
         fixed["n"] = args.n
     if args.k is not None:
@@ -311,51 +317,45 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    """Sigmas and margins of x'x at x* = (xstar, ..., xstar) in d dimensions
-    (quad; quad1d is d = 1), or of a Gaussian-noise family's instance at its
-    truth, whose dimension is a family parameter (``--param d=...``)."""
-    config = {"problem": args.problem}
-    if args.problem in ("quad1d", "quad"):
-        if args.param:
-            raise ContractError(f"--param does not apply to {args.problem}, which has no "
-                                "family parameters")
-        if args.problem == "quad1d" and args.d is not None:
-            raise ContractError("--d does not apply to quad1d, which has d = 1; use quad")
-        d = 1 if args.d is None else args.d
-        if d < 1:
-            raise ContractError(f"d must be >= 1, got {d}")
-        config["xstar"] = 0.0 if args.xstar is None else args.xstar
-        if not np.isfinite(config["xstar"]):
-            raise ContractError(f"--xstar must be finite, got {config['xstar']}")
-        F = p1_quadratic(np.eye(d))
-        x_star = np.full(d, config["xstar"])
-    elif args.problem in ("P1", "P2", "P5"):
-        for flag, value in (("--xstar", args.xstar), ("--d", args.d)):
-            if value is not None:
-                raise ContractError(f"{flag} does not apply to {args.problem}, whose x* is its "
-                                    "instance's truth; set its dimension with --param d=...")
-        params = _parse_param(args.param)
-        if "sigma" in params:
-            raise ContractError(f"--param sigma does not apply to {args.problem} here; set the "
-                                "noise level with --sigma")
-        inst = generate_instance(args.problem, params, RandomStream(args.seed))
-        config["params"] = params
-        F = inst.objective
-        x_star = inst.truth_input
-    elif args.problem in FAMILIES:
-        raise ContractError(f"theory subcommand supports Gaussian-noise problems, not {args.problem}")
+    """Sigmas and margins of a Gaussian-noise problem at its truth x*: x'x at
+    x* = (xstar, ..., xstar) in d dimensions (quad), or a family's instance
+    (P1, P2, P5).  Each takes its parameters, the noise level sigma among
+    them, through --param as bench does; d is checked against the moment
+    tensors' cap before any d x d array is built."""
+    problem = args.problem
+    if problem not in ("quad", "P1", "P2", "P5"):
+        raise ContractError(f"theory takes a Gaussian-noise problem, quad, P1, P2 or P5; "
+                            f"got {problem!r}")
+    declared = QUAD if problem == "quad" else get_family(problem).params
+    params = _parse_param(args.param)
+    unknown = sorted(set(params) - set(declared))
+    if unknown:
+        raise ContractError(f"{problem} does not take parameters {unknown}; "
+                            f"valid: {sorted(declared)}")
+    p = {**declared, **params}
+    check_counts(p, ("d",))
+    if p["d"] < 1:
+        raise ContractError(f"d must be >= 1, got {p['d']}")
+    d, sigma = int(p["d"]), float(p["sigma"])
+    with np.errstate(over="ignore"):  # an inf moment leaves a sigma inf or nan, refused below
+        moments = moments_gaussian(sigma, d)  # refuses d > 20 before any d x d array
+    if problem == "quad":
+        if not math.isfinite(p["xstar"]):
+            raise ContractError(f"xstar must be finite, got {p['xstar']}")
+        F, x_star = p1_quadratic(np.eye(d)), np.full(d, float(p["xstar"]))
     else:
-        raise ContractError(f"unknown theory problem {args.problem!r}; use quad1d, quad, P1, P2, or P5")
+        inst = generate_instance(problem, params, RandomStream(args.seed))
+        F, x_star = inst.objective, inst.truth_input
     with np.errstate(over="raise", invalid="raise"):
         try:  # an overflow raises (numpy's, or Python's from ``**``) or leaves an inf
-            ss = vars(sigma_set(F, x_star, moments_gaussian(args.sigma, x_star.size), args.ck))
+            ss = vars(sigma_set(F, x_star, moments, args.ck))
             finite = np.isfinite([v for v in ss.values() if v is not None]).all()
         except (OverflowError, FloatingPointError):
             finite = False
     if not finite:
-        raise ContractError(f"--sigma {args.sigma!r} at --ck {args.ck!r} leaves a sigma "
+        raise ContractError(f"sigma {sigma!r} at --ck {args.ck!r} leaves a sigma "
                             "or a margin outside float64")
-    config.update(sigma=args.sigma, ck=args.ck, d=int(x_star.size))
+    config = {"problem": problem, "params": params, "sigma": sigma, "ck": args.ck, "d": d}
     _print_header(config, args.no_header)
     for key, value in ss.items():  # SigmaSet's fields in order, but its input c_k
         if key != "c_k":
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         listed, to the value it takes when nothing sets it (see ``_settle``);
         --seed is taken only with a seed setting, --config only with any."""
         if "seed" in settings:
-            p.add_argument("--seed", type=int, default=None, help="master seed (env DEBIAS_SEED as fallback)")
+            p.add_argument("--seed", type=int, default=None, help="master seed")
         if settings:
             p.add_argument("--config", default=None, help="key=value config file; flags override it")
         p.add_argument("--no-header", action="store_true", help="suppress config/timestamp headers")
@@ -438,13 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "method": "all", "format": "csv"})
 
     p = sub.add_parser("theory", help="sigma quantities and condition margins")
-    p.add_argument("--problem", default="quad1d", help="quad1d | quad | P1 | P2 | P5")
-    p.add_argument("--xstar", type=float, default=None,
-                   help="coordinate of x* for quad and quad1d (default 0)")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--problem", default="quad", help="quad | P1 | P2 | P5")
     p.add_argument("--ck", type=float, default=1.0, help="the ratio C_K = K/n")
-    p.add_argument("--d", type=int, default=None, help="dimension for quad (default 1)")
-    p.add_argument("--param", action="append", help="problem parameter key=value")
+    p.add_argument("--param", action="append",
+                   help="problem parameter key=value (quad: d, xstar, sigma)")
     common(p, cmd_theory, {"seed": 0}, out_default=False)
 
     p = sub.add_parser("transport", help="solve a transport LP from a cost CSV")

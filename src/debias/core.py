@@ -129,7 +129,8 @@ class EuclideanBlock:
         self.F = F
         self.means = sample_means(points)
         F.check_domain(self.means)  # one check for all B means
-        self.naive = [F.finite(F.fn(mean)) for mean in self.means]
+        with np.errstate(over="ignore", invalid="ignore"):  # F.finite refuses what overflows
+            self.naive = [F.finite(F.fn(mean)) for mean in self.means]
         self.deviations = points - self.means[:, None]
         self.uniform = _uniform(points.shape[1])
 
@@ -152,8 +153,9 @@ class EuclideanBlock:
         # rows of two coordinates in another order than a longer batch, so
         # sets with fewer than three resamples are evaluated one call each
         batches = [points.reshape(-1, d)] if rounds >= 3 else list(points)
-        try:
-            values = np.concatenate([self.F.evaluate_batch(rows) for rows in batches])
+        try:  # a value that overflows is refused below, without numpy's warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.concatenate([self.F.evaluate_batch(rows) for rows in batches])
         except DomainError as exc:
             raise DomainError(f"bootstrap resample: {exc}") from exc
         bad = np.flatnonzero(~np.isfinite(values))

@@ -46,6 +46,10 @@ from .resampling import RandomStream, block_streams
 # means trials x K x d, so this bounds the memory a block's arrays take.
 BLOCK_CELLS = 8192
 
+# An experiment whose every naive error is within this many ulps of its truth
+# compares rounding noise, not estimators, and is refused.
+ROUNDING_ULPS = 4
+
 @dataclass
 class TrialRecord:
     """One trial: naive and per-method debiased values on a shared sample.
@@ -180,9 +184,10 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
 def _reduce_records(instance, n, plan, methods, seed, records) -> ExperimentSummary:
     """The summary of an experiment's records, one a trial (R of them).
 
-    Naive errors whose sums are 0 leave the ratios 0/0, and errors too large
-    to square, sum or take the variance of in floats leave them inf or nan;
-    either is refused, naming the experiment."""
+    Naive errors whose sums are 0 leave the ratios 0/0, naive errors each
+    within ``ROUNDING_ULPS`` ulps of the truth leave ratios of rounding
+    noise, and errors too large to square, sum or take the variance of in
+    floats leave them inf or nan; each is refused, naming the experiment."""
     R = len(records)
     experiment = f"{instance.id} at {named({'n': n, 'K': plan.rounds, **instance.params})}"
     truth = instance.truth_value
@@ -192,6 +197,9 @@ def _reduce_records(instance, n, plan, methods, seed, records) -> ExperimentSumm
     naive_err_sum = math.fsum(naive_err)
     if naive_sq_sum == 0 or naive_err_sum == 0:
         raise ContractError(f"{experiment}: the naive errors sum to 0, so every ratio is 0/0")
+    if all(abs(e) <= ROUNDING_ULPS * math.ulp(truth) for e in naive_err):
+        raise ContractError(f"{experiment}: every naive error is within {ROUNDING_ULPS} ulps "
+                            "of the truth, so every ratio compares rounding noise")
     rmse_r, bias_r, sq_sums, err_sums, mse_diff, mse_diff_se = {}, {}, {}, {}, {}, {}
     try:
         for m in methods:

@@ -421,7 +421,10 @@ def _build_p7(p, d, stream):
                 for s in streams]
 
     # W2^2 between the true isotropic Gaussians: ||mu1-mu2||^2 + d (s1-s2)^2
-    truth_value = float(np.sum((mu1 - mu2) ** 2))
+    with np.errstate(over="ignore"):
+        truth_value = float(np.sum((mu1 - mu2) ** 2))
+    if not math.isfinite(truth_value):
+        raise ContractError(f"mu2_norm must leave the truth ||mu2||^2 finite, got {p['mu2_norm']}")
     return p7_wasserstein(), NoiseModel(draw), None, truth_value, {"mu2": mu2}
 
 

@@ -450,6 +450,15 @@ def test_sweep_p5_kappa(tmp_path):
     ("bench P5 --param sigma=1e-308", "sigma"),
     ("bench P7 --param sigma=1e-308 --seed 1", "sigma"),
     ("sweep P1 --axis sigma --values 1,1e-308", "sigma"),
+    # exit 0 with ratios of rounding noise: each naive error is at most 1 ulp
+    ("bench P7 --param sigma=1e-308 --seed 0", "sigma"),
+    ("bench P7 --param sigma=1e-308 --seed 2", "sigma"),
+    # exit 3 after numpy's overflow warning, with a message naming the costs
+    ("bench P7 --param mu2_norm=1e300", "mu2_norm"),
+    # n and K are sweep axes, not family parameters: ran n = 6 and K = 3,
+    # while bench refuses --param n=6
+    ("sweep P1 --axis sigma --values 1 --param n=6", "n"),
+    ("sweep P1 --axis sigma --values 1 --param K=3", "K"),
     # exit 3 after numpy overflow warnings from the scale correction's products
     ("bench P1 --param kappa=1e300", "kappa"),
     ("bench P3 --param c_norm=1e200", "c_norm"),
@@ -473,6 +482,19 @@ def bad_parameter_args(argv, tmp_path):
 def assert_names_bad_parameter(err, name):
     assert "Traceback" not in err and "Warning" not in err
     assert f"{name}=" in err or f"{name} must" in err
+
+
+@pytest.mark.parametrize("family", ["P1", "P2", "P5"])
+def test_overflowing_noise_exit_4(tmp_path, capfd, family):
+    # exited 4 after numpy's "overflow encountered in matmul" warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(bad_parameter_args(f"bench {family} --param sigma=1e300", tmp_path))
+    err = capfd.readouterr().err
+    assert rc == 4, err
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("numeric failure: ")
+    assert "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -512,12 +534,49 @@ def test_integral_sweep_counts_kept_as_given(tmp_path):
 
 
 def test_theory_quad1d_example(capsys):
-    rc = main(["theory", "--problem", "quad1d", "--xstar", "0", "--sigma", "1",
+    # x'x at x* = 0 in one dimension, quad's default d
+    rc = main(["theory", "--problem", "quad", "--param", "xstar=0", "--param", "sigma=1",
                "--ck", "1", "--no-header"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "sigma2 = 2.0" in out
     assert "margin_shift = 1.0" in out
+
+
+# `debias theory --problem quad --d 3 --xstar 0.5 --sigma 2 --ck 3 --no-header`
+# and `debias theory --problem P2 --param d=4 --sigma 2 --no-header`, as they
+# printed when d, x* and sigma were flags of theory's own
+THEORY_QUAD_D3 = """\
+sigma1 = 12.0
+sigma2 = 24.0
+sigma3 = 0.0
+sigma4 = 960.0
+sigma4_prime = 6591.999999999996
+f_star = 0.75
+margin_shift = 32.66873708001009
+margin_shift_alt = -11.78932768808221
+margin_scale = 626.745666700049
+"""
+THEORY_P2_D4 = """\
+sigma1 = 2597.2630318065753
+sigma2 = 395.11985487380747
+sigma3 = 61091.296712401396
+sigma4 = 282847.6619876773
+sigma4_prime = 2398522.730302519
+f_star = 8.639046100945917
+margin_shift = 70419.904002944
+margin_shift_alt = 86952.35858128233
+margin_scale = 222597.76012965033
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("--problem quad --param d=3 --param xstar=0.5 --param sigma=2 --ck 3", THEORY_QUAD_D3),
+    ("--problem P2 --param d=4 --param sigma=2", THEORY_P2_D4),
+], ids=["quad", "P2"])
+def test_theory_param_form_keeps_bytes(capsys, argv, expected):
+    assert main(["theory", *argv.split(), "--no-header"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_theory_unknown_problem_exit_3():
@@ -526,32 +585,43 @@ def test_theory_unknown_problem_exit_3():
 
 @pytest.mark.parametrize("d", ["0", "-3"])
 def test_theory_d_below_1_exit_3(d):
-    # --d 0 ran d=1; --d -3 reached np.eye(-3) and exited 1 with a traceback
-    src = str(Path(debias.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-m", "debias.cli", "theory", "--problem", "quad",
-                           "--d", d], capture_output=True, text=True, timeout=10,
-                          env=dict(os.environ, PYTHONPATH=src))
+    # d=0 ran d=1; d=-3 reached np.eye(-3) and exited 1 with a traceback
+    done = run_cli(["theory", "--problem", "quad", "--param", f"d={d}"])
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr
     assert f"d must be >= 1, got {d}" in done.stderr
     assert done.stdout == ""
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["--problem", "quad1d", "--d", "5"], "--d"),  # ran d=1
-    (["--problem", "P1", "--xstar", "5"], "--xstar"),  # x* is the instance's truth
-    (["--problem", "P2", "--d", "7"], "--d"),  # d is the family parameter
-    (["--problem", "quad", "--param", "d=5", "--param", "bogus=3"], "--param"),  # ran d=1
-    (["--problem", "quad1d", "--param", "d=2"], "--param"),
-    # the noise level is --sigma; --param sigma=3 printed the bytes of sigma=1
-    (["--problem", "P1", "--param", "sigma=3"], "--param sigma"),
-    (["--problem", "P5", "--param", "d=4", "--param", "sigma=1"], "--param sigma"),
-])
-def test_theory_unused_flags_exit_3(argv, flag, capsys):
-    assert main(["theory", *argv]) == 3
+@pytest.mark.parametrize("problem", ["quad", "P2"])
+def test_theory_d_cap_before_any_array(problem):
+    # exited 1 with numpy's _ArrayMemoryError: the d x d arrays were built
+    # before the moment tensors' d <= 20 check
+    done = run_cli(["theory", "--problem", problem, "--param", "d=100000000"])
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "error: moment tensors limited to d <= 20, got d=100000000\n"
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("problem", ["quad", "P1", "P2", "P5"])
+def test_theory_unknown_param_exit_3(capsys, problem):
+    # each problem takes every parameter it declares through --param, as bench
+    # does, and refuses any other key (quad --param d=5 once ran d = 1, and
+    # P1 --param sigma=3 printed the bytes of sigma = 1)
+    valid = sorted(cli.QUAD if problem == "quad" else FAMILIES[problem].params)
+    assert main(["theory", "--problem", problem, "--param", "d=2", "--param", "bogus=3"]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {flag} does not apply to {argv[1]}")
+    assert captured.err == f"error: {problem} does not take parameters ['bogus']; valid: {valid}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--d", "3"], ["--xstar", "0.5"], ["--sigma", "2"]])
+def test_theory_problem_flags_removed(capsys, argv):
+    # d, x* and sigma are problem parameters, given with --param
+    with pytest.raises(SystemExit) as exc:
+        main(["theory", *argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
 
 def test_theory_family_header_has_no_xstar(capsys):
@@ -564,9 +634,9 @@ def test_theory_family_header_has_no_xstar(capsys):
 
 @pytest.mark.parametrize("problem", ["quad", "P2"])
 @pytest.mark.parametrize("argv, name", [
-    (["--sigma", "nan"], "sigma"),  # printed margin_shift = nan
-    (["--sigma", "-1"], "sigma"),  # ran as sigma = 1
-    (["--sigma", "0"], "sigma"),
+    (["--param", "sigma=nan"], "sigma"),  # printed margin_shift = nan
+    (["--param", "sigma=-1"], "sigma"),  # ran as sigma = 1
+    (["--param", "sigma=0"], "sigma"),
     (["--ck", "nan"], "c_k"),
     (["--ck", "inf"], "c_k"),
 ])
@@ -579,14 +649,16 @@ def test_theory_bad_noise_exit_3(capsys, problem, argv, name):
 
 @pytest.mark.parametrize("argv, message", [
     # exit 1 with an OverflowError traceback from sigma**2
-    (["--sigma", "1e300"], "sigma must have a finite fourth power, got 1e+300"),
-    (["--problem", "quad", "--sigma", "1e300"], "sigma must have a finite fourth power"),
-    (["--problem", "P1", "--sigma", "1e300"], "sigma must have a finite fourth power"),
+    (["--param", "sigma=1e300"], "sigma must have a finite fourth power, got 1e+300"),
+    (["--problem", "quad", "--param", "sigma=1e300"], "sigma must have a finite fourth power"),
+    (["--problem", "P1", "--param", "sigma=1e300"], "sigma must have a finite fourth power"),
     (["--problem", "P2", "--ck", "1e-308"], "c_k must leave sigma1 / c_k finite, got 1e-308"),
     # exit 0 printing margin_shift_alt = -inf
-    (["--sigma", "1e60"], "--sigma 1e+60 at --ck 1.0 leaves a sigma or a margin outside float64"),
+    (["--param", "sigma=1e60"],
+     "sigma 1e+60 at --ck 1.0 leaves a sigma or a margin outside float64"),
     # exit 1 with an OverflowError traceback from sigma2**2
-    (["--sigma", "1e77"], "--sigma 1e+77 at --ck 1.0 leaves a sigma or a margin outside float64"),
+    (["--param", "sigma=1e77"],
+     "sigma 1e+77 at --ck 1.0 leaves a sigma or a margin outside float64"),
 ])
 def test_theory_overflow_exit_3(capsys, argv, message):
     # printed margins of -inf at exit 0 for the --ck case
@@ -601,12 +673,12 @@ def test_theory_overflow_exit_3(capsys, argv, message):
 
 
 @pytest.mark.parametrize("xstar", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("problem", ["quad", "quad1d"])
+@pytest.mark.parametrize("problem", ["quad"])
 def test_theory_non_finite_xstar_exit_3(capsys, problem, xstar):
     # exited 4 with "numeric failure: quadratic: non-finite value"
-    assert main(["theory", "--problem", problem, f"--xstar={xstar}"]) == 3
+    assert main(["theory", "--problem", problem, "--param", f"xstar={xstar}"]) == 3
     captured = capsys.readouterr()
-    assert captured.err == f"error: --xstar must be finite, got {float(xstar)}\n"
+    assert captured.err == f"error: xstar must be finite, got {float(xstar)}\n"
     assert captured.out == ""
 
 
@@ -735,20 +807,6 @@ def test_exit_code_per_error_class(monkeypatch, capsys, error, code):
     assert "Traceback" not in err
 
 
-def test_seed_env_fallback(tmp_path, euclid_file, monkeypatch, capsys):
-    A = write(tmp_path / "A.csv", "1\n")
-    monkeypatch.setenv("DEBIAS_SEED", "123")
-    rc = main(["estimate", euclid_file, "--function", f"quadratic:{A}",
-               "--method", "shift", "--k", "50", "--no-header"])
-    env_out = capsys.readouterr().out
-    assert rc == 0
-    monkeypatch.delenv("DEBIAS_SEED")
-    rc = main(["estimate", euclid_file, "--function", f"quadratic:{A}",
-               "--method", "shift", "--k", "50", "--seed", "123", "--no-header"])
-    flag_out = capsys.readouterr().out
-    assert env_out == flag_out
-
-
 def test_config_file_and_flag_override(tmp_path, euclid_file, capsys):
     A = write(tmp_path / "A.csv", "1\n")
     cfg = write(tmp_path / "cfg.ini", "seed=5\nk=40\n")
@@ -769,7 +827,7 @@ def test_config_file_and_flag_override(tmp_path, euclid_file, capsys):
 
 # Every key a --config file may set, per subcommand, with a value to give as
 # a flag, one to give in the file, and the value a run uses when nothing sets
-# it; DEBIAS_SEED, read for the seed alone, is 9 wherever it is set.
+# it.
 SETTINGS = [
     ("estimate", "seed", 5, 6, 0),
     ("estimate", "k", 7, 8, 100),
@@ -816,7 +874,9 @@ def _used(command, key, stdout, out):
                          ids=[f"{c}-{k}" for c, k, *_ in SETTINGS])
 def test_setting_precedence(tmp_path, euclid_file, capsys, monkeypatch,
                             command, key, flag, config, default, given):
-    # flag > config file > DEBIAS_SEED (seed only) > the declared default
+    # flag > config file > the declared default; DEBIAS_SEED, once the seed's
+    # fallback after the config file, is 9 in every case but "nothing" and
+    # sets nothing
     out = tmp_path / "r.out"
     fast = {"trials": 4, "workers": 1} if command in ("bench", "sweep") else {}
     argv = {
@@ -830,8 +890,8 @@ def test_setting_precedence(tmp_path, euclid_file, capsys, monkeypatch,
         argv += ["--config", write(tmp_path / "c.cfg", f"{key}={config}\n")]
     if given == "flag":
         argv += [f"--{key}={flag}"]
-    expected = {"nothing": default, "DEBIAS_SEED": 9 if key == "seed" else default,
-                "config": config, "flag": flag}[given]
+    expected = {"nothing": default, "DEBIAS_SEED": default, "config": config,
+                "flag": flag}[given]
 
     def run(argv):
         assert main(argv) == 0

@@ -60,7 +60,7 @@ def test_factorisation_free_commands_leave_scipy_unloaded(tmp_path):
     cost.write_text("0 1 4\n1 0 1\n4 1 0\n")
     argvs = [bench(p, w, tmp_path) for p in ("P1", "P6", "P7") for w in (1, 2)]
     argvs += [["transport", "--cost", str(cost), "--no-header"],
-              ["theory", "--problem", "quad", "--d", "2", "--no-header"]]
+              ["theory", "--problem", "quad", "--param", "d=2", "--no-header"]]
     codes, loaded, _ = run_fresh(argvs, tmp_path)
     assert codes == [0] * len(argvs)
     assert loaded == []
