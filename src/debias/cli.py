@@ -179,7 +179,8 @@ def _settle(args) -> None:
 
 
 def _parse_param(tokens) -> dict:
-    """Each key=value token's value: an int if int() reads one, else a float (nan, inf too)."""
+    """Each key=value token's value: an int if int() reads one, else a float
+    (nan, inf too).  An int too large for a float is refused."""
     out = {}
     for tok in tokens or ():
         if "=" not in tok:
@@ -192,6 +193,12 @@ def _parse_param(tokens) -> dict:
                 out[key] = float(value)
             except ValueError:
                 raise ContractError(f"--param {key}: cannot parse {value!r} as a number") from None
+            continue
+        try:
+            float(out[key])
+        except OverflowError:
+            raise ContractError(f"{key} must fit in a float, got an integer of "
+                                f"{len(str(abs(out[key])))} digits") from None
     return out
 
 
@@ -307,6 +314,11 @@ def cmd_sweep(args) -> int:
         raise ContractError(f"--values: {exc}")
     if not values:
         raise ContractError("--values needs a comma-separated list")
+    if args.axis in fixed:  # one value, two channels
+        given = {"n": f"--n {args.n}", "K": f"--k {args.k}"}.get(
+            args.axis, f"--param {args.axis}={fixed[args.axis]!r}")
+        raise ContractError(f"--axis {args.axis} sweeps {args.axis} over {values}, "
+                            f"so {given} cannot also fix it")
     methods = _methods_for(args.method, family)
     outputs = _outputs(args, f"sweep_{family}_{args.axis}.csv")
     summaries = run_sweep(family, args.axis, values, fixed, args.trials, args.seed,

@@ -170,19 +170,25 @@ class EuclideanBlock:
         q = n - 1 if self.F.cov_denominator == "unbiased" else n
         if q < 1:
             raise ContractError("unbiased covariance needs n >= 2")
-        out = []
-        for mean, centered in zip(self.means, self.deviations):
-            H = np.asarray(self.F.hessian(mean), dtype=float)
-            h = np.diag(H)
-            if np.count_nonzero(H) == np.count_nonzero(h):
-                # a diagonal H (P3, P6): the 3-operand kernel adds the terms
-                # one at a time in j order, the order of the full contraction
-                # less its zero terms, so the forms keep their bits
-                forms = np.einsum("ij,j,ij->i", centered, h, centered)
-            else:
-                forms = np.einsum("ij,jk,ik->i", centered, H, centered)
-            out.append(-math.fsum(forms) / (2.0 * n * q))
-        return out
+        H = np.stack([np.asarray(self.F.hessian(mean), dtype=float) for mean in self.means])
+        h = np.diagonal(H, axis1=1, axis2=2)
+        # a diagonal H (P3, P6): the 3-operand kernel adds the terms one at a
+        # time in j order, the order of the full contraction less its zero
+        # terms, so the forms keep their bits; each set's forms are those of
+        # a contraction of that set alone
+        diagonal = np.count_nonzero(H, axis=(1, 2)) == np.count_nonzero(h, axis=1)
+        centered = self.deviations
+        if diagonal.all():
+            forms = np.einsum("bij,bj,bij->bi", centered, h, centered)
+        elif not diagonal.any():
+            forms = np.einsum("bij,bjk,bik->bi", centered, H, centered)
+        else:
+            forms = np.empty(centered.shape[:2])
+            c = centered[diagonal]
+            forms[diagonal] = np.einsum("bij,bj,bij->bi", c, h[diagonal], c)
+            c = centered[~diagonal]
+            forms[~diagonal] = np.einsum("bij,bjk,bik->bi", c, H[~diagonal], c)
+        return [-math.fsum(row) / (2.0 * n * q) for row in forms.tolist()]
 
 
 class EmpiricalBlock:

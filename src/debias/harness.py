@@ -43,8 +43,9 @@ from .resampling import RandomStream, block_streams
 
 # Trials run in blocks of at most this many resample cells, trials x K x
 # max(n, d): a block's counts hold trials x K x n numbers and its resample
-# means trials x K x d, so this bounds the memory a block's arrays take.
-BLOCK_CELLS = 8192
+# means trials x K x d, so each of these arrays stays within 512 KiB of
+# 8-byte values.  A P1-P5 preset experiment of up to 50 trials is one block.
+BLOCK_CELLS = 65536
 
 # An experiment whose every naive error is within this many ulps of its truth
 # compares rounding noise, not estimators, and is refused.

@@ -3,7 +3,8 @@ equality-constrained minimum, stacked iterative oracles for P4's and P5's
 optimal values, finite-difference gradients and Hessians, one stream's draw
 of an instance's observations, inverse-CDF categorical draws, a random
 symmetric third-order tensor, a point-by-point reference mixture of a point
-cloud, a per-trial reference trial, a per-resample reference of P7's
+cloud, a per-trial reference trial, a per-set reference of the covariance
+corrections, a per-resample reference of P7's
 bootstrap values and trials, a transport plan's dual objective, a reader for
 the results CSV, the exact resample enumeration, the jackknife, sampled
 moment tensors, a finite-difference third derivative and the negation of an
@@ -136,6 +137,24 @@ def sample_observations(instance, n: int, stream: RandomStream):
     if instance.objective.paired:
         return tuple(map(ObservationSet.from_points, obs))
     return ObservationSet.from_points(obs)
+
+
+def covariance_reference(F: Objective, means, deviations) -> list[float]:
+    """Each set's covariance correction ``-(1 / (2 n q)) sum_i (x_i - xbar)^T
+    H (x_i - xbar)``, one set at a time: one ``einsum`` over the set's d x d
+    Hessian, or over its diagonal when H is diagonal."""
+    n = deviations.shape[1]
+    q = n - 1 if F.cov_denominator == "unbiased" else n
+    out = []
+    for mean, centered in zip(means, deviations):
+        H = np.asarray(F.hessian(mean), dtype=float)
+        h = np.diag(H)
+        if np.count_nonzero(H) == np.count_nonzero(h):
+            forms = np.einsum("ij,j,ij->i", centered, h, centered)
+        else:
+            forms = np.einsum("ij,jk,ik->i", centered, H, centered)
+        out.append(-math.fsum(forms) / (2.0 * n * q))
+    return out
 
 
 def categorical(stream: RandomStream, p, size=None):

@@ -462,6 +462,11 @@ def test_sweep_p5_kappa(tmp_path):
     # exit 3 after numpy overflow warnings from the scale correction's products
     ("bench P1 --param kappa=1e300", "kappa"),
     ("bench P3 --param c_norm=1e200", "c_norm"),
+    # exit 1 with an OverflowError traceback: an integer too large for a float
+    pytest.param("bench P1 --param kappa=1" + "0" * 400, "kappa",
+                 id="bench P1 --param kappa=10**400-kappa"),
+    pytest.param("sweep P1 --axis sigma --values 1 --param kappa=-1" + "0" * 400, "kappa",
+                 id="sweep P1 --axis sigma --values 1 --param kappa=-10**400-kappa"),
 ])
 def test_bad_parameter_exit_3(tmp_path, capfd, argv, name):
     # capfd also sees the stderr of forked trial children
@@ -522,6 +527,25 @@ def test_workers_below_1_exit_3(tmp_path, capsys, command, workers, source):
     assert rc == 3
     assert f"workers must be >= 1, got {workers}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each ran the swept value and dropped the fixed one without a word
+    ("--axis n --values 6 --n 5", "--axis n sweeps n over [6.0], so --n 5 cannot also fix it"),
+    ("--axis K --values 2,3 --k 4", "--axis K sweeps K over [2.0, 3.0], so --k 4 cannot also fix it"),
+    ("--axis d --values 2 --param d=3",
+     "--axis d sweeps d over [2.0], so --param d=3 cannot also fix it"),
+    ("--axis sigma --values 0.5 --param sigma=2.5",
+     "--axis sigma sweeps sigma over [0.5], so --param sigma=2.5 cannot also fix it"),
+])
+def test_sweep_axis_given_a_fixed_value_exit_3(tmp_path, capsys, argv, message):
+    out = tmp_path / "o.csv"
+    rc = main(["sweep", "P1", *argv.split(), "--trials", "4", "--workers", "1",
+               "--no-header", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_integral_sweep_counts_kept_as_given(tmp_path):
@@ -659,6 +683,11 @@ def test_theory_bad_noise_exit_3(capsys, problem, argv, name):
     # exit 1 with an OverflowError traceback from sigma2**2
     (["--param", "sigma=1e77"],
      "sigma 1e+77 at --ck 1.0 leaves a sigma or a margin outside float64"),
+    # exit 1 with an OverflowError traceback: an integer too large for a float
+    (["--param", "sigma=1" + "0" * 400], "sigma must fit in a float, got an integer of 401 digits"),
+    (["--param", "xstar=-1" + "0" * 400], "xstar must fit in a float, got an integer of 401 digits"),
+    (["--problem", "P2", "--param", "kappa=1" + "0" * 400],
+     "kappa must fit in a float, got an integer of 401 digits"),
 ])
 def test_theory_overflow_exit_3(capsys, argv, message):
     # printed margins of -inf at exit 0 for the --ck case

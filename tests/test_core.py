@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from _oracles import (
+    covariance_reference,
     exact_expectation_debias,
     exact_resample_expectation,
     jackknife_value,
@@ -243,6 +244,41 @@ def test_diagonal_hessian_covariance_keeps_full_contraction_bits(family, n):
         full = [-math.fsum(np.einsum("ij,jk,ik->i", c, F.hessian(m), c)) / (2.0 * n * q)
                 for m, c in zip(block.means, block.deviations)]
         assert [v.hex() for v in block.covariance()] == [v.hex() for v in full]
+
+
+@pytest.mark.parametrize("family, d", [(family, d) for family in ("P1", "P2", "P3", "P5", "P6")
+                                       for d in (1, 2, 5, 20, 30)
+                                       if (family, d) != ("P6", 1)])  # entropy needs d >= 2
+@pytest.mark.parametrize("n", [2, 10, 150])
+def test_block_covariance_is_per_set_reference(family, d, n):
+    # the block contracts all its sets at once; each set's correction must
+    # keep the bits of that set's own contraction
+    inst = generate_instance(family, {"d": d}, RandomStream(d))
+    F = inst.objective
+    sets = np.stack([sample_observations(inst, n, RandomStream(100 + b)).points
+                     for b in range(60)])
+    for size in (1, 2, 3, 60):
+        block = EuclideanBlock(F, sets[:size])
+        want = covariance_reference(F, block.means, block.deviations)
+        assert [v.hex() for v in block.covariance()] == [v.hex() for v in want]
+
+
+def test_block_covariance_mixing_diagonal_and_full_hessians():
+    # sets whose mean has x_0 > 0 have a diagonal H, the others a full one,
+    # so one block runs both contractions and puts each set's forms back
+    # in set order
+    full = np.array([[2.0, 0.5, 0.25], [0.5, 3.0, -0.75], [0.25, -0.75, 1.5]])
+    F = Objective(fn=lambda x: float(x @ full @ x),
+                  hessian=lambda x: np.diag(np.diag(full)) if x[0] > 0 else full)
+    rng = np.random.default_rng(12)
+    sets = rng.normal(size=(9, 7, 3))
+    sets[[0, 3, 4, 8], :, 0] += 5.0
+    sets[[1, 2, 5, 6, 7], :, 0] -= 5.0
+    block = EuclideanBlock(F, sets)
+    kinds = [np.count_nonzero(F.hessian(m)) for m in block.means]
+    assert kinds == [3, 9, 9, 3, 3, 9, 9, 9, 3]
+    want = covariance_reference(F, block.means, block.deviations)
+    assert [v.hex() for v in block.covariance()] == [v.hex() for v in want]
 
 
 # ---------------------------------------------------------------------------

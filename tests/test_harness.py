@@ -409,10 +409,12 @@ def block_sizes(monkeypatch):
     ("P6", {"d": 4}, 8, 5, ["shift", "scale", "cov"]),
     ("P7", {"d": 2}, 5, 6, ["shift", "scale"]),
     ("P7", {"d": 3, "m_samples": 4}, 3, 5, ["scale", "shift"]),
-    # 3000 cells a trial: the default BLOCK_CELLS cuts R = 7 into 2 + 2 + 2 + 1
+    # 3000 cells a trial: the default BLOCK_CELLS runs R = 7 as one block
     ("P2", {"d": 2}, 50, 60, ["shift", "scale", "cov"]),
     # a 3x3 matrix point: 9 coordinates against n = 5, so a trial is K x 9 cells
     ("P4", {"d": 3}, 5, 4, ["shift", "scale"]),
+    # 30000 cells a trial: the default BLOCK_CELLS cuts R = 7 into 2 + 2 + 2 + 1
+    ("P2", {"d": 2}, 150, 200, ["shift", "scale", "cov"]),
 ])
 def test_block_size_does_not_change_records(monkeypatch, family, params, n, K, methods):
     R = 7
@@ -425,10 +427,10 @@ def test_block_size_does_not_change_records(monkeypatch, family, params, n, K, m
     assert record_bits([run_trial(instance, n, plan, methods, root.split(t))
                         for t in range(R)]) == want
     sizes = block_sizes(monkeypatch)
-    assert harness.BLOCK_CELLS == 8192
+    assert harness.BLOCK_CELLS == 65536
     # a trial's resample cells: K x n counts or K x d resample means
     width = K * max(n, 0 if instance.truth_input is None else instance.truth_input.size)
-    for cells in (width, 2 * width, 3 * width, R * width, 8192):
+    for cells in (width, 2 * width, 3 * width, R * width, 65536):
         trials = min(R, cells // width)
         sizes.clear()
         monkeypatch.setattr(harness, "BLOCK_CELLS", cells)
