@@ -64,7 +64,7 @@ class BootstrapPlan:
 
 @dataclass
 class DebiasEstimate:
-    """Result of one debiasing run.
+    """Result of one debiasing run by ``method``, "shift", "scale" or "cov".
 
     ``debiased_value`` reconstructs exactly as ``naive_value + correction``
     for the shift and covariance methods and ``correction * naive_value``
@@ -276,12 +276,8 @@ def _scale_correction(naive: float, values) -> float:
     return math.fsum([naive * v for v in values]) / denom
 
 
-# method -> (DebiasEstimate.method, correction from (naive, K bootstrap values))
-_TABLE = {
-    "shift": ("shift_bootstrap", _shift_correction),
-    "scale": ("scale_bootstrap", _scale_correction),
-    "cov": ("covariance", None),
-}
+# method -> correction from (naive, K bootstrap values); None: the covariance correction
+_TABLE = {"shift": _shift_correction, "scale": _scale_correction, "cov": None}
 METHODS = tuple(_TABLE)
 
 
@@ -309,7 +305,7 @@ def corrections(method: str, block, plan: Optional[BootstrapPlan], rngs):
     """The method table over a block: each input's correction under
     ``method``, and the bootstrap values behind them (None for cov); input b
     resamples from ``rngs[b]``."""
-    correction = _TABLE[method][1]
+    correction = _TABLE[method]
     if correction is None:
         return block.covariance(), None
     values = block.resample_values(plan, rngs)
@@ -340,7 +336,7 @@ def debias(method: str, F: Objective, obs, plan: Optional[BootstrapPlan] = None,
     block = block_for(F, obs.points[None] if euclidean else [_pair_points(obs)])
     (correction,), values = corrections(method, block, plan, [rng])
     naive = block.naive[0]
-    return DebiasEstimate(naive, _TABLE[method][0], correction,
+    return DebiasEstimate(naive, method, correction,
                           debiased(method, naive, correction), block.mean(0),
                           None if values is None else list(map(float, values[0])))
 

@@ -38,7 +38,8 @@ from .core import BootstrapPlan, block_for, corrections, debiased, why_not
 from .core import covariance_debias, scale_debias, shift_debias  # noqa: F401
 from .observations import ContractError
 from .observations import mean_observation  # noqa: F401  hooked by perfbench/spans.py
-from .problems import ProblemInstance, check_counts, generate_instance, get_family, named
+from .problems import (ProblemInstance, check_counts, check_trial_cells, generate_instance,
+                       get_family, named)
 from .resampling import RandomStream, block_streams
 
 # Trials run in blocks of at most this many resample cells, trials x K x
@@ -261,8 +262,10 @@ def run_experiment_spec(family: str, params: dict, n: int, K: int, methods, R: i
                         seed: int, exp_index: int = 0, workers: int = 1) -> ExperimentSummary:
     """Experiment from a declarative spec (lineage: ``_lineage``); safe to
     parallelize because each child process regenerates the instance and
-    draws trial t from the same lineage."""
+    draws trial t from the same lineage.  Sizes that would give a trial an
+    array above ``problems.MAX_CELLS`` are refused before any trial runs."""
     instance, plan, root = _lineage(family, params, seed, exp_index, K)
+    check_trial_cells(instance, n, K)
     blocks = 1 if workers <= 1 or R < 4 else min(workers, R)
     bounds = np.linspace(0, R, blocks + 1).astype(int).tolist()
     block = functools.partial(_trial_block, family, params, seed, exp_index, n, K,
@@ -335,7 +338,8 @@ def run_sweep(family: str, axis: str, values, fixed: dict, R: int, seed: int,
     shared master seed, so sweeps are reproducible point by point."""
     spec = get_family(family)
     if axis not in spec.axes:
-        raise ContractError(f"invalid axis {axis!r} for {family}; valid: {', '.join(spec.axes)}")
+        raise ContractError(f"axis {axis} must be a {family} parameter, n or K; "
+                            f"valid: {', '.join(spec.axes)}")
     methods = list(methods if methods is not None else spec.methods)
     summaries = []
     for i, value in enumerate(values):

@@ -310,6 +310,19 @@ def check_counts(p: dict, names) -> None:
             raise ContractError(f"{name} must be an integer, got {p[name]}")
 
 
+# The most cells one array of an experiment may hold: 2**28, 2 GiB of
+# float64, far above every preset.  Larger sizes are refused before the
+# array is built, where numpy would refuse its shape or run out of memory.
+MAX_CELLS = 2**28
+
+
+def check_cells(shape: str, *sizes: int) -> None:
+    """Refuse an array of ``sizes``, named by ``shape`` (as "d x d"), whose
+    cells would exceed ``MAX_CELLS``."""
+    if math.prod(sizes) > MAX_CELLS:
+        raise ContractError(f"{shape} must be at most MAX_CELLS = {MAX_CELLS} cells")
+
+
 def _positive(p: dict, name: str) -> float:
     if not p[name] > 0:
         raise ContractError(f"{name} must be > 0, got {p[name]}")
@@ -377,15 +390,10 @@ def _build_p4(p, d, stream):
 
 
 def _build_p5(p, d, stream):
-    if p["p_dim"] is None:
-        ratio = d / _positive(p, "ratio_dp")
-        if not math.isfinite(ratio):
-            raise ContractError(f"ratio_dp must leave d / ratio_dp finite, got {p['ratio_dp']}")
-        p_dim = max(d + 1, round(ratio))
-    else:
-        p_dim = int(p["p_dim"])
+    p_dim = 2 * d if p["p_dim"] is None else int(p["p_dim"])
     if d > p_dim:
         raise ContractError(f"P5 needs d <= p_dim, got d={d}, p_dim={p_dim}")
+    check_cells("p_dim x p_dim", p_dim, p_dim)
     p["p_dim"] = p_dim  # the instance's params record the p_dim it used
     B = spd_with_condition(p_dim, p["kappa"], stream)
     A = stream.normal((d, p_dim))
@@ -431,7 +439,7 @@ def _build_p7(p, d, stream):
 @dataclass(frozen=True)
 class Family:
     """A family's parameters with their defaults, its bench preset (``n`` of
-    None means ``n_ratio * d``) and the builder of its instances."""
+    None means 5 * d, see ``resolve_n``) and the builder of its instances."""
 
     params: dict
     n: Optional[int]
@@ -455,9 +463,9 @@ class Family:
 
     def resolve_n(self, n: Optional[int], params: dict) -> int:
         """Observations per trial: ``n`` if given, else the preset, else
-        ``n_ratio * d``, each factor from ``params`` or else the defaults."""
+        5 * d (P6), d from ``params`` or else the defaults."""
         p = self.resolve(params)
-        return n if n is not None else self.n or int(p["n_ratio"] * p["d"])
+        return n if n is not None else self.n or int(5 * p["d"])
 
 
 _ALL, _BOOTSTRAP = ("shift", "scale", "cov"), ("shift", "scale")
@@ -467,9 +475,9 @@ FAMILIES = {
     "P2": Family(dict(_GAUSSIAN), 10, 10, _ALL, _quadratic_form(p2_quartic)),
     "P3": Family({"d": 20, "c_norm": 1.0, "xstar_norm2": 2.0}, 10, 10, _ALL, _build_p3),
     "P4": Family({"d": 6, "kappa": 2.0, "k_shape": 1.0}, 10, 100, _BOOTSTRAP, _build_p4),
-    "P5": Family({"d": 10, "p_dim": None, "ratio_dp": 0.5, "kappa": 2.0, "sigma": 1.0},
-                 10, 100, _BOOTSTRAP, _build_p5),
-    "P6": Family({"d": 30, "alpha": 1.0, "n_ratio": 5}, None, 100, _ALL, _build_p6),
+    "P5": Family({"d": 10, "p_dim": None, "kappa": 2.0, "sigma": 1.0}, 10, 100, _BOOTSTRAP,
+                 _build_p5),
+    "P6": Family({"d": 30, "alpha": 1.0}, None, 100, _ALL, _build_p6),
     "P7": Family({"d": 5, "mu2_norm": 1.0, "sigma": 1.0, "m_samples": None}, 10, 50, _BOOTSTRAP,
                  _build_p7),
 }
@@ -499,6 +507,23 @@ def generate_instance(family: str, params: Optional[dict] = None,
     d = int(p["d"])
     if d < 1:
         raise ContractError(f"d must be >= 1, got {p['d']}")
+    check_cells("d x d", d, d)  # the d x d matrices and Hessians
     built = spec.build(p, d, stream if stream is not None else RandomStream(0))
     objective, noise, truth_input, truth_value, matrices = built
     return ProblemInstance(family, objective, truth_input, truth_value, noise, p, matrices)
+
+
+def check_trial_cells(instance: ProblemInstance, n: int, K: int) -> None:
+    """Refuse, before any trial array is built, an experiment one of whose
+    trials would hold an array above ``MAX_CELLS``: its K x max(n, d)
+    resample counts or means and its n x d sample, d being the coordinates
+    of F's input; for P7, whose second cloud has m_samples points, n is the
+    larger cloud's size and the n x m_samples costs count too."""
+    if instance.objective.paired:
+        m = instance.params["m_samples"] or n
+        check_cells("n x m_samples", n, m)
+        n, width = max(n, m), instance.params["d"]
+    else:
+        width = instance.truth_input.size
+    check_cells("K x max(n, d)", K, max(n, width))
+    check_cells("n x d", n, width)

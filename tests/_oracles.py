@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from debias.core import (
-    _TABLE,
     DebiasEstimate,
     DegenerateDenominatorError,
     UnsupportedMethodError,
@@ -371,7 +370,7 @@ def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str) -
         if ef2 < 1e-300:
             raise DegenerateDenominatorError("exact expectation of F^2 vanished")
         correction = math.fsum(w * (naive * v) for w, v in terms) / ef2
-    return DebiasEstimate(naive, _TABLE[mode][0], correction,
+    return DebiasEstimate(naive, mode, correction,
                           debiased(mode, naive, correction), mean)
 
 

@@ -17,7 +17,7 @@ from debias.harness import default_workers, run_experiment_spec, run_sweep
 from debias.linalg import FactorizationError
 from debias.objectives import DomainError, EvaluationError
 from debias.observations import ContractError
-from debias.problems import FAMILIES
+from debias.problems import FAMILIES, MAX_CELLS
 from debias.transport import IterationCapError, TransportError, squared_distance_cost
 
 
@@ -63,6 +63,17 @@ def test_estimate_json_output(tmp_path, euclid_file):
     payload = json.loads(out_path.read_text())
     assert payload["naive_value"] == 1.0
     assert payload["correction"] == -1.0
+
+
+@pytest.mark.parametrize("method", ["shift", "scale", "cov"])
+def test_estimate_json_method_is_config_method(tmp_path, euclid_file, method):
+    # was shift_bootstrap, scale_bootstrap or covariance beside the config's name
+    out_path = tmp_path / "est.json"
+    A = write(tmp_path / "A.csv", "1\n")
+    assert main(["estimate", euclid_file, "--function", f"quadratic:{A}", "--method", method,
+                 "--no-header", "--out", str(out_path)]) == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["method"] == payload["config"]["method"] == method
 
 
 def test_estimate_malformed_row_exit_2(tmp_path, capsys):
@@ -356,14 +367,15 @@ def test_bench_json_and_svg_carry_paired_mse_difference(tmp_path):
 
 
 def test_p6_n_rule_shared_by_sweep_and_bench(tmp_path):
-    # P6 observations scale with dimension: n = n_ratio * d, n_ratio from the family's defaults
-    over_d = run_sweep("P6", "d", [6], {}, R=2, seed=0, methods=["shift"])
+    # P6 observations scale with dimension: its preset n is 5 * d
+    over_d = run_sweep("P6", "d", [6, 4], {}, R=2, seed=0, methods=["shift"])
     over_alpha = run_sweep("P6", "alpha", [1.0], {"d": 6}, R=2, seed=0, methods=["shift"])
     out = tmp_path / "p6.csv"
     assert main(["bench", "P6", "--param", "d=6", "--trials", "2", "--method", "shift",
                  "--workers", "1", "--no-header", "--out", str(out)]) == 0
     bench_n = parse_results_csv(out)[0]["n"]
-    assert over_d[0].n == over_alpha[0].n == bench_n == FAMILIES["P6"].params["n_ratio"] * 6
+    assert over_d[0].n == over_alpha[0].n == bench_n == 5 * 6
+    assert over_d[1].n == 5 * 4
 
 
 def test_bench_seed_determinism_and_workers(tmp_path):
@@ -403,11 +415,9 @@ def test_sweep_p5_kappa(tmp_path):
 
 @pytest.mark.parametrize("argv, name", [
     ("bench P1 --n 0", "n"),
-    ("bench P6 --param n_ratio=0", "n"),
     ("sweep P1 --axis n --values 0", "n"),
     ("bench P4 --param k_shape=0", "k_shape"),
     ("bench P4 --param kappa=0", "kappa"),
-    ("bench P5 --param ratio_dp=0", "ratio_dp"),
     ("bench P6 --param alpha=0", "alpha"),
     ("bench P6 --param alpha=1e-300", "alpha"),  # every gamma draw underflows to 0
     ("bench P1 --param xstar_norm2=-1", "xstar_norm2"),
@@ -438,9 +448,9 @@ def test_sweep_p5_kappa(tmp_path):
     ("sweep P1 --axis kappa --values nan", "kappa"),
     ("sweep P1 --axis kappa --values inf", "kappa"),
     ("sweep P6 --axis alpha --values 1e999", "alpha"),
-    ("sweep P6 --axis n_ratio --values inf", "n_ratio"),  # exit 1 with a traceback
+    # exit 1 with a traceback while n_ratio set P6's n; now no P6 axis
+    ("sweep P6 --axis n_ratio --values inf", "n_ratio"),
     # exit 1 with an OverflowError traceback
-    ("bench P5 --param ratio_dp=1e-308", "ratio_dp"),  # round(d / ratio_dp) of inf
     ("bench P2 --param kappa=1e300", "kappa"),  # the truth value's square
     ("bench P2 --param xstar_norm2=1e300", "xstar_norm2"),
     ("bench P3 --param xstar_norm2=1e300", "xstar_norm2"),  # the squared-error variance
@@ -487,6 +497,45 @@ def bad_parameter_args(argv, tmp_path):
 def assert_names_bad_parameter(err, name):
     assert "Traceback" not in err and "Warning" not in err
     assert f"{name}=" in err or f"{name} must" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "bench P6 --param n_ratio=5",  # P6's n is --n, or 5 * d
+    "bench P5 --param ratio_dp=0.5",  # P5's p_dim is p_dim, or 2 * d
+])
+def test_removed_parameter_exit_3(tmp_path, capfd, argv):
+    # so is sweep P6 --axis n_ratio, a case of test_bad_parameter_exit_3
+    _, family, _, param = argv.split()
+    rc = main(bad_parameter_args(argv, tmp_path))
+    err = capfd.readouterr().err
+    assert rc == 3, err
+    assert err == (f"error: {family} does not take parameters [{param.split('=')[0]!r}]; "
+                   f"valid: {sorted(FAMILIES[family].params)}\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("bench P1 --n 1000000000000000000000", "K x max(n, d)"),
+    ("bench P1 --k 1000000000000000000000", "K x max(n, d)"),
+    *[(f"sweep {family} --axis {axis} --values 1e300",
+       "n x m_samples" if (family, axis) == ("P7", "n") else "K x max(n, d)")
+      for family in sorted(FAMILIES) for axis in ("n", "K")],
+    ("bench P5 --param p_dim=1e300", "p_dim x p_dim"),
+    ("bench P5 --param p_dim=1e150", "p_dim x p_dim"),
+    ("bench P7 --param m_samples=1e300", "n x m_samples"),
+    ("bench P7 --param m_samples=1e150", "n x m_samples"),
+    ("bench P1 --param d=1e300", "d x d"),
+])
+def test_size_above_cell_limit_exit_3(tmp_path, capfd, argv, name):
+    # exited 1 with numpy's "ValueError: Maximum allowed dimension exceeded"
+    # traceback; each size is one numpy refuses without allocating
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(bad_parameter_args(argv, tmp_path))
+    err = capfd.readouterr().err
+    assert rc == 3, err
+    assert [str(w.message) for w in caught] == []
+    assert err == f"error: {name} must be at most MAX_CELLS = {MAX_CELLS} cells\n"
 
 
 @pytest.mark.parametrize("family", ["P1", "P2", "P5"])

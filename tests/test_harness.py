@@ -590,8 +590,10 @@ def test_sweep_k_axis():
 
 
 def test_sweep_p6_n_resolution():
-    summaries = run_sweep("P6", "n_ratio", [1.0, 2.0], {"d": 6}, R=5, seed=3, methods=["shift"])
+    # P6's n is the swept n, not its 5 * d preset
+    summaries = run_sweep("P6", "n", [6, 12], {"d": 6}, R=5, seed=3, methods=["shift"])
     assert [s.n for s in summaries] == [6, 12]
+    assert all("n_ratio" not in s.params for s in summaries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -17,6 +19,9 @@ from debias.objectives import DomainError
 from debias.observations import ContractError, ObservationSet, mean_observation
 from debias.problems import (
     FAMILIES,
+    MAX_CELLS,
+    check_cells,
+    check_trial_cells,
     generate_instance,
     p1_quadratic,
     p2_quartic,
@@ -393,6 +398,32 @@ def test_p5_needs_enough_columns():
         generate_instance("P5", {"d": 10, "p_dim": 5}, RandomStream(0))
 
 
+@pytest.mark.parametrize("d", range(1, 41))
+def test_p5_default_p_dim_is_2d(d):
+    # the one rule, equal to the max(d + 1, round(d / 0.5)) it replaced
+    inst = generate_instance("P5", {"d": d}, RandomStream(d))
+    assert inst.params["p_dim"] == 2 * d == max(d + 1, round(d / 0.5))
+    assert inst.matrices["B"].shape == (2 * d, 2 * d)
+    assert inst.matrices["A"].shape == (d, 2 * d)
+
+
+def test_cell_limit_refuses_before_building():
+    side = math.isqrt(MAX_CELLS)
+    check_cells("d x d", side, side)
+    with pytest.raises(ContractError, match=r"^d x d must be at most MAX_CELLS = 268435456 cells$"):
+        check_cells("d x d", side, side + 1)
+    for family, params in [("P1", {"d": side + 1}), ("P5", {"d": 3, "p_dim": 10**300})]:
+        with pytest.raises(ContractError, match="must be at most MAX_CELLS"):
+            generate_instance(family, params, RandomStream(0))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_presets_are_far_below_the_cell_limit(family):
+    spec = FAMILIES[family]
+    inst = generate_instance(family, {}, RandomStream(0))
+    check_trial_cells(inst, 1000 * spec.resolve_n(None, {}), spec.K)  # a thousandfold n
+
+
 def test_p7_dimension_cap():
     with pytest.raises(ContractError):
         generate_instance("P7", {"d": 33}, RandomStream(0))
@@ -687,3 +718,27 @@ def test_sweep_axes_are_parameters_n_and_K(family):
     with pytest.raises(ContractError) as err:
         run_sweep(family, "bogus", [1.0], {}, R=1, seed=0)
     assert str(err.value).split("valid: ")[1].split(", ") == [*FAMILIES[family].params, "n", "K"]
+
+
+def test_readme_families_table_matches_code():
+    # each row lists the family's parameters with their defaults, in order,
+    # and its preset n (a multiple of d where the preset scales with it) and K
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Benchmark families\n")[1].split("\n## ")[0]
+    rows = [line.split("|")[1:-1] for line in table.splitlines() if re.match(r"\| P\d ", line)]
+    assert [row[0].strip() for row in rows] == list(FAMILIES)
+    for family, _, _, params, preset in (map(str.strip, row) for row in rows):
+        spec = FAMILIES[family]
+        listed = {}
+        for item in params.split(", "):
+            name, _, default = item.partition("=")
+            listed[name.split(" (default ")[0]] = float(default) if default else None
+        assert list(listed.items()) == list(spec.params.items()), family
+        n, K = preset.split(", ")
+        assert int(K) == spec.K
+        if spec.n is None:
+            ratio = int(re.fullmatch(r"(\d+) \* d", n)[1])
+            assert [spec.resolve_n(None, {"d": d}) for d in (1, 7, 30)] == [ratio, 7 * ratio,
+                                                                           30 * ratio]
+        else:
+            assert int(n) == spec.n
