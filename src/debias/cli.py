@@ -27,8 +27,8 @@ from .harness import default_workers, emit_plot, emit_results, run_experiment_sp
 from .linalg import FactorizationError
 from .objectives import DomainError, EvaluationError
 from .observations import ContractError, ObservationSet
-from .problems import (check_counts, generate_instance, get_family, p1_quadratic, p2_quartic,
-                       p3_rational, p6_entropy)
+from .problems import (check_counts, check_known, generate_instance, get_family, p1_quadratic,
+                       p2_quartic, p3_rational, p6_entropy)
 from .resampling import RandomStream
 from .theory import moments_gaussian, sigma_set
 from .transport import (IterationCapError, TransportError, TransportProblem,
@@ -340,10 +340,7 @@ def cmd_theory(args) -> int:
                             f"got {problem!r}")
     declared = QUAD if problem == "quad" else get_family(problem).params
     params = _parse_param(args.param)
-    unknown = sorted(set(params) - set(declared))
-    if unknown:
-        raise ContractError(f"{problem} does not take parameters {unknown}; "
-                            f"valid: {sorted(declared)}")
+    check_known(problem, params, declared)
     p = {**declared, **params}
     check_counts(p, ("d",))
     if p["d"] < 1:

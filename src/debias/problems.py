@@ -303,6 +303,14 @@ def _truth_point(p: dict, d: int, stream: RandomStream, positive: bool = False) 
     return math.sqrt(norm2) * _unit_vector(d, stream, positive)
 
 
+def check_known(problem: str, params: dict, declared) -> None:
+    """Refuse a parameter ``problem`` does not declare, named as given (key=value)."""
+    unknown = sorted(set(params) - set(declared))
+    if unknown:
+        given = ", ".join(f"{key}={params[key]}" for key in unknown)
+        raise ContractError(f"{problem} does not take {given}; valid: {sorted(declared)}")
+
+
 def check_counts(p: dict, names) -> None:
     """Counts must be integral: 2.0 is taken as 2; 2.5, nan and inf are refused."""
     for name in names:
@@ -498,10 +506,7 @@ def generate_instance(family: str, params: Optional[dict] = None,
     (family, params, stream) triples give identical instances.
     """
     spec, params = get_family(family), params or {}
-    unknown = set(params) - set(spec.params)
-    if unknown:
-        raise ContractError(f"{family} does not take parameters {sorted(unknown)}; "
-                            f"valid: {sorted(spec.params)}")
+    check_known(family, params, spec.params)
     p = spec.resolve(params)
     check_counts(p, ("d", "p_dim", "m_samples"))
     d = int(p["d"])
