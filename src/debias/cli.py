@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import datetime
 import json
-import math
 import os
 import sys
 
@@ -27,8 +26,8 @@ from .harness import default_workers, emit_plot, emit_results, run_experiment_sp
 from .linalg import FactorizationError
 from .objectives import DomainError, EvaluationError
 from .observations import ContractError, ObservationSet
-from .problems import (check_counts, check_known, generate_instance, get_family, p1_quadratic,
-                       p2_quartic, p3_rational, p6_entropy)
+from .problems import (generate_instance, get_family, named, p1_quadratic, p2_quartic,
+                       p3_rational, p6_entropy, resolve_params)
 from .resampling import RandomStream
 from .theory import moments_gaussian, sigma_set
 from .transport import (IterationCapError, TransportError, TransportProblem,
@@ -202,9 +201,10 @@ def _parse_param(tokens) -> dict:
     return out
 
 
-def _methods_for(arg: str, family: str):
+def _methods_for(arg: str):
+    """The methods of a --method value; None for all, the family's methods."""
     if arg == "all":
-        return list(get_family(family).methods)
+        return None
     out = [tok.strip() for tok in arg.split(",")]
     for tok in out:
         if tok not in METHODS:
@@ -286,16 +286,13 @@ def _emit(args, config: dict, summaries, outputs) -> int:
 
 def cmd_bench(args) -> int:
     family = args.problem
-    spec = get_family(family)
     params = _parse_param(args.param)
-    n = spec.resolve_n(args.n, params)
-    k = spec.K if args.k is None else args.k
-    methods = _methods_for(args.method, family)
     outputs = _outputs(args, f"bench_{family}.csv")
-    summary = run_experiment_spec(family, params, n, k, methods, args.trials, args.seed,
-                                  workers=args.workers)
-    config = {"problem": family, "n": n, "K": k, "R": args.trials, "seed": args.seed,
-              "methods": methods, "params": params, "workers": args.workers}
+    summary = run_experiment_spec(family, params, args.n, args.k, _methods_for(args.method),
+                                  args.trials, args.seed, workers=args.workers)
+    config = {"problem": family, "n": summary.n, "K": summary.K, "R": args.trials,
+              "seed": args.seed, "methods": summary.methods, "params": params,
+              "workers": args.workers}
     return _emit(args, config, [summary], outputs)
 
 
@@ -319,38 +316,32 @@ def cmd_sweep(args) -> int:
             args.axis, f"--param {args.axis}={fixed[args.axis]!r}")
         raise ContractError(f"--axis {args.axis} sweeps {args.axis} over {values}, "
                             f"so {given} cannot also fix it")
-    methods = _methods_for(args.method, family)
     outputs = _outputs(args, f"sweep_{family}_{args.axis}.csv")
     summaries = run_sweep(family, args.axis, values, fixed, args.trials, args.seed,
-                          methods=methods, workers=args.workers)
+                          methods=_methods_for(args.method), workers=args.workers)
     config = {"problem": family, "axis": args.axis, "values": values, "R": args.trials,
-              "seed": args.seed, "methods": methods, "fixed": fixed, "workers": args.workers}
+              "seed": args.seed, "methods": summaries[0].methods, "fixed": fixed,
+              "workers": args.workers}
     return _emit(args, config, summaries, outputs)
 
 
 def cmd_theory(args) -> int:
     """Sigmas and margins of a Gaussian-noise problem at its truth x*: x'x at
     x* = (xstar, ..., xstar) in d dimensions (quad), or a family's instance
-    (P1, P2, P5).  Each takes its parameters, the noise level sigma among
-    them, through --param as bench does; d is checked against the moment
+    (P1, P2, P5).  Each takes its parameters, sigma among them, through
+    --param, checked as bench checks them; d is checked against the moment
     tensors' cap before any d x d array is built."""
     problem = args.problem
     if problem not in ("quad", "P1", "P2", "P5"):
         raise ContractError(f"theory takes a Gaussian-noise problem, quad, P1, P2 or P5; "
                             f"got {problem!r}")
-    declared = QUAD if problem == "quad" else get_family(problem).params
     params = _parse_param(args.param)
-    check_known(problem, params, declared)
-    p = {**declared, **params}
-    check_counts(p, ("d",))
-    if p["d"] < 1:
-        raise ContractError(f"d must be >= 1, got {p['d']}")
+    p = resolve_params(problem, QUAD if problem == "quad" else get_family(problem).params,
+                       params)
     d, sigma = int(p["d"]), float(p["sigma"])
     with np.errstate(over="ignore"):  # an inf moment leaves a sigma inf or nan, refused below
         moments = moments_gaussian(sigma, d)  # refuses d > 20 before any d x d array
     if problem == "quad":
-        if not math.isfinite(p["xstar"]):
-            raise ContractError(f"xstar must be finite, got {p['xstar']}")
         F, x_star = p1_quadratic(np.eye(d)), np.full(d, float(p["xstar"]))
     else:
         inst = generate_instance(problem, params, RandomStream(args.seed))
@@ -361,6 +352,9 @@ def cmd_theory(args) -> int:
             finite = np.isfinite([v for v in ss.values() if v is not None]).all()
         except (OverflowError, FloatingPointError):
             finite = False
+        except ZeroDivisionError:  # margin_scale divides by F(x*)**2, which underflowed
+            raise ContractError(f"{named(params)} leaves F(x*) = {F.evaluate(x_star)!r}, "
+                                "whose square underflows float64 to 0") from None
     if not finite:
         raise ContractError(f"sigma {sigma!r} at --ck {args.ck!r} leaves a sigma "
                             "or a margin outside float64")

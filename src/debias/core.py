@@ -172,22 +172,15 @@ class EuclideanBlock:
             raise ContractError("unbiased covariance needs n >= 2")
         H = np.stack([np.asarray(self.F.hessian(mean), dtype=float) for mean in self.means])
         h = np.diagonal(H, axis1=1, axis2=2)
-        # a diagonal H (P3, P6): the 3-operand kernel adds the terms one at a
-        # time in j order, the order of the full contraction less its zero
-        # terms, so the forms keep their bits; each set's forms are those of
-        # a contraction of that set alone
-        diagonal = np.count_nonzero(H, axis=(1, 2)) == np.count_nonzero(h, axis=1)
+        # a block whose every H is diagonal (P3, P6) contracts the diagonals:
+        # that kernel adds the terms in j order, the full contraction's order
+        # less its zero terms, so either kernel gives a diagonal H's forms the
+        # same bits, each set's forms being those of that set alone
         centered = self.deviations
-        if diagonal.all():
+        if np.count_nonzero(H) == np.count_nonzero(h):
             forms = np.einsum("bij,bj,bij->bi", centered, h, centered)
-        elif not diagonal.any():
-            forms = np.einsum("bij,bjk,bik->bi", centered, H, centered)
         else:
-            forms = np.empty(centered.shape[:2])
-            c = centered[diagonal]
-            forms[diagonal] = np.einsum("bij,bj,bij->bi", c, h[diagonal], c)
-            c = centered[~diagonal]
-            forms[~diagonal] = np.einsum("bij,bjk,bik->bi", c, H[~diagonal], c)
+            forms = np.einsum("bij,bjk,bik->bi", centered, H, centered)
         return [-math.fsum(row) / (2.0 * n * q) for row in forms.tolist()]
 
 

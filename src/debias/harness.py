@@ -39,14 +39,15 @@ from .core import covariance_debias, scale_debias, shift_debias  # noqa: F401
 from .observations import ContractError
 from .observations import mean_observation  # noqa: F401  hooked by perfbench/spans.py
 from .problems import (ProblemInstance, check_counts, check_trial_cells, generate_instance,
-                       get_family, named)
+                       get_family, named, trial_width)
 from .resampling import RandomStream, block_streams
 
 # Trials run in blocks of at most this many resample cells, trials x K x
-# max(n, d): a block's counts hold trials x K x n numbers and its resample
-# means trials x K x d, so each of these arrays stays within 512 KiB of
-# 8-byte values.  A P1-P5 preset experiment of up to 50 trials is one block.
+# problems.trial_width: a block's count and resample-mean arrays each stay
+# within 512 KiB of 8-byte values.  A P1-P5 preset experiment of up to 50
+# trials is one block.
 BLOCK_CELLS = 65536
+MAX_TRIALS = 2**32  # the most trials an experiment runs: the indices block keys cover
 
 # An experiment whose every naive error is within this many ulps of its truth
 # compares rounding noise, not estimators, and is refused.
@@ -169,8 +170,7 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
         reason = method_applicable(m, instance)
         if reason:
             raise ContractError(f"{instance.id}: {reason}")
-    width = n if instance.objective.paired else max(n, instance.truth_input.size)
-    size = max(1, BLOCK_CELLS // (plan.rounds * width))
+    size = max(1, BLOCK_CELLS // (plan.rounds * trial_width(instance, n)))
     records = []
     for start in range(lo, hi, size):
         end = min(start + size, hi)
@@ -258,18 +258,26 @@ def _trial_block(family, params, seed, exp_index, n, K, methods, t_lo, t_hi):
     return run_trials(instance, n, plan, methods, root, t_lo, t_hi)
 
 
-def run_experiment_spec(family: str, params: dict, n: int, K: int, methods, R: int,
-                        seed: int, exp_index: int = 0, workers: int = 1) -> ExperimentSummary:
+def run_experiment_spec(family: str, params: dict, n: Optional[int], K: Optional[int],
+                        methods, R: int, seed: int, exp_index: int = 0,
+                        workers: int = 1) -> ExperimentSummary:
     """Experiment from a declarative spec (lineage: ``_lineage``); safe to
     parallelize because each child process regenerates the instance and
-    draws trial t from the same lineage.  Sizes that would give a trial an
-    array above ``problems.MAX_CELLS`` are refused before any trial runs."""
+    draws trial t from the same lineage.  An ``n``, ``K`` or ``methods`` of
+    None is the family's preset, P6's n being 5 * d of the instance built.
+    More than ``MAX_TRIALS`` trials, and sizes that would give a trial an
+    array above ``problems.MAX_CELLS``, are refused before any trial runs."""
+    if R > MAX_TRIALS:
+        raise ContractError(f"R (--trials) must be at most MAX_TRIALS = 2**32, got {R}")
+    spec = get_family(family)
+    K = spec.K if K is None else K
+    methods = list(spec.methods if methods is None else methods)
     instance, plan, root = _lineage(family, params, seed, exp_index, K)
+    n = spec.preset_n(instance.params["d"]) if n is None else n
     check_trial_cells(instance, n, K)
     blocks = 1 if workers <= 1 or R < 4 else min(workers, R)
     bounds = np.linspace(0, R, blocks + 1).astype(int).tolist()
-    block = functools.partial(_trial_block, family, params, seed, exp_index, n, K,
-                              list(methods))
+    block = functools.partial(_trial_block, family, params, seed, exp_index, n, K, methods)
     records = _run_blocks(block, bounds, functools.partial(
         run_trials, instance, n, plan, methods, root))
     return _reduce_records(instance, n, plan, methods, seed, records)
@@ -335,19 +343,18 @@ def default_workers() -> int:
 def run_sweep(family: str, axis: str, values, fixed: dict, R: int, seed: int,
               methods=None, workers: int = 1) -> list[ExperimentSummary]:
     """One experiment per axis value; value i uses experiment index i of the
-    shared master seed, so sweeps are reproducible point by point."""
+    shared master seed, so sweeps are reproducible point by point.  An n, K
+    or ``methods`` that neither the axis nor ``fixed`` sets is the preset."""
     spec = get_family(family)
     if axis not in spec.axes:
         raise ContractError(f"axis {axis} must be a {family} parameter, n or K; "
                             f"valid: {', '.join(spec.axes)}")
-    methods = list(methods if methods is not None else spec.methods)
     summaries = []
     for i, value in enumerate(values):
         params = {**fixed, axis: value}
         check_counts(params, ("n", "K"))
-        n = params.pop("n", None)
-        K = int(params.pop("K", spec.K))
-        n = spec.resolve_n(None if n is None else int(n), params)
+        n, K = (None if v is None else int(v) for v in (params.pop("n", None),
+                                                         params.pop("K", None)))
         summary = run_experiment_spec(family, params, n, K, methods, R, seed, exp_index=i,
                                       workers=workers)
         summary.axis = axis

@@ -303,12 +303,23 @@ def _truth_point(p: dict, d: int, stream: RandomStream, positive: bool = False) 
     return math.sqrt(norm2) * _unit_vector(d, stream, positive)
 
 
-def check_known(problem: str, params: dict, declared) -> None:
-    """Refuse a parameter ``problem`` does not declare, named as given (key=value)."""
+def resolve_params(problem: str, declared: dict, params: dict) -> dict:
+    """``problem``'s declared parameters and defaults, overridden by
+    ``params``.  Refused, each by name: a parameter ``problem`` does not
+    declare (named as given, key=value), a non-finite value, a count (d,
+    p_dim, m_samples) that is not an integer, and d < 1."""
     unknown = sorted(set(params) - set(declared))
     if unknown:
         given = ", ".join(f"{key}={params[key]}" for key in unknown)
         raise ContractError(f"{problem} does not take {given}; valid: {sorted(declared)}")
+    p = {**declared, **params}
+    for name, value in p.items():
+        if value is not None and not math.isfinite(value):
+            raise ContractError(f"{name} must be finite, got {value}")
+    check_counts(p, ("d", "p_dim", "m_samples"))
+    if p["d"] < 1:
+        raise ContractError(f"d must be >= 1, got {p['d']}")
+    return p
 
 
 def check_counts(p: dict, names) -> None:
@@ -447,7 +458,7 @@ def _build_p7(p, d, stream):
 @dataclass(frozen=True)
 class Family:
     """A family's parameters with their defaults, its bench preset (``n`` of
-    None means 5 * d, see ``resolve_n``) and the builder of its instances."""
+    None means 5 * d, see ``preset_n``) and the builder of its instances."""
 
     params: dict
     n: Optional[int]
@@ -460,20 +471,9 @@ class Family:
         """What a sweep may vary: the parameters, then ``n`` and ``K``."""
         return (*self.params, "n", "K")
 
-    def resolve(self, params: dict) -> dict:
-        """The defaults, overridden by ``params``; a non-finite value is
-        refused, naming its parameter."""
-        p = {**self.params, **params}
-        for name in self.params:
-            if p[name] is not None and not math.isfinite(p[name]):
-                raise ContractError(f"{name} must be finite, got {p[name]}")
-        return p
-
-    def resolve_n(self, n: Optional[int], params: dict) -> int:
-        """Observations per trial: ``n`` if given, else the preset, else
-        5 * d (P6), d from ``params`` or else the defaults."""
-        p = self.resolve(params)
-        return n if n is not None else self.n or int(5 * p["d"])
+    def preset_n(self, d) -> int:
+        """Observations per trial at the preset: ``n``, else 5 * d (P6)."""
+        return self.n or int(5 * d)
 
 
 _ALL, _BOOTSTRAP = ("shift", "scale", "cov"), ("shift", "scale")
@@ -505,30 +505,33 @@ def generate_instance(family: str, params: Optional[dict] = None,
     All randomness (matrices, truth inputs) comes from ``stream``; identical
     (family, params, stream) triples give identical instances.
     """
-    spec, params = get_family(family), params or {}
-    check_known(family, params, spec.params)
-    p = spec.resolve(params)
-    check_counts(p, ("d", "p_dim", "m_samples"))
+    spec = get_family(family)
+    p = resolve_params(family, spec.params, params or {})
     d = int(p["d"])
-    if d < 1:
-        raise ContractError(f"d must be >= 1, got {p['d']}")
     check_cells("d x d", d, d)  # the d x d matrices and Hessians
     built = spec.build(p, d, stream if stream is not None else RandomStream(0))
     objective, noise, truth_input, truth_value, matrices = built
     return ProblemInstance(family, objective, truth_input, truth_value, noise, p, matrices)
 
 
+def trial_width(instance: ProblemInstance, n: int) -> int:
+    """The width of a trial's widest K-row array: max(n, d) for a Euclidean
+    set (K x n counts, K x d means), max(n, m_samples) for a P7 pair."""
+    if instance.objective.paired:
+        return max(n, int(instance.params["m_samples"] or n))  # a sweep's 7.0 counts as 7
+    return max(n, instance.truth_input.size)
+
+
 def check_trial_cells(instance: ProblemInstance, n: int, K: int) -> None:
     """Refuse, before any trial array is built, an experiment one of whose
-    trials would hold an array above ``MAX_CELLS``: its K x max(n, d)
-    resample counts or means and its n x d sample, d being the coordinates
-    of F's input; for P7, whose second cloud has m_samples points, n is the
-    larger cloud's size and the n x m_samples costs count too."""
+    trials would hold an array above ``MAX_CELLS``: its K-row resample
+    counts or means (``trial_width``) and its n x d sample; for P7 its
+    n x m_samples costs and the larger cloud's points."""
+    width = trial_width(instance, n)
     if instance.objective.paired:
-        m = instance.params["m_samples"] or n
-        check_cells("n x m_samples", n, m)
-        n, width = max(n, m), instance.params["d"]
+        check_cells("n x m_samples", n, instance.params["m_samples"] or n)
+        check_cells("K x max(n, m_samples)", K, width)
+        check_cells("n x d", width, instance.params["d"])
     else:
-        width = instance.truth_input.size
-    check_cells("K x max(n, d)", K, max(n, width))
-    check_cells("n x d", n, width)
+        check_cells("K x max(n, d)", K, width)
+        check_cells("n x d", n, instance.truth_input.size)

@@ -10,7 +10,7 @@ import pytest
 
 import debias
 from _oracles import parse_results_csv
-from debias import cli, transport
+from debias import cli, harness, transport
 from debias.cli import CliParseError, main
 from debias.core import DegenerateDenominatorError, UnsupportedMethodError
 from debias.harness import default_workers, run_experiment_spec, run_sweep
@@ -520,7 +520,8 @@ def test_removed_parameter_exit_3(tmp_path, capfd, argv):
     ("bench P1 --n 1000000000000000000000", "K x max(n, d)"),
     ("bench P1 --k 1000000000000000000000", "K x max(n, d)"),
     *[(f"sweep {family} --axis {axis} --values 1e300",
-       "n x m_samples" if (family, axis) == ("P7", "n") else "K x max(n, d)")
+       {"n": "n x m_samples", "K": "K x max(n, m_samples)"}[axis] if family == "P7"
+       else "K x max(n, d)")
       for family in sorted(FAMILIES) for axis in ("n", "K")],
     ("bench P5 --param p_dim=1e300", "p_dim x p_dim"),
     ("bench P5 --param p_dim=1e150", "p_dim x p_dim"),
@@ -538,6 +539,40 @@ def test_size_above_cell_limit_exit_3(tmp_path, capfd, argv, name):
     assert rc == 3, err
     assert [str(w.message) for w in caught] == []
     assert err == f"error: {name} must be at most MAX_CELLS = {MAX_CELLS} cells\n"
+
+
+@pytest.mark.parametrize("param, message", [
+    ("bogus=3", "P1 does not take bogus=3; valid: "),
+    ("sigma=nan", "sigma must be finite, got nan"),
+    ("d=2.5", "d must be an integer, got 2.5"),
+    ("d=0", "d must be >= 1, got 0"),
+])
+def test_bench_sweep_theory_refuse_a_parameter_alike(tmp_path, capfd, param, message):
+    # one check of a problem's parameters serves bench, sweep and theory
+    for argv in (bad_parameter_args(f"bench P1 --param {param}", tmp_path),
+                 bad_parameter_args(f"sweep P1 --axis kappa --values 2 --param {param}",
+                                    tmp_path),
+                 ["theory", "--problem", "P1", "--param", param]):
+        assert main(argv) == 3
+        captured = capfd.readouterr()
+        assert captured.err.startswith(f"error: {message}"), argv
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("trials", [10**24, 2**32 + 1])
+@pytest.mark.parametrize("command", [["bench", "P1"],
+                                     ["sweep", "P1", "--axis", "d", "--values", "2"]])
+def test_trials_above_bound_exit_3(tmp_path, capsys, monkeypatch, command, trials):
+    # 10**24 exited 1 with numpy's _UFuncInputCastingError traceback from
+    # np.linspace; each count is refused before any instance is built
+    monkeypatch.setattr(harness, "_lineage", lambda *args: pytest.fail("an experiment started"))
+    out = tmp_path / "r.csv"
+    rc = main(command + ["--trials", str(trials), "--workers", "1", "--no-header",
+                         "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == f"error: R (--trials) must be at most MAX_TRIALS = 2**32, got {trials}\n"
+    assert not out.exists() and captured.out == ""
 
 
 @pytest.mark.parametrize("family", ["P1", "P2", "P5"])
@@ -708,17 +743,21 @@ def test_theory_family_header_has_no_xstar(capsys):
 
 
 @pytest.mark.parametrize("problem", ["quad", "P2"])
-@pytest.mark.parametrize("argv, name", [
-    (["--param", "sigma=nan"], "sigma"),  # printed margin_shift = nan
-    (["--param", "sigma=-1"], "sigma"),  # ran as sigma = 1
-    (["--param", "sigma=0"], "sigma"),
-    (["--ck", "nan"], "c_k"),
-    (["--ck", "inf"], "c_k"),
+@pytest.mark.parametrize("argv, message", [
+    # printed margin_shift = nan; refused as bench refuses any non-finite parameter
+    pytest.param(["--param", "sigma=nan"], "sigma must be finite, got nan", id="argv0-sigma"),
+    # ran as sigma = 1
+    pytest.param(["--param", "sigma=-1"], "sigma must be finite and > 0, got -1.0",
+                 id="argv1-sigma"),
+    pytest.param(["--param", "sigma=0"], "sigma must be finite and > 0, got 0.0",
+                 id="argv2-sigma"),
+    pytest.param(["--ck", "nan"], "c_k must be finite and > 0, got nan", id="argv3-c_k"),
+    pytest.param(["--ck", "inf"], "c_k must be finite and > 0, got inf", id="argv4-c_k"),
 ])
-def test_theory_bad_noise_exit_3(capsys, problem, argv, name):
+def test_theory_bad_noise_exit_3(capsys, problem, argv, message):
     assert main(["theory", "--problem", problem, *argv]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {name} must be finite and > 0, got ")
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
@@ -739,6 +778,9 @@ def test_theory_bad_noise_exit_3(capsys, problem, argv, name):
     (["--param", "xstar=-1" + "0" * 400], "xstar must fit in a float, got an integer of 401 digits"),
     (["--problem", "P2", "--param", "kappa=1" + "0" * 400],
      "kappa must fit in a float, got an integer of 401 digits"),
+    # exit 1 with a ZeroDivisionError traceback: margin_scale's F(x*)**2 underflows to 0
+    (["--problem", "P1", "--param", "xstar_norm2=1e-308"], "xstar_norm2=1e-308 leaves F(x*) = "),
+    (["--param", "xstar=1e-160"], "xstar=1e-160 leaves F(x*) = 1e-320, whose square underflows"),
 ])
 def test_theory_overflow_exit_3(capsys, argv, message):
     # printed margins of -inf at exit 0 for the --ck case

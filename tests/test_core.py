@@ -265,8 +265,9 @@ def test_block_covariance_is_per_set_reference(family, d, n):
 
 def test_block_covariance_mixing_diagonal_and_full_hessians():
     # sets whose mean has x_0 > 0 have a diagonal H, the others a full one,
-    # so one block runs both contractions and puts each set's forms back
-    # in set order
+    # so the block contracts every set's full H, diagonal ones too; each set
+    # keeps the bits of its own contraction, and of its block of one, which
+    # contracts a diagonal H over its diagonal alone
     full = np.array([[2.0, 0.5, 0.25], [0.5, 3.0, -0.75], [0.25, -0.75, 1.5]])
     F = Objective(fn=lambda x: float(x @ full @ x),
                   hessian=lambda x: np.diag(np.diag(full)) if x[0] > 0 else full)
@@ -279,6 +280,19 @@ def test_block_covariance_mixing_diagonal_and_full_hessians():
     assert kinds == [3, 9, 9, 3, 3, 9, 9, 9, 3]
     want = covariance_reference(F, block.means, block.deviations)
     assert [v.hex() for v in block.covariance()] == [v.hex() for v in want]
+    for seed in range(200):  # random shapes, Hessians and scales
+        rng = np.random.default_rng(seed)
+        d, n, B = (int(v) for v in rng.integers((2, 2, 2), (9, 40, 10)))
+        root = rng.normal(size=(d, d))
+        A = root @ root.T + np.eye(d)
+        F = Objective(fn=lambda x, A=A: float(x @ A @ x),
+                      hessian=lambda x, A=A: np.diag(np.diag(A)) if x[0] > 0 else A)
+        sets = rng.normal(size=(B, n, d)) * rng.choice([1e-3, 1.0, 1e3])
+        sets[:, :, 0] += np.where(np.arange(B) % 2 == rng.integers(2), 1e4, -1e4)[:, None]
+        block = EuclideanBlock(F, sets)
+        assert 0 < sum(np.count_nonzero(F.hessian(m)) == d for m in block.means) < B
+        alone = [EuclideanBlock(F, points[None]).covariance()[0] for points in sets]
+        assert [v.hex() for v in block.covariance()] == [v.hex() for v in alone], seed
 
 
 # ---------------------------------------------------------------------------

@@ -275,8 +275,9 @@ def test_trial_record_digests(monkeypatch, family, workers):
         return _reduce_records(*args)
 
     monkeypatch.setattr(harness, "_reduce_records", keep)
-    run_experiment_spec(family, {}, spec.resolve_n(None, {}), spec.K, spec.methods,
-                        4 if family == "P7" else 6, seed=3, workers=workers)
+    # n, K and methods of None: the family's preset
+    run_experiment_spec(family, {}, None, None, None, 4 if family == "P7" else 6, seed=3,
+                        workers=workers)
     chunks = []
     for rec in records:
         chunks += [repr(rec.seed_path).encode(), rec.fingerprint.to_bytes(8, "big"),
@@ -428,8 +429,12 @@ def test_block_size_does_not_change_records(monkeypatch, family, params, n, K, m
                         for t in range(R)]) == want
     sizes = block_sizes(monkeypatch)
     assert harness.BLOCK_CELLS == 65536
-    # a trial's resample cells: K x n counts or K x d resample means
-    width = K * max(n, 0 if instance.truth_input is None else instance.truth_input.size)
+    # a trial's resample cells: K x n counts or K x d resample means, and for
+    # P7 the K x n and K x m_samples counts of its two clouds
+    if instance.objective.paired:
+        width = K * max(n, instance.params["m_samples"] or n)
+    else:
+        width = K * max(n, instance.truth_input.size)
     for cells in (width, 2 * width, 3 * width, R * width, 65536):
         trials = min(R, cells // width)
         sizes.clear()
@@ -455,6 +460,18 @@ def test_trials_past_one_word_indices_run_one_at_a_time(monkeypatch):
     monkeypatch.setattr(harness, "BLOCK_CELLS", 2 * 3 * 4)
     assert record_bits(run_trials(instance, 4, plan, methods, root, lo, lo + 4)) == want
     assert sizes == [2, 1, 1]
+
+
+def test_p7_block_size_counts_the_second_cloud(monkeypatch):
+    # m_samples = 100 against n = 2 is K x 100 = 5000 count cells a trial,
+    # so R = 40 runs in blocks of 13 (it ran as one block of 200000 cells);
+    # the records, and so the ratios, do not depend on the block size.
+    # m_samples is given as a sweep gives it, a float
+    sizes = block_sizes(monkeypatch)
+    summary = run_experiment_spec("P7", {"m_samples": 100.0}, 2, 50, ["shift"], 40, 0)
+    assert sizes == [13, 13, 13, 1]
+    assert max(sizes) * 50 * 100 <= harness.BLOCK_CELLS
+    assert summary.rmse_r["shift"].hex() == (0.8569713937571535).hex()
 
 
 def crafted_instance(family, params, sets, **objective_changes):

@@ -421,7 +421,7 @@ def test_cell_limit_refuses_before_building():
 def test_presets_are_far_below_the_cell_limit(family):
     spec = FAMILIES[family]
     inst = generate_instance(family, {}, RandomStream(0))
-    check_trial_cells(inst, 1000 * spec.resolve_n(None, {}), spec.K)  # a thousandfold n
+    check_trial_cells(inst, 1000 * spec.preset_n(spec.params["d"]), spec.K)  # a thousandfold n
 
 
 def test_p7_dimension_cap():
@@ -674,7 +674,8 @@ def one_stream_draw(inst, n, s):
     return xs, m["mu2"] + p["sigma"] * s.normal((p["m_samples"] or n, d))
 
 
-BLOCK_DRAWS = [(family, {}, FAMILIES[family].resolve_n(None, {})) for family in sorted(FAMILIES)]
+BLOCK_DRAWS = [(family, {}, spec.preset_n(spec.params["d"]))
+               for family, spec in sorted(FAMILIES.items())]
 BLOCK_DRAWS += [("P1", {"d": 3}, 5), ("P7", {"d": 3, "m_samples": 4}, 5)]  # odd n * d
 
 
@@ -738,7 +739,6 @@ def test_readme_families_table_matches_code():
         assert int(K) == spec.K
         if spec.n is None:
             ratio = int(re.fullmatch(r"(\d+) \* d", n)[1])
-            assert [spec.resolve_n(None, {"d": d}) for d in (1, 7, 30)] == [ratio, 7 * ratio,
-                                                                           30 * ratio]
+            assert [spec.preset_n(d) for d in (1, 7, 30)] == [ratio, 7 * ratio, 30 * ratio]
         else:
             assert int(n) == spec.n
