@@ -16,16 +16,16 @@ bias (Jensen's inequality).  Three corrections are provided:
 All three apply unchanged to concave F: the algebra is sign-symmetric, so
 debiasing -F and negating gives identical results.
 
-Every estimate runs on a block of B inputs of one kind (``block_for``):
-``EuclideanBlock`` (a (B, n, d) stack of Euclidean sets) or ``EmpiricalBlock``
-(pairs of (n_i, d) point clouds, evaluated and resampled through F's paired
-``fn_many``; a paired objective without it is refused before F is
-evaluated).  A block exposes ``naive`` (F at each input's mean),
-``mean(b)``, ``resample_values(plan, rngs)`` (F at each input's K resample
-means, input b resampling from ``rngs[b]``) and ``covariance()``.
-``corrections`` is the method table over a block, ``debiased`` combines a
-naive value with its correction, and ``why_not`` says whether a method
-applies.  ``debias`` runs a block of one input.
+Every estimate runs on a block of B inputs of the kind ``F.paired`` names
+(``block_for``): ``EuclideanBlock`` (a (B, n, d) stack of Euclidean sets) or,
+for a paired F, ``EmpiricalBlock`` (pairs of (n_i, d) point clouds, evaluated
+and resampled through F's paired ``fn_many``).  A block exposes ``naive`` (F
+at each input's mean), ``mean(b)`` and ``resample_values(plan, rngs)`` (F at
+each input's K resample means, input b resampling from ``rngs[b]``); a
+Euclidean block also ``covariance()``.  ``why_not`` says from F alone whether
+a method applies, ``estimates`` is the method table over a block and its one
+finiteness check, and ``debiased`` combines a naive value with its
+correction.  ``debias`` runs a block of one input.
 """
 
 from __future__ import annotations
@@ -48,6 +48,14 @@ class UnsupportedMethodError(ValueError):
 
 class DegenerateDenominatorError(EvaluationError):
     """The scaling denominator sum_k F(xtilde_k)^2 vanished."""
+
+
+class NonFiniteEstimateError(EvaluationError):
+    """A debiased value that is not finite, of input ``index`` of its block."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -153,9 +161,8 @@ class EuclideanBlock:
         # rows of two coordinates in another order than a longer batch, so
         # sets with fewer than three resamples are evaluated one call each
         batches = [points.reshape(-1, d)] if rounds >= 3 else list(points)
-        try:  # a value that overflows is refused below, without numpy's warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = np.concatenate([self.F.evaluate_batch(rows) for rows in batches])
+        try:  # a value that overflows is refused below; ``estimates`` silences numpy's warning
+            values = np.concatenate([self.F.evaluate_batch(rows) for rows in batches])
         except DomainError as exc:
             raise DomainError(f"bootstrap resample: {exc}") from exc
         bad = np.flatnonzero(~np.isfinite(values))
@@ -181,7 +188,7 @@ class EuclideanBlock:
             forms = np.einsum("bij,bj,bij->bi", centered, h, centered)
         else:
             forms = np.einsum("bij,bjk,bik->bi", centered, H, centered)
-        return [-math.fsum(row) / (2.0 * n * q) for row in forms.tolist()]
+        return [-_fsum(row) / (2.0 * n * q) for row in forms.tolist()]
 
 
 class EmpiricalBlock:
@@ -219,24 +226,11 @@ class EmpiricalBlock:
                   for i, s in enumerate(obs)]
         return _indexed(map(self.F.finite, self.F.fn_many(obs, coeffs)))
 
-    def covariance(self) -> list[float]:
-        raise UnsupportedMethodError("covariance needs Euclidean observations")
-
-
-def _pair_points(obs) -> tuple:
-    """The points of a paired input, a tuple of two ObservationSets."""
-    if not (isinstance(obs, tuple) and len(obs) == 2
-            and all(isinstance(s, ObservationSet) for s in obs)):
-        raise UnsupportedMethodError("empirical inputs must be pairs of point clouds")
-    return tuple(s.points for s in obs)
-
 
 def block_for(F: Objective, inputs):
-    """The block for a (B, n, d) stack of Euclidean sets, or for a list of
-    pairs of (n_i, d) point clouds."""
-    if isinstance(inputs, np.ndarray):
-        return EuclideanBlock(F, inputs)
-    return EmpiricalBlock(F, inputs)
+    """The block for a (B, n, d) stack of Euclidean sets or, for a paired F,
+    for a list of pairs of (n_i, d) point clouds."""
+    return (EmpiricalBlock if F.paired else EuclideanBlock)(F, inputs)
 
 
 def _indexed(values) -> np.ndarray:
@@ -251,11 +245,19 @@ def _indexed(values) -> np.ndarray:
     return np.asarray(out)
 
 
+def _fsum(terms) -> float:
+    """``math.fsum`` of the terms, nan where it overflows (or adds inf to -inf)."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def _shift_correction(naive: float, values) -> float:
     # A degenerate set's resample means equal its mean bit for bit, so each
     # difference is fn(mean) - fn_many's value there: exactly 0 where the two
     # sum alike (P3, P4), a few ulps of F where they do not (P1, P2, P5).
-    return math.fsum((naive - values).tolist()) / len(values)
+    return _fsum((naive - values).tolist()) / len(values)
 
 
 def _scale_correction(naive: float, values) -> float:
@@ -263,10 +265,10 @@ def _scale_correction(naive: float, values) -> float:
     # warning.  On a degenerate set s is exactly 1 where fn and fn_many sum
     # alike, and within a few ulps of 1 where they do not
     values = values.tolist()
-    denom = math.fsum([v * v for v in values])
+    denom = _fsum([v * v for v in values])
     if denom < 1e-300:
         raise DegenerateDenominatorError("sum of squared bootstrap values vanished")
-    return math.fsum([naive * v for v in values]) / denom
+    return _fsum([naive * v for v in values]) / denom
 
 
 # method -> correction from (naive, K bootstrap values); None: the covariance correction
@@ -274,35 +276,40 @@ _TABLE = {"shift": _shift_correction, "scale": _scale_correction, "cov": None}
 METHODS = tuple(_TABLE)
 
 
-def why_not(method: str, F: Objective, euclidean: bool) -> Optional[str]:
-    """None if the method applies to F on Euclidean (or, with ``euclidean``
-    False, empirical) inputs, else the reason it does not."""
+def why_not(method: str, F: Objective) -> Optional[str]:
+    """None if the method applies to F, by its oracles and ``paired``, else why not."""
     if method not in _TABLE:
         return f"unknown method {method!r}; valid: {', '.join(METHODS)}"
-    if F.paired == euclidean:
-        return ("a paired objective's inputs are pairs of point clouds" if F.paired
-                else "pairs of point clouds need a paired objective")
     if method == "scale" and F.sign_constraint not in ("positive", "negative"):
         return "scale needs a sign-definite objective"
     if method == "cov":
-        if not euclidean:
+        if F.paired:
             return "covariance needs Euclidean observations"
         if F.hessian is None:
             return "covariance needs a hessian oracle"
-    elif not euclidean and F.fn_many is None:
+    elif F.paired and F.fn_many is None:
         return f"{method} on point clouds needs a paired fn_many"
     return None
 
 
-def corrections(method: str, block, plan: Optional[BootstrapPlan], rngs):
-    """The method table over a block: each input's correction under
-    ``method``, and the bootstrap values behind them (None for cov); input b
-    resamples from ``rngs[b]``."""
+def estimates(method: str, block, plan: Optional[BootstrapPlan], rngs):
+    """The method table over a block: each input's correction and debiased
+    value under ``method``, and the bootstrap values behind them (None for
+    cov); input b resamples from ``rngs[b]``.  The first debiased value that
+    is not finite (a correction sum that overflows is nan) raises
+    NonFiniteEstimateError."""
     correction = _TABLE[method]
-    if correction is None:
-        return block.covariance(), None
-    values = block.resample_values(plan, rngs)
-    return [correction(naive, v) for naive, v in zip(block.naive, values)], values
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+        if correction is None:
+            corr, values = block.covariance(), None
+        else:
+            values = block.resample_values(plan, rngs)
+            corr = [correction(naive, v) for naive, v in zip(block.naive, values)]
+    out = [debiased(method, naive, c) for naive, c in zip(block.naive, corr)]
+    for b, value in enumerate(out):
+        if not math.isfinite(value):
+            raise NonFiniteEstimateError(f"method {method} produced {value}", b)
+    return corr, out, values
 
 
 def debiased(method: str, naive: float, correction: float) -> float:
@@ -313,25 +320,40 @@ def debiased(method: str, naive: float, correction: float) -> float:
 
 def debias(method: str, F: Objective, obs, plan: Optional[BootstrapPlan] = None,
            rng: Optional[RandomStream] = None) -> DebiasEstimate:
-    """Debias F at the mean of one input, an ObservationSet or a tuple of two
-    of them (P7), with "shift", "scale" or "cov", as a block of one.
+    """Debias F at the mean of one input, an ObservationSet or, for a paired
+    F (P7), a tuple of two of them, with "shift", "scale" or "cov", as a
+    block of one.
 
     The bootstrap methods need ``plan`` and resample from ``rng`` (default
-    ``RandomStream(0)``).  A method ``why_not`` rules out raises
-    UnsupportedMethodError before F is evaluated.
+    ``RandomStream(0)``).  Before F is evaluated, a method ``why_not`` rules
+    out and an input of another kind raise UnsupportedMethodError, and a
+    bootstrap method without a plan raises ContractError.
     """
-    euclidean = isinstance(obs, ObservationSet)
-    reason = why_not(method, F, euclidean)
+    reason = why_not(method, F)
     if reason:
         raise UnsupportedMethodError(reason)
-    if rng is None and plan is not None:
-        rng = RandomStream(0)
-    block = block_for(F, obs.points[None] if euclidean else [_pair_points(obs)])
-    (correction,), values = corrections(method, block, plan, [rng])
-    naive = block.naive[0]
-    return DebiasEstimate(naive, method, correction,
-                          debiased(method, naive, correction), block.mean(0),
+    if plan is None and _TABLE[method] is not None:
+        raise ContractError(f"{method} resamples, so it needs a BootstrapPlan")
+    block = block_for(F, _one_input(F, obs))
+    (correction,), (value,), values = estimates(method, block, plan,
+                                                [RandomStream(0) if rng is None else rng])
+    return DebiasEstimate(block.naive[0], method, correction, value, block.mean(0),
                           None if values is None else list(map(float, values[0])))
+
+
+def _one_input(F: Objective, obs):
+    """``obs`` as a block's input: a set's points as a (1, n, d) stack or, for
+    a paired F, a pair of sets' points in a list; refused, named, otherwise."""
+    pair = isinstance(obs, tuple) and len(obs) == 2
+    if pair == F.paired and all(isinstance(s, ObservationSet) for s in (obs if pair else [obs])):
+        return [tuple(s.points for s in obs)] if pair else obs.points[None]
+    given = type(obs).__name__
+    if isinstance(obs, (tuple, list)):
+        given += f" of {len(obs)}: {', '.join(sorted({type(s).__name__ for s in obs}))}"
+    want = ("a paired objective's inputs are pairs of point clouds, tuples of two "
+            "ObservationSets" if F.paired else "a Euclidean objective's input is an "
+            "ObservationSet (pairs of point clouds need a paired objective)")
+    raise UnsupportedMethodError(f"{want}; got {given}")
 
 
 def shift_debias(F: Objective, obs, plan: BootstrapPlan, rng=None) -> DebiasEstimate:

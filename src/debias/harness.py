@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BootstrapPlan, block_for, corrections, debiased, why_not
+from .core import BootstrapPlan, NonFiniteEstimateError, block_for, estimates, why_not
 # hooked by perfbench/spans.py
 from .core import covariance_debias, scale_debias, shift_debias  # noqa: F401
 from .observations import ContractError
@@ -97,11 +97,6 @@ class ExperimentSummary:
     mse_diff_se: dict[str, float]
 
 
-def method_applicable(method: str, instance: ProblemInstance) -> Optional[str]:
-    """None if the method applies to this instance, else the reason it doesn't."""
-    return why_not(method, instance.objective, not instance.objective.paired)
-
-
 def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
               methods, stream: RandomStream) -> TrialRecord:
     """One fresh observation set (or pair), all requested methods evaluated on it."""
@@ -114,21 +109,21 @@ def _trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
     """The trials of one block, ``streams[j][b]`` being trial b's stream
     split(j): one draw samples every trial's input from its split(0), and
     each method j runs once over the block, trial b resampling from
-    ``streams[1 + j][b]``."""
+    ``streams[1 + j][b]``.  A debiased value that is not finite is refused
+    naming the instance, its parameters and the trial."""
     inputs = instance.noise.sample(n, streams[0])
     block = block_for(instance.objective, inputs)
     paths = [s.path[:-1] for s in streams[0]]
-    debiased_values = [{} for _ in paths]
+    values = {}
     for m, rngs in zip(methods, streams[1:]):
-        corr, _ = corrections(m, block, plan, rngs)
-        for trial, naive, c, path in zip(debiased_values, block.naive, corr, paths):
-            trial[m] = debiased(m, naive, c)
-            if not math.isfinite(trial[m]):
-                raise ContractError(f"{instance.id} at {named(instance.params)}: trial {path}: "
-                                    f"method {m} produced {trial[m]}")
-    return [TrialRecord(naive, trial, path, fingerprint)
-            for naive, trial, path, fingerprint in zip(block.naive, debiased_values, paths,
-                                                       _fingerprints(inputs))]
+        try:
+            values[m] = estimates(m, block, plan, rngs)[1]
+        except NonFiniteEstimateError as exc:
+            raise ContractError(f"{instance.id} at {named(instance.params)}: "
+                                f"trial {paths[exc.index]}: {exc}") from exc
+    return [TrialRecord(naive, {m: v[b] for m, v in values.items()}, path, fingerprint)
+            for b, (naive, path, fingerprint) in enumerate(zip(block.naive, paths,
+                                                               _fingerprints(inputs)))]
 
 
 def _fingerprints(inputs) -> list[int]:
@@ -167,7 +162,7 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
     for m in methods:
-        reason = method_applicable(m, instance)
+        reason = why_not(m, instance.objective)
         if reason:
             raise ContractError(f"{instance.id}: {reason}")
     size = max(1, BLOCK_CELLS // (plan.rounds * trial_width(instance, n)))
@@ -227,20 +222,9 @@ def _reduce_records(instance, n, plan, methods, seed, records) -> ExperimentSumm
     return ExperimentSummary(
         problem=instance.id,
         params={k: v for k, v in instance.params.items() if np.isscalar(v) or v is None},
-        n=n,
-        K=plan.rounds,
-        R=R,
-        seed=seed,
-        methods=list(methods),
-        rmse_r=rmse_r,
-        bias_r=bias_r,
-        debias_sq_sum=sq_sums,
-        debias_err_sum=err_sums,
-        naive_sq_sum=naive_sq_sum,
-        naive_err_sum=naive_err_sum,
-        mse_diff=mse_diff,
-        mse_diff_se=mse_diff_se,
-    )
+        n=n, K=plan.rounds, R=R, seed=seed, methods=list(methods), rmse_r=rmse_r, bias_r=bias_r,
+        debias_sq_sum=sq_sums, debias_err_sum=err_sums, naive_sq_sum=naive_sq_sum,
+        naive_err_sum=naive_err_sum, mse_diff=mse_diff, mse_diff_se=mse_diff_se)
 
 
 def _lineage(family, params, seed, exp_index, K):
@@ -370,22 +354,13 @@ CSV_COLUMNS = "problem,method,axis,axis_value,n,K,R,seed,rmse_r,bias_r"
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return "" if x is None else repr(x)
 
 
 def summary_rows(summaries) -> list[str]:
-    rows = []
-    for s in summaries:
-        for m in s.methods:
-            rows.append(",".join([
-                s.problem, m, s.axis or "", _fmt(s.axis_value), str(s.n), str(s.K),
-                str(s.R), str(s.seed), _fmt(s.rmse_r[m]), _fmt(s.bias_r[m]),
-            ]))
-    return rows
+    return [",".join([s.problem, m, s.axis or "", _fmt(s.axis_value), str(s.n), str(s.K),
+                      str(s.R), str(s.seed), _fmt(s.rmse_r[m]), _fmt(s.bias_r[m])])
+            for s in summaries for m in s.methods]
 
 
 def emit_results(summaries, fmt: str, path: str, header_lines=()) -> None:

@@ -149,4 +149,8 @@ def spd_with_condition(d: int, kappa: float, stream: RandomStream) -> np.ndarray
         lam[2:] = np.exp(stream.uniform(d - 2) * np.log(kappa))
     Q = random_orthogonal(d, stream)
     A = (Q * lam) @ Q.T
-    return (A + A.T) / 2.0
+    with np.errstate(over="ignore"):  # refused below
+        A = (A + A.T) / 2.0
+    if not np.isfinite(A).all():
+        raise ContractError(f"kappa must leave the {d} x {d} SPD matrix finite, got {kappa}")
+    return A

@@ -95,7 +95,8 @@ def p3_rational(b: np.ndarray, c: np.ndarray) -> Objective:
             return np.all(X > 0.0, axis=-1) & np.all(np.isfinite(c / X), axis=-1)
 
     def hessian(x):
-        with np.errstate(over="ignore"):  # where x^3 overflows, 2c / x^3 is 0
+        # where x^3 overflows, 2c / x^3 is 0; where it underflows to 0, inf
+        with np.errstate(over="ignore", divide="ignore"):
             return np.diag(2.0 * c / x**3)
 
     def third(x):
@@ -131,11 +132,17 @@ def p4_opt_value(b: np.ndarray) -> Objective:
     def fn_many(X):
         X = np.asarray(X, dtype=float)
         mats = X.reshape(X.shape[0], d, d)
-        mats = (mats + mats.transpose(0, 2, 1)) / 2.0
+        with np.errstate(over="ignore"):  # F is nan at a finite row whose sum overflows
+            mats = (mats + mats.transpose(0, 2, 1)) / 2.0
+        # a row given non-finite is solved, and fails as a lone solve fails
+        solved = (slice(None) if np.isfinite(mats).all()
+                  else np.isfinite(mats).all(axis=(1, 2)) | ~np.isfinite(X).all(axis=1))
+        values = np.full(len(mats), np.nan)
         # matmul takes each (1, d) @ (d, 1) product as the 1-d dot ``b @ x``
         # computes, so every row sums in the same order as a lone evaluation
-        sol = cholesky_solve_each(mats, b)
-        return -0.5 * np.matmul(sol[:, None, :], b[:, None])[:, 0, 0]
+        sol = cholesky_solve_each(mats[solved], b)
+        values[solved] = -0.5 * np.matmul(sol[:, None, :], b[:, None])[:, 0, 0]
+        return values
 
     return Objective(
         fn=lambda aflat: fn_many([aflat])[0],
@@ -253,7 +260,8 @@ class NoiseModel:
     def sample(self, n: int, streams):
         if n < 1:
             raise ContractError(f"need n >= 1 observations, got {n}")
-        sets = self.draw(n, streams)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            sets = self.draw(n, streams)
         clouds = [sets] if isinstance(sets, np.ndarray) else [c for pair in sets for c in pair]
         if not all(np.isfinite(points).all() for points in clouds):
             raise ContractError("observation coordinates must be finite")
@@ -364,7 +372,8 @@ def _euclidean(p: dict, objective: Objective, noise: NoiseModel, x_star: np.ndar
     """A Euclidean family's build; parameters that leave the truth value
     F(x*) non-finite are refused, naming them."""
     try:
-        truth_value = objective.evaluate(x_star)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused as not finite
+            truth_value = objective.evaluate(x_star)
     except EvaluationError:
         raise ContractError(f"F(x*) is not finite at {named(p)}") from None
     return objective, noise, x_star, truth_value, matrices

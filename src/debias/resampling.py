@@ -179,7 +179,11 @@ class RandomStream:
             raise ValueError(f"dirichlet dimension must be >= 1, got {d}")
         for _ in range(DIRICHLET_DRAWS):  # redraw while every gamma underflows to 0
             g = self.generator.gamma(alpha, 1.0, d)
-            total = g.sum()
+            with np.errstate(over="ignore"):  # refused below
+                total = g.sum()
+            if not np.isfinite(total):
+                raise ContractError(f"dirichlet alpha={alpha} is too large: the sum of "
+                                    f"{d} gamma draws overflows float64")
             if total > 0.0:
                 return g / total
         raise ContractError(f"dirichlet alpha={alpha} is too small: all {DIRICHLET_DRAWS} "

@@ -140,15 +140,5 @@ def sigma_set(F: Objective, x_star: np.ndarray, moments: MomentTensors, c_k: flo
         sigma4_prime = None
         margin_scale = None
 
-    return SigmaSet(
-        sigma1=sigma1,
-        sigma2=sigma2,
-        sigma3=sigma3,
-        sigma4=sigma4,
-        sigma4_prime=sigma4_prime,
-        f_star=f_star,
-        c_k=c_k,
-        margin_shift=margin_shift,
-        margin_shift_alt=margin_shift_alt,
-        margin_scale=margin_scale,
-    )
+    return SigmaSet(sigma1, sigma2, sigma3, sigma4, sigma4_prime, f_star, c_k, margin_shift,
+                    margin_shift_alt, margin_scale)

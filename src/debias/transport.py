@@ -10,7 +10,6 @@ permutation couplings as an independent oracle for small uniform problems.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,9 +276,5 @@ def brute_force_transport(problem: TransportProblem) -> float:
         raise ContractError(f"brute force needs n = m <= 7, got {m}x{n}")
     if np.any(np.abs(problem.supply - 1.0 / n) > 1e-12) or np.any(np.abs(problem.demand - 1.0 / n) > 1e-12):
         raise ContractError("brute force needs uniform marginals")
-    best = math.inf
-    for perm in itertools.permutations(range(n)):
-        total = sum(float(problem.cost[i, perm[i]]) for i in range(n)) / n
-        if total < best:
-            best = total
-    return best
+    return min(sum(float(problem.cost[i, perm[i]]) for i in range(n)) / n
+               for perm in itertools.permutations(range(n)))

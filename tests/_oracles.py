@@ -357,7 +357,7 @@ def exact_expectation_debias(F: Objective, obs_set: ObservationSet, mode: str) -
     """
     if mode not in ("shift", "scale"):
         raise ContractError(f"mode must be 'shift' or 'scale', got {mode!r}")
-    reason = why_not(mode, F, isinstance(obs_set, ObservationSet))
+    reason = why_not(mode, F)
     if reason:
         raise UnsupportedMethodError(reason)
     mean = mean_observation(obs_set)

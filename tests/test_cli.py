@@ -1,4 +1,8 @@
+import contextlib
+import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1064,3 +1068,145 @@ def test_header_contains_config(tmp_path, euclid_file, capsys):
     assert rc == 0
     assert out.startswith("# config:")
     assert '"method": "cov"' in out.splitlines()[0]
+
+
+# ---------------------------------------------------------------------------
+# extreme parameter values
+
+
+@pytest.mark.parametrize("argv, message", [
+    # exit 1, ValueError: array must not contain infs or NaNs, from the SPD
+    # solve of F(x*), after numpy's overflow warning in P4's symmetrisation
+    ("bench P4 --param kappa=1e308 --param d=2 --trials 3",
+     "F(x*) is not finite at d=2, kappa=1e+308, k_shape=1.0"),
+    # exit 1, OverflowError: intermediate overflow in fsum, in the shift correction
+    ("bench P5 --param kappa=1e16 --param sigma=1e150 --param d=3 --trials 3",
+     "P5 at d=3, p_dim=6, kappa=1e+16, sigma=1e+150: trial (0, 1, 0): method shift produced nan"),
+    # exit 3 after numpy's overflow and invalid value warnings, evaluating F(x*)
+    ("bench P1 --param kappa=1e150 --param xstar_norm2=1e300",
+     "F(x*) is not finite at d=20, kappa=1e+150, sigma=1.0, xstar_norm2=1e+300"),
+    # exit 3 after numpy's divide by zero warning: P3's Hessian where x^3 underflows
+    ("bench P3 --param xstar_norm2=1e-300 --trials 5",
+     "P3 at d=20, c_norm=1.0, xstar_norm2=1e-300: trial (0, 1, 0): method cov produced -inf"),
+    ("bench P3 --param c_norm=1e-300 --param xstar_norm2=1e-250 --param d=1",
+     "P3 at d=1, c_norm=1e-300, xstar_norm2=1e-250: trial (0, 1, 0): method cov produced -inf"),
+    # exit 3 after numpy's overflow warning in the SPD matrix's symmetrisation
+    ("bench P1 --param kappa=1e308 --param d=2",
+     "kappa must leave the 2 x 2 SPD matrix finite, got 1e+308"),
+    # exit 1, ValueError: array must not contain infs or NaNs, from P5's solve
+    ("bench P5 --param kappa=1e308 --param d=1",
+     "kappa must leave the 2 x 2 SPD matrix finite, got 1e+308"),
+    # exit 1, OverflowError: intermediate overflow in fsum, in the scale correction
+    ("bench P1 --param d=1 --param kappa=1e308 --param xstar_norm2=1e154 --method scale",
+     "P1 at d=1, kappa=1e+308, sigma=1.0, xstar_norm2=1e+154: trial (0, 1, 0): "
+     "method scale produced nan"),
+    # exit 1, ValueError: categorical needs a probability vector summing to 1,
+    # after numpy's overflow warning in the Dirichlet draw's sum
+    ("bench P6 --param d=2 --param alpha=1e308",
+     "dirichlet alpha=1e+308 is too large: the sum of 2 gamma draws overflows float64"),
+])
+def test_extreme_parameter_exit_3(tmp_path, capfd, argv, message):
+    # capfd also sees the stderr of forked trial children
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv.split(), "--no-header", "--out", str(tmp_path / "o.csv")])
+    captured = capfd.readouterr()
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+NEAR_1E154 = "# dim=1 variant=euclidean\n1.1e154\n1.2e154\n0.9e154\n1.3e154\n"
+
+
+@pytest.mark.parametrize("method, data, shown", [
+    # exited 1 with OverflowError: intermediate overflow in fsum
+    ("shift", NEAR_1E154, "nan"),
+    # printed debiased_value = nan at exit 0
+    ("scale", NEAR_1E154, "nan"),
+    # printed debiased_value = -inf at exit 0: the squared deviations overflow
+    ("cov", "# dim=1 variant=euclidean\n-1e200\n1e200\n", "-inf"),
+])
+def test_estimate_non_finite_exit_4(tmp_path, capsys, method, data, shown):
+    data = write(tmp_path / "big.csv", data)
+    A = write(tmp_path / "A.csv", "1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["estimate", data, "--function", f"quadratic:{A}", "--method", method])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert [str(w.message) for w in caught] == []
+    assert captured.err == f"numeric failure: method {method} produced {shown}\n"
+    assert captured.out == ""
+
+
+# the extreme values of the grid: the largest float64s, the square-overflow
+# threshold near 1e154 and the smallest normal floats, with values beside them
+EXTREMES = (1e308, 1.7e308, 1e300, 1e150, 1.3e154, 1e-250, 1e-300, 1e-308)
+
+
+def fuzz_grid():
+    """(family, params) of the extreme-value grid: for each family, every
+    pair of its parameters other than d at every two extremes, and every
+    triple at the first four extremes, at d = 1, 2, 3 (P6: 2, 3) by turns;
+    a fixed list, so every run checks the same cases."""
+    cases = []
+    for family, spec in FAMILIES.items():
+        names = [name for name in spec.params if name != "d"]
+        dims = (2, 3) if family == "P6" else (1, 2, 3)
+        combos = [(pair, values) for pair in itertools.combinations(names, 2)
+                  for values in itertools.product(EXTREMES, repeat=2)]
+        combos += [(triple, values) for triple in itertools.combinations(names, 3)
+                   for values in itertools.product(EXTREMES[:4], EXTREMES[4:6], EXTREMES[:2])]
+        combos += [((name,), (value,)) for name in names for value in EXTREMES]
+        for i, (keys, values) in enumerate(combos):
+            cases.append((family, {"d": dims[i % len(dims)], **dict(zip(keys, values))}))
+    return cases
+
+
+def run_quietly(argv):
+    """main(argv) with its warnings recorded: (exit code or the exception's
+    name, stdout, stderr, warnings)."""
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+        except Exception as exc:  # a traceback
+            rc = type(exc).__name__
+    return rc, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_extreme_parameter_grid(tmp_path, family):
+    # 201 of the grid's 1096 cases exited 1 with a traceback, or printed
+    # numpy warnings before their exit 3
+    bad = []
+    out = tmp_path / "o.csv"
+    for fam, params in fuzz_grid():
+        if fam != family:
+            continue
+        argv = ["bench", family, "--trials", "3", "--workers", "1", "--no-header",
+                "--out", str(out)]
+        argv += [tok for name, value in params.items() for tok in ("--param", f"{name}={value!r}")]
+        rc, stdout, stderr, caught = run_quietly(argv)
+        finite = rc != 0 or all(math.isfinite(row[key]) for row in parse_results_csv(out)
+                                for key in ("rmse_r", "bias_r"))
+        if rc not in (0, 2, 3, 4) or caught or "Traceback" in stderr or not finite:
+            bad.append((params, rc, caught[:1], stderr[-120:]))
+        out.unlink(missing_ok=True)
+    assert bad == []
+
+
+@pytest.mark.parametrize("method, code", [("shift", 4), ("scale", 4), ("cov", 0)])
+def test_extreme_estimate_grid(tmp_path, method, code):
+    data = write(tmp_path / "big.csv", NEAR_1E154)
+    A = write(tmp_path / "A.csv", "1\n")
+    rc, stdout, stderr, caught = run_quietly(["estimate", data, "--function", f"quadratic:{A}",
+                                              "--method", method, "--no-header"])
+    assert (rc, caught) == (code, [])
+    assert "Traceback" not in stderr
+    values = [float(line.split(" = ")[1]) for line in stdout.splitlines()]
+    assert len(values) == (3 if code == 0 else 0) and all(map(math.isfinite, values))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -25,12 +26,16 @@ from debias.core import (
     BootstrapPlan,
     DegenerateDenominatorError,
     EuclideanBlock,
+    METHODS,
+    NonFiniteEstimateError,
     UnsupportedMethodError,
     bootstrap_means,
     covariance_debias,
     debias,
+    estimates,
     scale_debias,
     shift_debias,
+    why_not,
 )
 from debias.objectives import DomainError, EvaluationError, Objective
 from debias.observations import ContractError, ObservationSet, mean_observation
@@ -696,3 +701,127 @@ def test_plan_validation():
         BootstrapPlan(rounds=0)
     # a resample has the input's own n points: the plan sets only K
     assert [f.name for f in dataclasses.fields(BootstrapPlan)] == ["rounds"]
+
+
+# ---------------------------------------------------------------------------
+# applicability and input kinds
+
+UNKNOWN = "unknown method 'nonsense'; valid: shift, scale, cov"
+# every reason that is not None, by objective; each is the one the
+# applicability rule gave when it also took the input kind as a flag
+WHY_NOT = {
+    "P4": {"cov": "covariance needs a hessian oracle"},
+    "P7": {"cov": "covariance needs Euclidean observations"},
+    "unsigned": {"scale": "scale needs a sign-definite objective",
+                 "cov": "covariance needs a hessian oracle"},
+    "paired without fn_many": {"shift": "shift on point clouds needs a paired fn_many",
+                               "scale": "scale on point clouds needs a paired fn_many",
+                               "cov": "covariance needs Euclidean observations"},
+    "paired unsigned": {"scale": "scale needs a sign-definite objective",
+                        "cov": "covariance needs Euclidean observations"},
+}
+
+
+def why_not_objectives():
+    objectives = {family: generate_instance(family, {"d": 3}, RandomStream(1)).objective
+                  for family in FAMILIES}
+    objectives["unsigned"] = Objective(fn=lambda x: 0.0)
+    objectives["paired without fn_many"] = dataclasses.replace(p7_wasserstein(), fn_many=None)
+    objectives["paired unsigned"] = dataclasses.replace(p7_wasserstein(), sign_constraint="none")
+    return objectives
+
+
+@pytest.mark.parametrize("name", sorted(why_not_objectives()))
+@pytest.mark.parametrize("method", [*METHODS, "nonsense"])
+def test_why_not_reads_the_objective_alone(name, method):
+    F = why_not_objectives()[name]
+    want = UNKNOWN if method == "nonsense" else WHY_NOT.get(name, {}).get(method)
+    assert why_not(method, F) == want
+
+
+def counting(objective):
+    """The objective with every call of fn and fn_many recorded in ``calls``."""
+    calls = []
+
+    def record(f):
+        return lambda *args: calls.append(args) or f(*args)
+
+    return dataclasses.replace(objective, fn=record(objective.fn),
+                               fn_many=record(objective.fn_many)), calls
+
+
+@pytest.mark.parametrize("family, given, kind", [
+    ("P1", "array", "ndarray"),
+    ("P1", "list", "list of 4: list"),
+    ("P1", "pair", "tuple of 2: ObservationSet"),
+    ("P7", "set", "ObservationSet"),
+    ("P7", "list of sets", "list of 2: ObservationSet"),
+    ("P7", "three sets", "tuple of 3: ObservationSet"),
+])
+@pytest.mark.parametrize("method", METHODS)
+def test_debias_names_an_input_of_the_wrong_kind(family, given, kind, method):
+    # an ndarray given to P1 was refused with "pairs of point clouds need a
+    # paired objective"; each wrong kind is now named, before F is evaluated
+    xs, ys = crafted_pair(False)
+    obs = {"array": xs.points[:4], "list": xs.points[:4].tolist(), "pair": (xs, ys),
+           "set": xs, "list of sets": [xs, ys], "three sets": (xs, ys, xs)}[given]
+    F, calls = counting(p1_quadratic(np.eye(2)) if family == "P1" else p7_wasserstein())
+    with pytest.raises(UnsupportedMethodError) as info:
+        debias(method, F, obs, BootstrapPlan(rounds=5))
+    if family == "P1":
+        expected = ("a Euclidean objective's input is an ObservationSet (pairs of point "
+                    f"clouds need a paired objective); got {kind}")
+    elif method == "cov":  # the method's own rule refuses it first
+        expected = "covariance needs Euclidean observations"
+    else:
+        expected = ("a paired objective's inputs are pairs of point clouds, tuples of two "
+                    f"ObservationSets; got {kind}")
+    assert str(info.value) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["shift", "scale"])
+@pytest.mark.parametrize("family", ["P1", "P7"])
+def test_bootstrap_without_plan_raises_contract_error(family, method):
+    # raised AttributeError: 'NoneType' object has no attribute 'generator'
+    xs, ys = crafted_pair(False)
+    F, calls = counting(p1_quadratic(np.eye(2)) if family == "P1" else p7_wasserstein())
+    with pytest.raises(ContractError, match=f"^{method} resamples, so it needs a BootstrapPlan$"):
+        debias(method, F, xs if family == "P1" else (xs, ys))
+    assert calls == []
+    covariance_debias(p1_quadratic(np.eye(2)), xs)  # cov draws nothing and needs no plan
+
+
+NEAR_1E154 = [[1.1e154], [1.2e154], [0.9e154], [1.3e154]]  # F = x^2 near float64's top
+
+
+@pytest.mark.parametrize("method, points, shown", [
+    # the correction's fsum raised OverflowError: intermediate overflow in fsum
+    ("shift", NEAR_1E154, "nan"),
+    # the squared values overflow to inf, so the correction was inf / inf and
+    # debias returned a debiased value of nan
+    ("scale", NEAR_1E154, "nan"),
+    # the forms overflow in the covariance contraction
+    ("cov", [[-1e200], [1e200]], "-inf"),
+])
+def test_non_finite_estimate_is_refused(method, points, shown):
+    obs = ObservationSet.from_points(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEstimateError) as info:
+            debias(method, quad1d(), obs, BootstrapPlan(rounds=100), RandomStream(0))
+    assert str(info.value) == f"method {method} produced {shown}"
+    assert isinstance(info.value, EvaluationError) and info.value.index == 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_estimate_names_its_input_in_a_block(method):
+    # of three sets in a block, the second and third overflow: the error names the second
+    sets = np.array([[[1.0], [2.0], [0.5], [3.0]], NEAR_1E154, NEAR_1E154])
+    if method == "cov":
+        sets[1:] = [[-1e200], [1e200], [-1e200], [1e200]]
+    block = EuclideanBlock(quad1d(), sets)
+    with pytest.raises(NonFiniteEstimateError) as info:
+        estimates(method, block, BootstrapPlan(rounds=100),
+                  [RandomStream(0).split(b) for b in range(3)])
+    assert info.value.index == 1

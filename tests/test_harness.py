@@ -22,7 +22,7 @@ from _oracles import (
     run_trial_reference,
 )
 from debias import harness
-from debias.core import METHODS, BootstrapPlan, DegenerateDenominatorError
+from debias.core import METHODS, BootstrapPlan, DegenerateDenominatorError, why_not
 from debias.harness import (
     CSV_COLUMNS,
     TrialRecord,
@@ -30,7 +30,6 @@ from debias.harness import (
     _trial_block,
     emit_plot,
     emit_results,
-    method_applicable,
     run_experiment_spec,
     run_sweep,
     run_trial,
@@ -191,12 +190,12 @@ def test_method_applicability_checked_before_trials(monkeypatch):
     monkeypatch.setattr(NoiseModel, "sample", no_trial)
     monkeypatch.setattr(harness, "run_trial", no_trial)
     inst4 = generate_instance("P4", {"d": 3}, RandomStream(8))
-    assert method_applicable("cov", inst4) is not None
+    assert why_not("cov", inst4.objective) is not None
     with pytest.raises(ContractError, match="hessian"):
         run_experiment_spec("P4", {"d": 3}, 5, 4, ["shift", "cov"], 3, seed=9)
     inst7 = generate_instance("P7", {"d": 2}, RandomStream(10))
-    assert method_applicable("cov", inst7) is not None
-    assert method_applicable("shift", inst7) is None
+    assert why_not("cov", inst7.objective) is not None
+    assert why_not("shift", inst7.objective) is None
     with pytest.raises(ContractError, match="nonsense"):
         run_experiment_spec("P7", {"d": 2}, 5, 4, ["shift", "nonsense"], 3, seed=11)
 
@@ -536,7 +535,7 @@ def test_block_errors_match_per_trial_loop(monkeypatch, case):
     instance = crafted_instance(family, {"d": first.shape[1]}, sets, **changes)
     n, K, R = len(first), 20, len(sets)
     plan = BootstrapPlan(rounds=K)
-    methods = [m for m in METHODS if method_applicable(m, instance) is None]
+    methods = [m for m in METHODS if why_not(m, instance.objective) is None]
     root = RandomStream(3)
     with pytest.raises(error) as want:
         for t in range(R):
