@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .core import METHODS, BootstrapPlan, DegenerateDenominatorError, UnsupportedMethodError, debias
+from .core import BootstrapPlan, UnsupportedMethodError, debias
 from .harness import default_workers, emit_plot, emit_results, run_experiment_spec, run_sweep
 from .linalg import FactorizationError
 from .objectives import DomainError, EvaluationError
@@ -161,7 +161,7 @@ def _load_config(path: str, valid) -> dict:
 def _settle(args) -> None:
     """Give each setting of the subcommand that no flag set its value from
     the --config file, read with its flag's type, else its declared
-    default.  Workers below 1 are refused."""
+    default."""
     cfg = _load_config(args.config, args.settings) if vars(args).get("config") else {}
     for key, (cast, default) in args.settings.items():
         if getattr(args, key) is not None:
@@ -173,13 +173,11 @@ def _settle(args) -> None:
             setattr(args, key, cast(cfg[key]))
         except ValueError as exc:
             raise CliParseError(f"config key {key}: {exc}") from exc
-    if "workers" in args.settings and args.workers < 1:
-        raise ContractError(f"workers must be >= 1, got {args.workers}")
 
 
 def _parse_param(tokens) -> dict:
     """Each key=value token's value: an int if int() reads one, else a float
-    (nan, inf too).  An int too large for a float is refused."""
+    (nan, inf too)."""
     out = {}
     for tok in tokens or ():
         if "=" not in tok:
@@ -192,12 +190,6 @@ def _parse_param(tokens) -> dict:
                 out[key] = float(value)
             except ValueError:
                 raise ContractError(f"--param {key}: cannot parse {value!r} as a number") from None
-            continue
-        try:
-            float(out[key])
-        except OverflowError:
-            raise ContractError(f"{key} must fit in a float, got an integer of "
-                                f"{len(str(abs(out[key])))} digits") from None
     return out
 
 
@@ -205,11 +197,7 @@ def _methods_for(arg: str):
     """The methods of a --method value; None for all, the family's methods."""
     if arg == "all":
         return None
-    out = [tok.strip() for tok in arg.split(",")]
-    for tok in out:
-        if tok not in METHODS:
-            raise ContractError(f"unknown method {tok!r}; use {', '.join(METHODS)}, or all")
-    return out
+    return [tok.strip() for tok in arg.split(",")]
 
 
 def _header_lines(config: dict) -> list[str]:
@@ -311,11 +299,6 @@ def cmd_sweep(args) -> int:
         raise ContractError(f"--values: {exc}")
     if not values:
         raise ContractError("--values needs a comma-separated list")
-    if args.axis in fixed:  # one value, two channels
-        given = {"n": f"--n {args.n}", "K": f"--k {args.k}"}.get(
-            args.axis, f"--param {args.axis}={fixed[args.axis]!r}")
-        raise ContractError(f"--axis {args.axis} sweeps {args.axis} over {values}, "
-                            f"so {given} cannot also fix it")
     outputs = _outputs(args, f"sweep_{family}_{args.axis}.csv")
     summaries = run_sweep(family, args.axis, values, fixed, args.trials, args.seed,
                           methods=_methods_for(args.method), workers=args.workers)
@@ -466,8 +449,7 @@ def main(argv=None) -> int:
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EvaluationError, DomainError, DegenerateDenominatorError, FactorizationError,
-            IterationCapError) as exc:
+    except (EvaluationError, DomainError, FactorizationError, IterationCapError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except (ContractError, UnsupportedMethodError, TransportError) as exc:

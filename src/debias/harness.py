@@ -100,6 +100,7 @@ class ExperimentSummary:
 def run_trial(instance: ProblemInstance, n: int, plan: BootstrapPlan,
               methods, stream: RandomStream) -> TrialRecord:
     """One fresh observation set (or pair), all requested methods evaluated on it."""
+    _check_methods(instance, methods)
     return _trials(instance, n, plan, methods,
                    [[stream.split(j)] for j in range(1 + len(methods))])[0]
 
@@ -121,16 +122,26 @@ def _trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
         except NonFiniteEstimateError as exc:
             raise ContractError(f"{instance.id} at {named(instance.params)}: "
                                 f"trial {paths[exc.index]}: {exc}") from exc
+    fingerprints = _fingerprints(inputs, instance.objective.paired)
     return [TrialRecord(naive, {m: v[b] for m, v in values.items()}, path, fingerprint)
-            for b, (naive, path, fingerprint) in enumerate(zip(block.naive, paths,
-                                                               _fingerprints(inputs)))]
+            for b, (naive, path, fingerprint) in enumerate(zip(block.naive, paths, fingerprints))]
 
 
-def _fingerprints(inputs) -> list[int]:
+def _check_methods(instance: ProblemInstance, methods) -> None:
+    """Refuse a method ``why_not`` rules out, or one listed twice: a record keys values by name."""
+    for m in methods:
+        reason = why_not(m, instance.objective)
+        if not reason and methods.count(m) > 1:
+            reason = f"method {m!r} is listed more than once"
+        if reason:
+            raise ContractError(f"{instance.id}: {reason}")
+
+
+def _fingerprints(inputs, paired: bool) -> list[int]:
     """Each trial's sample digest: for a (B, n, d) stack of Euclidean sets,
-    the digest of each set's points' bytes; for pairs of clouds, the digest
-    of the two clouds' digests."""
-    if isinstance(inputs, np.ndarray):
+    the digest of each set's points' bytes; for pairs of clouds (``paired``),
+    the digest of the two clouds' digests."""
+    if not paired:
         return [_stable_digest([points.tobytes()]) for points in inputs]
     return [_stable_digest(_cloud_digest(s).to_bytes(8, "big") for s in pair) for pair in inputs]
 
@@ -150,7 +161,7 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
                root: RandomStream, lo: int, hi: int) -> list[TrialRecord]:
     """Trials lo..hi-1 in order, trial t on root.split(t).
 
-    The methods are checked against the instance once, before any trial runs.
+    The methods are checked (``_check_methods``) before any trial runs.
     Trials run in blocks of at most ``BLOCK_CELLS`` resample cells, on the
     streams ``block_streams`` keys at once for the block; a block that
     raises runs again trial by trial, on lone streams, so the error is the
@@ -161,10 +172,7 @@ def run_trials(instance: ProblemInstance, n: int, plan: BootstrapPlan, methods,
         raise ContractError(f"R must be >= 1, got {hi - lo}")
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
-    for m in methods:
-        reason = why_not(m, instance.objective)
-        if reason:
-            raise ContractError(f"{instance.id}: {reason}")
+    _check_methods(instance, methods)
     size = max(1, BLOCK_CELLS // (plan.rounds * trial_width(instance, n)))
     records = []
     for start in range(lo, hi, size):
@@ -221,7 +229,7 @@ def _reduce_records(instance, n, plan, methods, seed, records) -> ExperimentSumm
         raise ContractError(f"{experiment}: the errors overflow float64 when squared or summed")
     return ExperimentSummary(
         problem=instance.id,
-        params={k: v for k, v in instance.params.items() if np.isscalar(v) or v is None},
+        params=dict(instance.params),
         n=n, K=plan.rounds, R=R, seed=seed, methods=list(methods), rmse_r=rmse_r, bias_r=bias_r,
         debias_sq_sum=sq_sums, debias_err_sum=err_sums, naive_sq_sum=naive_sq_sum,
         naive_err_sum=naive_err_sum, mse_diff=mse_diff, mse_diff_se=mse_diff_se)
@@ -249,17 +257,21 @@ def run_experiment_spec(family: str, params: dict, n: Optional[int], K: Optional
     parallelize because each child process regenerates the instance and
     draws trial t from the same lineage.  An ``n``, ``K`` or ``methods`` of
     None is the family's preset, P6's n being 5 * d of the instance built.
-    More than ``MAX_TRIALS`` trials, and sizes that would give a trial an
-    array above ``problems.MAX_CELLS``, are refused before any trial runs."""
+    More than ``MAX_TRIALS`` trials, workers below 1, a method list that
+    ``_check_methods`` refuses, and sizes that would give a trial an array
+    above ``problems.MAX_CELLS`` are refused before any trial runs."""
     if R > MAX_TRIALS:
         raise ContractError(f"R (--trials) must be at most MAX_TRIALS = 2**32, got {R}")
+    if workers < 1:
+        raise ContractError(f"workers must be >= 1, got {workers}")
     spec = get_family(family)
     K = spec.K if K is None else K
     methods = list(spec.methods if methods is None else methods)
     instance, plan, root = _lineage(family, params, seed, exp_index, K)
+    _check_methods(instance, methods)  # in this process, before any child starts
     n = spec.preset_n(instance.params["d"]) if n is None else n
     check_trial_cells(instance, n, K)
-    blocks = 1 if workers <= 1 or R < 4 else min(workers, R)
+    blocks = 1 if R < 4 else min(workers, R)
     bounds = np.linspace(0, R, blocks + 1).astype(int).tolist()
     block = functools.partial(_trial_block, family, params, seed, exp_index, n, K, methods)
     records = _run_blocks(block, bounds, functools.partial(
@@ -333,6 +345,8 @@ def run_sweep(family: str, axis: str, values, fixed: dict, R: int, seed: int,
     if axis not in spec.axes:
         raise ContractError(f"axis {axis} must be a {family} parameter, n or K; "
                             f"valid: {', '.join(spec.axes)}")
+    if axis in fixed:  # one value, two channels
+        raise ContractError(f"a sweep over {axis} cannot also fix {named({axis: fixed[axis]})}")
     summaries = []
     for i, value in enumerate(values):
         params = {**fixed, axis: value}

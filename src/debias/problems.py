@@ -314,16 +314,20 @@ def _truth_point(p: dict, d: int, stream: RandomStream, positive: bool = False) 
 def resolve_params(problem: str, declared: dict, params: dict) -> dict:
     """``problem``'s declared parameters and defaults, overridden by
     ``params``.  Refused, each by name: a parameter ``problem`` does not
-    declare (named as given, key=value), a non-finite value, a count (d,
-    p_dim, m_samples) that is not an integer, and d < 1."""
+    declare (named as given, key=value), a value that is not a finite float,
+    a count (d, p_dim, m_samples) that is not an integer, and d < 1."""
     unknown = sorted(set(params) - set(declared))
     if unknown:
         given = ", ".join(f"{key}={params[key]}" for key in unknown)
         raise ContractError(f"{problem} does not take {given}; valid: {sorted(declared)}")
     p = {**declared, **params}
     for name, value in p.items():
-        if value is not None and not math.isfinite(value):
-            raise ContractError(f"{name} must be finite, got {value}")
+        try:
+            if value is not None and not math.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value}")
+        except OverflowError:  # an int that no float holds
+            raise ContractError(f"{name} must fit in a float, got an integer of "
+                                f"{len(str(abs(value)))} digits") from None
     check_counts(p, ("d", "p_dim", "m_samples"))
     if p["d"] < 1:
         raise ContractError(f"d must be >= 1, got {p['d']}")

@@ -198,7 +198,7 @@ def run_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
                                 f"trial {stream.path}: method {m} produced {value}")
         debiased[m] = value
     fingerprint = _fingerprints([tuple(s.points for s in obs)] if paired
-                                else obs.points[None])[0]
+                                else obs.points[None], paired)[0]
     return TrialRecord(naive, debiased, stream.path, fingerprint)
 
 
@@ -260,7 +260,7 @@ def paired_trial_reference(instance, n, plan, methods, stream) -> TrialRecord:
         coeffs = paired_coefficients_reference(clouds, plan, stream.split(1 + j))
         values = np.array(list(paired_values_reference(clouds, coeffs)))
         debiased[m] = paired_debiased_reference(m, naive, values)
-    fingerprint = _fingerprints([clouds])[0]
+    fingerprint = _fingerprints([clouds], paired=True)[0]
     return TrialRecord(naive, debiased, stream.path, fingerprint)
 
 

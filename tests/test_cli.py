@@ -619,14 +619,27 @@ def test_workers_below_1_exit_3(tmp_path, capsys, command, workers, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_repeated_method_exit_3(tmp_path, capfd, workers):
+    # printed two shift rows, each holding the second stream's values
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["bench", "P1", "--method", "shift,shift", "--trials", "8", "--seed", "7",
+                   "--workers", workers, "--no-header", "--out", str(out)])
+    captured = capfd.readouterr()
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    assert captured.err == "error: P1: method 'shift' is listed more than once\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     # each ran the swept value and dropped the fixed one without a word
-    ("--axis n --values 6 --n 5", "--axis n sweeps n over [6.0], so --n 5 cannot also fix it"),
-    ("--axis K --values 2,3 --k 4", "--axis K sweeps K over [2.0, 3.0], so --k 4 cannot also fix it"),
-    ("--axis d --values 2 --param d=3",
-     "--axis d sweeps d over [2.0], so --param d=3 cannot also fix it"),
-    ("--axis sigma --values 0.5 --param sigma=2.5",
-     "--axis sigma sweeps sigma over [0.5], so --param sigma=2.5 cannot also fix it"),
+    ("--axis n --values 6 --n 5", "a sweep over n cannot also fix n=5"),
+    ("--axis K --values 2,3 --k 4", "a sweep over K cannot also fix K=4"),
+    ("--axis d --values 2 --param d=3", "a sweep over d cannot also fix d=3"),
+    ("--axis sigma --values 0.5 --param sigma=2.5", "a sweep over sigma cannot also fix sigma=2.5"),
 ])
 def test_sweep_axis_given_a_fixed_value_exit_3(tmp_path, capsys, argv, message):
     out = tmp_path / "o.csv"
@@ -777,7 +790,8 @@ def test_theory_bad_noise_exit_3(capsys, problem, argv, message):
     # exit 1 with an OverflowError traceback from sigma2**2
     (["--param", "sigma=1e77"],
      "sigma 1e+77 at --ck 1.0 leaves a sigma or a margin outside float64"),
-    # exit 1 with an OverflowError traceback: an integer too large for a float
+    # exit 1 with an OverflowError traceback: an integer too large for a float,
+    # refused by problems.resolve_params, which generate_instance calls too
     (["--param", "sigma=1" + "0" * 400], "sigma must fit in a float, got an integer of 401 digits"),
     (["--param", "xstar=-1" + "0" * 400], "xstar must fit in a float, got an integer of 401 digits"),
     (["--problem", "P2", "--param", "kappa=1" + "0" * 400],
@@ -1057,7 +1071,8 @@ def test_empty_method_or_format_exit_3(tmp_path, euclid_file, capsys, command, o
         argv += ["--config", write(tmp_path / "e.cfg", f"{key}=\n")]
     assert main(argv) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: unknown {key} ''")
+    problem = "P1: " if key == "method" and command != "estimate" else ""  # the library's refusal
+    assert captured.err.startswith(f"error: {problem}unknown {key} ''")
     assert captured.out == "" and not (tmp_path / "r.csv").exists()
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -155,8 +156,8 @@ def test_fingerprints_stable_across_processes():
         "from debias.harness import _fingerprints, run_trial\n"
         "from debias.problems import generate_instance\n"
         "from debias.resampling import RandomStream\n"
-        "print(_fingerprints(np.array([[[1.0, 2.0], [3.0, 4.5]]]))[0])\n"
-        "print(_fingerprints([(np.array([[0.5], [1.5]]), np.array([[2.0]]))])[0])\n"
+        "print(_fingerprints(np.array([[[1.0, 2.0], [3.0, 4.5]]]), False)[0])\n"
+        "print(_fingerprints([(np.array([[0.5], [1.5]]), np.array([[2.0]]))], True)[0])\n"
         "inst = generate_instance('P7', {'d': 2}, RandomStream(1))\n"
         "print(run_trial(inst, 4, BootstrapPlan(rounds=3), ['shift'], RandomStream(2)).fingerprint)\n"
     )
@@ -198,6 +199,59 @@ def test_method_applicability_checked_before_trials(monkeypatch):
     assert why_not("shift", inst7.objective) is None
     with pytest.raises(ContractError, match="nonsense"):
         run_experiment_spec("P7", {"d": 2}, 5, 4, ["shift", "nonsense"], 3, seed=11)
+
+
+@pytest.mark.parametrize("family, methods, message", [
+    ("P1", ["bogus"], "unknown method 'bogus'; valid: shift, scale, cov"),  # was KeyError
+    # was AttributeError: 'EmpiricalBlock' object has no attribute 'covariance'
+    ("P7", ["cov"], "covariance needs Euclidean observations"),
+    # a trial keeps one value a name: both rows held the second stream's values
+    ("P1", ["shift", "shift"], "method 'shift' is listed more than once"),
+    ("P1", ["scale", "shift", "scale"], "method 'scale' is listed more than once"),
+])
+def test_method_lists_refused_before_any_trial(monkeypatch, family, methods, message):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the methods were checked")
+
+    inst = generate_instance(family, {"d": 2}, RandomStream(8))
+    plan, expected = BootstrapPlan(rounds=3), f"^{family}: {re.escape(message)}$"
+    monkeypatch.setattr(NoiseModel, "sample", no_trial)
+    with pytest.raises(ContractError, match=expected):
+        run_trial(inst, 4, plan, methods, RandomStream(9))
+    with pytest.raises(ContractError, match=expected):
+        run_trials(inst, 4, plan, methods, RandomStream(9), 0, 3)
+    monkeypatch.setattr(harness, "_run_blocks", no_trial)  # no child starts
+    with pytest.raises(ContractError, match=expected):
+        run_experiment_spec(family, {"d": 2}, 4, 3, methods, 8, seed=9, workers=2)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_1_refused(monkeypatch, workers):
+    # each ran serially
+    def no_experiment(*args):
+        raise AssertionError("an instance was built before workers were checked")
+
+    monkeypatch.setattr(harness, "_lineage", no_experiment)
+    message = f"^workers must be >= 1, got {workers}$"
+    with pytest.raises(ContractError, match=message):
+        run_experiment_spec("P1", {}, None, None, None, 5, 1, workers=workers)
+    with pytest.raises(ContractError, match=message):
+        run_sweep("P1", "sigma", [0.5, 1.0], {}, 5, 1, workers=workers)
+
+
+@pytest.mark.parametrize("axis, fixed, message", [
+    # each ran the swept values and dropped the fixed one without a word
+    ("n", {"n": 20}, "a sweep over n cannot also fix n=20"),
+    ("K", {"d": 2, "K": 4}, "a sweep over K cannot also fix K=4"),
+    ("sigma", {"sigma": 2.5}, "a sweep over sigma cannot also fix sigma=2.5"),
+])
+def test_sweep_axis_also_fixed_refused(monkeypatch, axis, fixed, message):
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("an experiment ran before the axis was checked")
+
+    monkeypatch.setattr(harness, "run_experiment_spec", no_experiment)
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        run_sweep("P1", axis, [4, 6], fixed, 5, 1)
 
 
 def test_p7_trial_runs():

@@ -122,7 +122,7 @@ def test_fingerprint_detects_changes():
     s1 = ObservationSet.from_points([[1.0], [2.0]])
     s2 = ObservationSet.from_points([[1.0], [2.0]])
     s3 = ObservationSet.from_points([[1.0], [2.5]])
-    digests = _fingerprints(np.stack([s1.points, s2.points, s3.points]))
+    digests = _fingerprints(np.stack([s1.points, s2.points, s3.points]), paired=False)
     assert digests[0] == digests[1]
     assert digests[0] != digests[2]
     # a pair's digest is the digest of its clouds' digests, and a cloud's
@@ -130,8 +130,9 @@ def test_fingerprint_detects_changes():
     points = np.array([[0.5, -0.0], [1.5, 2.0]])
     one = np.array([1.0]).tobytes()
     cloud = _stable_digest(part for p in points for part in (p.tobytes(), one))
-    assert _fingerprints([(points, points)]) == [_stable_digest([cloud.to_bytes(8, "big")] * 2)]
-    assert _fingerprints(points[None]) != [cloud]
+    assert (_fingerprints([(points, points)], paired=True)
+            == [_stable_digest([cloud.to_bytes(8, "big")] * 2)])
+    assert _fingerprints(points[None], paired=False) != [cloud]
 
 
 def test_observation_accessors():

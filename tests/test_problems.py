@@ -326,6 +326,13 @@ def test_generate_instance_rejects_unknown_params():
         generate_instance("P9", {}, RandomStream(0))
 
 
+def test_generate_instance_refuses_an_integer_no_float_holds():
+    # raised OverflowError from math.isfinite
+    with pytest.raises(ContractError,
+                       match="^kappa must fit in a float, got an integer of 401 digits$"):
+        generate_instance("P1", {"kappa": 10**400}, RandomStream(0))
+
+
 def test_generate_instance_deterministic():
     a = generate_instance("P4", {"d": 3}, RandomStream(15))
     b = generate_instance("P4", {"d": 3}, RandomStream(15))
