@@ -13,6 +13,7 @@ working copy of the stack.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 import sys
@@ -31,26 +32,34 @@ class FactorizationError(ValueError):
 
 
 def _lapack():
-    """scipy's compiled LAPACK wrappers, loaded on first use.
+    """scipy's compiled LAPACK wrappers: the module ``scipy.linalg`` loaded,
+    if it is loaded, else this package's own copy."""
+    return sys.modules.get(_FLAPACK) or _own_lapack()
+
+
+@functools.cache
+def _own_lapack():
+    """``scipy.linalg._flapack`` loaded on first use, and kept out of
+    ``sys.modules``.
 
     ``import scipy`` runs scipy's own start-up (DLL paths on Windows, for
     one); the extension module is then loaded from scipy's ``linalg``
-    directory and registered under its own name, so a later
-    ``import scipy.linalg`` reuses it. The ``scipy.linalg`` package itself,
-    and the array-API machinery it imports, stay unloaded.
+    directory. The ``scipy.linalg`` package itself, and the array-API
+    machinery it imports, stay unloaded, and a later ``import scipy.linalg``
+    loads and binds its own ``_flapack`` (the same compiled routines) as usual.
     """
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        import scipy
+    import scipy
 
-        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-        spec = PathFinder.find_spec(_FLAPACK, [where])
-        if spec is None:
-            raise ImportError(f"scipy {scipy.__version__} has no compiled LAPACK module "
-                              f"_flapack in {where}")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_FLAPACK] = module
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = PathFinder.find_spec(_FLAPACK, [where])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled LAPACK module "
+                          f"_flapack in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # a single-phase extension registers itself; left there, a later
+    # ``import scipy.linalg`` would find it and not bind ``scipy.linalg._flapack``
+    sys.modules.pop(_FLAPACK, None)
     return module
 
 

@@ -325,9 +325,10 @@ def resolve_params(problem: str, declared: dict, params: dict) -> dict:
         try:
             if value is not None and not math.isfinite(value):
                 raise ContractError(f"{name} must be finite, got {value}")
-        except OverflowError:  # an int that no float holds
+        except OverflowError:  # an int that no float holds; str() refuses > 4300 digits
+            from decimal import Decimal
             raise ContractError(f"{name} must fit in a float, got an integer of "
-                                f"{len(str(abs(value)))} digits") from None
+                                f"{Decimal(value).adjusted() + 1} digits") from None
     check_counts(p, ("d", "p_dim", "m_samples"))
     if p["d"] < 1:
         raise ContractError(f"d must be >= 1, got {p['d']}")

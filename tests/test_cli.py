@@ -9,8 +9,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import debias
 from _oracles import parse_results_csv
@@ -778,18 +780,30 @@ def test_theory_bad_noise_exit_3(capsys, problem, argv, message):
     assert captured.out == ""
 
 
+# debias.theory refuses these itself; each id is the case's name from when
+# cli.py refused them, with its message of then, so the names stay put
 @pytest.mark.parametrize("argv, message", [
     # exit 1 with an OverflowError traceback from sigma**2
-    (["--param", "sigma=1e300"], "sigma must have a finite fourth power, got 1e+300"),
-    (["--problem", "quad", "--param", "sigma=1e300"], "sigma must have a finite fourth power"),
-    (["--problem", "P1", "--param", "sigma=1e300"], "sigma must have a finite fourth power"),
-    (["--problem", "P2", "--ck", "1e-308"], "c_k must leave sigma1 / c_k finite, got 1e-308"),
+    pytest.param(["--param", "sigma=1e300"],
+                 "a moment tensor of sigma = 1e+300 is outside float64",
+                 id="argv0-sigma must have a finite fourth power, got 1e+300"),
+    pytest.param(["--problem", "quad", "--param", "sigma=1e300"],
+                 "a moment tensor of sigma = 1e+300 is outside float64",
+                 id="argv1-sigma must have a finite fourth power"),
+    pytest.param(["--problem", "P1", "--param", "sigma=1e300"],
+                 "a moment tensor of sigma = 1e+300 is outside float64",
+                 id="argv2-sigma must have a finite fourth power"),
+    # printed margins of -inf at exit 0
+    pytest.param(["--problem", "P2", "--ck", "1e-308"],
+                 "margin_shift = -inf at F(x*) = 7.856081866987556 and c_k = 1e-308 is outside",
+                 id="argv3-c_k must leave sigma1 / c_k finite, got 1e-308"),
     # exit 0 printing margin_shift_alt = -inf
-    (["--param", "sigma=1e60"],
-     "sigma 1e+60 at --ck 1.0 leaves a sigma or a margin outside float64"),
+    pytest.param(["--param", "sigma=1e60"],
+                 "margin_shift_alt = -inf at F(x*) = 0.0 and c_k = 1.0 is outside float64",
+                 id="argv4-sigma 1e+60 at --ck 1.0 leaves a sigma or a margin outside float64"),
     # exit 1 with an OverflowError traceback from sigma2**2
-    (["--param", "sigma=1e77"],
-     "sigma 1e+77 at --ck 1.0 leaves a sigma or a margin outside float64"),
+    pytest.param(["--param", "sigma=1e77"], "a moment tensor of sigma = 1e+77 is outside float64",
+                 id="argv5-sigma 1e+77 at --ck 1.0 leaves a sigma or a margin outside float64"),
     # exit 1 with an OverflowError traceback: an integer too large for a float,
     # refused by problems.resolve_params, which generate_instance calls too
     (["--param", "sigma=1" + "0" * 400], "sigma must fit in a float, got an integer of 401 digits"),
@@ -797,11 +811,14 @@ def test_theory_bad_noise_exit_3(capsys, problem, argv, message):
     (["--problem", "P2", "--param", "kappa=1" + "0" * 400],
      "kappa must fit in a float, got an integer of 401 digits"),
     # exit 1 with a ZeroDivisionError traceback: margin_scale's F(x*)**2 underflows to 0
-    (["--problem", "P1", "--param", "xstar_norm2=1e-308"], "xstar_norm2=1e-308 leaves F(x*) = "),
-    (["--param", "xstar=1e-160"], "xstar=1e-160 leaves F(x*) = 1e-320, whose square underflows"),
+    pytest.param(["--problem", "P1", "--param", "xstar_norm2=1e-308"],
+                 "a sigma or a margin at F(x*) = 1.4014351453944947e-308 and c_k = 1.0 is outside",
+                 id="argv9-xstar_norm2=1e-308 leaves F(x*) = "),
+    pytest.param(["--param", "xstar=1e-160"],
+                 "a sigma or a margin at F(x*) = 1e-320 and c_k = 1.0 is outside float64",
+                 id="argv10-xstar=1e-160 leaves F(x*) = 1e-320, whose square underflows"),
 ])
 def test_theory_overflow_exit_3(capsys, argv, message):
-    # printed margins of -inf at exit 0 for the --ck case
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(["theory", *argv])
@@ -820,6 +837,33 @@ def test_theory_non_finite_xstar_exit_3(capsys, problem, xstar):
     captured = capsys.readouterr()
     assert captured.err == f"error: xstar must be finite, got {float(xstar)}\n"
     assert captured.out == ""
+
+
+# the theory slice of the extreme-value fuzzing: zero, negative, fractional
+# and over-cap counts, non-finite values, the smallest normal float, the
+# values whose squares under- or overflow float64, and an integer no float holds
+THEORY_VALUES = (0, -1, 0.5, 1, 33, math.nan, math.inf, -math.inf, 1e-308, 1e-160, 1e60,
+                 1e77, 1e300, 10**400)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_theory_fuzz_exits_cleanly(data):
+    # any of a problem's declared parameters, and --ck, at any of the values:
+    # a documented exit, no numpy warning, no traceback, finite output at 0;
+    # d is refused above 20 before any array is built, so no value allocates
+    problem = data.draw(st.sampled_from(["quad", "P1", "P2", "P5"]))
+    names = sorted(cli.QUAD if problem == "quad" else FAMILIES[problem].params) + ["--ck"]
+    chosen = data.draw(st.dictionaries(st.sampled_from(names), st.sampled_from(THEORY_VALUES),
+                                       max_size=3))
+    argv = ["theory", "--problem", problem, "--no-header"]
+    argv += [f"--ck={v!r}" if k == "--ck" else f"--param={k}={v!r}" for k, v in chosen.items()]
+    rc, stdout, stderr, caught = run_quietly(argv)
+    assert rc in (0, 2, 3, 4), (argv, rc, stderr)
+    assert caught == [] and "Traceback" not in stderr, (argv, caught, stderr)
+    if rc == 0:
+        values = [line.split(" = ")[1] for line in stdout.splitlines()]
+        assert all(math.isfinite(float(v)) for v in values if v != "None"), (argv, stdout)
 
 
 def test_transport_single_cell(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """scipy is loaded only where an SPD factorisation needs it (P4 and P5),
-and then only as ``import scipy`` plus its compiled LAPACK module
-``scipy.linalg._flapack``: the ``scipy.linalg`` package stays unloaded, and
-a later ``import scipy.linalg`` reuses that module. multiprocessing is
+and then only as ``import scipy`` plus a private copy of its compiled LAPACK
+module ``scipy.linalg._flapack``: the ``scipy.linalg`` package stays
+unloaded, ``sys.modules`` holds no ``_flapack``, and a later
+``import scipy.linalg`` binds its own, with the same compiled routines. multiprocessing is
 loaded only where trials run in child processes. ``debias.theory`` loads
 none of the trial modules. The benchmark's span hooks resolve and fire.
 
@@ -71,26 +72,28 @@ def test_spd_families_load_scipy(tmp_path):
         codes, loaded, _ = run_fresh([bench(problem, 1, tmp_path), bench(problem, 2, tmp_path)],
                                      tmp_path)
         assert codes == [0, 0]
-        assert loaded == ["scipy", "scipy.linalg._flapack"]
+        assert loaded == ["scipy"]
 
 
 def test_later_scipy_linalg_import_reuses_lapack_module(tmp_path):
     script = ("import sys, numpy as np\n"
-              "from debias import cli\n"
+              "from debias import cli, linalg\n"
               "from debias.linalg import cholesky_solve\n"
               f"assert cli.main({bench('P4', 1, tmp_path)!r}) == 0\n"
               f"assert cli.main({bench('P5', 1, tmp_path)!r}) == 0\n"
-              "assert 'scipy.linalg' not in sys.modules\n"
-              "flapack = sys.modules['scipy.linalg._flapack']\n"
+              "own = linalg._lapack()\n"
               "rng = np.random.default_rng(3)\n"
               "G = rng.normal(size=(7, 7))\n"
               "A = G @ G.T + np.eye(7) + np.triu(G, 1)\n"
               "b = rng.normal(size=7)\n"
               "x = cholesky_solve(A, b)\n"
               "X = cholesky_solve(A, G)\n"
+              "assert 'scipy.linalg' not in sys.modules\n"
+              "assert 'scipy.linalg._flapack' not in sys.modules\n"
               "import scipy.linalg\n"
-              "from scipy.linalg import _flapack, lapack\n"
-              "assert _flapack is flapack and lapack.dposv is flapack.dposv\n"
+              "from scipy.linalg import lapack\n"
+              "assert scipy.linalg._flapack.dposv is own.dposv is lapack.dposv\n"
+              "assert linalg._lapack() is scipy.linalg._flapack\n"
               "ref = scipy.linalg.cho_factor(A, lower=True)\n"
               "assert np.array_equal(x, scipy.linalg.cho_solve(ref, b))\n"
               "assert np.array_equal(X, scipy.linalg.cho_solve(ref, G))\n"
@@ -104,7 +107,7 @@ def test_non_spd_exits_4_on_first_scipy_use(tmp_path):
                                    tmp_path)
     assert codes == [4]
     assert "not positive definite" in err
-    assert loaded == ["scipy", "scipy.linalg._flapack"]
+    assert loaded == ["scipy"]
 
 
 def test_cholesky_solve_raises_factorization_error_on_first_use():

@@ -174,8 +174,9 @@ def test_missing_lapack_module_names_the_scipy_version(monkeypatch):
         def find_spec(name, path):
             return None
 
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")  # this process's scipy.linalg
     monkeypatch.setattr(linalg, "PathFinder", NoModules)
+    linalg._own_lapack.cache_clear()
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no compiled LAPACK"):
         cholesky_solve(np.eye(2), np.ones(2))
 

@@ -333,6 +333,13 @@ def test_generate_instance_refuses_an_integer_no_float_holds():
         generate_instance("P1", {"kappa": 10**400}, RandomStream(0))
 
 
+def test_generate_instance_refuses_an_integer_past_the_str_limit():
+    # raised ValueError: Python's int-to-str conversion stops at 4300 digits
+    with pytest.raises(ContractError,
+                       match="^kappa must fit in a float, got an integer of 5001 digits$"):
+        generate_instance("P1", {"kappa": 10**5000}, RandomStream(0))
+
+
 def test_generate_instance_deterministic():
     a = generate_instance("P4", {"d": 3}, RandomStream(15))
     b = generate_instance("P4", {"d": 3}, RandomStream(15))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,46 @@ def test_family_third_derivative_matches_finite_difference(family):
         T_true = F.third_derivative(x)
         scale = max(np.abs(T_true).max(), 1.0)
         assert np.abs(third_derivative_fd(F, x) - T_true).max() / scale < 1e-4
+
+
+def quad(d, xstar=0.0):
+    return lambda: (p1_quadratic(np.eye(d)), np.full(d, xstar))
+
+
+def family(name, params):
+    def build():
+        inst = generate_instance(name, params, RandomStream(0))
+        return inst.objective, inst.truth_input
+    return build
+
+
+# the inputs of test_cli.py's test_theory_overflow_exit_3 that reach
+# debias.theory, as the CLI passes them (its integers past float64 are
+# refused before, by problems.resolve_params)
+@pytest.mark.parametrize("sigma, d, problem, c_k, message", [
+    (1e300, 1, quad(1), 1.0, "a moment tensor of sigma = 1e+300 is outside float64"),
+    (1e300, 20, family("P1", {}), 1.0, "a moment tensor of sigma = 1e+300 is outside float64"),
+    (1e77, 1, quad(1), 1.0, "a moment tensor of sigma = 1e+77 is outside float64"),
+    (1.0, 20, family("P2", {}), 1e-308,
+     "margin_shift = -inf at F(x*) = 7.856081866987556 and c_k = 1e-308 is outside float64"),
+    (1e60, 1, quad(1), 1.0,
+     "margin_shift_alt = -inf at F(x*) = 0.0 and c_k = 1.0 is outside float64"),
+    (1.0, 20, family("P1", {"xstar_norm2": 1e-308}), 1.0,
+     "a sigma or a margin at F(x*) = 1.4014351453944947e-308 and c_k = 1.0 is outside float64"),
+    (1.0, 1, quad(1, 1e-160), 1.0,
+     "a sigma or a margin at F(x*) = 1e-320 and c_k = 1.0 is outside float64"),
+], ids=["sigma-1e300", "P1-sigma-1e300", "sigma-1e77", "P2-ck-1e-308", "sigma-1e60",
+        "P1-xstar_norm2-1e-308", "xstar-1e-160"])
+def test_results_outside_float64_refused(sigma, d, problem, c_k, message):
+    # called as a library these raised ZeroDivisionError or OverflowError
+    # after a RuntimeWarning, or returned margin_shift_alt = -inf
+    F, x_star = problem()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ContractError) as got:
+            sigma_set(F, x_star, moments_gaussian(sigma, d), c_k)
+    assert [str(w.message) for w in caught] == []
+    assert str(got.value) == message
 
 
 # ---------------------------------------------------------------------------
