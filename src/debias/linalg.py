@@ -1,14 +1,14 @@
 """Small dense linear algebra used by the benchmark problem generators:
-SPD solves (one matrix, or each of a stack), and random orthogonal /
-conditioned-SPD matrix generation.
+one SPD solve, ``cholesky_solve``, for a matrix or a stack of them, and
+random orthogonal / conditioned-SPD matrix generation.
 
 This is the one module that uses scipy, and it does so on first use: only
 the SPD solves of P4 and P5 need it. Every solve is one call of LAPACK's
 ``dposv`` (a Cholesky factorisation of the lower triangle, then the two
 triangular solves) through scipy's compiled wrapper module
 ``scipy.linalg._flapack``, loaded without importing the ``scipy.linalg``
-package. A stack's matrices are factored in place, in one Fortran-ordered
-working copy of the stack.
+package. A matrix, or each matrix of a stack, is factored in place in one
+Fortran-ordered working copy.
 """
 
 from __future__ import annotations
@@ -80,51 +80,37 @@ def _check_factorization(info: int, routine: str) -> None:
 
 
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for SPD A; b is a vector or a matrix of right-hand
-    sides, and x is returned as ``dposv`` leaves it (Fortran order for a
-    matrix)."""
-    A = _finite(A)
-    b = _finite(b)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square 2-D matrix, got shape {A.shape}")
-    if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
-        raise ValueError(f"incompatible dimensions ({A.shape} and {b.shape})")
-    c, x, info = _lapack().dposv(A, b, lower=1)
-    _check_factorization(info, "POSV")
-    _finite(c)
-    return x
+    """Solve A x = b for SPD A: one matrix, b a vector or a matrix of
+    right-hand sides, and x returned as ``dposv`` leaves it (Fortran order
+    for a matrix); or each matrix of a (K, d, d) stack, b a vector, and x
+    (K, d), row k bit-identical to a solve of ``A[k]`` alone.
 
-
-def cholesky_solve_each(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A_k x_k = b for each SPD matrix of a (K, d, d) stack; (K, d) out.
-
-    Row k is bit-identical to ``cholesky_solve(mats[k], b)``: the same one
-    ``dposv`` call per matrix, on the same values, factored in place in its
-    Fortran-ordered working copy. The stack raises what ``cholesky_solve``
-    raises for its first failing row, in that path's order: a non-finite
-    matrix, then a failed factorisation, then a non-finite factor.
+    Each matrix is one ``dposv`` call, factored in place in a Fortran-ordered
+    working copy. A stack raises what a solve of its first failing matrix
+    alone raises, in that order: a non-finite matrix, then a failed
+    factorisation, then a non-finite factor.
     """
-    dposv = _lapack().dposv
-    mats = np.asarray(mats, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if mats.ndim != 3 or mats.shape[1:] != (b.size, b.size) or b.ndim != 1:
-        raise ValueError(f"incompatible dimensions {mats.shape} and {b.shape}")
-    _finite(b)
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    stop = len(mats) if finite.all() else int(np.argmin(finite))
+    A = np.asarray(A, dtype=float)
+    b = _finite(b)
+    if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    if b.ndim not in ((1, 2) if A.ndim == 2 else (1,)) or b.shape[0] != A.shape[-1]:
+        raise ValueError(f"incompatible dimensions ({A.shape} and {b.shape})")
+    mats = A if A.ndim == 3 else A[None]
+    finite = np.isfinite(mats)
+    stop = len(mats) if finite.all() else int(np.argmin(finite.all(axis=(1, 2))))
     work = mats[:stop].swapaxes(1, 2).copy().swapaxes(1, 2)
-    out = np.empty((len(mats), b.size))
-    for k in range(stop):
-        _, out[k], info = dposv(work[k], b, lower=1, overwrite_a=1)
+    dposv, x, info = _lapack().dposv, [], 0
+    for mat in work:
+        _, solved, info = dposv(mat, b, lower=1, overwrite_a=1)
         if info:
             break
-    else:
-        k, info = stop, 0
-    _finite(work[:k])
+        x.append(solved)
+    _finite(work[:len(x)])
     _check_factorization(info, "POSV")
-    if k < len(mats):
+    if len(x) < len(mats):
         raise ValueError("array must not contain infs or NaNs")
-    return out
+    return x[0] if A.ndim == 2 else np.array(x).reshape(len(A), b.size)
 
 
 def random_orthogonal(d: int, stream: RandomStream) -> np.ndarray:

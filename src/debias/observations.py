@@ -22,6 +22,18 @@ class ContractError(ValueError):
     """An input violated a documented precondition."""
 
 
+def described(value) -> str:
+    """``value`` as an error message names it: an integer that no float holds
+    by its number of digits, since str() refuses one of over 4300 digits."""
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            from decimal import Decimal
+            return f"an integer of {Decimal(value).adjusted() + 1} digits"
+    return str(value)
+
+
 class ObservationSet:
     """A nonempty set of n observations of one dimension, stored as one
     validated (n, d) array ``points`` of finite coordinates, so means and

@@ -22,9 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import transport
-from .linalg import cholesky_solve, cholesky_solve_each, random_orthogonal, spd_with_condition
+from .linalg import cholesky_solve, random_orthogonal, spd_with_condition
 from .objectives import EvaluationError, Objective
-from .observations import ContractError, mixture_row
+from .observations import ContractError, described, mixture_row
 from .resampling import RandomStream, categorical_cdf, normals, uniforms
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def p4_opt_value(b: np.ndarray) -> Objective:
         values = np.full(len(mats), np.nan)
         # matmul takes each (1, d) @ (d, 1) product as the 1-d dot ``b @ x``
         # computes, so every row sums in the same order as a lone evaluation
-        sol = cholesky_solve_each(mats[solved], b)
+        sol = cholesky_solve(mats[solved], b)
         values[solved] = -0.5 * np.matmul(sol[:, None, :], b[:, None])[:, 0, 0]
         return values
 
@@ -315,20 +315,19 @@ def resolve_params(problem: str, declared: dict, params: dict) -> dict:
     """``problem``'s declared parameters and defaults, overridden by
     ``params``.  Refused, each by name: a parameter ``problem`` does not
     declare (named as given, key=value), a value that is not a finite float,
-    a count (d, p_dim, m_samples) that is not an integer, and d < 1."""
+    a count (d, p_dim, m_samples) that is not an integer, and d < 1.  An
+    integer that no float holds is named by its number of digits."""
     unknown = sorted(set(params) - set(declared))
     if unknown:
-        given = ", ".join(f"{key}={params[key]}" for key in unknown)
+        given = ", ".join(f"{key}={described(params[key])}" for key in unknown)
         raise ContractError(f"{problem} does not take {given}; valid: {sorted(declared)}")
     p = {**declared, **params}
     for name, value in p.items():
         try:
             if value is not None and not math.isfinite(value):
                 raise ContractError(f"{name} must be finite, got {value}")
-        except OverflowError:  # an int that no float holds; str() refuses > 4300 digits
-            from decimal import Decimal
-            raise ContractError(f"{name} must fit in a float, got an integer of "
-                                f"{Decimal(value).adjusted() + 1} digits") from None
+        except OverflowError:  # an int that no float holds
+            raise ContractError(f"{name} must fit in a float, got {described(value)}") from None
     check_counts(p, ("d", "p_dim", "m_samples"))
     if p["d"] < 1:
         raise ContractError(f"d must be >= 1, got {p['d']}")

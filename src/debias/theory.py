@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .objectives import Objective
-from .observations import ContractError
+from .observations import ContractError, described
 
 _MAX_M4_DIM = 20
 _PSD_SLOP = 1e-10
@@ -84,11 +84,11 @@ def moments_gaussian(sigma: float, d: int) -> MomentTensors:
     """Analytic tensors for N(x*, sigma^2 I): M2 = sigma^2 I and the Isserlis
     fourth moment sigma^4 (d_ab d_cd + d_ac d_bd + d_ad d_bc).  A sigma whose
     tensors leave float64 is refused."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ContractError(f"sigma must be finite and > 0, got {sigma}")
+    if not 0 < sigma < math.inf:  # an int that no float holds is refused below
+        raise ContractError(f"sigma must be finite and > 0, got {described(sigma)}")
     if d > _MAX_M4_DIM:
         raise ContractError(f"moment tensors limited to d <= {_MAX_M4_DIM}, got d={d}")
-    with _within_float64(f"a moment tensor of sigma = {sigma!r}"):
+    with _within_float64(f"a moment tensor of sigma = {described(sigma)}"):
         eye = np.eye(d)
         m2 = sigma**2 * eye
         m4 = sigma**4 * (

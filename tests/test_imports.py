@@ -176,4 +176,4 @@ def test_benchmark_span_hooks_resolve_and_fire():
     assert inits == 3 * 5
     assert {"problems.sample", "resampling.stream_init", "core.counts",
             "core.resample_means", "objectives.evaluate_batch", "transport.solve",
-            "harness.reduce", "problems.generate"} <= set(fired)
+            "harness.reduce", "problems.generate", "linalg.cholesky_solve"} <= set(fired)

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -98,9 +99,14 @@ def test_solve_each_factors_a_copy_row_by_row(d):
     b, before = rng.normal(size=d), mats.copy()
     # C order, and each matrix in Fortran order, the layout dposv overwrites
     for stack in (mats, mats.swapaxes(1, 2).copy().swapaxes(1, 2)):
-        out = linalg.cholesky_solve_each(stack, b)
+        out = cholesky_solve(stack, b)
         assert np.array_equal(stack, before)
         assert np.array_equal(out, [cholesky_solve(A, b) for A in before])
+    # a lone matrix, given in the Fortran order dposv overwrites, is left too
+    for A in before:
+        given = np.asfortranarray(A)
+        cholesky_solve(given, b)
+        assert np.array_equal(given, A)
 
 
 @pytest.mark.parametrize("p, d", [(1, 1), (3, 1), (4, 3), (7, 5), (12, 7), (20, 10), (40, 20)])
@@ -158,14 +164,54 @@ def test_cholesky_solve_error_messages():
     cases = [
         (np.eye(2), np.array([1.0, np.nan]), "array must not contain infs or NaNs"),
         (INF, np.ones(2), "array must not contain infs or NaNs"),
-        (np.ones((2, 3)), np.ones(2), "expected a square 2-D matrix, got shape (2, 3)"),
+        (np.ones((2, 3)), np.ones(2),
+         "expected a square matrix or a stack of them, got shape (2, 3)"),
         (np.eye(2), np.ones(3), "incompatible dimensions ((2, 2) and (3,))"),
         (np.eye(2), np.ones((2, 2, 1)), "incompatible dimensions ((2, 2) and (2, 2, 1))"),
+        (np.ones((4, 2, 3)), np.ones(2),
+         "expected a square matrix or a stack of them, got shape (4, 2, 3)"),
+        (np.ones((1, 4, 2, 2)), np.ones(2),
+         "expected a square matrix or a stack of them, got shape (1, 4, 2, 2)"),
+        # a stack's right-hand side is one vector
+        (np.ones((4, 2, 2)), np.ones((2, 1)), "incompatible dimensions ((4, 2, 2) and (2, 1))"),
+        (np.ones((4, 2, 2)), np.ones(3), "incompatible dimensions ((4, 2, 2) and (3,))"),
     ]
     for A, b, message in cases:
         with pytest.raises(ValueError) as got:
             cholesky_solve(A, b)
         assert str(got.value) == message
+
+
+GOOD3 = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+NAN3 = np.array([[4.0, 1.0, 0.0], [1.0, np.nan, 1.0], [0.0, 1.0, 2.0]])
+INDEFINITE3 = np.diag([1.0, -1.0, 1.0])
+# finite, but l31 = 1e300 / 1e-150 overflows, l32 = (0 - inf * 0) / 1 is nan
+# and so is the last pivot
+OVERFLOWING3 = np.array([[1e-300, 0.0, 1e300], [0.0, 1.0, 0.0], [1e300, 0.0, 1.0]])
+
+
+def _raised(A, b):
+    with pytest.raises(ValueError) as got:
+        cholesky_solve(A, b)
+    return type(got.value), str(got.value)
+
+
+@pytest.mark.parametrize("order", itertools.permutations(range(4)),
+                         ids=lambda order: "".join(map(str, order)))
+def test_stack_raises_as_its_first_failing_matrix_alone(order):
+    mats = [GOOD3, NAN3, INDEFINITE3, OVERFLOWING3]
+    b = np.array([1.0, -2.0, 0.5])
+    alone = {k: _raised(mats[k], b) for k in (1, 2, 3)}
+    nonfinite = (ValueError, "array must not contain infs or NaNs")
+    assert alone[1] == nonfinite
+    assert alone[2][0] is FactorizationError and "2-th leading minor" in alone[2][1]
+    # OpenBLAS's potrf takes the nan pivot, so the factor is not finite; a
+    # LAPACK that flags it fails the factorisation instead
+    assert alone[3] == nonfinite or alone[3][0] is FactorizationError
+    stack = np.stack([mats[k] for k in order])
+    before = stack.copy()
+    assert _raised(stack, b) == alone[next(k for k in order if k)]
+    assert np.array_equal(stack, before, equal_nan=True)
 
 
 def test_missing_lapack_module_names_the_scipy_version(monkeypatch):

@@ -340,6 +340,14 @@ def test_generate_instance_refuses_an_integer_past_the_str_limit():
         generate_instance("P1", {"kappa": 10**5000}, RandomStream(0))
 
 
+def test_generate_instance_names_an_unknown_integer_past_the_str_limit():
+    # raised ValueError from formatting the value into the message
+    with pytest.raises(ContractError, match=r"^P1 does not take bogus=an integer of 5001 "
+                                            r"digits; valid: \['d', 'kappa', 'sigma', "
+                                            r"'xstar_norm2'\]$"):
+        generate_instance("P1", {"bogus": 10**5000}, RandomStream(0))
+
+
 def test_generate_instance_deterministic():
     a = generate_instance("P4", {"d": 3}, RandomStream(15))
     b = generate_instance("P4", {"d": 3}, RandomStream(15))

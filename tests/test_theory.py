@@ -225,7 +225,8 @@ def family(name, params):
 
 # the inputs of test_cli.py's test_theory_overflow_exit_3 that reach
 # debias.theory, as the CLI passes them (its integers past float64 are
-# refused before, by problems.resolve_params)
+# refused before, by problems.resolve_params), and such integers given to
+# the library, which raised OverflowError from math.isfinite
 @pytest.mark.parametrize("sigma, d, problem, c_k, message", [
     (1e300, 1, quad(1), 1.0, "a moment tensor of sigma = 1e+300 is outside float64"),
     (1e300, 20, family("P1", {}), 1.0, "a moment tensor of sigma = 1e+300 is outside float64"),
@@ -238,8 +239,13 @@ def family(name, params):
      "a sigma or a margin at F(x*) = 1.4014351453944947e-308 and c_k = 1.0 is outside float64"),
     (1.0, 1, quad(1, 1e-160), 1.0,
      "a sigma or a margin at F(x*) = 1e-320 and c_k = 1.0 is outside float64"),
+    (10**400, 1, quad(1), 1.0,
+     "a moment tensor of sigma = an integer of 401 digits is outside float64"),
+    # past the 4300 digits str() takes
+    (10**5000, 1, quad(1), 1.0,
+     "a moment tensor of sigma = an integer of 5001 digits is outside float64"),
 ], ids=["sigma-1e300", "P1-sigma-1e300", "sigma-1e77", "P2-ck-1e-308", "sigma-1e60",
-        "P1-xstar_norm2-1e-308", "xstar-1e-160"])
+        "P1-xstar_norm2-1e-308", "xstar-1e-160", "sigma-int-1e400", "sigma-int-1e5000"])
 def test_results_outside_float64_refused(sigma, d, problem, c_k, message):
     # called as a library these raised ZeroDivisionError or OverflowError
     # after a RuntimeWarning, or returned margin_shift_alt = -inf
