@@ -257,7 +257,12 @@ def _shift_correction(naive: float, values) -> float:
     # A degenerate set's resample means equal its mean bit for bit, so each
     # difference is fn(mean) - fn_many's value there: exactly 0 where the two
     # sum alike (P3, P4), a few ulps of F where they do not (P1, P2, P5).
-    return _fsum((naive - values).tolist()) / len(values)
+    terms = (naive - values).tolist()
+    try:
+        return math.fsum(terms) / len(terms)
+    except (OverflowError, ValueError):
+        # finite terms whose sum overflows may still have a mean in float64
+        return _fsum([t / len(terms) for t in terms])
 
 
 def _scale_correction(naive: float, values) -> float:

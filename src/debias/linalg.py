@@ -87,8 +87,10 @@ def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Each matrix is one ``dposv`` call, factored in place in a Fortran-ordered
     working copy. A stack raises what a solve of its first failing matrix
-    alone raises, in that order: a non-finite matrix, then a failed
-    factorisation, then a non-finite factor.
+    alone raises, in that order: a non-finite matrix (ValueError), then a
+    failed factorisation, a non-finite factor and a non-finite solution, as
+    a finite SPD matrix with a subnormal pivot gives (each a
+    FactorizationError; a stack's non-finite solution names its matrix).
     """
     A = np.asarray(A, dtype=float)
     b = _finite(b)
@@ -106,11 +108,18 @@ def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         if info:
             break
         x.append(solved)
-    _finite(work[:len(x)])
+    rows = np.reshape(x, (len(x), b.size))
+    if not (np.isfinite(work[:len(x)]).all() and np.isfinite(rows).all()):
+        factored = np.isfinite(work[:len(x)]).all(axis=(1, 2))
+        k = int(np.argmin(factored & np.isfinite(rows).all(axis=1)))
+        if not factored[k]:
+            raise FactorizationError("the Cholesky factor is not finite")
+        raise FactorizationError("the solution is not finite" if A.ndim == 2
+                                 else f"the solution for matrix {k} of the stack is not finite")
     _check_factorization(info, "POSV")
     if len(x) < len(mats):
         raise ValueError("array must not contain infs or NaNs")
-    return x[0] if A.ndim == 2 else np.array(x).reshape(len(A), b.size)
+    return x[0] if A.ndim == 2 else rows
 
 
 def random_orthogonal(d: int, stream: RandomStream) -> np.ndarray:

@@ -413,3 +413,15 @@ def third_derivative_fd(F: Objective, x: np.ndarray) -> np.ndarray:
         T[:, :, c] = (np.asarray(F.hessian(x + e)) - np.asarray(F.hessian(x - e))) / (2.0 * h)
     return (T + T.transpose(0, 2, 1) + T.transpose(2, 1, 0)
             + T.transpose(1, 0, 2) + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)) / 6.0
+
+
+def crafted_pair(far, kept=None):
+    """Two point clouds with a duplicate point and a -0.0 point beside 0.0;
+    with ``far``, also a point whose squared distances to the other cloud
+    overflow to inf.  With ``kept``, the first cloud keeps only its last
+    ``kept`` points before the far one."""
+    tail = [[1e200, 0.0]] if far else []
+    head = [[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [2.0, -1.0], [-0.0, 0.0]]
+    xs = ObservationSet.from_points(head[-kept:] + tail if kept else head + tail)
+    ys = ObservationSet.from_points([[1.0, 1.0], [0.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
+    return xs, ys

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from _oracles import (
     covariance_reference,
+    crafted_pair,
     exact_expectation_debias,
     exact_resample_expectation,
     jackknife_value,
@@ -37,12 +38,17 @@ from debias.core import (
     shift_debias,
     why_not,
 )
-from debias.objectives import DomainError, EvaluationError, Objective
+from debias.objectives import EvaluationError, Objective
 from debias.observations import ContractError, ObservationSet, mean_observation
 from debias.problems import (FAMILIES, generate_instance, p1_quadratic, p2_quartic,
                              p3_rational, p6_entropy, p7_wasserstein)
 from debias.resampling import RandomStream
 from debias.transport import IterationCapError, TransportError
+from test_refusals import folded
+
+# this module's single-refusal cases, each under its own id, are rows of
+# test_refusals.TABLE
+globals().update(folded("test_core"))
 
 
 def quad1d():
@@ -160,19 +166,6 @@ def test_scale_exact_enumeration_example():
     assert est.debiased_value == pytest.approx(4.0 * 18.0 / 28.5, abs=1e-13)
 
 
-def test_scale_rejects_unsigned_before_evaluation():
-    calls = []
-
-    def fn(x):
-        calls.append(1)
-        return float(x[0])
-
-    F = Objective(fn=fn, sign_constraint="none")
-    with pytest.raises(UnsupportedMethodError):
-        scale_debias(F, ObservationSet.from_points([[1.0]]), BootstrapPlan(rounds=3))
-    assert calls == []
-
-
 def test_scale_negative_objective_matches_negated():
     # the formula is invariant under F -> -F
     rng = np.random.default_rng(7)
@@ -185,12 +178,6 @@ def test_scale_negative_objective_matches_negated():
     est_neg = scale_debias(F_neg, s, BootstrapPlan(rounds=40), RandomStream(8))
     assert est_neg.correction == pytest.approx(est_pos.correction, rel=1e-12)
     assert est_neg.debiased_value == pytest.approx(-est_pos.debiased_value, rel=1e-12)
-
-
-def test_scale_degenerate_denominator():
-    F = Objective(fn=lambda x: 0.0, sign_constraint="positive")
-    with pytest.raises(DegenerateDenominatorError):
-        scale_debias(F, ObservationSet.from_points([[1.0], [2.0]]), BootstrapPlan(rounds=5))
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +201,6 @@ def test_covariance_linear_objective():
     s = ObservationSet.from_points(np.random.default_rng(9).normal(size=(7, 3)))
     est = covariance_debias(F, s)
     assert est.correction == 0.0
-
-
-def test_covariance_requires_hessian():
-    F = Objective(fn=lambda x: float(x[0]))
-    with pytest.raises(UnsupportedMethodError):
-        covariance_debias(F, ObservationSet.from_points([[1.0], [2.0]]))
-
-
-def test_covariance_unbiased_needs_two():
-    with pytest.raises(ContractError):
-        covariance_debias(quad1d(), ObservationSet.from_points([[1.0]]))
 
 
 def test_covariance_plugin_variant():
@@ -302,18 +278,6 @@ def test_block_covariance_mixing_diagonal_and_full_hessians():
 
 # ---------------------------------------------------------------------------
 # exact expectation as oracle
-
-
-def test_exact_size_guard():
-    s = ObservationSet.from_points(np.random.default_rng(10).normal(size=(30, 1)))
-    with pytest.raises(ContractError):
-        exact_expectation_debias(quad1d(), s, "shift")
-
-
-def test_exact_mode_validation():
-    s = ObservationSet.from_points([[1.0]])
-    with pytest.raises(ContractError):
-        exact_expectation_debias(quad1d(), s, "wiggle")
 
 
 def test_bootstrap_converges_to_exact():
@@ -537,18 +501,6 @@ def test_quadratic_unbiasedness_smoke():
 # paired resamples (P7)
 
 
-def crafted_pair(far, kept=None):
-    """Two point clouds with a duplicate point and a -0.0 point beside 0.0;
-    with ``far``, also a point whose squared distances to the other cloud
-    overflow to inf.  With ``kept``, the first cloud keeps only its last
-    ``kept`` points before the far one."""
-    tail = [[1e200, 0.0]] if far else []
-    head = [[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [2.0, -1.0], [-0.0, 0.0]]
-    xs = ObservationSet.from_points(head[-kept:] + tail if kept else head + tail)
-    ys = ObservationSet.from_points([[1.0, 1.0], [0.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
-    return xs, ys
-
-
 def hexes(values):
     return [float(v).hex() for v in values]
 
@@ -677,25 +629,6 @@ def test_paired_cost_overflow_names_the_resample():
 # error contracts
 
 
-def test_domain_violation_identifies_resample():
-    F = Objective(
-        fn=lambda x: float(x[0] ** 2),
-        domain_check=lambda x: x[..., 0] < 1.9,
-        name="guarded",
-    )
-    s = ObservationSet.from_points([[0.0], [2.0]])
-    # the sample mean (1.0) passes; the all-twos resample does not
-    with pytest.raises(DomainError, match="resample"):
-        shift_debias(F, s, BootstrapPlan(rounds=200), RandomStream(18))
-
-
-def test_nonfinite_value_aborts():
-    F = Objective(fn=lambda x: float("inf") if x[0] > 1.9 else 1.0)
-    s = ObservationSet.from_points([[0.0], [2.0]])
-    with pytest.raises(EvaluationError, match="resample"):
-        shift_debias(F, s, BootstrapPlan(rounds=200), RandomStream(19))
-
-
 def test_plan_validation():
     with pytest.raises(ContractError):
         BootstrapPlan(rounds=0)
@@ -750,36 +683,6 @@ def counting(objective):
                                fn_many=record(objective.fn_many)), calls
 
 
-@pytest.mark.parametrize("family, given, kind", [
-    ("P1", "array", "ndarray"),
-    ("P1", "list", "list of 4: list"),
-    ("P1", "pair", "tuple of 2: ObservationSet"),
-    ("P7", "set", "ObservationSet"),
-    ("P7", "list of sets", "list of 2: ObservationSet"),
-    ("P7", "three sets", "tuple of 3: ObservationSet"),
-])
-@pytest.mark.parametrize("method", METHODS)
-def test_debias_names_an_input_of_the_wrong_kind(family, given, kind, method):
-    # an ndarray given to P1 was refused with "pairs of point clouds need a
-    # paired objective"; each wrong kind is now named, before F is evaluated
-    xs, ys = crafted_pair(False)
-    obs = {"array": xs.points[:4], "list": xs.points[:4].tolist(), "pair": (xs, ys),
-           "set": xs, "list of sets": [xs, ys], "three sets": (xs, ys, xs)}[given]
-    F, calls = counting(p1_quadratic(np.eye(2)) if family == "P1" else p7_wasserstein())
-    with pytest.raises(UnsupportedMethodError) as info:
-        debias(method, F, obs, BootstrapPlan(rounds=5))
-    if family == "P1":
-        expected = ("a Euclidean objective's input is an ObservationSet (pairs of point "
-                    f"clouds need a paired objective); got {kind}")
-    elif method == "cov":  # the method's own rule refuses it first
-        expected = "covariance needs Euclidean observations"
-    else:
-        expected = ("a paired objective's inputs are pairs of point clouds, tuples of two "
-                    f"ObservationSets; got {kind}")
-    assert str(info.value) == expected
-    assert calls == []
-
-
 @pytest.mark.parametrize("method", ["shift", "scale"])
 @pytest.mark.parametrize("family", ["P1", "P7"])
 def test_bootstrap_without_plan_raises_contract_error(family, method):
@@ -796,14 +699,12 @@ NEAR_1E154 = [[1.1e154], [1.2e154], [0.9e154], [1.3e154]]  # F = x^2 near float6
 
 
 @pytest.mark.parametrize("method, points, shown", [
-    # the correction's fsum raised OverflowError: intermediate overflow in fsum
-    ("shift", NEAR_1E154, "nan"),
     # the squared values overflow to inf, so the correction was inf / inf and
     # debias returned a debiased value of nan
     ("scale", NEAR_1E154, "nan"),
     # the forms overflow in the covariance contraction
     ("cov", [[-1e200], [1e200]], "-inf"),
-])
+], ids=["scale-points1-nan", "cov-points2--inf"])  # shift's NEAR_1E154 case was points0
 def test_non_finite_estimate_is_refused(method, points, shown):
     obs = ObservationSet.from_points(points)
     with warnings.catch_warnings():
@@ -818,9 +719,17 @@ def test_non_finite_estimate_is_refused(method, points, shown):
 def test_non_finite_estimate_names_its_input_in_a_block(method):
     # of three sets in a block, the second and third overflow: the error names the second
     sets = np.array([[[1.0], [2.0], [0.5], [3.0]], NEAR_1E154, NEAR_1E154])
+    F = quad1d()
     if method == "cov":
         sets[1:] = [[-1e200], [1e200], [-1e200], [1e200]]
-    block = EuclideanBlock(quad1d(), sets)
+    if method == "shift":
+        # finite shift terms have a finite mean, so it is the sum naive +
+        # correction that overflows: F = 1.7e308 - x^2, whose correction on
+        # a set of mean 0 is the spread of its resample means, 2.5e307
+        F = Objective(fn=lambda x: 1.7e308 - float(x @ x),
+                      fn_many=lambda X: 1.7e308 - np.einsum("ij,ij->i", X, X))
+        sets[1:] = [[-1e154], [1e154], [-1e154], [1e154]]
+    block = EuclideanBlock(F, sets)
     with pytest.raises(NonFiniteEstimateError) as info:
         estimates(method, block, BootstrapPlan(rounds=100),
                   [RandomStream(0).split(b) for b in range(3)])

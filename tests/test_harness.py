@@ -5,7 +5,6 @@ import json
 import math
 import multiprocessing
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -41,6 +40,11 @@ from debias.objectives import DomainError, EvaluationError
 from debias.observations import ContractError
 from debias.problems import FAMILIES, NoiseModel, generate_instance
 from debias.resampling import RandomStream
+from test_refusals import folded
+
+# this module's single-refusal cases, each under its own id, are rows of
+# test_refusals.TABLE
+globals().update(folded("test_harness"))
 
 
 def stub_instance(truth=0.0):
@@ -88,19 +92,6 @@ def test_hand_made_paired_mse_difference():
     assert s.mse_diff_se["m"] == pytest.approx(math.sqrt(13 / 9), rel=1e-15)
     one = _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 0, recs[:1])
     assert one.mse_diff["m"] == 0.0 and math.isnan(one.mse_diff_se["m"])
-
-
-@pytest.mark.parametrize("naive, debiased, message", [
-    ([0.0, 0.0], [1.0, 1.0], "the naive errors sum to 0"),  # rmse_r and bias_r were nan
-    ([1.0, -1.0], [1.0, 1.0], "the naive errors sum to 0"),  # bias_r was nan
-    ([1e-170, 1e-170], [1.0, 1.0], "the naive errors sum to 0"),  # squares underflow to 0
-    ([1e160, 1.0], [1.0, 1.0], "the errors overflow"),  # a naive square is inf
-    ([1e100, 1.0], [1.0, 1.0], "the errors overflow"),  # the variance raised OverflowError
-])
-def test_undefined_ratios_refused_naming_the_experiment(naive, debiased, message):
-    recs = make_records(naive, debiased)
-    with pytest.raises(ContractError, match=f"^S at n=5, K=3: {message}"):
-        _reduce_records(stub_instance(), 5, BootstrapPlan(rounds=3), ["m"], 0, recs)
 
 
 @pytest.mark.parametrize("family,params,n,K,R,methods", [
@@ -201,59 +192,6 @@ def test_method_applicability_checked_before_trials(monkeypatch):
         run_experiment_spec("P7", {"d": 2}, 5, 4, ["shift", "nonsense"], 3, seed=11)
 
 
-@pytest.mark.parametrize("family, methods, message", [
-    ("P1", ["bogus"], "unknown method 'bogus'; valid: shift, scale, cov"),  # was KeyError
-    # was AttributeError: 'EmpiricalBlock' object has no attribute 'covariance'
-    ("P7", ["cov"], "covariance needs Euclidean observations"),
-    # a trial keeps one value a name: both rows held the second stream's values
-    ("P1", ["shift", "shift"], "method 'shift' is listed more than once"),
-    ("P1", ["scale", "shift", "scale"], "method 'scale' is listed more than once"),
-])
-def test_method_lists_refused_before_any_trial(monkeypatch, family, methods, message):
-    def no_trial(*args):
-        raise AssertionError("a trial ran before the methods were checked")
-
-    inst = generate_instance(family, {"d": 2}, RandomStream(8))
-    plan, expected = BootstrapPlan(rounds=3), f"^{family}: {re.escape(message)}$"
-    monkeypatch.setattr(NoiseModel, "sample", no_trial)
-    with pytest.raises(ContractError, match=expected):
-        run_trial(inst, 4, plan, methods, RandomStream(9))
-    with pytest.raises(ContractError, match=expected):
-        run_trials(inst, 4, plan, methods, RandomStream(9), 0, 3)
-    monkeypatch.setattr(harness, "_run_blocks", no_trial)  # no child starts
-    with pytest.raises(ContractError, match=expected):
-        run_experiment_spec(family, {"d": 2}, 4, 3, methods, 8, seed=9, workers=2)
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_workers_below_1_refused(monkeypatch, workers):
-    # each ran serially
-    def no_experiment(*args):
-        raise AssertionError("an instance was built before workers were checked")
-
-    monkeypatch.setattr(harness, "_lineage", no_experiment)
-    message = f"^workers must be >= 1, got {workers}$"
-    with pytest.raises(ContractError, match=message):
-        run_experiment_spec("P1", {}, None, None, None, 5, 1, workers=workers)
-    with pytest.raises(ContractError, match=message):
-        run_sweep("P1", "sigma", [0.5, 1.0], {}, 5, 1, workers=workers)
-
-
-@pytest.mark.parametrize("axis, fixed, message", [
-    # each ran the swept values and dropped the fixed one without a word
-    ("n", {"n": 20}, "a sweep over n cannot also fix n=20"),
-    ("K", {"d": 2, "K": 4}, "a sweep over K cannot also fix K=4"),
-    ("sigma", {"sigma": 2.5}, "a sweep over sigma cannot also fix sigma=2.5"),
-])
-def test_sweep_axis_also_fixed_refused(monkeypatch, axis, fixed, message):
-    def no_experiment(*args, **kwargs):
-        raise AssertionError("an experiment ran before the axis was checked")
-
-    monkeypatch.setattr(harness, "run_experiment_spec", no_experiment)
-    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
-        run_sweep("P1", axis, [4, 6], fixed, 5, 1)
-
-
 def test_p7_trial_runs():
     inst = generate_instance("P7", {"d": 2}, RandomStream(12))
     rec = run_trial(inst, 5, BootstrapPlan(rounds=6), ["shift", "scale"], RandomStream(13))
@@ -338,13 +276,6 @@ def test_trial_record_digests(monkeypatch, family, workers):
         chunks += [f"{m}={rec.debiased[m].hex()}".encode() for m in spec.methods]
     digest = hashlib.blake2b(b"|".join(chunks), digest_size=16).hexdigest()
     assert digest == RECORD_DIGESTS[family]
-
-
-def test_run_experiment_validates_r():
-    for R in (0, -3):
-        for workers in (1, 2):
-            with pytest.raises(ContractError, match="R must be >= 1"):
-                run_experiment_spec("P1", {"d": 2}, 8, 6, ["shift"], R, seed=17, workers=workers)
 
 
 # a test that patches what the children call reaches them only through fork
@@ -649,11 +580,6 @@ def test_sweep_cardinality_and_axis_values():
     assert all(s.axis == "sigma" for s in summaries)
 
 
-def test_sweep_invalid_axis_lists_valid():
-    with pytest.raises(ContractError, match="kappa"):
-        run_sweep("P1", "bogus", [1.0], {}, R=5, seed=0)
-
-
 def test_sweep_k_axis():
     summaries = run_sweep("P1", "K", [4, 8], {"d": 2, "n": 6}, R=8, seed=2, methods=["shift"])
     assert [s.K for s in summaries] == [4, 8]
@@ -668,25 +594,6 @@ def test_sweep_p6_n_resolution():
 
 # ---------------------------------------------------------------------------
 # result files
-
-
-def test_emit_results_empty_rejected(tmp_path):
-    with pytest.raises(ContractError, match="^emit_results needs at least one summary$"):
-        emit_results([], "csv", tmp_path / "x.csv")
-    assert not (tmp_path / "x.csv").exists()
-
-
-def test_emit_results_unknown_format_rejected(tmp_path):
-    summaries = run_sweep("P1", "sigma", [1.0], {"d": 2}, R=2, seed=6, methods=["shift"])
-    with pytest.raises(ContractError, match="^unknown format 'xml'$"):
-        emit_results(summaries, "xml", tmp_path / "x.xml")
-    assert not (tmp_path / "x.xml").exists()
-
-
-def test_emit_plot_empty_rejected(tmp_path):
-    with pytest.raises(ContractError, match="^emit_plot needs at least one summary$"):
-        emit_plot([], tmp_path / "x.svg")
-    assert not (tmp_path / "x.svg").exists()
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

@@ -10,8 +10,12 @@ from _oracles import kkt_solve, projected_gradient_values, quadratic_form, rando
 from debias import linalg
 from debias.linalg import (FactorizationError, cholesky_solve, random_orthogonal,
                            spd_with_condition)
-from debias.observations import ContractError
 from debias.resampling import RandomStream
+from test_refusals import folded
+
+# this module's single-refusal cases, each under its own id, are rows of
+# test_refusals.TABLE
+globals().update(folded("test_linalg"))
 
 
 def dominant_eigenvalue(A, squarings=80):
@@ -61,11 +65,6 @@ def test_cholesky_roundtrip_many():
         b = rng.normal(size=d)
         x = cholesky_solve(A, b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-9
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(FactorizationError):
-        cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +159,6 @@ def test_cho_solve_errors_match_scipy(c, b):
     assert type(got.value) is type(ref.value) is ValueError
 
 
-def test_cholesky_solve_error_messages():
-    cases = [
-        (np.eye(2), np.array([1.0, np.nan]), "array must not contain infs or NaNs"),
-        (INF, np.ones(2), "array must not contain infs or NaNs"),
-        (np.ones((2, 3)), np.ones(2),
-         "expected a square matrix or a stack of them, got shape (2, 3)"),
-        (np.eye(2), np.ones(3), "incompatible dimensions ((2, 2) and (3,))"),
-        (np.eye(2), np.ones((2, 2, 1)), "incompatible dimensions ((2, 2) and (2, 2, 1))"),
-        (np.ones((4, 2, 3)), np.ones(2),
-         "expected a square matrix or a stack of them, got shape (4, 2, 3)"),
-        (np.ones((1, 4, 2, 2)), np.ones(2),
-         "expected a square matrix or a stack of them, got shape (1, 4, 2, 2)"),
-        # a stack's right-hand side is one vector
-        (np.ones((4, 2, 2)), np.ones((2, 1)), "incompatible dimensions ((4, 2, 2) and (2, 1))"),
-        (np.ones((4, 2, 2)), np.ones(3), "incompatible dimensions ((4, 2, 2) and (3,))"),
-    ]
-    for A, b, message in cases:
-        with pytest.raises(ValueError) as got:
-            cholesky_solve(A, b)
-        assert str(got.value) == message
-
-
 GOOD3 = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
 NAN3 = np.array([[4.0, 1.0, 0.0], [1.0, np.nan, 1.0], [0.0, 1.0, 2.0]])
 INDEFINITE3 = np.diag([1.0, -1.0, 1.0])
@@ -207,7 +184,7 @@ def test_stack_raises_as_its_first_failing_matrix_alone(order):
     assert alone[2][0] is FactorizationError and "2-th leading minor" in alone[2][1]
     # OpenBLAS's potrf takes the nan pivot, so the factor is not finite; a
     # LAPACK that flags it fails the factorisation instead
-    assert alone[3] == nonfinite or alone[3][0] is FactorizationError
+    assert alone[3][0] is FactorizationError
     stack = np.stack([mats[k] for k in order])
     before = stack.copy()
     assert _raised(stack, b) == alone[next(k for k in order if k)]
@@ -278,17 +255,6 @@ def test_kkt_optimality_against_feasible_perturbations():
             assert y @ B @ y >= value - 1e-12
 
 
-def test_kkt_rank_deficient():
-    A = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])  # repeated constraint
-    with pytest.raises(FactorizationError):
-        kkt_solve(np.eye(3), A, np.array([1.0, 2.0]))
-
-
-def test_kkt_shape_guard():
-    with pytest.raises(ContractError):
-        kkt_solve(np.eye(2), np.eye(3), np.ones(3))
-
-
 # ---------------------------------------------------------------------------
 # random matrices
 
@@ -339,11 +305,6 @@ def test_quadratic_form_examples():
     assert quadratic_form(np.eye(2), np.array([3.0, 4.0])) == pytest.approx(25.0)
     assert quadratic_form(np.eye(3), np.zeros(3)) == 0.0
     assert quadratic_form(np.diag([2.0, 3.0]), np.array([1.0, 1.0])) == pytest.approx(5.0)
-
-
-def test_quadratic_form_dimension_mismatch():
-    with pytest.raises(ContractError):
-        quadratic_form(np.eye(2), np.ones(3))
 
 
 def test_symmetric_tensor3_permutation_invariance():

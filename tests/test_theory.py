@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from _oracles import moments_from_samples, third_derivative_fd
 from debias.core import BootstrapPlan
 from debias.harness import _reduce_records, run_trials
 from debias.objectives import Objective
-from debias.observations import ContractError
 from debias.problems import generate_instance, p1_quadratic, p2_quartic
 from debias.resampling import RandomStream
 from debias.theory import (
@@ -16,6 +14,11 @@ from debias.theory import (
     moments_gaussian,
     sigma_set,
 )
+from test_refusals import folded
+
+# this module's single-refusal cases, each under its own id, are rows of
+# test_refusals.TABLE
+globals().update(folded("test_theory"))
 
 
 def quad1d_objective():
@@ -41,14 +44,6 @@ def test_gaussian_moments_trace_contraction():
         assert got == pytest.approx(1.3**4 * d * (d + 2), rel=1e-12)
 
 
-def test_gaussian_moments_zero_sigma():
-    # a zero, negative or non-finite sigma is no Gaussian noise level
-    # (sigma = -1 used to run as 1, nan to print nan margins)
-    for sigma in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ContractError, match="sigma must be finite and > 0"):
-            moments_gaussian(sigma, 3)
-
-
 def test_moments_from_repeated_center():
     samples = np.tile([1.5, -2.0], (50, 1))
     m = moments_from_samples(samples, np.array([1.5, -2.0]))
@@ -64,13 +59,6 @@ def test_moments_from_samples_gaussian():
     # 1-d fourth moment: 3 sigma^4; MC se of y^4 mean is sqrt(96/N)
     se = math.sqrt(96.0 / samples.shape[0])
     assert abs(m.m4[0, 0, 0, 0] - 3.0) < 3 * se
-
-
-def test_moments_dimension_guard():
-    with pytest.raises(ContractError):
-        moments_from_samples(np.zeros((10, 21)), np.zeros(21))
-    with pytest.raises(ContractError):
-        moments_gaussian(1.0, 21)
 
 
 def test_m4_permutation_symmetry():
@@ -144,13 +132,6 @@ def test_sigma_set_sampled_vs_analytic():
     assert sampled.margin_shift == pytest.approx(analytic.margin_shift, abs=0.3)
 
 
-def test_sigma_psd_violation_detected():
-    F = quad1d_objective()
-    bad = MomentTensors(m2=-np.eye(1), m4=np.zeros((1, 1, 1, 1)))
-    with pytest.raises(ContractError):
-        sigma_set(F, np.array([1.0]), bad, c_k=1.0)
-
-
 def test_margin_monotone_in_ck():
     F = quad1d_objective()
     margins = [
@@ -158,17 +139,6 @@ def test_margin_monotone_in_ck():
         for ck in (0.25, 0.5, 1.0, 2.0, 4.0, 16.0)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(margins, margins[1:]))
-
-
-def test_sigma_requires_oracles():
-    F = Objective(fn=lambda x: float(x[0]))
-    with pytest.raises(ContractError):
-        sigma_set(F, np.zeros(1), moments_gaussian(1.0, 1), c_k=1.0)
-    # a missing third derivative is refused as well
-    G = p2_quartic(np.eye(1))
-    stripped = Objective(fn=G.fn, gradient=G.gradient, hessian=G.hessian)
-    with pytest.raises(ContractError, match="third derivative"):
-        sigma_set(stripped, np.ones(1), moments_gaussian(1.0, 1), c_k=1.0)
 
 
 def test_scale_margin_positive_objective():
@@ -210,52 +180,6 @@ def test_family_third_derivative_matches_finite_difference(family):
         T_true = F.third_derivative(x)
         scale = max(np.abs(T_true).max(), 1.0)
         assert np.abs(third_derivative_fd(F, x) - T_true).max() / scale < 1e-4
-
-
-def quad(d, xstar=0.0):
-    return lambda: (p1_quadratic(np.eye(d)), np.full(d, xstar))
-
-
-def family(name, params):
-    def build():
-        inst = generate_instance(name, params, RandomStream(0))
-        return inst.objective, inst.truth_input
-    return build
-
-
-# the inputs of test_cli.py's test_theory_overflow_exit_3 that reach
-# debias.theory, as the CLI passes them (its integers past float64 are
-# refused before, by problems.resolve_params), and such integers given to
-# the library, which raised OverflowError from math.isfinite
-@pytest.mark.parametrize("sigma, d, problem, c_k, message", [
-    (1e300, 1, quad(1), 1.0, "a moment tensor of sigma = 1e+300 is outside float64"),
-    (1e300, 20, family("P1", {}), 1.0, "a moment tensor of sigma = 1e+300 is outside float64"),
-    (1e77, 1, quad(1), 1.0, "a moment tensor of sigma = 1e+77 is outside float64"),
-    (1.0, 20, family("P2", {}), 1e-308,
-     "margin_shift = -inf at F(x*) = 7.856081866987556 and c_k = 1e-308 is outside float64"),
-    (1e60, 1, quad(1), 1.0,
-     "margin_shift_alt = -inf at F(x*) = 0.0 and c_k = 1.0 is outside float64"),
-    (1.0, 20, family("P1", {"xstar_norm2": 1e-308}), 1.0,
-     "a sigma or a margin at F(x*) = 1.4014351453944947e-308 and c_k = 1.0 is outside float64"),
-    (1.0, 1, quad(1, 1e-160), 1.0,
-     "a sigma or a margin at F(x*) = 1e-320 and c_k = 1.0 is outside float64"),
-    (10**400, 1, quad(1), 1.0,
-     "a moment tensor of sigma = an integer of 401 digits is outside float64"),
-    # past the 4300 digits str() takes
-    (10**5000, 1, quad(1), 1.0,
-     "a moment tensor of sigma = an integer of 5001 digits is outside float64"),
-], ids=["sigma-1e300", "P1-sigma-1e300", "sigma-1e77", "P2-ck-1e-308", "sigma-1e60",
-        "P1-xstar_norm2-1e-308", "xstar-1e-160", "sigma-int-1e400", "sigma-int-1e5000"])
-def test_results_outside_float64_refused(sigma, d, problem, c_k, message):
-    # called as a library these raised ZeroDivisionError or OverflowError
-    # after a RuntimeWarning, or returned margin_shift_alt = -inf
-    F, x_star = problem()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ContractError) as got:
-            sigma_set(F, x_star, moments_gaussian(sigma, d), c_k)
-    assert [str(w.message) for w in caught] == []
-    assert str(got.value) == message
 
 
 # ---------------------------------------------------------------------------
