@@ -265,15 +265,25 @@ def _shift_correction(naive: float, values) -> float:
         return _fsum([t / len(terms) for t in terms])
 
 
+def _scale_sums(naive: float, values) -> tuple[float, float]:
+    """The fsums of naive * v and of v * v over the values, of per-term
+    Python float products: numpy's bits without its overflow warning."""
+    terms = values.tolist()
+    return _fsum([naive * v for v in terms]), _fsum([v * v for v in terms])
+
+
 def _scale_correction(naive: float, values) -> float:
-    # per-term Python float products: numpy's bits without its overflow
-    # warning.  On a degenerate set s is exactly 1 where fn and fn_many sum
-    # alike, and within a few ulps of 1 where they do not
-    values = values.tolist()
-    denom = _fsum([v * v for v in values])
+    # On a degenerate set s is exactly 1 where fn and fn_many sum alike, and
+    # within a few ulps of 1 where they do not.  Where a sum leaves float64,
+    # both are taken again with naive and the values scaled by one power of
+    # two, exactly, which leaves their ratio as it is
+    num, denom = _scale_sums(naive, values)
     if denom < 1e-300:
         raise DegenerateDenominatorError("sum of squared bootstrap values vanished")
-    return _fsum([naive * v for v in values]) / denom
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        e = -math.frexp(np.max(np.abs(values)))[1]
+        num, denom = _scale_sums(math.ldexp(naive, e), np.ldexp(values, e))
+    return num / denom
 
 
 # method -> correction from (naive, K bootstrap values); None: the covariance correction

@@ -408,9 +408,7 @@ def _panel(summaries, metric, methods, x0):
     values = [s.axis_value if s.axis_value is not None else i for i, s in enumerate(summaries)]
     ys = {m: [getattr(s, metric)[m] for s in summaries] for m in methods}
     all_y = [y for v in ys.values() for y in v if math.isfinite(y)] or [0.0, 1.0]
-    ymin, ymax = min(all_y + [0.0]), max(all_y + [1.0])
-    if ymax == ymin:
-        ymax = ymin + 1.0
+    ymin, ymax = min(all_y + [0.0]), max(all_y + [1.0])  # so ymax - ymin >= 1
     xmin, xmax = min(values), max(values)
     if xmax == xmin:
         xmax = xmin + 1.0

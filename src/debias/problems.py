@@ -16,7 +16,7 @@ preset and the builder that draws an instance; ``get_family`` looks one up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,23 +32,26 @@ from .resampling import RandomStream, categorical_cdf, normals, uniforms
 
 
 def p1_quadratic(A: np.ndarray) -> Objective:
-    """F(x) = x' A x for SPD A."""
+    """F(x) = x' A x for SPD A.  Every call of its Hessian or third
+    derivative returns one read-only view, of 2A or of a single zero."""
     A = np.asarray(A, dtype=float)
+    hessian, third = np.broadcast_to(2.0 * A, A.shape), np.broadcast_to(0.0, (A.shape[0],) * 3)
 
     return Objective(
         fn=lambda x: float(x @ A @ x),
         fn_many=lambda X: np.einsum("ki,ij,kj->k", X, A, X),
         gradient=lambda x: 2.0 * (A @ x),
-        hessian=lambda x: 2.0 * A,
-        third_derivative=lambda x: np.zeros((A.shape[0],) * 3),
+        hessian=lambda x: hessian,
+        third_derivative=lambda x: third,
         sign_constraint="positive",
         name="quadratic",
     )
 
 
 def p2_quartic(A: np.ndarray) -> Objective:
-    """F(x) = (x' A x)^2 for SPD A."""
+    """F(x) = (x' A x)^2 for SPD A: P1's form in A, squared."""
     A = np.asarray(A, dtype=float)
+    form = p1_quadratic(A)
 
     def hessian(x):
         g = A @ x
@@ -63,15 +66,14 @@ def p2_quartic(A: np.ndarray) -> Objective:
         )
 
     def fn(x):
-        q = float(x @ A @ x)
         try:
-            return q ** 2
+            return form.fn(x) ** 2
         except OverflowError:  # a Python float's square raises where numpy's is inf
             return math.inf
 
     return Objective(
         fn=fn,
-        fn_many=lambda X: np.einsum("ki,ij,kj->k", X, A, X) ** 2,
+        fn_many=lambda X: form.fn_many(X) ** 2,
         gradient=lambda x: 4.0 * (x @ A @ x) * (A @ x),
         hessian=hessian,
         third_derivative=third,
@@ -153,26 +155,15 @@ def p4_opt_value(b: np.ndarray) -> Objective:
 
 
 def p5_constraint_value(B: np.ndarray, A: np.ndarray) -> Objective:
-    """F(b) = min {x' B x : A x = b} = b' (A B^-1 A')^-1 b.
-
-    A lone evaluation solves with the Schur complement A B^-1 A'; the
-    batched values and the analytic derivatives use its symmetrised inverse.
-    """
+    """F(b) = min {x' B x : A x = b} = b' M b, M = (A B^-1 A')^-1: P1's form
+    in the symmetrised M, whose batched values and derivatives it keeps.  A
+    lone evaluation solves with the Schur complement A B^-1 A' instead."""
     B = np.asarray(B, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     schur = A @ cholesky_solve(B, A.T)
     M = cholesky_solve(schur, np.eye(A.shape[0]))
-    M = (M + M.T) / 2.0
-
-    return Objective(
-        fn=lambda bv: float(bv @ cholesky_solve(schur, bv)),
-        fn_many=lambda X: np.einsum("ki,ij,kj->k", X, M, X),
-        gradient=lambda bv: 2.0 * (M @ bv),
-        hessian=lambda bv: 2.0 * M,
-        third_derivative=lambda bv: np.zeros((A.shape[0],) * 3),
-        sign_constraint="positive",
-        name="constraint_value",
-    )
+    return replace(p1_quadratic((M + M.T) / 2.0),
+                   fn=lambda bv: float(bv @ cholesky_solve(schur, bv)), name="constraint_value")
 
 
 def p6_entropy(d: int) -> Objective:

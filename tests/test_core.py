@@ -30,6 +30,7 @@ from debias.core import (
     METHODS,
     NonFiniteEstimateError,
     UnsupportedMethodError,
+    _scale_correction,
     bootstrap_means,
     covariance_debias,
     debias,
@@ -696,23 +697,55 @@ def test_bootstrap_without_plan_raises_contract_error(family, method):
 
 
 NEAR_1E154 = [[1.1e154], [1.2e154], [0.9e154], [1.3e154]]  # F = x^2 near float64's top
+# F = 1.7e308 - x^2 on a set of mean 0 and spread 1e154: its resample values
+# fall to about 1e308, so shift's correction, 2.5e307, and scale's s_hat,
+# about 1.2, each take the debiased value past float64
+NEAR_TOP = Objective(fn=lambda x: 1.7e308 - float(x @ x),
+                     fn_many=lambda X: 1.7e308 - np.einsum("ij,ij->i", X, X),
+                     sign_constraint="positive")
+SPREAD_1E154 = [[-1e154], [1e154], [-1e154], [1e154]]
 
 
-@pytest.mark.parametrize("method, points, shown", [
-    # the squared values overflow to inf, so the correction was inf / inf and
-    # debias returned a debiased value of nan
-    ("scale", NEAR_1E154, "nan"),
+@pytest.mark.parametrize("method, F, points, shown", [
+    # the squared values overflowed, so the correction was inf / inf and debias
+    # returned a debiased value of nan; the sums are now taken rescaled
+    ("scale", NEAR_TOP, SPREAD_1E154, "inf"),
     # the forms overflow in the covariance contraction
-    ("cov", [[-1e200], [1e200]], "-inf"),
-], ids=["scale-points1-nan", "cov-points2--inf"])  # shift's NEAR_1E154 case was points0
-def test_non_finite_estimate_is_refused(method, points, shown):
+    ("cov", quad1d(), [[-1e200], [1e200]], "-inf"),
+], ids=["scale-points1-inf", "cov-points2--inf"])  # shift's NEAR_1E154 case was points0
+def test_non_finite_estimate_is_refused(method, F, points, shown):
     obs = ObservationSet.from_points(points)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteEstimateError) as info:
-            debias(method, quad1d(), obs, BootstrapPlan(rounds=100), RandomStream(0))
+            debias(method, F, obs, BootstrapPlan(rounds=100), RandomStream(0))
     assert str(info.value) == f"method {method} produced {shown}"
     assert isinstance(info.value, EvaluationError) and info.value.index == 0
+
+
+@pytest.mark.parametrize("naive, values, expected", [
+    # the squares overflow: the correction was 0.0, a finite debiased 0.0
+    (1e100, [1e160, 2e160], 6.0e-61),
+    (-1e100, [-1e160, -2e160], 6.0e-61),
+    # the products overflow too: the correction was nan
+    (1e200, [1e160, 2e160], 6.0e39),
+    # the products alone overflow
+    (1e300, [1e10, 2e10], 6.0e289),
+])
+def test_scale_correction_of_sums_outside_float64(naive, values, expected):
+    # the sums are taken again with naive and the values scaled by 2**-e, e
+    # the exponent of the largest |value|, which leaves their ratio exact
+    got = _scale_correction(naive, np.array(values))
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e150, 1e150, allow_subnormal=False).filter(lambda x: abs(x) > 1e-100),
+       st.lists(st.floats(1e-100, 1e150), min_size=1, max_size=6))
+def test_scale_correction_of_finite_sums_keeps_its_bits(naive, values):
+    # where both sums are finite, the correction is their plain ratio
+    ratio = math.fsum(naive * v for v in values) / math.fsum(v * v for v in values)
+    assert _scale_correction(naive, np.array(values)) == ratio
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -722,13 +755,9 @@ def test_non_finite_estimate_names_its_input_in_a_block(method):
     F = quad1d()
     if method == "cov":
         sets[1:] = [[-1e200], [1e200], [-1e200], [1e200]]
-    if method == "shift":
-        # finite shift terms have a finite mean, so it is the sum naive +
-        # correction that overflows: F = 1.7e308 - x^2, whose correction on
-        # a set of mean 0 is the spread of its resample means, 2.5e307
-        F = Objective(fn=lambda x: 1.7e308 - float(x @ x),
-                      fn_many=lambda X: 1.7e308 - np.einsum("ij,ij->i", X, X))
-        sets[1:] = [[-1e154], [1e154], [-1e154], [1e154]]
+    else:  # finite corrections that take the debiased value past float64
+        F = NEAR_TOP
+        sets[1:] = SPREAD_1E154
     block = EuclideanBlock(F, sets)
     with pytest.raises(NonFiniteEstimateError) as info:
         estimates(method, block, BootstrapPlan(rounds=100),

@@ -207,6 +207,46 @@ def test_p5_derivatives():
     _check_derivatives(p5_constraint_value(B, A), lambda rng: rng.normal(size=3))
 
 
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("family", ["P1", "P2", "P5"])
+def test_quadratic_families_share_p1s_form_bit_for_bit(family):
+    # P5 is P1's form in M = (A B^-1 A')^-1 but for its Schur-solve fn; P2 is
+    # P1's form squared.  Each keeps the bits of the expressions it was
+    # written with before it shared P1's
+    inst = generate_instance(family, {"d": 4}, RandomStream(60))
+    F = inst.objective
+    if family == "P5":
+        B, A = inst.matrices["B"], inst.matrices["A"]
+        schur = A @ cholesky_solve(B, A.T)
+        M = cholesky_solve(schur, np.eye(4))
+        M = (M + M.T) / 2.0
+    else:
+        M = inst.matrices["A"]
+    X = sample_observations(inst, 12, RandomStream(61)).points
+    forms = np.einsum("ki,ij,kj->k", X, M, X)
+    if family == "P2":
+        assert bits(F.fn_many(X)) == bits(forms ** 2)
+        assert [F.fn(x) for x in X] == [float(x @ M @ x) ** 2 for x in X]
+        big = np.full(4, 1e80)
+        assert math.isfinite(float(big @ M @ big)) and F.fn(big) == math.inf
+        return
+    assert bits(F.fn_many(X)) == bits(forms)
+    for x in X:
+        if family == "P5":
+            assert F.fn(x) == float(x @ cholesky_solve(schur, x))
+        assert bits(F.gradient(x)) == bits(2.0 * (M @ x))
+        assert bits(F.hessian(x)) == bits(2.0 * M)
+        assert bits(F.third_derivative(x)) == bits(np.zeros((4,) * 3))
+    # one read-only Hessian and third derivative for every point
+    for oracle in (F.hessian, F.third_derivative):
+        assert oracle(X[0]) is oracle(X[1])
+        with pytest.raises(ValueError, match="read-only"):
+            oracle(X[0])[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # convexity spot checks
 

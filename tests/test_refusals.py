@@ -31,13 +31,14 @@ from debias.core import (BootstrapPlan, DegenerateDenominatorError, UnsupportedM
                          shift_debias)
 from debias.harness import (TrialRecord, _reduce_records, emit_plot, emit_results,
                             run_experiment_spec, run_sweep, run_trial, run_trials)
-from debias.linalg import FactorizationError, cholesky_solve
+from debias.linalg import FactorizationError, cholesky_solve, random_orthogonal, spd_with_condition
 from debias.objectives import DomainError, EvaluationError, Objective
 from debias.observations import ContractError, ObservationSet, mean_observation, mixture
 from debias.problems import (FAMILIES, MAX_CELLS, NoiseModel, generate_instance, p1_quadratic,
-                             p2_quartic, p3_rational, p4_opt_value, p7_wasserstein)
+                             p2_quartic, p3_rational, p4_opt_value, p6_entropy, p7_wasserstein)
 from debias.resampling import RandomStream
 from debias.theory import MomentTensors, moments_gaussian, sigma_set
+from debias.transport import TransportError, TransportProblem, solve_transport
 
 
 class Cli(NamedTuple):
@@ -575,11 +576,11 @@ CLI = {
             "F(x*) is not finite at d=2, kappa=1e+308, k_shape=1.0"),
            # exit 1, OverflowError: intermediate overflow in fsum, in the shift
            # correction, and then refused as nan; that correction is now the
-           # mean of its terms, which fits, so the scale correction, whose fsum
-           # still overflows, is refused first
+           # mean of its terms, which fits, and the scale correction's sums are
+           # taken rescaled, so every estimate fits, but not the squared errors
            ("bench P5 --param kappa=1e16 --param sigma=1e150 --param d=3 --trials 3",
-            "P5 at d=3, p_dim=6, kappa=1e+16, sigma=1e+150: trial (0, 1, 0): "
-            "method scale produced nan"),
+            "P5 at n=10, K=100, d=3, p_dim=6, kappa=1e+16, sigma=1e+150: the errors overflow "
+            "float64 when squared or summed"),
            # exit 3 after numpy's overflow and invalid value warnings, evaluating F(x*)
            ("bench P1 --param kappa=1e150 --param xstar_norm2=1e300",
             "F(x*) is not finite at d=20, kappa=1e+150, sigma=1.0, xstar_norm2=1e+300"),
@@ -596,10 +597,12 @@ CLI = {
            # exit 1, ValueError: array must not contain infs or NaNs, from P5's solve
            ("bench P5 --param kappa=1e308 --param d=1",
             "kappa must leave the 2 x 2 SPD matrix finite, got 1e+308"),
-           # exit 1, OverflowError: intermediate overflow in fsum, in the scale correction
+           # exit 1, OverflowError: intermediate overflow in fsum, in the scale
+           # correction, then refused as nan; its sums are now taken rescaled,
+           # and noise of sigma 1 leaves x* = 1e77 as it is
            ("bench P1 --param d=1 --param kappa=1e308 --param xstar_norm2=1e154 --method scale",
-            "P1 at d=1, kappa=1e+308, sigma=1.0, xstar_norm2=1e+154: trial (0, 1, 0): "
-            "method scale produced nan"),
+            "P1 at n=10, K=10, d=1, kappa=1e+308, sigma=1.0, xstar_norm2=1e+154: the naive "
+            "errors sum to 0, so every ratio is 0/0"),
            # exit 1, ValueError: categorical needs a probability vector summing to
            # 1, after numpy's overflow warning in the Dirichlet draw's sum
            ("bench P6 --param d=2 --param alpha=1e308",
@@ -608,8 +611,8 @@ CLI = {
         f"{ESTIMATE} --method {method}", 4, f"method {method} produced {shown}",
         files={**EUCLID, "obs.csv": data}, quiet=True)
        for method, data, shown in [
-           # printed debiased_value = nan at exit 0
-           ("scale", NEAR_1E154, "nan"),
+           # scale printed debiased_value = nan at exit 0 on NEAR_1E154; it now
+           # exits 0 with finite values, test_cli.test_extreme_estimate_grid[scale-0]
            # printed debiased_value = -inf at exit 0: the squared deviations overflow
            ("cov", "# dim=1 variant=euclidean\n-1e200\n1e200\n", "-inf")]},
 }
@@ -949,6 +952,77 @@ TABLE = {
         # was nan: the fsum of the 100 terms overflows, their mean does not
         "test_shift_correction_of_a_sum_that_overflows_is_its_mean": Lib(
             None, "9e+307", (lambda: _shift_correction(0.0, np.full(100, -9e307)),)),
+        **{f"test_estimate_bad_header_exit_2[{case}]": Cli(
+            "estimate {tmp}/obs.csv --function entropy", 2, f"{{tmp}}/obs.csv: line 1: {message}",
+            files={"obs.csv": header + "\n1.0\n"}, quiet=True)
+           for case, header, message in [
+               ("no fields", "# one column", "header must carry dim= and variant="),
+               ("no variant", "# dim=1", "header must carry dim= and variant="),
+               ("bad dim", "# dim=one variant=euclidean", "bad dim 'one'"),
+               ("unknown variant", "# dim=1 variant=tabular", "unknown variant 'tabular'")]},
+        **{f"test_estimate_bad_quadratic_spec_exit_3[{case}]": Cli(
+            argv, 3, message, files={**EUCLID, "A2.csv": "1 0\n0 1\n"}, quiet=True)
+           for case, argv, message in [
+               ("no file", "estimate {tmp}/obs.csv --function quartic",
+                "quartic spec needs a matrix file: quartic:A.csv"),
+               ("wrong shape", "estimate {tmp}/obs.csv --function quadratic:{tmp}/A2.csv",
+                "matrix {tmp}/A2.csv is (2, 2), data dimension is 1")]},
+        **{f"test_bad_config_line_exit_2[{case}]": Cli(
+            f"{command} --config {{tmp}}/c.cfg --no-header --out {{tmp}}/o.csv", 2, message,
+            files={**EUCLID, "c.cfg": text}, quiet=True, no_files=True, no_instance=True)
+           for case, command, text, message in [
+               ("no equals", BENCH, "seed=1\ntrials 5\n",
+                "{tmp}/c.cfg: line 2: expected key=value"),
+               ("wrong type", BENCH, "trials=many\n",
+                "config key trials: invalid literal for int() with base 10: 'many'"),
+               ("estimate wrong type", ESTIMATE, "k=1.5\n",
+                "config key k: invalid literal for int() with base 10: '1.5'")]},
+        **{f"test_bad_param_token_exit_3[{command.split()[0]}-{case}]": Cli(
+            f"{command} --param {token} {EIGHT}", 3, message, quiet=True, no_files=True,
+            no_instance=True)
+           for command in (BENCH, SWEEP)
+           for case, token, message in [
+               ("no equals", "sigma", "--param needs key=value, got 'sigma'"),
+               ("not a number", "sigma=two", "--param sigma: cannot parse 'two' as a number")]},
+        **{f"test_bad_sweep_values_exit_3[{case}]": Cli(
+            f"sweep P1 --axis sigma --values {values} {EIGHT}", 3, message, quiet=True,
+            no_files=True, no_instance=True)
+           for case, values, message in [
+               ("bad float", "1,x", "--values: could not convert string to float: 'x'"),
+               ("empty", ",", "--values needs a comma-separated list")]},
+        # the matrices refuse before any normal draw
+        **{f"test_dimension_below_1_refused[{name}-{d}]": Lib(
+            error, exactly(message), (call,), forbid=((RandomStream, "normal"),))
+           for d in (0, -2)
+           for name, error, call, message in [
+               ("random_orthogonal", ContractError,
+                lambda d=d: random_orthogonal(d, RandomStream(0)), f"d must be >= 1, got {d}"),
+               ("spd_with_condition", ContractError,
+                lambda d=d: spd_with_condition(d, 2.0, RandomStream(0)),
+                f"d must be >= 1, got {d}"),
+               ("dirichlet", ValueError, lambda d=d: RandomStream(0).dirichlet(1.0, d),
+                f"dirichlet dimension must be >= 1, got {d}"),
+               ("p6_entropy", ContractError, lambda d=d: p6_entropy(d + 1),
+                f"entropy needs d >= 2, got {d + 1}")]},
+        **{f"test_objective_settings_refused[{field}]": Lib(
+            ValueError, exactly(f"bad {field} 'up'"),
+            (lambda f=field: Objective(fn=forbidden, **{f: "up"}),))
+           for field in ("sign_constraint", "cov_denominator")},
+        "test_evaluate_batch_refuses_a_domain_check_of_the_wrong_shape": Lib(
+            ContractError,
+            exactly("box: domain_check gave shape (1,) for points of shape (3, 2)"),
+            (lambda: Objective(fn=forbidden, fn_many=forbidden, name="box",
+                               domain_check=lambda X: np.ones(1, dtype=bool)
+                               ).evaluate_batch(np.zeros((3, 2))),)),
+        "test_noise_sample_needs_an_observation": Lib(
+            ContractError, exactly("need n >= 1 observations, got 0"),
+            (lambda: NoiseModel(forbidden).sample(0, [RandomStream(0)]),)),
+        # TransportProblem.build refuses such marginals as not summing to 1
+        "test_transport_refuses_empty_marginals": Lib(
+            TransportError, exactly("a balanced problem cannot have empty marginals"),
+            tuple(lambda s=supply, t=demand: solve_transport(
+                TransportProblem(np.ones((2, 2)), np.array(s), np.array(t)))
+                  for supply, demand in [([0.0, 0.0], [0.5, 0.5]), ([0.5, 0.5], [0.0, 0.0])])),
     },
 }
 
